@@ -30,12 +30,18 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Configuration, HMSchedule, Instance, MalformedInputError, dot
+from .model import (
+    CertificateError,
+    Configuration,
+    HMSchedule,
+    Instance,
+    JOB_EQ,
+    JOB_GE,
+    JOB_LE,
+    MalformedInputError,
+    dot,
+)
 from .reduction import ReductionConstants, reduce_window
-
-JOB_EQ = "="
-JOB_LE = "<="
-JOB_GE = ">="
 
 DEFAULT_STATE_LIMIT = 2_000_000
 STATE_LIMIT_ENV = "HMSCHED_STATE_LIMIT"
@@ -52,13 +58,13 @@ def state_limit_default() -> int:
 
 @dataclass(frozen=True)
 class LoadWindow:
-    """Per-machine-type load bounds; upper=None means unbounded."""
+    """Per-machine-type load bounds [lower, upper], both inclusive."""
 
     lower: int
-    upper: int | None
+    upper: int
 
     def __post_init__(self):
-        if self.lower < 0 or (self.upper is not None and self.upper < self.lower):
+        if self.lower < 0 or self.upper < self.lower:
             raise MalformedInputError(f"bad window [{self.lower}, {self.upper}]")
 
 
@@ -66,16 +72,14 @@ class LoadWindow:
 class BlockCounts:
     """Bookkeeping from window reduction for one machine type.
 
-    Every machine of the type owes ``exact`` block sub-configurations
-    (load exactly ``lcm_load`` when the raw window is bounded, load >=
-    ``lcm_load`` otherwise) and ``slack`` sub-configurations of load <=
+    Every machine of the type owes ``exact`` block sub-configurations of
+    load exactly ``lcm_load`` and ``slack`` sub-configurations of load <=
     ``lcm_load`` on top of its core configuration.
     """
 
     exact: int
     slack: int
     lcm_load: int
-    unbounded: bool
 
 
 @dataclass(frozen=True)
@@ -179,12 +183,12 @@ def reduced_windows_for(inst: Instance, windows: list[LoadWindow]
         consts = _type_constants(inst.p, inst.allowed_row(t))
         if consts is None:
             cores.append(win)
-            blocks.append(BlockCounts(0, 0, 1, win.upper is None))
+            blocks.append(BlockCounts(0, 0, 1))
             continue
         red = reduce_window(win.lower, win.upper, consts)
         cores.append(LoadWindow(red.core_lower, red.core_upper))
         blocks.append(BlockCounts(red.exact_blocks, red.slack_blocks,
-                                  consts.lcm_load, win.upper is None))
+                                  consts.lcm_load))
     return cores, blocks
 
 
@@ -199,9 +203,8 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
     that cap is sound: always for usage relations = and <=, and for >=
     only on windows without a lower bound (surplus is then removable).
     On lower-bounded windows with relation >= a machine may legitimately
-    over-cover; a minimal solution keeps its load below lower + pmax
-    unless its job types are all at tight usage, which keeps even
-    unbounded windows finite to enumerate.
+    over-cover, so there the cap is raised to what the window's upper
+    bound admits.
     """
     if demand is None:
         demand = inst.n
@@ -211,17 +214,12 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
         cores, blocks = reduced_windows_for(inst, windows)
     else:
         cores = list(windows)
-        blocks = [BlockCounts(0, 0, 1, w.upper is None) for w in windows]
-
-    pmax = max(inst.p)
+        blocks = [BlockCounts(0, 0, 1) for _ in windows]
 
     def column_cap(win: LoadWindow) -> tuple[int, ...]:
         if demand_relation != JOB_GE or win.lower == 0:
             return demand
-        if win.upper is not None:
-            return tuple(max(d_j, win.upper // pj)
-                         for d_j, pj in zip(demand, inst.p))
-        return tuple(max(d_j, (win.lower + pmax - 1) // pj)
+        return tuple(max(d_j, win.upper // pj)
                      for d_j, pj in zip(demand, inst.p))
 
     groups: list[ModelGroup] = []
@@ -236,8 +234,7 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
                                     (core_win.lower, core_win.upper), allowed))))
         blk = blocks[t]
         if blk.exact > 0:
-            win = (LoadWindow(blk.lcm_load, None) if blk.unbounded
-                   else LoadWindow(blk.lcm_load, blk.lcm_load))
+            win = LoadWindow(blk.lcm_load, blk.lcm_load)
             groups.append(ModelGroup(
                 t, "exact", inst.m[t] * blk.exact, win,
                 tuple(enumerate_configs(inst.p, column_cap(win),
@@ -257,7 +254,6 @@ def _necessarily_infeasible(model: ConfILPModel) -> bool:
     total_load = dot(model.p, model.demand)
     min_load = 0
     max_load = 0
-    unbounded = False
     per_job_max = [0] * len(model.p)
     for g in model.groups:
         if g.count == 0:
@@ -265,10 +261,7 @@ def _necessarily_infeasible(model: ConfILPModel) -> bool:
         if not g.configs:
             return True
         min_load += g.count * g.window.lower
-        if g.window.upper is None:
-            unbounded = True
-        else:
-            max_load += g.count * g.window.upper
+        max_load += g.count * g.window.upper
         for j in range(len(model.p)):
             best = max((c[j] for c in g.configs), default=0)
             per_job_max[j] = per_job_max[j] + g.count * best
@@ -276,7 +269,7 @@ def _necessarily_infeasible(model: ConfILPModel) -> bool:
     if rel in (JOB_EQ, JOB_LE) and min_load > total_load:
         return True
     if rel in (JOB_EQ, JOB_GE):
-        if not unbounded and max_load < total_load:
+        if max_load < total_load:
             return True
         if any(have < need for have, need in zip(per_job_max, model.demand)):
             return True
@@ -431,8 +424,10 @@ def _recombine(model: ConfILPModel,
                     merged[j] += piece[j]
             load = dot(model.p, tuple(merged))
             raw = model.raw_windows[t]
-            assert raw.lower <= load and (raw.upper is None or load <= raw.upper), \
-                "recombined load escaped its window"
+            if not raw.lower <= load <= raw.upper:
+                raise CertificateError(
+                    f"type {t}: recombined load {load} escaped its window "
+                    f"[{raw.lower}, {raw.upper}]")
             entries.append((t, tuple(merged), 1))
 
     merged_entries: dict[tuple[int, tuple[int, ...]], int] = {}

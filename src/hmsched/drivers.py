@@ -1,18 +1,22 @@
-"""Optimization drivers: binary search over exact value grids.
+"""Optimization drivers: one binary search over exact value grids.
 
 Every objective reduces to feasibility questions "is there a schedule at
 least as good as T".  Any optimum is some machine's integer load divided
-by that machine's speed, so the search runs per machine type over the
-exact grid {k / s_t} and never leaves rational arithmetic.
+by that machine's speed (for envy, a difference of two such values), so
+every driver runs ``_search_grid`` over the exact grids listed by
+``candidate_values`` and never leaves rational arithmetic.
 
 A feasibility question is answered by: normalize speeds to threshold 1,
-compress fast machines into slow ones, then either set up the
-configuration model directly (all machines slow) or run the balanced
-pipeline: guess the integral data of the rounded fractional schedule on
-the fast machines, preassign its floor minus a small margin, and solve
-the much smaller residual model.  Either way the answer is certified by
-verify_schedule before being returned; a wrong guess can only surface as
-a discarded guess, never as a wrong verdict.
+compress fast machines into slow ones, and turn a minimum-completion
+question into an idle-capped makespan question (``cmin_to_idle_cmax``:
+bounded load windows, job usage at most n, leftover jobs added back
+afterwards).  Then either set up the configuration model directly (all
+machines slow) or run the balanced pipeline: guess the integral data of
+the rounded fractional schedule on the fast machines, preassign its
+floor minus a small margin, and solve the much smaller residual model.
+Either way the answer is certified by verify_schedule before being
+returned; a wrong guess can only surface as a discarded guess, never as
+a wrong verdict.
 """
 
 from __future__ import annotations
@@ -128,26 +132,38 @@ def _trim_to_demand(sched: HMSchedule, n: tuple[int, ...],
     return make_schedule(sched.d, p, [(t, tuple(c), k) for t, c, k in work])
 
 
-def _complete_to_demand(sched: HMSchedule, n: tuple[int, ...],
-                        p: tuple[int, ...]) -> HMSchedule:
-    """Add leftover jobs onto one machine until usage equals n."""
+def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
+    """Add leftover jobs until usage equals inst.n (loads only increase).
+
+    Each job type's leftover goes onto one machine of the first entry
+    whose machine type may run it; leftovers that pick the same entry
+    share that machine.
+    """
     usage = aggregate_jobs(sched)
-    leftover = tuple(v - u for u, v in zip(usage, n))
-    if any(x < 0 for x in leftover):
-        raise CertificateError(f"usage {usage} exceeds demand {n}")
-    if not any(leftover):
+    extra: dict[int, list[int]] = {}
+    for j, (u, v) in enumerate(zip(usage, inst.n)):
+        if u > v:
+            raise CertificateError(f"usage {usage} exceeds demand {inst.n}")
+        if u == v:
+            continue
+        i = next((i for i, (t, _, count) in enumerate(sched.entries)
+                  if count and inst.allowed(j, t)), None)
+        if i is None:
+            raise CertificateError(f"no machine may take leftover jobs of type {j}")
+        extra.setdefault(i, [0] * inst.d)[j] = v - u
+    if not extra:
         return sched
-    if not sched.entries:
-        raise CertificateError("no machine to take leftover jobs")
-    t, cfg, count = sched.entries[0]
-    grown = tuple(c + x for c, x in zip(cfg.counts, leftover))
-    raw = [(t, grown, 1), (t, cfg.counts, count - 1)]
-    raw += [(tt, cc.counts, kk) for tt, cc, kk in sched.entries[1:]]
-    return make_schedule(sched.d, p, raw)
+    raw = []
+    for i, (t, cfg, count) in enumerate(sched.entries):
+        if i in extra:
+            raw.append((t, tuple(c + x for c, x in zip(cfg.counts, extra[i])), 1))
+            count -= 1
+        raw.append((t, cfg.counts, count))
+    return make_schedule(inst.d, inst.p, raw)
 
 
-def _remap_types(sched: HMSchedule, mapping: dict[int, int],
-                 p: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+def _remap_types(sched: HMSchedule, mapping: dict[int, int]
+                 ) -> list[tuple[int, tuple[int, ...], int]]:
     return [(mapping[t], cfg.counts, count) for t, cfg, count in sched.entries]
 
 
@@ -155,15 +171,10 @@ def _remap_types(sched: HMSchedule, mapping: dict[int, int],
 # Balanced pipeline
 # ---------------------------------------------------------------------------
 
-def _direct_windows(inst: Instance, rel: str, idle_cap: int | None) -> list[LoadWindow]:
-    windows = []
-    for s in inst.s:
-        if rel == LE:
-            lo = max(0, s - idle_cap) if idle_cap is not None else 0
-            windows.append(LoadWindow(lo, s))
-        else:
-            windows.append(LoadWindow(s, None))
-    return windows
+def _direct_windows(inst: Instance, idle_cap: int | None) -> list[LoadWindow]:
+    """Threshold-1 windows [s - idle_cap, s] per type ([0, s] without a cap)."""
+    return [LoadWindow(max(0, s - idle_cap) if idle_cap is not None else 0, s)
+            for s in inst.s]
 
 
 def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
@@ -207,7 +218,7 @@ def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
     # In ">=" mode the instance is already converted, so every window is
     # the idle-capped <=1 form [s - idle_cap, s].
     mode_windows = (lambda sub: _direct_windows(
-        sub, LE, idle_cap if rel == GE else None))
+        sub, idle_cap if rel == GE else None))
 
     if not large:
         model = build_model(inst, mode_windows(inst),
@@ -262,7 +273,7 @@ def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
             part = solve_model(model, state_limit)
             if part is None:
                 return None
-            raw += _remap_types(part, inv, p)
+            raw += _remap_types(part, inv)
         elif any(remainder):
             return None
         sched = _trim_to_demand(make_schedule(d, p, raw), n, p)
@@ -347,6 +358,8 @@ def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
     return None, info
 
 
+
+
 # ---------------------------------------------------------------------------
 # Feasibility front door
 # ---------------------------------------------------------------------------
@@ -358,12 +371,15 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     """Decide rel-threshold feasibility and return a certified schedule.
 
     Standard queries (no idle cap, job usage exactly n) run the full
-    pipeline: normalize, compress, then the direct configuration model
-    or the balanced pipeline depending on whether any compressed machine
-    exceeds the large-machine cutoff (``method`` forces the choice).
-    Idle-capped queries are only supported at threshold 1 on integer
-    speeds, because idle loads do not survive speed rescaling; they are
-    answered directly on the given instance.
+    pipeline: normalize, compress, convert a ``>=`` question into an
+    idle-capped ``<=`` one (``cmin_to_idle_cmax``), then the direct
+    configuration model or the balanced pipeline depending on whether
+    any compressed machine exceeds the large-machine cutoff (``method``
+    forces the choice).  The converted question asks for job usage at
+    most n; its leftover jobs are added back before lifting, which only
+    raises loads.  Idle-capped queries are only supported for ``<=`` at
+    threshold 1 on integer speeds, because idle loads do not survive
+    speed rescaling; they are answered directly on the given instance.
     """
     threshold = Fraction(threshold)
     if inst.restrict is not None:
@@ -376,16 +392,16 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
         trace = {}
 
     if idle_cap is not None or job_relation != JOB_EQ:
-        if threshold != 1:
+        if rel != LE or threshold != 1:
             raise MalformedInputError(
-                "idle caps / custom job relations need threshold 1")
-        model = build_model(inst, _direct_windows(inst, rel, idle_cap),
+                "idle caps / custom job relations need relation <= at threshold 1")
+        model = build_model(inst, _direct_windows(inst, idle_cap),
                             demand=inst.n, demand_relation=job_relation)
         sched = solve_model(model, state_limit)
         trace["path"] = "direct-confilp"
         if sched is not None:
             _certify(inst, sched,
-                     FeasibilityQuery(rel, threshold, idle_cap, job_relation))
+                     FeasibilityQuery(LE, threshold, idle_cap, job_relation))
         return sched
 
     if inst.machine_count == 0:
@@ -399,27 +415,23 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     cutoff = large_machine_cutoff(inst.d, inst.pmax)
     has_large = any(s > cutoff and m > 0 for s, m in zip(comp.s, comp.m))
     use_balanced = method == "balanced" or (method == "auto" and has_large)
+    question, cap = (comp, None) if rel == LE else cmin_to_idle_cmax(comp)
 
     if use_balanced:
-        if rel == LE:
-            sched_c, info = balanced_feasibility(comp, LE,
-                                                 state_limit=state_limit)
-        else:
-            conv, cap = cmin_to_idle_cmax(comp)
-            sched_conv, info = balanced_feasibility(conv, GE, idle_cap=cap,
-                                                    state_limit=state_limit)
-            sched_c = None
-            if sched_conv is not None:
-                sched_c = _complete_to_demand(sched_conv, comp.n, comp.p)
+        sched_c, info = balanced_feasibility(question, rel, idle_cap=cap,
+                                             state_limit=state_limit)
         trace.update(info)
     else:
-        model = build_model(comp, _direct_windows(comp, rel, None),
-                            demand=comp.n, demand_relation=JOB_EQ)
+        model = build_model(question, _direct_windows(question, cap),
+                            demand=comp.n,
+                            demand_relation=JOB_EQ if rel == LE else JOB_LE)
         sched_c = solve_model(model, state_limit)
         trace["path"] = "direct-confilp"
 
     if sched_c is None:
         return None
+    if rel == GE:
+        sched_c = _complete_to_demand(comp, sched_c)
     lifted = lift_schedule(sched_c, cmap)
     _certify(norm, lifted, FeasibilityQuery(rel, Fraction(1)))
     _certify(inst, lifted, FeasibilityQuery(rel, threshold))
@@ -430,85 +442,76 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 # Objective drivers
 # ---------------------------------------------------------------------------
 
-def _probe_counter(trace: dict) -> None:
-    trace["probes"] = trace.get("probes", 0) + 1
+def _search_grid(grid: CandidateGrid, probe, minimize: bool,
+                 trace: dict) -> tuple[Fraction, HMSchedule]:
+    """Best feasible value on the grid, with the schedule that attains it.
+
+    Each entry ``(..., den, top)`` stands for the values {k / den :
+    0 <= k <= top}, on which feasibility is monotone (every value above
+    a feasible one is feasible when minimizing, every value below when
+    maximizing).  Entries are binary-searched over k in order with
+    ``probe(entry, value)``, which returns a certified schedule or None;
+    once a value is found, later entries search only the values strictly
+    better than it.
+    """
+    best: tuple[Fraction, HMSchedule] | None = None
+    for entry in grid.entries:
+        den, top = entry[-2:]
+        lo, hi = 0, top
+        if best is not None:
+            if minimize:
+                hi = min(hi, math.ceil(best[0] * den) - 1)
+            else:
+                lo = math.floor(best[0] * den) + 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            trace["probes"] += 1
+            sched = probe(entry, Fraction(mid, den))
+            if sched is not None:
+                best = (Fraction(mid, den), sched)
+            # step toward better values after a success, away after a failure
+            if (sched is not None) == minimize:
+                hi = mid - 1
+            else:
+                lo = mid + 1
+    # The first entry searches its whole grid, which holds an always
+    # feasible value: the total load for a makespan (every machine has
+    # speed >= 1), 0 for a minimum completion, pmax for envy.
+    if best is None:
+        raise CertificateError(
+            f"no value on the {grid.objective} grid was feasible")
+    return best
+
+
+def _optimize_threshold(inst: Instance, objective: str, method: str,
+                        state_limit: int | None) -> SolveResult:
+    if inst.machine_count < 1:
+        raise MalformedInputError("need at least one machine")
+    if inst.restrict is not None:
+        raise MalformedInputError("use solve_restricted for restricted instances")
+    rel = LE if objective == "cmax" else GE
+    trace: dict = {"probes": 0}
+
+    def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
+        return feasibility(inst, rel, T, method=method,
+                           state_limit=state_limit, trace=trace)
+
+    value, sched = _search_grid(candidate_values(inst, objective), probe,
+                                rel == LE, trace)
+    _certify(inst, sched, FeasibilityQuery(rel, value))
+    return SolveResult(objective, value, sched, trace)
 
 
 def minimize_makespan(inst: Instance, method: str = "auto",
                       state_limit: int | None = None) -> SolveResult:
     """Smallest T with a <=T-feasible schedule using exactly n."""
-    if inst.machine_count < 1:
-        raise MalformedInputError("need at least one machine")
-    if inst.restrict is not None:
-        raise MalformedInputError("use solve_restricted for restricted instances")
-    P = inst.total_load
-    trace: dict = {"probes": 0}
-    best: tuple[Fraction, HMSchedule] | None = None
-    for t in range(inst.tau):
-        if inst.m[t] == 0:
-            continue
-        s = inst.s[t]
-        hi = s * P
-        if best is not None:
-            hi = min(hi, math.ceil(best[0] * s) - 1)
-        lo, found = 0, None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            _probe_counter(trace)
-            sched = feasibility(inst, LE, Fraction(mid, s), method=method,
-                                state_limit=state_limit, trace=trace)
-            if sched is not None:
-                found = (Fraction(mid, s), sched)
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found
-    assert best is not None, "threshold total_load is always feasible"
-    _certify(inst, best[1], FeasibilityQuery(LE, best[0]))
-    return SolveResult("cmax", best[0], best[1], trace)
+    return _optimize_threshold(inst, "cmax", method, state_limit)
 
 
 def maximize_min_completion(inst: Instance, method: str = "auto",
                             state_limit: int | None = None) -> SolveResult:
     """Largest T with a >=T-feasible schedule using exactly n."""
-    if inst.machine_count < 1:
-        raise MalformedInputError("need at least one machine")
-    if inst.restrict is not None:
-        raise MalformedInputError("use solve_restricted for restricted instances")
-    P = inst.total_load
-    trace: dict = {"probes": 0}
-    best: tuple[Fraction, HMSchedule] | None = None
-    for t in range(inst.tau):
-        if inst.m[t] == 0:
-            continue
-        s = inst.s[t]
-        hi = s * P
-        lo = 0
-        if best is not None:
-            lo = math.floor(best[0] * s) + 1
-        found = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            _probe_counter(trace)
-            sched = feasibility(inst, GE, Fraction(mid, s), method=method,
-                                state_limit=state_limit, trace=trace)
-            if sched is not None:
-                found = (Fraction(mid, s), sched)
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        if found is not None and (best is None or found[0] > best[0]):
-            best = found
-    if best is None:
-        # No type beat threshold 0; 0 itself is always feasible.
-        _probe_counter(trace)
-        sched = feasibility(inst, GE, Fraction(0), method=method,
-                            state_limit=state_limit, trace=trace)
-        assert sched is not None
-        best = (Fraction(0), sched)
-    _certify(inst, best[1], FeasibilityQuery(GE, best[0]))
-    return SolveResult("cmin", best[0], best[1], trace)
+    return _optimize_threshold(inst, "cmin", method, state_limit)
 
 
 def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult:
@@ -539,15 +542,14 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     pmax = inst.pmax
     total_cap = sum(s * m for s, m in zip(inst.s, inst.m))
     avg = Fraction(P, total_cap)
-    active = [t for t in range(inst.tau) if inst.m[t] > 0]
 
     def windows_for(C1: Fraction, C2: Fraction) -> list[LoadWindow] | None:
         windows = []
         need, room = 0, 0
         for t in range(inst.tau):
             if inst.m[t] == 0:
-                # no machine of this type exists, so nothing to bound
-                windows.append(LoadWindow(0, None))
+                # no machine of this type exists, so the window is unused
+                windows.append(LoadWindow(0, 0))
                 continue
             hi = math.floor(C1 * inst.s[t])
             lo = max(0, math.ceil(C2 * inst.s[t]))
@@ -560,8 +562,8 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
             return None
         return windows
 
-    def check(t1: int, E: Fraction) -> HMSchedule | None:
-        s1 = inst.s[t1]
+    def check(entry: tuple[int, ...], E: Fraction) -> HMSchedule | None:
+        s1 = inst.s[entry[0]]
         a_hi = math.floor((avg + pmax) * s1)
         # Smallest a whose upper windows leave room for all jobs.
         lo_a, hi_a = 0, a_hi
@@ -585,44 +587,31 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                 return sched
         return None
 
-    best: tuple[Fraction, HMSchedule] | None = None
-    for t1 in active:
-        for t2 in active:
-            trace["pairs"] += 1
-            den = inst.s[t1] * inst.s[t2]
-            hi = pmax * den
-            if best is not None:
-                hi = min(hi, math.ceil(best[0] * den) - 1)
-            lo, found = 0, None
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                trace["probes"] += 1
-                sched = check(t1, Fraction(mid, den))
-                if sched is not None:
-                    found = (Fraction(mid, den), sched)
-                    hi = mid - 1
-                else:
-                    lo = mid + 1
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
-    assert best is not None, "envy pmax is always achievable"
-    completions = schedule_completions(inst, best[1])
+    grid = candidate_values(inst, "cenvy")
+    trace["pairs"] = len(grid.entries)
+    value, sched = _search_grid(grid, check, True, trace)
+    completions = schedule_completions(inst, sched)
     achieved = max(completions) - min(completions)
-    if achieved != best[0]:
+    if achieved != value:
         raise CertificateError(
-            f"schedule envy {achieved} != claimed {best[0]}")
-    _certify(inst, best[1], FeasibilityQuery(LE, max(completions)))
-    return SolveResult("cenvy", best[0], best[1], trace)
+            f"schedule envy {achieved} != claimed {value}")
+    _certify(inst, sched, FeasibilityQuery(LE, max(completions)))
+    return SolveResult("cenvy", value, sched, trace)
 
 
 def solve_restricted(inst: Instance, objective: str,
                      state_limit: int | None = None) -> SolveResult:
     """Makespan / minimum-completion optimization under restricted assignment.
 
-    No normalization or compression: per guess T the per-type load
-    windows [0, floor(T*s_t)] (cmax) or [ceil(T*s_t), unbounded] (cmin)
-    are reduced group-wise over each type's allowed job sizes and the
-    restricted configuration model is solved directly.
+    No normalization or compression: per guess T the restricted
+    configuration model is solved directly, its per-type load windows
+    reduced group-wise over each type's allowed job sizes.  A makespan
+    guess uses windows [0, floor(T*s_t)] and job usage exactly n.  A
+    minimum-completion guess uses windows [ceil(T*s_t), ceil(T*s_t) +
+    pmax_t - 1], pmax_t being the largest size type t may run, and job
+    usage at most n: any machine loaded beyond that window can drop one
+    of its jobs and still reach ceil(T*s_t), and the jobs left over are
+    added back onto machines that may run them.
     """
     if objective not in ("cmax", "cmin"):
         raise ValueError(f"restricted solver handles cmax/cmin, not {objective!r}")
@@ -633,63 +622,33 @@ def solve_restricted(inst: Instance, objective: str,
                 inst.m[t] > 0 and inst.allowed(j, t) for t in range(inst.tau)):
             raise InfeasibleRestrictionError(
                 f"job type {j} has {inst.n[j]} jobs but no machine may run it")
-    P = inst.total_load
     rel = LE if objective == "cmax" else GE
     trace: dict = {"probes": 0}
+    # largest job size each machine type may run (1 if it may run none)
+    pmax_t = [max((pj for pj, a in zip(inst.p, inst.allowed_row(t)) if a),
+                  default=1) for t in range(inst.tau)]
 
-    def probe(T: Fraction) -> HMSchedule | None:
+    def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
         if rel == LE:
             windows = [LoadWindow(0, math.floor(T * s)) for s in inst.s]
+            relation = JOB_EQ
         else:
-            windows = [LoadWindow(math.ceil(T * s), None) for s in inst.s]
-        model = build_model(inst, windows, demand=inst.n, demand_relation=JOB_EQ)
+            windows = []
+            for s, top in zip(inst.s, pmax_t):
+                lower = math.ceil(T * s)
+                windows.append(LoadWindow(lower, lower + top - 1))
+            relation = JOB_LE
+        model = build_model(inst, windows, demand=inst.n,
+                            demand_relation=relation)
         sched = solve_model(model, state_limit)
-        if sched is not None:
-            _certify(inst, sched, FeasibilityQuery(rel, T))
+        if sched is None:
+            return None
+        if rel == GE:
+            sched = _complete_to_demand(inst, sched)
+        _certify(inst, sched, FeasibilityQuery(rel, T))
         return sched
 
-    best: tuple[Fraction, HMSchedule] | None = None
-    for t in range(inst.tau):
-        if inst.m[t] == 0:
-            continue
-        s = inst.s[t]
-        if rel == LE:
-            lo, hi = 0, s * P
-            if best is not None:
-                hi = min(hi, math.ceil(best[0] * s) - 1)
-            found = None
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                trace["probes"] += 1
-                sched = probe(Fraction(mid, s))
-                if sched is not None:
-                    found = (Fraction(mid, s), sched)
-                    hi = mid - 1
-                else:
-                    lo = mid + 1
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
-        else:
-            lo, hi = 0, s * P
-            if best is not None:
-                lo = math.floor(best[0] * s) + 1
-            found = None
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                trace["probes"] += 1
-                sched = probe(Fraction(mid, s))
-                if sched is not None:
-                    found = (Fraction(mid, s), sched)
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-            if found is not None and (best is None or found[0] > best[0]):
-                best = found
-    if best is None:
-        assert rel == GE, "cmax at threshold total_load is always feasible"
-        trace["probes"] += 1
-        sched = probe(Fraction(0))
-        assert sched is not None
-        best = (Fraction(0), sched)
-    _certify(inst, best[1], FeasibilityQuery(rel, best[0]))
-    return SolveResult(objective, best[0], best[1], trace)
+    value, sched = _search_grid(candidate_values(inst, objective), probe,
+                                rel == LE, trace)
+    _certify(inst, sched, FeasibilityQuery(rel, value))
+    return SolveResult(objective, value, sched, trace)

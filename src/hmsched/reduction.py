@@ -22,14 +22,13 @@ from fractions import Fraction
 
 from .model import (
     Configuration,
+    GE,
     HMSchedule,
     Instance,
+    LE,
     MalformedInputError,
     dot,
 )
-
-GE = ">="
-LE = "<="
 
 
 @dataclass(frozen=True)

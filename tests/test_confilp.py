@@ -14,6 +14,7 @@ from hmsched.model import FeasibilityQuery, Instance, aggregate_jobs, verify_sch
 from hmsched.oracle import (
     GenParams,
     OracleCapError,
+    assignable,
     brute_force_feasibility,
     generate,
 )
@@ -141,14 +142,26 @@ def test_reduction_does_not_change_verdicts():
         if inst.machine_count == 0:
             continue
         T = Fraction(1 + seed % 5, 1 + seed % 3)
+        # ">=" is asked in converted form: loads in [ceil(T*s), ceil(T*s)
+        # + pmax_t - 1] with usage at most n, which has the same verdict
+        # whenever every demanded job type has a machine that may run it.
+        assert assignable(inst), inst
         for rel in ("<=", ">="):
             if rel == "<=":
                 windows = [LoadWindow(0, (T * s).__floor__()) for s in inst.s]
+                relation = "="
             else:
-                windows = [LoadWindow(-((-T * s).__floor__()), None)
-                           for s in inst.s]
-            with_red = solve_model(build_model(inst, windows, reduce=True))
-            without = solve_model(build_model(inst, windows, reduce=False))
+                windows = []
+                for t, s in enumerate(inst.s):
+                    lower = (T * s).__ceil__()
+                    top = max((pj for pj, a in zip(inst.p, inst.allowed_row(t))
+                               if a), default=1)
+                    windows.append(LoadWindow(lower, lower + top - 1))
+                relation = "<="
+            with_red = solve_model(build_model(inst, windows, reduce=True,
+                                               demand_relation=relation))
+            without = solve_model(build_model(inst, windows, reduce=False,
+                                              demand_relation=relation))
             assert (with_red is None) == (without is None), (inst, rel, T)
             try:
                 want = brute_force_feasibility(inst, rel, T)

@@ -21,7 +21,14 @@ from hmsched.model import (
     schedule_completions,
     verify_schedule,
 )
-from hmsched.oracle import GenParams, OracleCapError, brute_force, generate
+from hmsched.oracle import (
+    GenParams,
+    OracleCapError,
+    assignable,
+    brute_force,
+    brute_force_feasibility,
+    generate,
+)
 
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
 
@@ -88,6 +95,23 @@ def test_min_completion_starved_machine():
     assert maximize_min_completion(inst).value == 0
 
 
+@pytest.mark.parametrize("inst", [
+    Instance(p=(2, 3), n=(48, 32), s=(5, 7), m=(16, 16)),
+    Instance(p=(2, 3), n=(96, 64), s=(5, 7), m=(32, 32)),
+    Instance(p=(1,), n=(256,), s=(1,), m=(256,)),
+], ids=["p23-k16", "p23-k32", "unit-k256"])
+def test_min_completion_past_oracle_caps(inst):
+    # every machine can be filled to exactly its speed, so the optimum is 1
+    auto = maximize_min_completion(inst)
+    assert auto.value == 1
+    assert verify_schedule(inst, auto.schedule,
+                           FeasibilityQuery(">=", auto.value)).ok
+    direct = maximize_min_completion(inst, method="confilp")
+    assert direct.value == auto.value
+    assert verify_schedule(inst, direct.schedule,
+                           FeasibilityQuery(">=", direct.value)).ok
+
+
 def test_feasibility_fig1_thresholds():
     assert feasibility(FIG1, "<=", Fraction(1, 4)) is not None
     assert feasibility(FIG1, "<=", Fraction(1, 5)) is not None
@@ -139,18 +163,42 @@ def test_idle_cap_needs_threshold_one():
     inst = Instance(p=(1,), n=(2,), s=(3,), m=(1,))
     with pytest.raises(MalformedInputError):
         feasibility(inst, "<=", Fraction(1, 2), idle_cap=1)
+    with pytest.raises(MalformedInputError):
+        feasibility(inst, ">=", Fraction(1), job_relation="<=")
+
+
+def _grid_tight_cases(seeds, objective):
+    """(instance, optimum, feasible-at-T) for plain and restricted solves."""
+    unrestricted = {"cmax": minimize_makespan,
+                    "cmin": maximize_min_completion}[objective]
+    rel = "<=" if objective == "cmax" else ">="
+    for seed in seeds:
+        for restricted in (False, True):
+            inst = generate(GenParams(seed=seed, job_total_range=(1, 9),
+                                      machine_count_range=(1, 3),
+                                      speed_range=(1, 9),
+                                      restricted=restricted))
+            if inst.machine_count == 0 or not assignable(inst):
+                continue
+            if restricted:
+                value = solve_restricted(inst, objective).value
+                yield inst, value, (lambda T, inst=inst:
+                                    brute_force_feasibility(inst, rel, T))
+            else:
+                value = unrestricted(inst).value
+                yield inst, value, (lambda T, inst=inst:
+                                    feasibility(inst, rel, T) is not None)
 
 
 def test_min_completion_grid_tight():
-    for seed in (2, 9, 23):
-        inst = generate(GenParams(seed=seed, job_total_range=(1, 9),
-                                  machine_count_range=(1, 3),
-                                  speed_range=(1, 9)))
-        result = maximize_min_completion(inst)
+    kinds = set()
+    for inst, value, feasible in _grid_tight_cases((2, 9, 23), "cmin"):
         # next grid value in every type's grid is infeasible
-        above = min(Fraction((result.value * s).__floor__() + 1, s)
+        above = min(Fraction((value * s).__floor__() + 1, s)
                     for s, m in zip(inst.s, inst.m) if m)
-        assert feasibility(inst, ">=", above) is None
+        assert not feasible(above), inst
+        kinds.add(inst.restrict is None)
+    assert kinds == {True, False}
 
 
 def test_balanced_on_all_small_is_direct():
@@ -218,18 +266,15 @@ def test_guessing_path_optima_match_direct():
 
 
 def test_makespan_optimum_is_grid_tight():
-    for seed in (3, 11, 19):
-        inst = generate(GenParams(seed=seed, job_total_range=(1, 9),
-                                  machine_count_range=(1, 3),
-                                  speed_range=(1, 9)))
-        if inst.machine_count == 0:
-            continue
-        result = minimize_makespan(inst)
+    kinds = set()
+    for inst, value, feasible in _grid_tight_cases((3, 11, 19), "cmax"):
         # previous grid value in any type's grid is infeasible
-        below = max((Fraction((result.value * s).__ceil__() - 1, s)
+        below = max((Fraction((value * s).__ceil__() - 1, s)
                      for s, m in zip(inst.s, inst.m) if m), default=None)
         if below is not None and below >= 0:
-            assert feasibility(inst, "<=", below) is None
+            assert not feasible(below), inst
+            kinds.add(inst.restrict is None)
+    assert kinds == {True, False}
 
 
 def test_restricted_diagonal():
@@ -248,6 +293,17 @@ def test_restricted_all_true_equals_unrestricted():
         minimize_makespan(base).value
     assert solve_restricted(allowed, "cmin").value == \
         maximize_min_completion(base).value
+
+
+def test_restricted_completion_respects_restrictions():
+    # type 1's jobs may only run on machine type 1, so its leftover jobs
+    # must not be completed onto the first entry (machine type 0)
+    inst = Instance(p=(1, 1, 1), n=(4, 3, 2), s=(1, 7), m=(1, 1),
+                    restrict=((True, False), (False, True), (True, True)))
+    result = solve_restricted(inst, "cmin")
+    assert result.value == Fraction(5, 7) == brute_force(inst, "cmin")[0]
+    assert verify_schedule(inst, result.schedule,
+                           FeasibilityQuery(">=", result.value)).ok
 
 
 def test_restricted_impossible_job():
