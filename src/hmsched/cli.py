@@ -5,10 +5,19 @@ rational values are serialized as exact "num/den" strings.  Result
 documents are deterministic for a fixed seed and method -- anything
 timing-related goes to stderr, never into the document.
 
-Exit codes for ``solve``: 0 success, 1 malformed input, 2 no feasible
-schedule exists (a restricted job type with no machine allowed to run
-it), 3 resource limit exceeded.  The solver's state budget is read from
-the environment variable HMSCHED_STATE_LIMIT (default 2,000,000 states).
+Exit codes:
+
+- 0: success (``check``: the certificate holds);
+- 1: malformed input: an unreadable or ill-typed instance, schedule or
+  ``--value``, or a non-integer HMSCHED_STATE_LIMIT;
+- 2: no feasible schedule exists (a restricted job type with no machine
+  allowed to run it);
+- 3: resource limit exceeded: the solver's state budget, or the size
+  caps of ``--method oracle``;
+- 4: ``check`` found the certificate violated.
+
+The solver's state budget is read from the environment variable
+HMSCHED_STATE_LIMIT (default 2,000,000 states).
 """
 
 from __future__ import annotations
@@ -63,17 +72,32 @@ def instance_to_doc(inst: Instance) -> dict:
     return doc
 
 
-def instance_from_doc(doc: dict) -> Instance:
+def _is_int(value) -> bool:
+    # bool is a subclass of int, so true/false need their own rejection
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_array(doc: dict, key: str) -> tuple[int, ...]:
+    """``doc[key]`` as a tuple, if it is a JSON array of integers."""
     try:
-        p = tuple(doc["p"])
-        n = tuple(doc["n"])
-        s = tuple(doc["s"])
-        m = tuple(doc["m"])
+        values = doc[key]
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"missing field: {exc}") from exc
+    if not isinstance(values, list) or not all(map(_is_int, values)):
+        raise MalformedInputError(f"{key} must be an array of integers")
+    return tuple(values)
+
+
+def instance_from_doc(doc: dict) -> Instance:
+    p, n, s, m = (_int_array(doc, key) for key in ("p", "n", "s", "m"))
     restrict = doc.get("restrict")
     if restrict is not None:
-        restrict = tuple(tuple(bool(v) for v in row) for row in restrict)
+        if not isinstance(restrict, list) or any(
+                not isinstance(row, list)
+                or any(not isinstance(v, bool) for v in row)
+                for row in restrict):
+            raise MalformedInputError("restrict must be an array of boolean arrays")
+        restrict = tuple(tuple(row) for row in restrict)
     inst = Instance(p, n, s, m, restrict, doc.get("name"))
     if "d" in doc and doc["d"] != inst.d:
         raise MalformedInputError("d does not match len(p)")
@@ -94,12 +118,16 @@ def schedule_to_doc(sched: HMSchedule) -> dict:
 
 def schedule_from_doc(doc: dict, p: tuple[int, ...]) -> HMSchedule:
     try:
-        entries = tuple(
-            (int(t), Configuration.from_counts(tuple(counts), p), int(count))
-            for t, counts, count in doc["entries"])
+        rows = [(t, tuple(counts), count) for t, counts, count in doc["entries"]]
+        d = doc.get("d", len(p))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad schedule document: {exc}") from exc
-    return HMSchedule(int(doc.get("d", len(p))), entries)
+    if not _is_int(d) or not all(_is_int(v) for t, counts, count in rows
+                                 for v in (t, count, *counts)):
+        raise MalformedInputError("schedule documents hold integers only")
+    entries = tuple((t, Configuration.from_counts(counts, p), count)
+                    for t, counts, count in rows)
+    return HMSchedule(d, entries)
 
 
 def dump_doc(doc: dict, output: str | None) -> None:
@@ -122,6 +150,12 @@ def load_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _solve_with_oracle(inst: Instance, objective: str):
+    # the drivers' rejections, mapped to the same exit codes
+    if inst.machine_count == 0:
+        raise MalformedInputError("need at least one machine")
+    if not oracle.assignable(inst):
+        raise drivers.InfeasibleRestrictionError(
+            "a demanded job type has no machine that may run it")
     value, sched = oracle.brute_force(inst, objective)
     return drivers.SolveResult(objective, value, sched, {"path": "oracle"})
 
@@ -154,7 +188,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except drivers.InfeasibleRestrictionError as exc:
         print(f"no feasible schedule: {exc}", file=sys.stderr)
         return EXIT_NO_SCHEDULE
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, oracle.OracleCapError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     elapsed = time.monotonic() - start

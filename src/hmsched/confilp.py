@@ -53,7 +53,13 @@ class ResourceLimitError(RuntimeError):
 
 def state_limit_default() -> int:
     raw = os.environ.get(STATE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_STATE_LIMIT
+    if not raw:
+        return DEFAULT_STATE_LIMIT
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise MalformedInputError(
+            f"{STATE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ a wrong verdict.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -483,10 +484,22 @@ def _search_grid(grid: CandidateGrid, probe, minimize: bool,
     return best
 
 
-def _optimize_threshold(inst: Instance, objective: str, method: str,
-                        state_limit: int | None) -> SolveResult:
+def _require_machines(inst: Instance) -> None:
+    """Reject instances no objective driver can search.
+
+    The value grids divide by the speed of every machine type present,
+    so a type with machines but speed 0 is malformed here (speed 0 with
+    no machines stays allowed).
+    """
     if inst.machine_count < 1:
         raise MalformedInputError("need at least one machine")
+    if any(s == 0 and m > 0 for s, m in zip(inst.s, inst.m)):
+        raise MalformedInputError("machine types with machines need speed >= 1")
+
+
+def _optimize_threshold(inst: Instance, objective: str, method: str,
+                        state_limit: int | None) -> SolveResult:
+    _require_machines(inst)
     if inst.restrict is not None:
         raise MalformedInputError("use solve_restricted for restricted instances")
     rel = LE if objective == "cmax" else GE
@@ -519,70 +532,70 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
 
     The optimum is C1 - C2 for the completions of some two machines, so
     it lies on the grid {k / (s_t1 * s_t2)} for some ordered type pair.
-    Per pair, binary search the smallest E such that for some candidate
-    top completion C1 on the t1 grid the load windows
+    Per pair, binary search the smallest E = k / (s_t1 * s_t2) such that
+    for some candidate top completion C1 = a / s_t1 the load windows
     [ceil((C1 - E) * s_t), floor(C1 * s_t)] admit a schedule; such a
     schedule has envy at most E, and at the true pair E = OPT is
     witnessed by the optimal schedule itself, so the minimum over pairs
     is exact.  Candidate C1 values stay within average-completion +-
-    pmax; cheap capacity checks discard almost all of them.
+    pmax.
+
+    The scan over a runs in integers: hi_t = a*s_t // s_t1 and lo_t =
+    max(0, ceil((a*s_t2 - k) * s_t / (s_t1*s_t2))).  The total upper
+    room and the total lower need are both nondecreasing in a, so two
+    binary searches bound the candidates to the interval where room >= P
+    and need <= P; inside it only an empty window rejects an a.  A model
+    is built and solved once per distinct window tuple in a solve;
+    ``trace["solves"]`` counts those solves and ``trace["cache_hits"]``
+    the window tuples answered from that memo.
     """
-    if inst.machine_count < 1:
-        raise MalformedInputError("need at least one machine")
+    _require_machines(inst)
     if inst.restrict is not None:
         raise MalformedInputError("envy driver expects an unrestricted instance")
     d, p, n = inst.d, inst.p, inst.n
     P = inst.total_load
-    trace: dict = {"pairs": 0, "probes": 0, "solves": 0}
+    trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0}
     if P == 0:
         sched = make_schedule(d, p, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
         _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
         return SolveResult("cenvy", Fraction(0), sched, trace)
 
-    pmax = inst.pmax
-    total_cap = sum(s * m for s, m in zip(inst.s, inst.m))
-    avg = Fraction(P, total_cap)
-
-    def windows_for(C1: Fraction, C2: Fraction) -> list[LoadWindow] | None:
-        windows = []
-        need, room = 0, 0
-        for t in range(inst.tau):
-            if inst.m[t] == 0:
-                # no machine of this type exists, so the window is unused
-                windows.append(LoadWindow(0, 0))
-                continue
-            hi = math.floor(C1 * inst.s[t])
-            lo = max(0, math.ceil(C2 * inst.s[t]))
-            if lo > hi:
-                return None
-            windows.append(LoadWindow(lo, hi))
-            need += inst.m[t] * lo
-            room += inst.m[t] * hi
-        if need > P or room < P:
-            return None
-        return windows
+    types = [(s, m) for s, m in zip(inst.s, inst.m) if m > 0]
+    total_cap = sum(s * m for s, m in types)
+    # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
+    a_num = P + inst.pmax * total_cap
+    memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
 
     def check(entry: tuple[int, ...], E: Fraction) -> HMSchedule | None:
-        s1 = inst.s[entry[0]]
-        a_hi = math.floor((avg + pmax) * s1)
-        # Smallest a whose upper windows leave room for all jobs.
-        lo_a, hi_a = 0, a_hi
-        while lo_a < hi_a:
-            mid = (lo_a + hi_a) // 2
-            room = sum(m * math.floor(Fraction(mid, s1) * s)
-                       for s, m in zip(inst.s, inst.m))
-            if room >= P:
-                hi_a = mid
-            else:
-                lo_a = mid + 1
-        for a in range(lo_a, a_hi + 1):
-            C1 = Fraction(a, s1)
-            windows = windows_for(C1, C1 - E)
-            if windows is None:
+        t1, t2, den, _ = entry
+        s1, s2 = inst.s[t1], inst.s[t2]
+        k = E.numerator * (den // E.denominator)
+
+        def lower(a: int, s: int) -> int:
+            return max(0, -((k - a * s2) * s // den))
+
+        def fits(a: int) -> bool:
+            return sum(m * (a * s // s1) for s, m in types) >= P
+
+        def overfull(a: int) -> bool:
+            return sum(m * lower(a, s) for s, m in types) > P
+
+        a_hi = a_num * s1 // total_cap
+        first = bisect_left(range(a_hi + 1), True, key=fits)
+        stop = first + bisect_left(range(first, a_hi + 1), True, key=overfull)
+        for a in range(first, stop):
+            windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
+                            for s, m in zip(inst.s, inst.m))
+            if any(lo > hi for lo, hi in windows):
                 continue
-            trace["solves"] += 1
-            model = build_model(inst, windows, demand=n, demand_relation=JOB_EQ)
-            sched = solve_model(model, state_limit)
+            if windows in memo:
+                trace["cache_hits"] += 1
+                sched = memo[windows]
+            else:
+                trace["solves"] += 1
+                model = build_model(inst, [LoadWindow(*w) for w in windows],
+                                    demand=n, demand_relation=JOB_EQ)
+                sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 return sched
         return None
@@ -615,8 +628,7 @@ def solve_restricted(inst: Instance, objective: str,
     """
     if objective not in ("cmax", "cmin"):
         raise ValueError(f"restricted solver handles cmax/cmin, not {objective!r}")
-    if inst.machine_count < 1:
-        raise MalformedInputError("need at least one machine")
+    _require_machines(inst)
     for j in range(inst.d):
         if inst.n[j] > 0 and not any(
                 inst.m[t] > 0 and inst.allowed(j, t) for t in range(inst.tau)):

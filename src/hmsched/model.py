@@ -34,11 +34,11 @@ def format_rational(value: Fraction | int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"num/den"`` or a plain integer string into a Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInputError(f"not a rational number: {text!r}") from exc
 
 
 def dot(p: tuple[int, ...], c: tuple[int, ...]) -> int:

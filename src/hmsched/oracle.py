@@ -368,15 +368,17 @@ def brute_force_reference(inst: Instance, objective: str,
     if not machines:
         raise ValueError("need at least one machine")
     best: list[Fraction | None] = [None]
+    value_of = {"cmax": max, "cmin": min,
+                "cenvy": lambda comps: max(comps) - min(comps)}[objective]
+    # cmin is maximized, the other objectives minimized
+    sign = -1 if objective == "cmin" else 1
 
     def rec(i: int, rem: tuple[int, ...], comps: list[Fraction]) -> None:
         if i == len(machines):
             if any(rem):
                 return
-            value = {"cmax": max(comps),
-                     "cmin": min(comps),
-                     "cenvy": max(comps) - min(comps)}[objective]
-            if best[0] is None or value < best[0]:
+            value = value_of(comps)
+            if best[0] is None or sign * value < sign * best[0]:
                 best[0] = value
             return
         t = machines[i]
@@ -389,28 +391,7 @@ def brute_force_reference(inst: Instance, objective: str,
             rec(i + 1, tuple(r - c for r, c in zip(rem, cfg)), comps)
             comps.pop()
 
-    if objective == "cmin":
-        # minimize the negated objective
-        def rec_min(i: int, rem, comps):
-            if i == len(machines):
-                if any(rem):
-                    return
-                value = min(comps)
-                if best[0] is None or value > best[0]:
-                    best[0] = value
-                return
-            t = machines[i]
-            for cfg in product(*(range(r + 1) for r in rem)):
-                if inst.restrict is not None and any(
-                        c > 0 and not inst.restrict[j][t] for j, c in enumerate(cfg)):
-                    continue
-                load = sum(pj * cj for pj, cj in zip(inst.p, cfg))
-                comps.append(Fraction(load, inst.s[t]))
-                rec_min(i + 1, tuple(r - c for r, c in zip(rem, cfg)), comps)
-                comps.pop()
-        rec_min(0, inst.n, [])
-    else:
-        rec(0, inst.n, [])
+    rec(0, inst.n, [])
     assert best[0] is not None
     return best[0]
 

@@ -147,3 +147,75 @@ def test_cli_runs_are_bytewise_deterministic():
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1  # stdout carries the document / table
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", [1.7]),
+    ("p", [True]),
+    ("n", ["3"]),
+    ("s", [2.0]),
+    ("m", [True]),
+    ("n", "1"),
+    ("restrict", [[1]]),
+    ("restrict", [["yes"]]),
+    ("restrict", [True]),
+])
+def test_non_integer_instance_fields_are_malformed(field, value, tmp_path,
+                                                    capsys):
+    doc = {"p": [1], "n": [1], "s": [1], "m": [1], field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--objective", "cmax"]) == 1
+    assert "malformed input" in capsys.readouterr().err
+
+
+def test_check_unparseable_value_is_malformed(capsys):
+    for value in ("abc", "1/0", "1.5", "2/"):
+        assert main(["check", str(FIG1), str(FIG1_SCHEDULE),
+                     "--objective", "cmax", "--value", value]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, [3], 1.9], [1, [3], 1], [2, [1], 1]],
+    [[0.0, [3], 1], [1, [3], 1], [2, [1], 1]],
+    [[0, [3.0], 1], [1, [3], 1], [2, [1], 1]],
+    [[0, [3], True], [1, [3], 1], [2, [1], 1]],
+])
+def test_non_integer_schedule_entries_are_malformed(entries, tmp_path,
+                                                    capsys):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"d": 1, "entries": entries}))
+    assert main(["check", str(FIG1), str(path),
+                 "--objective", "cmax", "--value", "3/13"]) == 1
+    capsys.readouterr()
+
+
+def test_non_integer_state_limit_is_malformed():
+    code, out, err = run_cli("solve", str(FIG1), "--objective", "cmax",
+                             env={"HMSCHED_STATE_LIMIT": "abc"})
+    assert code == 1, (out, err)
+    assert b"HMSCHED_STATE_LIMIT" in err
+    assert b"Traceback" not in err
+
+
+def test_oracle_above_caps_exit_code(tmp_path, capsys):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"p": [1], "n": [9], "s": [1], "m": [9]}))
+    assert main(["solve", str(path), "--objective", "cmax",
+                 "--method", "oracle"]) == 3
+    capsys.readouterr()
+
+
+def test_oracle_method_maps_driver_rejections(tmp_path, capsys):
+    blocked = tmp_path / "blocked.json"
+    blocked.write_text(json.dumps({
+        "p": [1, 1], "n": [1, 1], "s": [2], "m": [1],
+        "restrict": [[True], [False]]}))
+    assert main(["solve", str(blocked), "--objective", "cmax",
+                 "--method", "oracle"]) == 2
+    no_machines = tmp_path / "none.json"
+    no_machines.write_text(json.dumps({"p": [1], "n": [1], "s": [2], "m": [0]}))
+    assert main(["solve", str(no_machines), "--objective", "cmax",
+                 "--method", "oracle"]) == 1
+    capsys.readouterr()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hmsched import drivers
 from hmsched.balancing import large_machine_cutoff
 from hmsched.drivers import (
     InfeasibleRestrictionError,
@@ -336,6 +337,75 @@ def test_envy_ignores_empty_machine_types():
 def test_envy_no_jobs():
     inst = Instance(p=(4,), n=(0,), s=(2, 7), m=(1, 1))
     assert minimize_envy(inst).value == 0
+
+
+def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
+    built = []
+    build_model = drivers.build_model
+
+    def spy(inst, windows, **kwargs):
+        built.append(tuple(windows))
+        return build_model(inst, windows, **kwargs)
+
+    monkeypatch.setattr(drivers, "build_model", spy)
+    result = minimize_envy(FIG1)
+    assert result.value == Fraction(3, 65)
+    assert result.trace["solves"] == len(built) == len(set(built))
+    assert result.trace["cache_hits"] > 0
+
+
+# Envy instances with 8 to 40 machines, past the oracle's six-machine cap.
+ENVY_PAST_CAPS = [
+    Instance(p=(2, 3), n=(40, 30), s=(3, 4, 5), m=(8, 6, 4)),
+    Instance(p=(3, 5), n=(30, 20), s=(2, 3), m=(12, 8)),
+    Instance(p=(1, 4), n=(33, 16), s=(2, 3, 5), m=(10, 12, 6)),
+    Instance(p=(2, 3, 7), n=(20, 15, 6), s=(4, 7), m=(9, 5)),
+    Instance(p=(3,), n=(85,), s=(2, 5), m=(20, 20)),
+    Instance(p=(5, 7), n=(6, 5), s=(2, 3, 4), m=(3, 3, 2)),
+]
+ENVY_IDS = [f"m{inst.machine_count}-d{inst.d}" for inst in ENVY_PAST_CAPS]
+
+
+@pytest.mark.parametrize("inst", ENVY_PAST_CAPS, ids=ENVY_IDS)
+def test_envy_speed_scaling(inst):
+    base = minimize_envy(inst).value
+    scaled = Instance(inst.p, inst.n, tuple(3 * s for s in inst.s), inst.m)
+    assert minimize_envy(scaled).value == base / 3
+
+
+@pytest.mark.parametrize("inst", ENVY_PAST_CAPS, ids=ENVY_IDS)
+def test_envy_type_permutation(inst):
+    base = minimize_envy(inst).value
+    jobs = Instance(inst.p[1:] + inst.p[:1], inst.n[1:] + inst.n[:1],
+                    inst.s, inst.m)
+    machines = Instance(inst.p, inst.n, inst.s[::-1], inst.m[::-1])
+    assert minimize_envy(jobs).value == base
+    assert minimize_envy(machines).value == base
+
+
+@pytest.mark.parametrize("inst", ENVY_PAST_CAPS, ids=ENVY_IDS)
+def test_envy_machine_type_split(inst):
+    base = minimize_envy(inst).value
+    m1 = inst.m[0] // 2
+    split = Instance(inst.p, inst.n, inst.s + (inst.s[0],),
+                     (inst.m[0] - m1,) + inst.m[1:] + (m1,))
+    result = minimize_envy(split)
+    assert result.value == base
+    comps = schedule_completions(split, result.schedule)
+    assert max(comps) - min(comps) == base
+
+
+@pytest.mark.parametrize("solve,optimum", [
+    (minimize_makespan, 1),
+    (maximize_min_completion, 1),
+    (minimize_envy, 0),
+    (lambda inst: solve_restricted(inst, "cmax"), 1),
+], ids=["cmax", "cmin", "cenvy", "restricted"])
+def test_drivers_reject_speed_zero_machines(solve, optimum):
+    with pytest.raises(MalformedInputError):
+        solve(Instance(p=(1,), n=(1,), s=(0, 1), m=(1, 1)))
+    # a speed-0 type without machines is ignored
+    assert solve(Instance(p=(1,), n=(1,), s=(0, 1), m=(0, 1))).value == optimum
 
 
 def test_results_always_verify():
