@@ -77,19 +77,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_array(doc: dict, key: str) -> tuple[int, ...]:
-    """``doc[key]`` as a tuple, if it is a JSON array of integers."""
+def _array(doc: dict, key: str) -> tuple:
+    """``doc[key]`` as a tuple, if it is a JSON array (``Instance`` checks
+    that its entries are integers)."""
     try:
         values = doc[key]
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"missing field: {exc}") from exc
-    if not isinstance(values, list) or not all(map(_is_int, values)):
+    if not isinstance(values, list):
         raise MalformedInputError(f"{key} must be an array of integers")
     return tuple(values)
 
 
 def instance_from_doc(doc: dict) -> Instance:
-    p, n, s, m = (_int_array(doc, key) for key in ("p", "n", "s", "m"))
+    p, n, s, m = (_array(doc, key) for key in ("p", "n", "s", "m"))
     restrict = doc.get("restrict")
     if restrict is not None:
         if not isinstance(restrict, list) or any(

@@ -10,9 +10,9 @@ Window reduction rewrites each type's window as a small core window plus
 a number of exact / slack blocks (see reduction.reduce_window); the
 model then carries one column group per (type, part), which keeps both
 the number of columns and the coefficients small.  A solved reduced
-model recombines into per-machine configurations of the original model
-by giving every machine its core part plus its share of block parts; the
-block loads telescope so any deterministic pairing lands inside the raw
+model recombines into configurations of the original model by giving
+every machine its core part plus its share of block parts; the block
+loads telescope so any deterministic pairing lands inside the raw
 window.
 
 The solver is an exact dynamic program over remaining demand vectors.
@@ -20,7 +20,9 @@ It is deliberately simple: states are demand tuples, machine types are
 processed in order, and column groups whose window admits the empty
 configuration are handled with a breadth-first "fewest loaded machines"
 search so that large machine multiplicities (common after compression)
-cost one sweep instead of one sweep per machine.
+cost one sweep instead of one sweep per machine.  The walk-back returns
+each group's picks as {configuration: count} and recombination pairs
+them by run (``model.deal``), so neither grows with the machine count.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .model import (
     JOB_GE,
     JOB_LE,
     MalformedInputError,
+    Runs,
+    deal,
     dot,
 )
 from .reduction import ReductionConstants, reduce_window
@@ -373,8 +377,8 @@ def solve_model(model: ConfILPModel,
     else:
         final = min(states)
 
-    # Walk the trail backwards, collecting the configs each group used.
-    chosen: list[list[tuple[int, ...]]] = [[] for _ in model.groups]
+    # Walk the trail backwards, counting the configs each group used.
+    chosen: list[dict[tuple[int, ...], int]] = [{} for _ in model.groups]
     state = final
     for gi in range(len(model.groups) - 1, -1, -1):
         kind = trail[gi][0]
@@ -382,63 +386,67 @@ def solve_model(model: ConfILPModel,
         if kind == "skip":
             continue
         configs = group.configs
+        picks = chosen[gi]
         if kind == "bfs":
             parent = trail[gi][1]
-            picks: list[tuple[int, ...]] = []
+            loaded = 0
             while state in parent:
                 prev, ci = parent[state]
-                picks.append(configs[ci])
+                picks[configs[ci]] = picks.get(configs[ci], 0) + 1
+                loaded += 1
                 state = prev
-            picks.extend([zero] * (group.count - len(picks)))
-            chosen[gi] = picks
+            if group.count > loaded:
+                picks[zero] = group.count - loaded
         else:
             steps = trail[gi][1]
-            picks = []
             for si in range(len(steps) - 1, -1, -1):
                 prev, ci = steps[si][state]
-                picks.append(configs[ci])
+                picks[configs[ci]] = picks.get(configs[ci], 0) + 1
                 state = prev
-            chosen[gi] = picks
 
     return _recombine(model, chosen)
 
 
 def _recombine(model: ConfILPModel,
-               chosen: list[list[tuple[int, ...]]]) -> HMSchedule:
-    """Merge core/exact/slack picks into one configuration per machine."""
+               chosen: list[dict[tuple[int, ...], int]]) -> HMSchedule:
+    """Merge core/exact/slack picks into configurations of whole machines.
+
+    ``chosen`` holds one {config: count} multiset per model group.  Per
+    machine type, each role's picks are sorted and machine i gets core i
+    plus exact blocks [i*epm, (i+1)*epm) and slack blocks [i*spm,
+    (i+1)*spm), epm and spm being the blocks owed per machine.  ``deal``
+    does this by run: consecutive machines with the same three slices
+    form one segment, whose load is checked against the raw window once.
+    """
     d = len(model.p)
-    per_type: dict[int, dict[str, list[tuple[int, ...]]]] = {}
+    per_type: dict[int, dict[str, list[tuple[tuple[int, ...], int]]]] = {}
     for gi, group in enumerate(model.groups):
         per_type.setdefault(group.machine_type, {}).setdefault(
-            group.role, []).extend(sorted(chosen[gi]))
+            group.role, []).extend(sorted(chosen[gi].items()))
 
-    entries: list[tuple[int, tuple[int, ...], int]] = []
+    entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for t, roles in sorted(per_type.items()):
-        cores = roles.get("core", [])
-        exacts = roles.get("exact", [])
-        slacks = roles.get("slack", [])
-        m = len(cores)
-        epm = len(exacts) // m if m else 0
-        spm = len(slacks) // m if m else 0
-        for i, core in enumerate(cores):
-            merged = list(core)
-            for piece in exacts[i * epm:(i + 1) * epm]:
-                for j in range(d):
-                    merged[j] += piece[j]
-            for piece in slacks[i * spm:(i + 1) * spm]:
-                for j in range(d):
-                    merged[j] += piece[j]
-            load = dot(model.p, tuple(merged))
-            raw = model.raw_windows[t]
+        cores, exacts, slacks = (
+            Runs(roles.get(role, ()), f"type {t} {role} picks")
+            for role in ("core", "exact", "slack"))
+        m = cores.left
+        epm = exacts.left // m if m else 0
+        spm = slacks.left // m if m else 0
+        raw = model.raw_windows[t]
+        for k, slices in deal(m, (cores, 1), (exacts, epm), (slacks, spm)):
+            merged = [0] * d
+            for piece_slice in slices:
+                for piece, mult in piece_slice:
+                    for j in range(d):
+                        merged[j] += mult * piece[j]
+            config = tuple(merged)
+            load = dot(model.p, config)
             if not raw.lower <= load <= raw.upper:
                 raise CertificateError(
                     f"type {t}: recombined load {load} escaped its window "
                     f"[{raw.lower}, {raw.upper}]")
-            entries.append((t, tuple(merged), 1))
+            entries[(t, config)] = entries.get((t, config), 0) + k
 
-    merged_entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for t, c, k in entries:
-        merged_entries[(t, c)] = merged_entries.get((t, c), 0) + k
     return HMSchedule(d, tuple(
         (t, Configuration.from_counts(c, model.p), k)
-        for (t, c), k in sorted(merged_entries.items())))
+        for (t, c), k in sorted(entries.items())))

@@ -503,11 +503,27 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
     if inst.restrict is not None:
         raise MalformedInputError("use solve_restricted for restricted instances")
     rel = LE if objective == "cmax" else GE
-    trace: dict = {"probes": 0}
+    trace: dict = {"probes": 0, "cache_hits": 0}
+    # feasibility depends on T only through the normalized speeds, so a
+    # probe whose normalized speeds were already asked in this solve
+    # reuses that answer: its schedule, re-certified at T, and the trace
+    # update the first ask made.
+    memo: dict[tuple[int, ...], tuple[HMSchedule | None, dict]] = {}
 
     def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
-        return feasibility(inst, rel, T, method=method,
-                           state_limit=state_limit, trace=trace)
+        key = normalize(inst, rel, T).s
+        if key in memo:
+            trace["cache_hits"] += 1
+            sched, update = memo[key]
+            if sched is not None:
+                _certify(inst, sched, FeasibilityQuery(rel, T))
+        else:
+            update = {}
+            sched = feasibility(inst, rel, T, method=method,
+                                state_limit=state_limit, trace=update)
+            memo[key] = sched, update
+        trace.update(update)
+        return sched
 
     value, sched = _search_grid(candidate_values(inst, objective), probe,
                                 rel == LE, trace)

@@ -4,8 +4,10 @@ High-multiplicity scheduling on uniform machines: jobs come as (size,
 count) pairs and machines as (speed, count) pairs.  A schedule assigns a
 configuration (a per-job-type multiplicity vector) to every machine; we
 encode schedules compactly as counts of (machine type, configuration)
-pairs.  All thresholds, completion times and objective values are exact
-rationals -- nothing in this package ever rounds through floats.
+pairs, and ``Runs``/``deal`` hand multisets of configurations out to
+machines by run, so building a schedule never lists its machines one
+by one.  All thresholds, completion times and objective values are
+exact rationals -- nothing in this package ever rounds through floats.
 """
 
 from __future__ import annotations
@@ -67,9 +69,12 @@ class Instance:
     ``j`` may run on machine type ``t``.  Absent restrict means every
     pair is allowed.
 
-    User-facing instances have strictly positive speeds; speed 0 is
-    permitted internally because threshold normalization can produce
-    machines that only fit empty loads.
+    Every entry of ``p``, ``n``, ``s`` and ``m`` must be an ``int`` and
+    not a ``bool``; anything else (a float, a string, a Fraction) raises
+    MalformedInputError rather than being converted.  User-facing
+    instances have strictly positive speeds; speed 0 is permitted
+    internally because threshold normalization can produce machines that
+    only fit empty loads.
     """
 
     p: tuple[int, ...]
@@ -80,10 +85,13 @@ class Instance:
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(x) for x in self.p))
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        for name in ("p", "n", "s", "m"):
+            values = tuple(getattr(self, name))
+            for x in values:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise MalformedInputError(
+                        f"{name} entries must be integers, got {x!r}")
+            object.__setattr__(self, name, values)
         if len(self.p) != len(self.n):
             raise MalformedInputError("p and n must have the same length")
         if len(self.s) != len(self.m):
@@ -343,14 +351,108 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
 
 
 def schedule_completions(inst: Instance, sched: HMSchedule) -> list[Fraction]:
-    """Completion time of every individual machine under the schedule."""
+    """Completion time of each entry with machines, one value per entry.
+
+    Every machine of an entry completes at the same time, so the list
+    holds each distinct machine's completion time at least once; its max
+    and min are those over all machines, whatever the entry counts.
+    """
     out: list[Fraction] = []
     for t, cfg, count in sched.entries:
+        if count == 0:
+            continue
         if inst.s[t] == 0:
             if cfg.load > 0:
                 raise MalformedInputError("positive load on zero-speed machine")
-            c = Fraction(0)
+            out.append(Fraction(0))
         else:
-            c = Fraction(cfg.load, inst.s[t])
-        out.extend([c] * count)
+            out.append(Fraction(cfg.load, inst.s[t]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Run-length multisets
+# ---------------------------------------------------------------------------
+
+class Runs:
+    """A multiset as ordered (item, count) runs, handed out from the front.
+
+    Schedules keep machines as counts, so multisets of configurations are
+    dealt out to machines by run rather than one machine at a time.
+    ``label`` names the multiset in the error raised when it runs short.
+    """
+
+    def __init__(self, runs, label: str = "items"):
+        self._runs = [(item, count) for item, count in runs if count]
+        self._i = 0      # index of the current run
+        self._used = 0   # items of the current run already handed out
+        self.left = sum(count for _, count in self._runs)
+        self.label = label
+
+    def take(self, machines: int, width: int) -> list[tuple[int, tuple]]:
+        """Give each of the next ``machines`` machines the next ``width`` items.
+
+        Machine i receives items [i*width, (i+1)*width) of what is left,
+        in run order.  The result is run-length encoded as ``(k, slice)``
+        segments of k consecutive machines with the same ``slice``, a
+        tuple of (item, multiplicity) pairs: machines whose slices fall
+        inside one run share a segment, and a machine whose slice
+        straddles runs gets a segment of its own.  Work grows with the
+        runs touched, not with ``machines``.
+        """
+        if machines * width > self.left:
+            raise MalformedInputError(
+                f"too few {self.label}: {machines * width} wanted, "
+                f"{self.left} left")
+        self.left -= machines * width
+        if width == 0:
+            return [(machines, ())] if machines else []
+        out: list[tuple[int, tuple]] = []
+        while machines:
+            item, count = self._runs[self._i]
+            whole = min((count - self._used) // width, machines)
+            if whole:
+                out.append((whole, ((item, width),)))
+                machines -= whole
+                self._advance(whole * width)
+                continue
+            piece = []
+            need = width
+            while need:
+                item, count = self._runs[self._i]
+                got = min(need, count - self._used)
+                piece.append((item, got))
+                need -= got
+                self._advance(got)
+            out.append((1, tuple(piece)))
+            machines -= 1
+        return out
+
+    def _advance(self, k: int) -> None:
+        self._used += k
+        if self._used == self._runs[self._i][1]:
+            self._i, self._used = self._i + 1, 0
+
+
+def deal(machines: int, *draws: tuple[Runs, int]) -> list[tuple[int, tuple]]:
+    """Give each of ``machines`` machines one slice from every draw.
+
+    Each draw is ``(runs, width)``; draws are taken in order, so two draws
+    from one ``Runs`` hand out consecutive items.  Returns ``(k,
+    slices)`` segments, ``slices`` holding one slice per draw, whose
+    boundaries are those of every draw's segments.
+    """
+    streams = [runs.take(machines, width) for runs, width in draws]
+    pos = [0] * len(streams)
+    rest = [stream[0][0] if stream else 0 for stream in streams]
+    out: list[tuple[int, tuple]] = []
+    while machines:
+        k = min(rest)
+        out.append((k, tuple(stream[i][1] for stream, i in zip(streams, pos))))
+        machines -= k
+        for j, stream in enumerate(streams):
+            rest[j] -= k
+            if rest[j] == 0 and machines:
+                pos[j] += 1
+                rest[j] = stream[pos[j]][0]
     return out

@@ -27,6 +27,8 @@ from .model import (
     Instance,
     LE,
     MalformedInputError,
+    Runs,
+    deal,
     dot,
 )
 
@@ -219,42 +221,41 @@ def lift_schedule(sched: HMSchedule, cmap: CompressionMap) -> HMSchedule:
     residual speed's pool plus pieces_per_machine configurations from
     the lcm_load speed's pool.  Loads add up and equal-speed machines
     share identical load windows, so this fixed deterministic allocation
-    (pools sorted, consumed in original-type order) preserves both <=1-
-    and >=1-feasibility verdicts.
+    (pools sorted, consumed in original-type order: a type's residuals,
+    then its pieces machine by machine) preserves both <=1- and
+    >=1-feasibility verdicts.  Pools stay (configuration, count) runs and
+    are dealt out by run (``model.deal``), so the work follows the
+    schedule's entries, not the number of machines.
     """
-    pools: dict[int, list[Configuration]] = {}
+    entries: dict[int, list[tuple[Configuration, int]]] = {}
     for t, cfg, count in sched.entries:
         if not 0 <= t < len(cmap.compressed_speeds):
             raise MalformedInputError(f"schedule type {t} unknown to the map")
-        pools.setdefault(cmap.compressed_speeds[t], []).extend([cfg] * count)
-    for pool in pools.values():
-        pool.sort(key=lambda c: c.counts)
-    cursor = {speed: 0 for speed in pools}
+        entries.setdefault(cmap.compressed_speeds[t], []).append((cfg, count))
+    pools: dict[int, Runs] = {}
 
-    def draw(speed: int, how_many: int) -> list[Configuration]:
-        pool = pools.get(speed, [])
-        at = cursor.get(speed, 0)
-        if at + how_many > len(pool):
-            raise MalformedInputError(
-                f"schedule provides too few machines of speed {speed}")
-        cursor[speed] = at + how_many
-        return pool[at:at + how_many]
+    def pool(speed: int) -> Runs:
+        if speed not in pools:
+            pools[speed] = Runs(
+                sorted(entries.get(speed, ()), key=lambda run: run[0].counts),
+                f"machines of speed {speed} in the schedule")
+        return pools[speed]
 
     d = sched.d
     raw: list[tuple[int, Configuration, int]] = []
     for t, m in enumerate(cmap.original_m):
-        residuals = draw(cmap.residual_speed[t], m)
-        piece_lists = [draw(cmap.lcm_load, cmap.pieces_per_machine[t])
-                       for _ in range(m)]
-        for cfg, piece_list in zip(residuals, piece_lists):
-            merged = list(cfg.counts)
-            load = cfg.load
-            for piece in piece_list:
-                load += piece.load
-                for j in range(d):
-                    merged[j] += piece.counts[j]
-            raw.append((t, Configuration(tuple(merged), load), 1))
-    if any(cursor[speed] != len(pool) for speed, pool in pools.items()):
+        segments = deal(m, (pool(cmap.residual_speed[t]), 1),
+                        (pool(cmap.lcm_load), cmap.pieces_per_machine[t]))
+        for k, slices in segments:
+            merged = [0] * d
+            load = 0
+            for piece_slice in slices:
+                for piece, mult in piece_slice:
+                    load += mult * piece.load
+                    for j in range(d):
+                        merged[j] += mult * piece.counts[j]
+            raw.append((t, Configuration(tuple(merged), load), k))
+    if any(pool(speed).left for speed in entries):
         raise MalformedInputError("schedule has machines the map cannot place")
     return _merge_entries(d, raw)
 

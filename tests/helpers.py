@@ -219,3 +219,107 @@ def window_decomposes(c, p, red, k):
                                        or load <= red.core_upper):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Per-machine reference expansions
+# ---------------------------------------------------------------------------
+# The solver pairs configuration multisets by (configuration, count) run.
+# These references expand every machine on its own, as the solver once
+# did, so tests can check that the run-length code builds the same
+# schedules.  They are only usable on small machine counts.
+
+from hmsched.model import (
+    CertificateError,
+    Configuration,
+    HMSchedule,
+    MalformedInputError,
+)
+
+
+def expand_runs(runs):
+    """A multiset given as (item, count) pairs, as a list in that order."""
+    return [item for item, count in runs for _ in range(count)]
+
+
+def reference_recombine(model, chosen) -> HMSchedule:
+    """``confilp._recombine`` with one list element per machine and block."""
+    d = len(model.p)
+    per_type = {}
+    for gi, group in enumerate(model.groups):
+        per_type.setdefault(group.machine_type, {}).setdefault(
+            group.role, []).extend(expand_runs(sorted(chosen[gi].items())))
+    merged_entries = {}
+    for t, roles in sorted(per_type.items()):
+        cores = roles.get("core", [])
+        exacts = roles.get("exact", [])
+        slacks = roles.get("slack", [])
+        m = len(cores)
+        epm = len(exacts) // m if m else 0
+        spm = len(slacks) // m if m else 0
+        for i, core in enumerate(cores):
+            merged = list(core)
+            for piece in (exacts[i * epm:(i + 1) * epm]
+                          + slacks[i * spm:(i + 1) * spm]):
+                for j in range(d):
+                    merged[j] += piece[j]
+            load = dot(model.p, tuple(merged))
+            raw = model.raw_windows[t]
+            if not raw.lower <= load <= raw.upper:
+                raise CertificateError(
+                    f"type {t}: recombined load {load} escaped its window "
+                    f"[{raw.lower}, {raw.upper}]")
+            key = (t, tuple(merged))
+            merged_entries[key] = merged_entries.get(key, 0) + 1
+    return HMSchedule(d, tuple(
+        (t, Configuration.from_counts(c, model.p), k)
+        for (t, c), k in sorted(merged_entries.items())))
+
+
+def reference_lift(sched: HMSchedule, cmap) -> HMSchedule:
+    """``reduction.lift_schedule`` with one pool element per machine."""
+    pools = {}
+    for t, cfg, count in sched.entries:
+        pools.setdefault(cmap.compressed_speeds[t], []).extend([cfg] * count)
+    for pool in pools.values():
+        pool.sort(key=lambda c: c.counts)
+    cursor = {}
+
+    def draw(speed, how_many):
+        pool = pools.get(speed, [])
+        at = cursor.get(speed, 0)
+        if at + how_many > len(pool):
+            raise MalformedInputError(f"too few machines of speed {speed}")
+        cursor[speed] = at + how_many
+        return pool[at:at + how_many]
+
+    merged_entries = {}
+    for t, m in enumerate(cmap.original_m):
+        residuals = draw(cmap.residual_speed[t], m)
+        piece_lists = [draw(cmap.lcm_load, cmap.pieces_per_machine[t])
+                       for _ in range(m)]
+        for cfg, pieces in zip(residuals, piece_lists):
+            merged = list(cfg.counts)
+            load = cfg.load
+            for piece in pieces:
+                load += piece.load
+                for j in range(sched.d):
+                    merged[j] += piece.counts[j]
+            key = (t, Configuration(tuple(merged), load))
+            merged_entries[key] = merged_entries.get(key, 0) + 1
+    if any(cursor.get(speed, 0) != len(pool) for speed, pool in pools.items()):
+        raise MalformedInputError("schedule has machines the map cannot place")
+    return HMSchedule(sched.d, tuple(
+        (t, cfg, k) for (t, cfg), k in
+        sorted(merged_entries.items(), key=lambda kv: (kv[0][0], kv[0][1].counts))))
+
+
+def random_runs(rnd, total: int, d: int, top: int):
+    """A seeded {config: count} multiset of ``total`` d-vectors in [0, top]."""
+    runs = {}
+    while total:
+        k = rnd.randint(1, total)
+        cfg = tuple(rnd.randint(0, top) for _ in range(d))
+        runs[cfg] = runs.get(cfg, 0) + k
+        total -= k
+    return runs

@@ -91,6 +91,20 @@ def test_check_empty_schedule(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_check_envy_with_huge_machine_count(tmp_path, capsys):
+    # completions are taken per entry, never per machine
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"p": [1], "n": [3], "s": [1], "m": [10**12]}))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(
+        {"d": 1, "entries": [[0, [0], 10**12 - 3], [0, [1], 3]]}))
+    assert main(["check", str(inst), str(sched),
+                 "--objective", "cenvy", "--value", "1"]) == 0
+    assert main(["check", str(inst), str(sched),
+                 "--objective", "cenvy", "--value", "1/2"]) == 4
+    capsys.readouterr()
+
 def test_gen_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["gen", "--seed", "42", "--output", str(a)]) == 0

@@ -1,16 +1,28 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from helpers import random_runs, reference_recombine
+from hmsched import confilp
 from hmsched.confilp import (
+    ConfILPModel,
     LoadWindow,
+    ModelGroup,
     ResourceLimitError,
     build_model,
     enumerate_configs,
     reduced_windows_for,
     solve_model,
 )
-from hmsched.model import FeasibilityQuery, Instance, aggregate_jobs, verify_schedule
+from hmsched.model import (
+    CertificateError,
+    FeasibilityQuery,
+    Instance,
+    aggregate_jobs,
+    verify_schedule,
+)
 from hmsched.oracle import (
     GenParams,
     OracleCapError,
@@ -248,3 +260,88 @@ def test_verified_against_oracle_sweep():
             assert report.ok, report.violations
         checked += 1
     assert checked >= 40
+
+
+# ---------------------------------------------------------------------------
+# Run-length recombination against the per-machine reference
+# ---------------------------------------------------------------------------
+
+def straddles(runs, width: int) -> int:
+    """Machines whose width-sized slice of the sorted runs spans two runs."""
+    at, cut = 0, 0
+    for _, count in sorted(runs.items())[:-1]:
+        at += count
+        cut += width > 0 and at % width != 0
+    return cut
+
+
+def hand_built_model(rnd, p=(1, 2)):
+    """Core, exact and slack groups with 2..3 blocks per machine, and a
+    demand met by one random pick per machine and block."""
+    lcm, groups, raw, demand = 2, [], [], [0, 0]
+    for t in range(rnd.randint(1, 2)):
+        m, epm, spm = rnd.randint(2, 6), rnd.randint(2, 3), rnd.randint(2, 3)
+        for role, count, window in (
+                ("core", m, LoadWindow(0, 3)),
+                ("exact", m * epm, LoadWindow(lcm, lcm)),
+                ("slack", m * spm, LoadWindow(0, lcm))):
+            configs = tuple(enumerate_configs(p, (8, 8), (window.lower,
+                                                         window.upper)))
+            groups.append(ModelGroup(t, role, count, window, configs))
+            for _ in range(count):
+                pick = rnd.choice(configs)
+                demand = [a + b for a, b in zip(demand, pick)]
+        raw.append(LoadWindow(epm * lcm, 3 + (epm + spm) * lcm))
+    return ConfILPModel(p, len(raw), tuple(demand), "=", tuple(groups),
+                        tuple(raw))
+
+
+def test_solve_model_recombines_like_per_machine_expansion(monkeypatch):
+    seen = []
+    recombine = confilp._recombine
+
+    def spy(model, chosen):
+        seen.append(chosen)
+        return recombine(model, chosen)
+
+    monkeypatch.setattr(confilp, "_recombine", spy)
+    cut = 0
+    for seed in range(40):
+        model = hand_built_model(random.Random(seed))
+        sched = solve_model(model)
+        assert sched is not None, seed
+        chosen = seen[-1]
+        assert sched == reference_recombine(model, chosen), seed
+        assert [sum(c.values()) for c in chosen] == [g.count for g in model.groups]
+        machines = {g.machine_type: g.count for g in model.groups
+                    if g.role == "core"}
+        cut += sum(straddles(runs, g.count // machines[g.machine_type])
+                   for g, runs in zip(model.groups, chosen))
+    assert cut > 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_recombine_runs_match_per_machine_expansion(seed):
+    rnd = random.Random(seed)
+    p = (1, 2, 3)
+    groups, chosen, raw = [], [], []
+    for t in range(rnd.randint(1, 3)):
+        m = rnd.randint(1, 40)
+        per_machine = {"core": 1, "exact": rnd.randint(0, 4),
+                       "slack": rnd.randint(0, 4)}
+        for role, width in per_machine.items():
+            if role != "core" and width == 0:
+                continue
+            groups.append(ModelGroup(t, role, m * width, LoadWindow(0, 0), ()))
+            chosen.append(random_runs(rnd, m * width, len(p), 3))
+        raw.append(LoadWindow(0, rnd.randint(40, 120)))
+    model = ConfILPModel(p, len(raw), (0,) * len(p), "=", tuple(groups),
+                         tuple(raw))
+    try:
+        want = reference_recombine(model, chosen)
+    except CertificateError as exc:
+        # a load that escapes its raw window fails the same way
+        with pytest.raises(CertificateError, match=re.escape(str(exc))):
+            confilp._recombine(model, chosen)
+    else:
+        assert confilp._recombine(model, chosen) == want

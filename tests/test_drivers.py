@@ -113,6 +113,44 @@ def test_min_completion_past_oracle_caps(inst):
                            FeasibilityQuery(">=", direct.value)).ok
 
 
+
+@pytest.mark.parametrize("inst,optimum", [
+    (Instance(p=(1,), n=(3,), s=(1,), m=(10**12,)), Fraction(1)),
+    # pmax / smax = 3/7 bounds every schedule and is reached
+    (Instance(p=(2, 3), n=(5, 4), s=(5, 7), m=(10**9, 10**9)), Fraction(3, 7)),
+], ids=["unit-m1e12", "p23-m1e9"])
+def test_makespan_with_huge_machine_counts(inst, optimum):
+    # schedules stay (configuration, count) runs: no step lists machines
+    result = minimize_makespan(inst)
+    assert result.value == optimum
+    assert len(result.schedule.entries) <= 2 * inst.tau
+    assert verify_schedule(inst, result.schedule,
+                           FeasibilityQuery("<=", optimum)).ok
+
+
+def test_probe_memo_reuses_repeated_normalized_questions(monkeypatch):
+    inst = Instance(p=(2, 3), n=(48, 32), s=(5, 7), m=(16, 16))
+    asked = []
+    plain_feasibility = drivers.feasibility
+
+    def spy(*args, **kwargs):
+        asked.append(args[2])
+        return plain_feasibility(*args, **kwargs)
+
+    monkeypatch.setattr(drivers, "feasibility", spy)
+    result = minimize_makespan(inst)
+    # the same search with every probe asked afresh
+    plain = {"probes": 0}
+    value, _ = drivers._search_grid(
+        candidate_values(inst, "cmax"),
+        lambda entry, T: plain_feasibility(inst, "<=", T, trace=plain),
+        True, plain)
+    hits = result.trace["cache_hits"]
+    assert hits >= 1
+    assert result.value == value
+    assert result.trace["probes"] == plain["probes"] == len(asked) + hits
+    assert {k: v for k, v in result.trace.items() if k != "cache_hits"} == plain
+
 def test_feasibility_fig1_thresholds():
     assert feasibility(FIG1, "<=", Fraction(1, 4)) is not None
     assert feasibility(FIG1, "<=", Fraction(1, 5)) is not None

@@ -1,15 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import expand_runs
 from hmsched.model import (
     Configuration,
     FeasibilityQuery,
     HMSchedule,
     Instance,
     MalformedInputError,
+    Runs,
     aggregate_jobs,
+    deal,
     format_rational,
     make_schedule,
     parse_rational,
@@ -126,6 +130,53 @@ def test_instance_validation():
     with pytest.raises(MalformedInputError):
         Instance(p=(1,), n=(1,), s=(1,), m=(1,), restrict=((True, True),))
 
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", 1.7), ("n", True), ("s", "3"), ("m", Fraction(2)),
+], ids=["float", "bool", "str", "Fraction"])
+def test_instance_rejects_non_integer_entries(field, value):
+    fields = dict(p=(1,), n=(1,), s=(1,), m=(1,))
+    fields[field] = (value,)
+    with pytest.raises(MalformedInputError):
+        Instance(**fields)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_deal_matches_per_machine_slices(seed):
+    rnd = random.Random(seed)
+    machines = rnd.randint(0, 30)
+    widths = [rnd.randint(0, 4) for _ in range(rnd.randint(1, 3))]
+    shared = rnd.random() < 0.5  # every draw from one multiset, in order
+    need = [machines * w for w in widths]
+    totals = [sum(need)] if shared else need
+    runs = [sorted((rnd.randint(0, 9), k) for k in split(rnd, total))
+            for total in totals]
+    pools = [Runs(r) for r in runs]
+    draws = [(pools[0 if shared else i], w) for i, w in enumerate(widths)]
+    got = [list(slices) for k, slices in deal(machines, *draws)
+           for _ in range(k)]
+    flat = [expand_runs(r) for r in runs]
+    at = [0] * len(flat)
+    want = []
+    for i, w in enumerate(widths):
+        src = 0 if shared else i
+        block = flat[src][at[src]:at[src] + machines * w]
+        at[src] += machines * w
+        want.append([block[k * w:(k + 1) * w] for k in range(machines)])
+    assert [[expand_runs(s) for s in slices] for slices in got] == [
+        list(per) for per in zip(*want)]
+    assert all(pool.left == 0 for pool in pools)
+
+
+def split(rnd, total):
+    """Positive parts summing to total, in random sizes."""
+    out = []
+    while total:
+        k = rnd.randint(1, total)
+        out.append(k)
+        total -= k
+    return out
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=4),
        st.lists(st.integers(1, 6), min_size=1, max_size=4))

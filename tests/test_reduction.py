@@ -1,11 +1,20 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import window_decomposes
-from hmsched.model import FeasibilityQuery, Instance, MalformedInputError, dot, verify_schedule
+from helpers import random_runs, reference_lift, window_decomposes
+from hmsched.model import (
+    FeasibilityQuery,
+    HMSchedule,
+    Instance,
+    MalformedInputError,
+    dot,
+    make_schedule,
+    verify_schedule,
+)
 from hmsched.oracle import (
     GenParams,
     OracleCapError,
@@ -16,6 +25,7 @@ from hmsched.oracle import (
 from hmsched.reduction import (
     compress,
     cut_block,
+    CompressionMap,
     lift_schedule,
     normalize,
     reduce_window,
@@ -312,3 +322,42 @@ def test_lift_preserves_verdict(rel):
         assert report.ok, (inst, rel, report.violations)
         lifted_any += 1
     assert lifted_any >= 10
+
+
+def random_lift_case(rnd, p=(1, 2)):
+    """A compression map with 2..4 pieces per machine and a schedule with
+    seeded runs on its compressed types; type 0's residual speed is the
+    piece speed, so one pool feeds both residuals and pieces."""
+    delta = 2
+    tau = rnd.randint(1, 3)
+    original_m = tuple(rnd.randint(0, 30) for _ in range(tau))
+    residual = (delta,) + tuple(rnd.choice((3, 5)) for _ in range(tau - 1))
+    pieces = tuple(rnd.randint(2, 4) for _ in range(tau))
+    speeds = tuple(dict.fromkeys(residual + (delta,)))
+    need = dict.fromkeys(speeds, 0)
+    for m, r, k in zip(original_m, residual, pieces):
+        need[r] += m
+        need[delta] += m * k
+    raw = [(speeds.index(speed), cfg, count)
+           for speed, total in need.items()
+           for cfg, count in random_runs(rnd, total, len(p), 2).items()]
+    cmap = CompressionMap(original_m, residual, pieces, speeds, delta)
+    return make_schedule(len(p), p, raw), cmap
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lift_runs_match_per_machine_expansion(seed):
+    sched, cmap = random_lift_case(random.Random(seed))
+    assert lift_schedule(sched, cmap) == reference_lift(sched, cmap)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_lift_rejects_miscounted_pools(change):
+    sched, cmap = random_lift_case(random.Random(7))
+    t, cfg, count = sched.entries[-1]
+    entries = sched.entries[:-1] + ((t, cfg, count + change),)
+    bad = HMSchedule(sched.d, entries)
+    with pytest.raises(MalformedInputError):
+        reference_lift(bad, cmap)
+    with pytest.raises(MalformedInputError):
+        lift_schedule(bad, cmap)
