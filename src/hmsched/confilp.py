@@ -16,7 +16,9 @@ loads telescope so any deterministic pairing lands inside the raw
 window.
 
 The solver is an exact dynamic program over remaining demand vectors.
-It is deliberately simple: states are demand tuples, machine types are
+It is deliberately simple: each state is a demand vector packed into one
+int, a digit per coordinate under a guard bit, so a transition is one
+subtraction and one mask test (see ``solve_model``); machine types are
 processed in order, and column groups whose window admits the empty
 configuration are handled with a breadth-first "fewest loaded machines"
 search so that large machine multiplicities (common after compression)
@@ -286,6 +288,29 @@ def _necessarily_infeasible(model: ConfILPModel) -> bool:
     return False
 
 
+def _packing(model: ConfILPModel) -> tuple[int, int]:
+    """Digit width and guard mask of the packed state encoding.
+
+    Every demand entry and every column entry fits in ``width`` bits, so
+    each coordinate gets a ``width``-bit digit with one guard bit above
+    it; coordinate 0 takes the most significant digit.
+    """
+    top = max([0, *model.demand,
+               *(x for g in model.groups for c in g.configs for x in c)])
+    width = max(1, top.bit_length())
+    guard = 0
+    for _ in model.p:
+        guard = (guard << (width + 1)) | (1 << width)
+    return width, guard
+
+
+def _pack(vector: tuple[int, ...], width: int) -> int:
+    out = 0
+    for x in vector:
+        out = (out << (width + 1)) | x
+    return out
+
+
 def solve_model(model: ConfILPModel,
                 state_limit: int | None = None) -> HMSchedule | None:
     """Exact solve; returns a verified-shape schedule or None if infeasible.
@@ -298,68 +323,94 @@ def solve_model(model: ConfILPModel,
     returned schedule is deterministic.  Exceeding ``state_limit``
     created states raises ResourceLimitError -- never reported as
     infeasible.
+
+    States and columns are packed into ints (``_packing``): one digit
+    per coordinate, coordinate 0 most significant, each digit holding
+    its value in ``width`` bits below a guard bit.  Invariant: the guard
+    bits of every state and every column are clear, because ``width``
+    covers the demand (states only shrink) and every column entry, the
+    over-covering ``>=`` columns included.  Int order is then tuple
+    order, so sorting and ``min`` break ties as on tuples.
+
+    A step computes ``x = (state | H) - column`` with ``H`` the guard
+    mask.  Each digit of ``state | H`` is ``2**width + s`` and exceeds
+    the column's digit ``c < 2**width``, so no digit borrows from its
+    neighbour and the digit's guard bit survives exactly when s >= c.
+    If every guard bit survives (``x & H == H``) the next state is ``x ^
+    H``.  Otherwise ``=``/``<=`` skip the column, and ``>=`` saturates
+    at zero: with ``g = x & H``, ``g - (g >> width)`` holds the value
+    bits of exactly the digits whose guard survived, and ``x`` masked by
+    it keeps s - c there and 0 elsewhere.
     """
     if state_limit is None:
         state_limit = state_limit_default()
     if _necessarily_infeasible(model):
         return None
 
-    rel = model.demand_relation
-    d = len(model.p)
-    zero = tuple(0 for _ in range(d))
-    budget = [state_limit]
+    saturate = model.demand_relation == JOB_GE
+    zero = tuple(0 for _ in model.p)
+    width, H = _packing(model)
+    left = state_limit
 
-    def transition(state: tuple[int, ...], cfg: tuple[int, ...]) -> tuple[int, ...] | None:
-        if rel == JOB_GE:
-            return tuple(s - c if s > c else 0 for s, c in zip(state, cfg))
-        for s, c in zip(state, cfg):
-            if c > s:
-                return None
-        return tuple(s - c for s, c in zip(state, cfg))
-
-    states: set[tuple[int, ...]] = {model.demand}
+    states: set[int] = {_pack(model.demand, width)}
     trail: list[tuple] = []
     for group in model.groups:
         if group.count == 0:
             trail.append(("skip",))
             continue
-        configs = group.configs
-        optional = configs and configs[0] == zero
-        if optional:
-            parent: dict[tuple[int, ...], tuple] = {}
-            dist = dict.fromkeys(states, 0)
+        columns = [(ci, _pack(cfg, width)) for ci, cfg in enumerate(group.configs)]
+        if columns and group.configs[0] == zero:
+            columns = columns[1:]
+            parent: dict[int, tuple[int, int]] = {}
+            seen = set(states)
             frontier = sorted(states)
-            for depth in range(1, group.count + 1):
+            for _ in range(group.count):
                 fresh = []
                 for st in frontier:
-                    for ci in range(1, len(configs)):
-                        ns = transition(st, configs[ci])
-                        if ns is None or ns in dist:
+                    base = st | H
+                    for ci, col in columns:
+                        x = base - col
+                        g = x & H
+                        if g == H:
+                            ns = x ^ H
+                        elif saturate:
+                            ns = x & (g - (g >> width))
+                        else:
                             continue
-                        dist[ns] = depth
+                        if ns in seen:
+                            continue
+                        seen.add(ns)
                         parent[ns] = (st, ci)
                         fresh.append(ns)
-                        budget[0] -= 1
-                        if budget[0] < 0:
+                        left -= 1
+                        if left < 0:
                             raise ResourceLimitError("state limit exceeded")
                 if not fresh:
                     break
                 frontier = sorted(fresh)
-            states = set(dist)
+            states = seen
             trail.append(("bfs", parent))
         else:
-            steps: list[dict] = []
-            cur: dict[tuple[int, ...], tuple | None] = dict.fromkeys(states)
+            steps: list[dict[int, tuple[int, int]]] = []
+            cur = dict.fromkeys(states)
             for _ in range(group.count):
-                nxt: dict[tuple[int, ...], tuple] = {}
+                nxt: dict[int, tuple[int, int]] = {}
                 for st in sorted(cur):
-                    for ci, cfg in enumerate(configs):
-                        ns = transition(st, cfg)
-                        if ns is None or ns in nxt:
+                    base = st | H
+                    for ci, col in columns:
+                        x = base - col
+                        g = x & H
+                        if g == H:
+                            ns = x ^ H
+                        elif saturate:
+                            ns = x & (g - (g >> width))
+                        else:
+                            continue
+                        if ns in nxt:
                             continue
                         nxt[ns] = (st, ci)
-                        budget[0] -= 1
-                        if budget[0] < 0:
+                        left -= 1
+                        if left < 0:
                             raise ResourceLimitError("state limit exceeded")
                 steps.append(nxt)
                 cur = nxt
@@ -370,12 +421,12 @@ def solve_model(model: ConfILPModel,
         if not states:
             return None
 
-    if rel in (JOB_EQ, JOB_GE):
-        if zero not in states:
-            return None
-        final = zero
-    else:
+    if model.demand_relation == JOB_LE:
         final = min(states)
+    elif 0 in states:
+        final = 0
+    else:
+        return None
 
     # Walk the trail backwards, counting the configs each group used.
     chosen: list[dict[tuple[int, ...], int]] = [{} for _ in model.groups]

@@ -640,7 +640,10 @@ def solve_restricted(inst: Instance, objective: str,
     pmax_t - 1], pmax_t being the largest size type t may run, and job
     usage at most n: any machine loaded beyond that window can drop one
     of its jobs and still reach ceil(T*s_t), and the jobs left over are
-    added back onto machines that may run them.
+    added back onto machines that may run them.  A model is built and
+    solved once per distinct window tuple in a solve; a repeat reuses
+    that answer (completed and certified at its own T) and counts in
+    ``trace["cache_hits"]``.
     """
     if objective not in ("cmax", "cmin"):
         raise ValueError(f"restricted solver handles cmax/cmin, not {objective!r}")
@@ -651,24 +654,28 @@ def solve_restricted(inst: Instance, objective: str,
             raise InfeasibleRestrictionError(
                 f"job type {j} has {inst.n[j]} jobs but no machine may run it")
     rel = LE if objective == "cmax" else GE
-    trace: dict = {"probes": 0}
+    trace: dict = {"probes": 0, "cache_hits": 0}
     # largest job size each machine type may run (1 if it may run none)
     pmax_t = [max((pj for pj, a in zip(inst.p, inst.allowed_row(t)) if a),
                   default=1) for t in range(inst.tau)]
+    # The model depends on T only through the windows, so a window tuple
+    # already asked in this solve reuses that model's answer.
+    memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
 
     def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
         if rel == LE:
-            windows = [LoadWindow(0, math.floor(T * s)) for s in inst.s]
-            relation = JOB_EQ
+            windows = tuple((0, math.floor(T * s)) for s in inst.s)
         else:
-            windows = []
-            for s, top in zip(inst.s, pmax_t):
-                lower = math.ceil(T * s)
-                windows.append(LoadWindow(lower, lower + top - 1))
-            relation = JOB_LE
-        model = build_model(inst, windows, demand=inst.n,
-                            demand_relation=relation)
-        sched = solve_model(model, state_limit)
+            lows = [math.ceil(T * s) for s in inst.s]
+            windows = tuple((lo, lo + top - 1) for lo, top in zip(lows, pmax_t))
+        if windows in memo:
+            trace["cache_hits"] += 1
+            sched = memo[windows]
+        else:
+            model = build_model(inst, [LoadWindow(*w) for w in windows],
+                                demand=inst.n,
+                                demand_relation=JOB_EQ if rel == LE else JOB_LE)
+            sched = memo[windows] = solve_model(model, state_limit)
         if sched is None:
             return None
         if rel == GE:

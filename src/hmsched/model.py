@@ -43,6 +43,12 @@ def parse_rational(text: str) -> Fraction:
         raise MalformedInputError(f"not a rational number: {text!r}") from exc
 
 
+def _require_int(x, what: str) -> None:
+    """Raise MalformedInputError unless x is an int (bools excluded)."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise MalformedInputError(f"{what} must be integers, got {x!r}")
+
+
 def dot(p: tuple[int, ...], c: tuple[int, ...]) -> int:
     """Integer dot product of two same-length vectors."""
     if len(p) != len(c):
@@ -70,8 +76,9 @@ class Instance:
     pair is allowed.
 
     Every entry of ``p``, ``n``, ``s`` and ``m`` must be an ``int`` and
-    not a ``bool``; anything else (a float, a string, a Fraction) raises
-    MalformedInputError rather than being converted.  User-facing
+    not a ``bool``, and every ``restrict`` cell a ``bool``; anything else
+    (a float, a string, a Fraction) raises MalformedInputError rather
+    than being converted.  User-facing
     instances have strictly positive speeds; speed 0 is permitted
     internally because threshold normalization can produce machines that
     only fit empty loads.
@@ -88,9 +95,7 @@ class Instance:
         for name in ("p", "n", "s", "m"):
             values = tuple(getattr(self, name))
             for x in values:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise MalformedInputError(
-                        f"{name} entries must be integers, got {x!r}")
+                _require_int(x, f"{name} entries")
             object.__setattr__(self, name, values)
         if len(self.p) != len(self.n):
             raise MalformedInputError("p and n must have the same length")
@@ -105,7 +110,12 @@ class Instance:
         if any(x < 0 for x in self.m):
             raise MalformedInputError("machine multiplicities must be >= 0")
         if self.restrict is not None:
-            rows = tuple(tuple(bool(v) for v in row) for row in self.restrict)
+            rows = tuple(tuple(row) for row in self.restrict)
+            for row in rows:
+                for v in row:
+                    if not isinstance(v, bool):
+                        raise MalformedInputError(
+                            f"restrict cells must be booleans, got {v!r}")
             if len(rows) != self.d or any(len(row) != self.tau for row in rows):
                 raise MalformedInputError("restrict must be a d x tau matrix")
             object.__setattr__(self, "restrict", rows)
@@ -151,15 +161,23 @@ class Instance:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A job-multiplicity vector for one machine, with its total load."""
+    """A job-multiplicity vector for one machine, with its total load.
+
+    Counts and load must be ``int`` and not ``bool``; anything else
+    raises MalformedInputError rather than being converted.
+    """
 
     counts: tuple[int, ...]
     load: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(x) for x in self.counts))
-        if any(x < 0 for x in self.counts):
+        counts = tuple(self.counts)
+        for x in counts:
+            _require_int(x, "configuration counts")
+        _require_int(self.load, "configuration load")
+        if any(x < 0 for x in counts):
             raise MalformedInputError("configuration counts must be >= 0")
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_counts(cls, counts: tuple[int, ...], p: tuple[int, ...]) -> "Configuration":
@@ -172,21 +190,23 @@ class HMSchedule:
 
     Two machines of the same type with different configurations appear as
     two entries.  ``d`` is carried explicitly so empty schedules still
-    know their job dimensionality.
+    know their job dimensionality.  Machine types and counts must be
+    ``int`` and not ``bool`` (MalformedInputError otherwise).
     """
 
     d: int
     entries: tuple[tuple[int, Configuration, int], ...]
 
     def __post_init__(self):
-        norm = []
-        for t, cfg, count in self.entries:
+        entries = tuple(tuple(entry) for entry in self.entries)
+        for t, cfg, count in entries:
+            _require_int(t, "entry machine types")
+            _require_int(count, "entry counts")
             if len(cfg.counts) != self.d:
                 raise MalformedInputError("configuration dimension != d")
             if count < 0:
                 raise MalformedInputError("entry count must be >= 0")
-            norm.append((int(t), cfg, int(count)))
-        object.__setattr__(self, "entries", tuple(norm))
+        object.__setattr__(self, "entries", entries)
 
     def machines_of_type(self, t: int) -> int:
         return sum(count for tt, _, count in self.entries if tt == t)

@@ -323,3 +323,142 @@ def random_runs(rnd, total: int, d: int, top: int):
         runs[cfg] = runs.get(cfg, 0) + k
         total -= k
     return runs
+
+
+# ---------------------------------------------------------------------------
+# Tuple-state reference DP
+# ---------------------------------------------------------------------------
+# The solver packs demand vectors into ints.  This is the dynamic program
+# it replaced, kept verbatim with tuple states, so tests can check that
+# the packed steps create the same states, hit the same state limit and
+# return the same schedules.
+
+from hmsched.confilp import (
+    ConfILPModel,
+    ResourceLimitError,
+    _necessarily_infeasible,
+    _recombine,
+    state_limit_default,
+)
+from hmsched.model import JOB_EQ, JOB_GE
+
+
+def reference_solve_model(model: ConfILPModel,
+                          state_limit: int | None = None) -> HMSchedule | None:
+    """``confilp.solve_model`` on demand tuples, one call per transition.
+
+    Dynamic programming over remaining-demand vectors, one column group
+    at a time.  Groups whose window admits the empty configuration are
+    searched breadth-first for the fewest loaded machines (identical
+    machines make any reachability witness reusable), other groups step
+    machine by machine.  Tie-breaking is lexicographic everywhere, so the
+    returned schedule is deterministic.  Exceeding ``state_limit``
+    created states raises ResourceLimitError -- never reported as
+    infeasible.
+    """
+    if state_limit is None:
+        state_limit = state_limit_default()
+    if _necessarily_infeasible(model):
+        return None
+
+    rel = model.demand_relation
+    d = len(model.p)
+    zero = tuple(0 for _ in range(d))
+    budget = [state_limit]
+
+    def transition(state: tuple[int, ...], cfg: tuple[int, ...]) -> tuple[int, ...] | None:
+        if rel == JOB_GE:
+            return tuple(s - c if s > c else 0 for s, c in zip(state, cfg))
+        for s, c in zip(state, cfg):
+            if c > s:
+                return None
+        return tuple(s - c for s, c in zip(state, cfg))
+
+    states: set[tuple[int, ...]] = {model.demand}
+    trail: list[tuple] = []
+    for group in model.groups:
+        if group.count == 0:
+            trail.append(("skip",))
+            continue
+        configs = group.configs
+        optional = configs and configs[0] == zero
+        if optional:
+            parent: dict[tuple[int, ...], tuple] = {}
+            dist = dict.fromkeys(states, 0)
+            frontier = sorted(states)
+            for depth in range(1, group.count + 1):
+                fresh = []
+                for st in frontier:
+                    for ci in range(1, len(configs)):
+                        ns = transition(st, configs[ci])
+                        if ns is None or ns in dist:
+                            continue
+                        dist[ns] = depth
+                        parent[ns] = (st, ci)
+                        fresh.append(ns)
+                        budget[0] -= 1
+                        if budget[0] < 0:
+                            raise ResourceLimitError("state limit exceeded")
+                if not fresh:
+                    break
+                frontier = sorted(fresh)
+            states = set(dist)
+            trail.append(("bfs", parent))
+        else:
+            steps: list[dict] = []
+            cur: dict[tuple[int, ...], tuple | None] = dict.fromkeys(states)
+            for _ in range(group.count):
+                nxt: dict[tuple[int, ...], tuple] = {}
+                for st in sorted(cur):
+                    for ci, cfg in enumerate(configs):
+                        ns = transition(st, cfg)
+                        if ns is None or ns in nxt:
+                            continue
+                        nxt[ns] = (st, ci)
+                        budget[0] -= 1
+                        if budget[0] < 0:
+                            raise ResourceLimitError("state limit exceeded")
+                steps.append(nxt)
+                cur = nxt
+                if not cur:
+                    break
+            states = set(cur)
+            trail.append(("steps", steps))
+        if not states:
+            return None
+
+    if rel in (JOB_EQ, JOB_GE):
+        if zero not in states:
+            return None
+        final = zero
+    else:
+        final = min(states)
+
+    # Walk the trail backwards, counting the configs each group used.
+    chosen: list[dict[tuple[int, ...], int]] = [{} for _ in model.groups]
+    state = final
+    for gi in range(len(model.groups) - 1, -1, -1):
+        kind = trail[gi][0]
+        group = model.groups[gi]
+        if kind == "skip":
+            continue
+        configs = group.configs
+        picks = chosen[gi]
+        if kind == "bfs":
+            parent = trail[gi][1]
+            loaded = 0
+            while state in parent:
+                prev, ci = parent[state]
+                picks[configs[ci]] = picks.get(configs[ci], 0) + 1
+                loaded += 1
+                state = prev
+            if group.count > loaded:
+                picks[zero] = group.count - loaded
+        else:
+            steps = trail[gi][1]
+            for si in range(len(steps) - 1, -1, -1):
+                prev, ci = steps[si][state]
+                picks[configs[ci]] = picks.get(configs[ci], 0) + 1
+                state = prev
+
+    return _recombine(model, chosen)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_runs, reference_recombine
+from helpers import random_runs, reference_recombine, reference_solve_model
 from hmsched import confilp
 from hmsched.confilp import (
     ConfILPModel,
@@ -345,3 +345,74 @@ def test_recombine_runs_match_per_machine_expansion(seed):
             confilp._recombine(model, chosen)
     else:
         assert confilp._recombine(model, chosen) == want
+
+
+def random_dp_model(rnd: random.Random, relation: str) -> ConfILPModel:
+    """A seeded model whose demand entries sit at the packing's width boundary.
+
+    Each demand entry is 2**k - 1, 2**k or a value below them, so digit
+    widths land on both sides of a bit-length step; ``>=`` models get
+    lower-bounded windows, whose columns may over-cover the demand.
+    """
+    d = rnd.randint(1, 3)
+    k = rnd.randint(1, 3)
+    demand = tuple(rnd.choice((2 ** k - 1, 2 ** k, rnd.randint(0, 2 ** k)))
+                   for _ in range(d))
+    tau = rnd.randint(1, 2)
+    inst = Instance(p=tuple(rnd.randint(1, 4) for _ in range(d)), n=demand,
+                    s=tuple(rnd.randint(1, 8) for _ in range(tau)),
+                    m=tuple(rnd.randint(1, 3) for _ in range(tau)))
+    windows = []
+    for _ in range(tau):
+        upper = rnd.randint(1, 12)
+        lower = rnd.randint(0, upper) if rnd.random() < 0.5 else 0
+        windows.append(LoadWindow(lower, upper))
+    return build_model(inst, windows, demand=demand, demand_relation=relation,
+                       reduce=rnd.random() < 0.5)
+
+
+def smallest_sufficient_limit(model: ConfILPModel) -> int:
+    """Fewest states the reference DP needs without ResourceLimitError."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            reference_solve_model(model, state_limit=hi)
+            break
+        except ResourceLimitError:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            reference_solve_model(model, state_limit=mid)
+            hi = mid
+        except ResourceLimitError:
+            lo = mid + 1
+    return lo
+
+
+def entries_or_none(sched):
+    return None if sched is None else sched.entries
+
+
+@pytest.mark.parametrize("relation", ["=", "<=", ">="])
+def test_packed_dp_matches_tuple_reference(relation):
+    rnd = random.Random(f"packed-{relation}")
+    verdicts = set()
+    over_covered = 0
+    for _ in range(80):
+        model = random_dp_model(rnd, relation)
+        over_covered += any(c > need for g in model.groups
+                            for cfg in g.configs
+                            for c, need in zip(cfg, model.demand))
+        want = reference_solve_model(model)
+        assert entries_or_none(solve_model(model)) == entries_or_none(want), model
+        verdicts.add(want is not None)
+        limit = smallest_sufficient_limit(model)
+        assert entries_or_none(solve_model(model, state_limit=limit)) == \
+            entries_or_none(want), (model, limit)
+        if limit > 0:
+            for solve in (solve_model, reference_solve_model):
+                with pytest.raises(ResourceLimitError):
+                    solve(model, state_limit=limit - 1)
+    assert verdicts == {True, False}
+    assert (over_covered > 0) == (relation == ">=")

@@ -392,6 +392,37 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     assert result.trace["cache_hits"] > 0
 
 
+RESTRICTED_REPEATS = [
+    Instance(p=(2, 3), n=(0, 9), s=(2, 6, 8, 9), m=(1, 1, 1, 1),
+             restrict=((False, True, False, False), (True, False, True, False))),
+    Instance(p=(1,), n=(6,), s=(2, 3, 4), m=(1, 1, 1),
+             restrict=((True, True, True),)),
+]
+
+
+@pytest.mark.parametrize("inst, objective", [
+    (RESTRICTED_REPEATS[0], "cmax"),
+    (RESTRICTED_REPEATS[0], "cmin"),
+    (RESTRICTED_REPEATS[1], "cmin"),
+])
+def test_restricted_memo_builds_each_window_tuple_once(monkeypatch, inst,
+                                                       objective):
+    built = []
+    build_model = drivers.build_model
+
+    def spy(inst, windows, **kwargs):
+        built.append(tuple(windows))
+        return build_model(inst, windows, **kwargs)
+
+    monkeypatch.setattr(drivers, "build_model", spy)
+    result = solve_restricted(inst, objective)
+    hits = result.trace["cache_hits"]
+    assert hits > 0
+    assert len(built) == len(set(built))
+    assert result.trace["probes"] == len(built) + hits
+    assert result.value == brute_force(inst, objective)[0]
+
+
 # Envy instances with 8 to 40 machines, past the oracle's six-machine cap.
 ENVY_PAST_CAPS = [
     Instance(p=(2, 3), n=(40, 30), s=(3, 4, 5), m=(8, 6, 4)),

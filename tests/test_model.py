@@ -142,6 +142,30 @@ def test_instance_rejects_non_integer_entries(field, value):
         Instance(**fields)
 
 
+@pytest.mark.parametrize("cell", ["no", 1, 0, None],
+                         ids=["str", "one", "zero", "None"])
+def test_instance_rejects_non_boolean_restrict_cells(cell):
+    with pytest.raises(MalformedInputError):
+        Instance(p=(1,), n=(1,), s=(1, 1), m=(1, 1), restrict=((True, cell),))
+
+
+@pytest.mark.parametrize("counts,load", [
+    ((1.7,), 2), ((True,), 1), (("1",), 1), ((Fraction(1),), 1), ((1,), 1.0),
+], ids=["float", "bool", "str", "Fraction", "float-load"])
+def test_configuration_rejects_non_integer_entries(counts, load):
+    with pytest.raises(MalformedInputError):
+        Configuration(counts, load)
+
+
+@pytest.mark.parametrize("t,count", [
+    (0.9, 1), (False, 1), (0, 2.5), (0, True), (0, "2"), (0, Fraction(2)),
+], ids=["float-type", "bool-type", "float-count", "bool-count", "str-count",
+        "Fraction-count"])
+def test_schedule_rejects_non_integer_entries(t, count):
+    with pytest.raises(MalformedInputError):
+        HMSchedule(1, ((t, Configuration((1,), 1), count),))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_deal_matches_per_machine_slices(seed):
     rnd = random.Random(seed)
