@@ -15,7 +15,9 @@ from .balancing import (
     large_machine_cutoff,
     load_multiple_subvector,
     reduced_schedule,
+    relative_weights,
     round_schedule,
+    rounded_schedule,
 )
 from .confilp import (
     ConfILPModel,

@@ -36,10 +36,10 @@ def large_machine_cutoff(d: int, pmax: int) -> int:
 class FractionalSchedule:
     """Per-machine-type fractional job multiplicities with phase breakdown.
 
-    phase_1a and phase_1b are machine-independent d-vectors; phase_2 has
-    one d-vector per machine type.  ``weights[t]`` is the fraction of
-    area 2 contributed by one machine of type t, (s_t - cutoff) / area_2,
-    zero when area 2 is empty.
+    phase_1a and phase_1b are machine-independent d-vectors (ints in a
+    rounded schedule); phase_2 has one d-vector per machine type.
+    ``weights[t]`` is the fraction of area 2 contributed by one machine
+    of type t, (s_t - cutoff) / area_2, zero when area 2 is empty.
     """
 
     p: tuple[int, ...]
@@ -47,8 +47,8 @@ class FractionalSchedule:
     counts: tuple[int, ...]
     cutoff: int
     area_2: int
-    phase_1a: tuple[Fraction, ...]
-    phase_1b: tuple[Fraction, ...]
+    phase_1a: tuple[Fraction | int, ...]
+    phase_1b: tuple[Fraction | int, ...]
     phase_2: tuple[tuple[Fraction, ...], ...]
     weights: tuple[Fraction, ...]
 
@@ -140,26 +140,40 @@ def fastest_type(fs: FractionalSchedule) -> int:
     return best
 
 
+def relative_weights(fs: FractionalSchedule,
+                     imax_type: int) -> tuple[Fraction, ...]:
+    """Area-2 weights over type imax_type's (all zero if area 2 is empty)."""
+    w_max = fs.weights[imax_type]
+    return tuple(w / w_max if w_max else Fraction(0) for w in fs.weights)
+
+
+def rounded_schedule(shape: FractionalSchedule, ratios: tuple[Fraction, ...],
+                     g1a: tuple[int, ...], g1b: tuple[int, ...],
+                     g2: tuple[int, ...]) -> FractionalSchedule:
+    """Rounded schedule determined by the integral data (g1a, g1b, g2).
+
+    g1a and g1b are the floored phases 1a and 1b, kept as ints; type t's
+    phase 2 is ratios[t] * g2 (see ``relative_weights``).  Only the
+    machines of ``shape`` are read, so one zero-job shape serves every
+    guess.
+    """
+    ph2 = tuple(tuple(r * x for x in g2) for r in ratios)
+    return FractionalSchedule(shape.p, shape.speeds, shape.counts, shape.cutoff,
+                              shape.area_2, g1a, g1b, ph2, shape.weights)
+
+
 def round_schedule(fs: FractionalSchedule, imax_type: int) -> FractionalSchedule:
     """Integrally-determined approximation of a fractional schedule.
 
-    Floors the two machine-independent phases and rescales the floored
-    phase-2 vector of the fastest type onto every other type by the
-    weight ratio.  The result is pointwise below the input by at most 2
-    per (machine, job type) pair and stays regular.
+    Floors the two machine-independent phases and the phase-2 vector of
+    the fastest type, and rebuilds the schedule from them with
+    ``rounded_schedule``.  The result is pointwise below the input by at
+    most 2 per (machine, job type) pair and stays regular.
     """
-    ph1a = tuple(Fraction(math.floor(x)) for x in fs.phase_1a)
-    ph1b = tuple(Fraction(math.floor(x)) for x in fs.phase_1b)
-    w_max = fs.weights[imax_type]
-    base = tuple(math.floor(x) for x in fs.phase_2[imax_type])
-    if w_max == 0:
-        ph2 = tuple(tuple(Fraction(0) for _ in range(fs.d))
-                    for _ in range(fs.tau))
-    else:
-        ph2 = tuple(tuple(fs.weights[t] / w_max * base[j] for j in range(fs.d))
-                    for t in range(fs.tau))
-    return FractionalSchedule(fs.p, fs.speeds, fs.counts, fs.cutoff, fs.area_2,
-                              ph1a, ph1b, ph2, fs.weights)
+    return rounded_schedule(fs, relative_weights(fs, imax_type),
+                            tuple(map(math.floor, fs.phase_1a)),
+                            tuple(map(math.floor, fs.phase_1b)),
+                            tuple(map(math.floor, fs.phase_2[imax_type])))
 
 
 def is_regular(sched: FractionalSchedule | HMSchedule, pmax: int) -> bool:
@@ -186,10 +200,20 @@ def reduced_schedule(fs: FractionalSchedule, idle_cap: int | None,
                      pmin: int, pmax: int) -> tuple[tuple[int, ...], ...]:
     """Floor the schedule and subtract the balancing margin, per type.
 
-    With an idle cap the margin is pmax + idle_cap // pmin; without one
-    it is pmax.  Entries saturate at zero.  The result is an integral
-    preassignment that is extendable to a full schedule of the required
-    kind whenever the instance is feasible.
+    The margin, the package's only one, is pmax without an idle cap and
+    pmax + idle_cap // pmin with one; entries saturate at zero.  Some
+    schedule of the required kind dominates the result on every machine
+    whenever any schedule exists.  Sketch: while a machine A holds more
+    than pmax type-j jobs below the floor, equal relative spare capacity
+    makes A carry that load in other jobs and some machine B carry
+    surplus type-j jobs; ``load_multiple_subvector`` picks at most p_j
+    of A's other jobs with load alpha * p_j, alpha <= pmax, to trade for
+    alpha type-j jobs of B, which leaves every load and load window as
+    it was.  An idle cap lets a machine also leave up to idle_cap load
+    empty, at most idle_cap // pmin jobs of one type.  Acceptance
+    criterion 6 checks the makespan form (no cap, usage >= n), the idle
+    form (rotating caps, usage = n) and the production minimum-completion
+    form (cap pmax - 1, usage <= n) against the oracle.
     """
     margin = pmax if idle_cap is None else pmax + idle_cap // pmin
     return tuple(tuple(max(math.floor(x) - margin, 0) for x in fs.total(t))

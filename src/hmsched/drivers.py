@@ -13,10 +13,10 @@ bounded load windows, job usage at most n, leftover jobs added back
 afterwards).  Then either set up the configuration model directly (all
 machines slow) or run the balanced pipeline: guess the integral data of
 the rounded fractional schedule on the fast machines, preassign its
-floor minus a small margin, and solve the much smaller residual model.
-Either way the answer is certified by verify_schedule before being
-returned; a wrong guess can only surface as a discarded guess, never as
-a wrong verdict.
+floor minus the balancing margin (``balancing.reduced_schedule``), and
+solve the much smaller residual model.  Either way the answer is
+certified by verify_schedule before being returned; a wrong guess can
+only surface as a discarded guess, never as a wrong verdict.
 """
 
 from __future__ import annotations
@@ -27,8 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balancing import (
+    build_fractional_schedule,
     cmin_to_idle_cmax,
+    fastest_type,
     large_machine_cutoff,
+    reduced_schedule,
+    relative_weights,
+    rounded_schedule,
 )
 from .confilp import LoadWindow, build_model, enumerate_configs, solve_model
 from .model import (
@@ -43,6 +48,7 @@ from .model import (
     LE,
     MalformedInputError,
     aggregate_jobs,
+    dot,
     make_schedule,
     schedule_completions,
     verify_schedule,
@@ -163,22 +169,27 @@ def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
     return make_schedule(inst.d, inst.p, raw)
 
 
-def _remap_types(sched: HMSchedule, mapping: dict[int, int]
-                 ) -> list[tuple[int, tuple[int, ...], int]]:
-    return [(mapping[t], cfg.counts, count) for t, cfg, count in sched.entries]
-
-
 # ---------------------------------------------------------------------------
 # Balanced pipeline
 # ---------------------------------------------------------------------------
 
-def _direct_windows(inst: Instance, idle_cap: int | None) -> list[LoadWindow]:
-    """Threshold-1 windows [s - idle_cap, s] per type ([0, s] without a cap)."""
-    return [LoadWindow(max(0, s - idle_cap) if idle_cap is not None else 0, s)
-            for s in inst.s]
+def _solve_at_one(inst: Instance, idle_cap: int | None, job_relation: str,
+                  state_limit: int | None) -> HMSchedule | None:
+    """Solve inst's configuration model at threshold 1.
+
+    Each machine type gets the load window [s - idle_cap, s] ([0, s]
+    without a cap), and job usage is compared with inst.n by
+    ``job_relation``.  Every threshold-1 model of the direct and the
+    balanced path is asked through here.
+    """
+    windows = [LoadWindow(0 if idle_cap is None else max(0, s - idle_cap), s)
+               for s in inst.s]
+    model = build_model(inst, windows, demand=inst.n,
+                        demand_relation=job_relation)
+    return solve_model(model, state_limit)
 
 
-def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
+def balanced_feasibility(inst: Instance, rel: str,
                          state_limit: int | None = None
                          ) -> tuple[HMSchedule | None, dict]:
     """Feasibility at threshold 1 via fractional-schedule guessing.
@@ -186,21 +197,27 @@ def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
     ``rel == "<="`` answers: is there a <=1-feasible schedule using
     exactly n?  ``rel == ">="`` expects the instance to be the converted
     form of a minimum-completion question (speeds already raised by
-    pmax - 1) and answers: is there a schedule using at most n whose
-    idle load is at most ``idle_cap`` on every machine at threshold 1?
+    pmax - 1, see ``cmin_to_idle_cmax``) and answers: is there a
+    schedule using at most n whose idle load is at most pmax - 1 on
+    every machine at threshold 1?
 
     Machines faster than the large-machine cutoff are handled by
     enumerating the three integral vectors that determine the rounded
     fractional schedule for the (unknown) jobs of the fast machines:
     the common floor phase (entries in [0, pmax]), the spread phase
     floor, and the floored proportional phase of the fastest machine.
+    ``balancing.rounded_schedule`` turns each guess into that schedule.
+    A guess with an empty spread phase (case 1, ``<=`` only) gives each
+    fast machine 2 + the ceiling of its rounded entries and leaves the
+    rest to the slow machines; any other guess (case 2) preassigns
+    ``balancing.reduced_schedule`` of it and solves the residual model.
     Guesses are pruned by the structural bounds the construction
     guarantees; every surviving guess yields either a certified schedule
     or a discarded guess, so enumeration order cannot affect soundness.
     """
     d, p, n, pmax = inst.d, inst.p, inst.n, inst.pmax
-    if rel == GE and idle_cap is None:
-        idle_cap = pmax - 1
+    idle_cap = None if rel == LE else pmax - 1
+    job_relation = JOB_EQ if rel == LE else JOB_LE
     cutoff = large_machine_cutoff(d, pmax)
     large = [t for t in range(inst.tau) if inst.m[t] > 0 and inst.s[t] > cutoff]
     small = [t for t in range(inst.tau) if inst.m[t] > 0 and t not in large]
@@ -215,66 +232,53 @@ def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
                          for s, m in zip(inst.s, inst.m)) > total_load:
         return None, info
 
-    demand_relation = JOB_EQ if rel == LE else JOB_LE
-    # In ">=" mode the instance is already converted, so every window is
-    # the idle-capped <=1 form [s - idle_cap, s].
-    mode_windows = (lambda sub: _direct_windows(
-        sub, idle_cap if rel == GE else None))
-
     if not large:
-        model = build_model(inst, mode_windows(inst),
-                            demand=n, demand_relation=demand_relation)
-        sched = solve_model(model, state_limit)
         info["path"] = "balanced-direct"
-        return sched, info
+        return _solve_at_one(inst, idle_cap, job_relation, state_limit), info
 
-    mL = sum(inst.m[t] for t in large)
-    smax = max(inst.s[t] for t in large)
-    ratio = {t: Fraction(inst.s[t] - cutoff, smax - cutoff) for t in large}
+    # The fast machines' shape (speeds, counts, area-2 weights): its
+    # type k is large[k], and case 2's residual instance lists the fast
+    # types first in the same order.
+    fast = Instance(p, (0,) * d, tuple(inst.s[t] for t in large),
+                    tuple(inst.m[t] for t in large))
+    shape = build_fractional_schedule(fast, fast.n)
+    imax = fastest_type(shape)
+    relative = relative_weights(shape, imax)
+    mL = fast.machine_count
+    area2_max = fast.s[imax] - cutoff
     sum_p = sum(p)
-    area2_max = smax - cutoff
     # Per-entry guess caps: besides the capacity bound ceil(smax / p_j),
     # no guessed entry can exceed n_j (each is at most the fast machines'
     # per-type job count divided by at least one machine).
-    guess_cap = tuple(min(-(-smax // pj), nj) for pj, nj in zip(p, n))
+    guess_cap = tuple(min(-(-fast.s[imax] // pj), nj) for pj, nj in zip(p, n))
     g1a_cap = tuple(min(pmax, nj) for nj in n)
-    # Integer form of sum-over-machines <= n pruning:
-    #   mL*(g1a+g1b)[j]*denom + wnum*g2[j] <= n_j*denom
-    denom = smax - cutoff
-    wnum = sum(inst.m[t] * (inst.s[t] - cutoff) for t in large)
 
-    def sub_instance(types: list[int], speeds: dict[int, int],
-                     demand: tuple[int, ...]) -> tuple[Instance, dict[int, int]]:
-        inv = {k: t for k, t in enumerate(types)}
-        sub = Instance(p, demand, tuple(speeds[t] for t in types),
-                       tuple(inst.m[t] for t in types))
-        return sub, inv
+    def solve_residual(types: list[int], speeds: list[int],
+                       demand: tuple[int, ...], relation: str
+                       ) -> list[tuple[int, tuple[int, ...], int]] | None:
+        sub = Instance(p, demand, tuple(speeds), tuple(inst.m[t] for t in types))
+        part = _solve_at_one(sub, idle_cap, relation, state_limit)
+        if part is None:
+            return None
+        return [(types[k], cfg.counts, count) for k, cfg, count in part.entries]
+
+    def placed(configs: list[tuple[int, ...]]) -> list[int]:
+        return [sum(m * c[j] for m, c in zip(fast.m, configs)) for j in range(d)]
 
     def attempt_case1(g1a, g2) -> HMSchedule | None:
-        if rel == GE:
+        rs = rounded_schedule(shape, relative, g1a, (0,) * d, g2)
+        configs = [tuple(2 + math.ceil(x) for x in rs.total(k))
+                   for k in range(len(large))]
+        if any(dot(p, c) > s for c, s in zip(configs, fast.s)):
             return None
-        configs = {}
-        for t in large:
-            c = tuple(2 + g1a[j] + math.ceil(ratio[t] * g2[j]) for j in range(d))
-            if sum(pj * cj for pj, cj in zip(p, c)) > inst.s[t]:
-                return None
-            configs[t] = c
-        used = [0] * d
-        for t in large:
-            for j in range(d):
-                used[j] += inst.m[t] * configs[t][j]
-        remainder = tuple(max(v - u, 0) for u, v in zip(used, n))
-        raw = [(t, configs[t], inst.m[t]) for t in large]
+        remainder = tuple(max(v - u, 0) for u, v in zip(placed(configs), n))
+        raw = [(t, c, m) for t, c, m in zip(large, configs, fast.m)]
         if small:
-            sub, inv = sub_instance(small, dict(zip(range(inst.tau), inst.s)),
-                                    remainder)
-            windows = [LoadWindow(0, sub.s[k]) for k in range(sub.tau)]
-            model = build_model(sub, windows, demand=remainder,
-                                demand_relation=JOB_GE)
-            part = solve_model(model, state_limit)
+            part = solve_residual(small, [inst.s[t] for t in small], remainder,
+                                  JOB_GE)
             if part is None:
                 return None
-            raw += _remap_types(part, inv)
+            raw += part
         elif any(remainder):
             return None
         sched = _trim_to_demand(make_schedule(d, p, raw), n, p)
@@ -282,83 +286,55 @@ def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
         return sched
 
     def attempt_case2(g1a, g1b, g2) -> HMSchedule | None:
-        margin = pmax if rel == LE else 2 * pmax - 1
-        pre = {}
-        speeds = {}
-        for t in large:
-            base = tuple(
-                max(g1a[j] + g1b[j] + math.floor(ratio[t] * g2[j]) - margin, 0)
-                for j in range(d))
-            load = sum(pj * cj for pj, cj in zip(p, base))
-            if load > inst.s[t]:
-                return None
-            pre[t] = base
-            speeds[t] = inst.s[t] - load
-        placed = [0] * d
-        for t in large:
-            for j in range(d):
-                placed[j] += inst.m[t] * pre[t][j]
-        if rel == GE and any(u > v for u, v in zip(placed, n)):
+        pre = reduced_schedule(rounded_schedule(shape, relative, g1a, g1b, g2),
+                               idle_cap, inst.pmin, pmax)
+        speeds = [s - dot(p, c) for c, s in zip(pre, fast.s)]
+        if min(speeds) < 0:
             return None
-        if rel == LE:
-            residual = tuple(max(v - u, 0) for u, v in zip(placed, n))
-            relation = JOB_GE
-        else:
-            residual = tuple(v - u for u, v in zip(placed, n))
-            relation = JOB_LE
-        types = large + small
-        for t in small:
-            speeds[t] = inst.s[t]
-        sub, inv = sub_instance(types, speeds, residual)
-        model = build_model(sub, mode_windows(sub), demand=residual,
-                            demand_relation=relation)
-        part = solve_model(model, state_limit)
+        used = placed(pre)
+        if rel == GE and any(u > v for u, v in zip(used, n)):
+            return None
+        residual = tuple(max(v - u, 0) for u, v in zip(used, n))
+        part = solve_residual(large + small,
+                              speeds + [inst.s[t] for t in small], residual,
+                              JOB_GE if rel == LE else JOB_LE)
         if part is None:
             return None
         # Fold the preassignment back into the residual configurations.
-        raw = []
-        for tt, cfg, count in part.entries:
-            t = inv[tt]
-            if t in pre:
-                merged = tuple(c + b for c, b in zip(cfg.counts, pre[t]))
-                raw.append((t, merged, count))
-            else:
-                raw.append((t, cfg.counts, count))
+        base = dict(zip(large, pre))
+        raw = [(t, tuple(a + b for a, b in zip(c, base[t])) if t in base
+                else c, count) for t, c, count in part]
         sched = make_schedule(d, p, raw)
         if rel == LE:
             sched = _trim_to_demand(sched, n, p)
-            _certify(inst, sched, FeasibilityQuery(LE, Fraction(1)))
-        else:
-            _certify(inst, sched,
-                     FeasibilityQuery(LE, Fraction(1), idle_cap, JOB_LE))
+        _certify(inst, sched,
+                 FeasibilityQuery(LE, Fraction(1), idle_cap, job_relation))
         return sched
 
+    # Integer form of the rounded schedule using at most n:
+    #   mL*(g1a+g1b)[j]*area2_max + area_2*g2[j] <= n_j*area2_max
     all_true = tuple(True for _ in range(d))
     for g1a in enumerate_configs(p, g1a_cap, (0, cutoff), all_true):
         saturated = tuple(g1a[j] == pmax for j in range(d))
-        room = cutoff - sum(pj * cj for pj, cj in zip(p, g1a))
+        room = cutoff - dot(p, g1a)
         for g1b in enumerate_configs(p, guess_cap, (0, room), saturated):
             case1 = not any(g1b)
             g2_lo = 0 if case1 else max(0, area2_max - sum_p + 1)
             for g2 in enumerate_configs(p, guess_cap, (g2_lo, area2_max),
                                         saturated):
-                ok = True
-                for j in range(d):
-                    if (mL * (g1a[j] + g1b[j]) * denom + wnum * g2[j]
-                            > n[j] * denom):
-                        ok = False
-                        break
-                if not ok:
+                if any(mL * (g1a[j] + g1b[j]) * area2_max + shape.area_2 * g2[j]
+                       > n[j] * area2_max for j in range(d)):
                     continue
                 info["guesses"] += 1
-                sched = (attempt_case1(g1a, g2) if case1
-                         else attempt_case2(g1a, g1b, g2))
+                if case1:
+                    # case 1 is only argued for makespan questions
+                    sched = attempt_case1(g1a, g2) if rel == LE else None
+                else:
+                    sched = attempt_case2(g1a, g1b, g2)
                 if sched is not None:
                     info["case"] = 1 if case1 else 2
                     return sched, info
     return None, info
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +342,19 @@ def balanced_feasibility(inst: Instance, rel: str, idle_cap: int | None = None,
 # ---------------------------------------------------------------------------
 
 def feasibility(inst: Instance, rel: str, threshold: Fraction,
-                idle_cap: int | None = None, job_relation: str = JOB_EQ,
                 method: str = "auto", state_limit: int | None = None,
                 trace: dict | None = None) -> HMSchedule | None:
     """Decide rel-threshold feasibility and return a certified schedule.
 
-    Standard queries (no idle cap, job usage exactly n) run the full
-    pipeline: normalize, compress, convert a ``>=`` question into an
-    idle-capped ``<=`` one (``cmin_to_idle_cmax``), then the direct
-    configuration model or the balanced pipeline depending on whether
-    any compressed machine exceeds the large-machine cutoff (``method``
-    forces the choice).  The converted question asks for job usage at
+    Every query, with job usage exactly n, runs the full pipeline:
+    normalize, compress, convert a ``>=`` question into an idle-capped
+    ``<=`` one (``cmin_to_idle_cmax``), then the direct configuration
+    model or the balanced pipeline depending on whether any compressed
+    machine exceeds the large-machine cutoff (``method`` forces the
+    choice).  Both paths ask their threshold-1 models through
+    ``_solve_at_one``.  The converted question asks for job usage at
     most n; its leftover jobs are added back before lifting, which only
-    raises loads.  Idle-capped queries are only supported for ``<=`` at
-    threshold 1 on integer speeds, because idle loads do not survive
-    speed rescaling; they are answered directly on the given instance.
+    raises loads.
     """
     threshold = Fraction(threshold)
     if inst.restrict is not None:
@@ -391,19 +365,6 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
         raise ValueError(f"unknown method {method!r}")
     if trace is None:
         trace = {}
-
-    if idle_cap is not None or job_relation != JOB_EQ:
-        if rel != LE or threshold != 1:
-            raise MalformedInputError(
-                "idle caps / custom job relations need relation <= at threshold 1")
-        model = build_model(inst, _direct_windows(inst, idle_cap),
-                            demand=inst.n, demand_relation=job_relation)
-        sched = solve_model(model, state_limit)
-        trace["path"] = "direct-confilp"
-        if sched is not None:
-            _certify(inst, sched,
-                     FeasibilityQuery(LE, threshold, idle_cap, job_relation))
-        return sched
 
     if inst.machine_count == 0:
         if all(x == 0 for x in inst.n):
@@ -419,14 +380,12 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     question, cap = (comp, None) if rel == LE else cmin_to_idle_cmax(comp)
 
     if use_balanced:
-        sched_c, info = balanced_feasibility(question, rel, idle_cap=cap,
+        sched_c, info = balanced_feasibility(question, rel,
                                              state_limit=state_limit)
         trace.update(info)
     else:
-        model = build_model(question, _direct_windows(question, cap),
-                            demand=comp.n,
-                            demand_relation=JOB_EQ if rel == LE else JOB_LE)
-        sched_c = solve_model(model, state_limit)
+        sched_c = _solve_at_one(question, cap,
+                                JOB_EQ if rel == LE else JOB_LE, state_limit)
         trace["path"] = "direct-confilp"
 
     if sched_c is None:
@@ -509,8 +468,10 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
     # reuses that answer: its schedule, re-certified at T, and the trace
     # update the first ask made.
     memo: dict[tuple[int, ...], tuple[HMSchedule | None, dict]] = {}
+    last: dict = {}
 
     def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
+        nonlocal last
         key = normalize(inst, rel, T).s
         if key in memo:
             trace["cache_hits"] += 1
@@ -522,11 +483,13 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
             sched = feasibility(inst, rel, T, method=method,
                                 state_limit=state_limit, trace=update)
             memo[key] = sched, update
-        trace.update(update)
+        last = update
         return sched
 
     value, sched = _search_grid(candidate_values(inst, objective), probe,
                                 rel == LE, trace)
+    # the aggregate counters plus the keys of the last probe only
+    trace.update(last)
     _certify(inst, sched, FeasibilityQuery(rel, value))
     return SolveResult(objective, value, sched, trace)
 

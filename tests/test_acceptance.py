@@ -301,6 +301,20 @@ def test_criterion_6_balancing_equivalence():
         except OracleCapError:
             continue
         assert feas == ext, (inst, "idle form", cap)
+
+        # the balanced pipeline's minimum-completion form: a converted
+        # question has cap pmax - 1 and job usage at most n
+        cap = inst.pmax - 1
+        floor = _per_type_floor(inst, cap)
+        try:
+            feas = brute_force_feasibility(inst, "<=", Fraction(1),
+                                           idle_cap=cap, job_relation="<=")
+            ext = brute_force_feasibility(inst, "<=", Fraction(1),
+                                          idle_cap=cap, job_relation="<=",
+                                          config_floor=floor)
+        except OracleCapError:
+            continue
+        assert feas == ext, (inst, ">= form")
         checked += 1
     assert checked >= 200
 
@@ -324,7 +338,7 @@ def test_criterion_6_balancing_equivalence():
         assert direct == via, inst
         conversions += 1
     report(6, f"extendability equals feasibility on {checked} all-fast "
-              f"instances (both forms); conversion round-trips on "
+              f"instances (all three forms); conversion round-trips on "
               f"{conversions} instances")
 
 

@@ -17,7 +17,9 @@ from hmsched.balancing import (
     large_machine_cutoff,
     load_multiple_subvector,
     reduced_schedule,
+    relative_weights,
     round_schedule,
+    rounded_schedule,
 )
 from hmsched.model import Instance, dot, make_schedule
 from hmsched.oracle import (
@@ -170,6 +172,20 @@ def test_load_multiple_postcondition(p, data):
 def test_fractional_schedule_properties_sample():
     for inst in large_instance_stream(60, base_seed=900):
         check_fractional_schedule_properties(inst)
+
+
+def test_zero_job_shape_rebuilds_the_rounded_schedule():
+    # the balanced pipeline builds every guess from one zero-job shape
+    for inst in large_instance_stream(40, base_seed=910):
+        fs = build_fractional_schedule(inst, inst.n)
+        imax = fastest_type(fs)
+        shape = build_fractional_schedule(inst, (0,) * inst.d)
+        assert fastest_type(shape) == imax
+        rs = round_schedule(fs, imax)
+        data = [tuple(int(x) for x in phase) for phase in
+                (rs.phase_1a, rs.phase_1b, rs.phase_2[imax])]
+        ratios = relative_weights(shape, imax)
+        assert rounded_schedule(shape, ratios, *data) == rs, inst
 
 
 def test_regularity_of_construction():

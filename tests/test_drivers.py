@@ -1,7 +1,10 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hmsched
 from hmsched import drivers
 from hmsched.balancing import large_machine_cutoff
 from hmsched.drivers import (
@@ -151,6 +154,24 @@ def test_probe_memo_reuses_repeated_normalized_questions(monkeypatch):
     assert result.trace["probes"] == plain["probes"] == len(asked) + hits
     assert {k: v for k, v in result.trace.items() if k != "cache_hits"} == plain
 
+
+def test_trace_keeps_only_the_last_probes_keys(monkeypatch):
+    # an early probe takes the balanced path, the last one the direct path
+    inst = Instance(p=(2, 5), n=(30, 20), s=(2, 3, 6), m=(1, 1, 1))
+    paths = []
+    plain_balanced = drivers.balanced_feasibility
+
+    def spy(*args, **kwargs):
+        paths.append("balanced")
+        return plain_balanced(*args, **kwargs)
+
+    monkeypatch.setattr(drivers, "balanced_feasibility", spy)
+    result = minimize_makespan(inst)
+    assert paths
+    assert result.trace["path"] == "direct-confilp"
+    assert set(result.trace) == {"probes", "cache_hits", "path"}
+
+
 def test_feasibility_fig1_thresholds():
     assert feasibility(FIG1, "<=", Fraction(1, 4)) is not None
     assert feasibility(FIG1, "<=", Fraction(1, 5)) is not None
@@ -178,7 +199,6 @@ def test_feasibility_rejects_restricted():
 
 
 def test_idle_capped_feasibility_matches_oracle():
-    from hmsched.oracle import brute_force_feasibility
     checked = 0
     for seed in range(30):
         inst = generate(GenParams(seed=1300 + seed, job_total_range=(0, 8),
@@ -188,22 +208,16 @@ def test_idle_capped_feasibility_matches_oracle():
             continue
         cap = seed % 4
         for job_relation in ("=", "<="):
-            sched = feasibility(inst, "<=", Fraction(1), idle_cap=cap,
-                                job_relation=job_relation)
+            sched = drivers._solve_at_one(inst, cap, job_relation, None)
             want = brute_force_feasibility(inst, "<=", Fraction(1),
                                            idle_cap=cap,
                                            job_relation=job_relation)
             assert (sched is not None) == want, (inst, cap, job_relation)
+            if sched is not None:
+                q = FeasibilityQuery("<=", Fraction(1), cap, job_relation)
+                assert verify_schedule(inst, sched, q).ok, (inst, cap)
             checked += 1
     assert checked >= 40
-
-
-def test_idle_cap_needs_threshold_one():
-    inst = Instance(p=(1,), n=(2,), s=(3,), m=(1,))
-    with pytest.raises(MalformedInputError):
-        feasibility(inst, "<=", Fraction(1, 2), idle_cap=1)
-    with pytest.raises(MalformedInputError):
-        feasibility(inst, ">=", Fraction(1), job_relation="<=")
 
 
 def _grid_tight_cases(seeds, objective):
@@ -302,6 +316,26 @@ def test_guessing_path_optima_match_direct():
             if tr.get("path") == "balanced" and tr.get("guesses", 0) > 0:
                 exercised += 1
     assert exercised >= 5
+
+
+def _bench_corpus():
+    """The benchmark's corpus module, loaded from its file (read only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("method", ["auto", "balanced", "confilp"])
+def test_methods_reach_guessing_corpus_optima(method):
+    corpus = _bench_corpus()
+    solves = corpus.build(hmsched, "guessing", "default")
+    expected = corpus.load_expected("guessing", "default", solves)
+    solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
+    assert len(solves) == 24
+    for (kind, inst), want in zip(solves, expected):
+        assert solver[kind](inst, method=method).value == want, (kind, inst)
 
 
 def test_makespan_optimum_is_grid_tight():
