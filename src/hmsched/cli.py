@@ -165,19 +165,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = instance_from_doc(load_json(args.input))
     objective = args.objective
     method = args.method
-    restricted = inst.restrict is not None
     start = time.monotonic()
     try:
         if method == "oracle":
             result = _solve_with_oracle(inst, objective)
-        elif restricted:
-            if objective == "cenvy":
-                raise MalformedInputError(
-                    "cenvy does not support restricted instances")
-            if method == "balanced":
-                raise MalformedInputError(
-                    "restricted instances solve via confilp or oracle")
-            result = drivers.solve_restricted(inst, objective)
+        elif method == "balanced" and inst.restrict is not None:
+            # before the drivers' restriction precheck, which exits 2
+            raise MalformedInputError("restricted instances have no balanced pipeline")
         elif objective == "cmax":
             result = drivers.minimize_makespan(inst, method=method)
         elif objective == "cmin":
@@ -284,15 +278,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     total = 0.0
     for seed in range(args.seed, args.seed + args.count):
         inst = oracle.generate(_params_from_args(args, seed))
-        if inst.machine_count == 0 or not oracle.assignable(inst):
+        restricted = inst.restrict is not None
+        if (inst.machine_count == 0 or not oracle.assignable(inst)
+                or (restricted and args.objective == "cenvy")):
             rows.append((seed, "skipped"))
             continue
         start = time.monotonic()
         try:
-            if inst.restrict is not None:
-                if args.objective == "cenvy":
-                    rows.append((seed, "skipped"))
-                    continue
+            if restricted:
                 result = drivers.solve_restricted(inst, args.objective)
             elif args.objective == "cmax":
                 result = drivers.minimize_makespan(inst, method=args.method)

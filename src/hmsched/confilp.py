@@ -29,14 +29,12 @@ them by run (``model.deal``), so neither grows with the machine count.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import (
     CertificateError,
-    Configuration,
     HMSchedule,
     Instance,
     JOB_EQ,
@@ -46,8 +44,9 @@ from .model import (
     Runs,
     deal,
     dot,
+    make_schedule,
 )
-from .reduction import ReductionConstants, reduce_window
+from .reduction import ReductionConstants, reduce_window, reduction_constants
 
 DEFAULT_STATE_LIMIT = 2_000_000
 STATE_LIMIT_ENV = "HMSCHED_STATE_LIMIT"
@@ -170,10 +169,7 @@ def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
 def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionConstants | None:
     """Reduction constants over the allowed job sizes only (None if none)."""
     sizes = tuple(pj for pj, a in zip(p, allowed) if a)
-    if not sizes:
-        return None
-    lcm_load = math.lcm(*sizes)
-    return ReductionConstants(lcm_load, len(sizes) * max(sizes) * lcm_load)
+    return reduction_constants(sizes) if sizes else None
 
 
 def reduced_windows_for(inst: Instance, windows: list[LoadWindow]
@@ -475,7 +471,7 @@ def _recombine(model: ConfILPModel,
         per_type.setdefault(group.machine_type, {}).setdefault(
             group.role, []).extend(sorted(chosen[gi].items()))
 
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
+    raw: list[tuple[int, tuple[int, ...], int]] = []
     for t, roles in sorted(per_type.items()):
         cores, exacts, slacks = (
             Runs(roles.get(role, ()), f"type {t} {role} picks")
@@ -483,7 +479,7 @@ def _recombine(model: ConfILPModel,
         m = cores.left
         epm = exacts.left // m if m else 0
         spm = slacks.left // m if m else 0
-        raw = model.raw_windows[t]
+        window = model.raw_windows[t]
         for k, slices in deal(m, (cores, 1), (exacts, epm), (slacks, spm)):
             merged = [0] * d
             for piece_slice in slices:
@@ -492,12 +488,9 @@ def _recombine(model: ConfILPModel,
                         merged[j] += mult * piece[j]
             config = tuple(merged)
             load = dot(model.p, config)
-            if not raw.lower <= load <= raw.upper:
+            if not window.lower <= load <= window.upper:
                 raise CertificateError(
                     f"type {t}: recombined load {load} escaped its window "
-                    f"[{raw.lower}, {raw.upper}]")
-            entries[(t, config)] = entries.get((t, config), 0) + k
-
-    return HMSchedule(d, tuple(
-        (t, Configuration.from_counts(c, model.p), k)
-        for (t, c), k in sorted(entries.items())))
+                    f"[{window.lower}, {window.upper}]")
+            raw.append((t, config, k))
+    return make_schedule(d, model.p, raw)

@@ -6,17 +6,20 @@ by that machine's speed (for envy, a difference of two such values), so
 every driver runs ``_search_grid`` over the exact grids listed by
 ``candidate_values`` and never leaves rational arithmetic.
 
-A feasibility question is answered by: normalize speeds to threshold 1,
-compress fast machines into slow ones, and turn a minimum-completion
-question into an idle-capped makespan question (``cmin_to_idle_cmax``:
-bounded load windows, job usage at most n, leftover jobs added back
-afterwards).  Then either set up the configuration model directly (all
-machines slow) or run the balanced pipeline: guess the integral data of
-the rounded fractional schedule on the fast machines, preassign its
-floor minus the balancing margin (``balancing.reduced_schedule``), and
-solve the much smaller residual model.  Either way the answer is
-certified by verify_schedule before being returned; a wrong guess can
-only surface as a discarded guess, never as a wrong verdict.
+Makespan and minimum-completion solves, restricted or not, share one
+threshold driver (``_optimize_threshold``) and one feasibility route
+(``feasibility``): normalize speeds to threshold 1, compress fast
+machines into slow ones (unrestricted instances only), and turn a
+minimum-completion question into an idle-capped makespan question
+(``cmin_to_idle_cmax``: bounded load windows, job usage at most n,
+leftover jobs added back afterwards).  Then either set up the
+configuration model directly (all machines slow, or any restricted
+instance) or run the balanced pipeline: guess the integral data of the
+rounded fractional schedule on the fast machines, preassign its floor
+minus the balancing margin (``balancing.reduced_schedule``), and solve
+the much smaller residual model.  Either way the answer is certified by
+verify_schedule before being returned; a wrong guess can only surface
+as a discarded guess, never as a wrong verdict.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .model import (
     schedule_completions,
     verify_schedule,
 )
-from .reduction import compress, lift_schedule, normalize
+from .reduction import compress, lift_schedule, normalize, normalized_speeds
 
 
 class InfeasibleRestrictionError(RuntimeError):
@@ -100,6 +103,12 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
                 entries.append((t1, t2, den, inst.pmax * den))
         return CandidateGrid(objective, tuple(entries))
     raise ValueError(f"unknown objective {objective!r}")
+
+
+def _unrunnable_job_type(inst: Instance) -> int | None:
+    """A job type with demand that no machine may run (None if none is)."""
+    return next((j for j in range(inst.d) if inst.n[j] > 0 and not any(
+        inst.m[t] > 0 and inst.allowed(j, t) for t in range(inst.tau))), None)
 
 
 def _certify(inst: Instance, sched: HMSchedule, q: FeasibilityQuery) -> None:
@@ -355,28 +364,36 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     ``_solve_at_one``.  The converted question asks for job usage at
     most n; its leftover jobs are added back before lifting, which only
     raises loads.
+
+    A restricted instance skips compression, because merged speed types
+    have no sound restriction row, and always takes the direct path
+    (``method="balanced"`` is malformed for it).  ``build_model`` reduces
+    each type's load window over the job sizes that type may run, and
+    leftover jobs go only to machines that may run them.
     """
     threshold = Fraction(threshold)
-    if inst.restrict is not None:
-        raise MalformedInputError("feasibility expects an unrestricted instance")
+    restricted = inst.restrict is not None
     if threshold < 0:
         raise MalformedInputError("threshold must be >= 0")
     if method not in ("auto", "balanced", "confilp"):
         raise ValueError(f"unknown method {method!r}")
+    if restricted and method == "balanced":
+        raise MalformedInputError("restricted instances have no balanced pipeline")
     if trace is None:
         trace = {}
 
-    if inst.machine_count == 0:
-        if all(x == 0 for x in inst.n):
-            trace["path"] = "empty"
-            return HMSchedule(inst.d, ())
+    if _unrunnable_job_type(inst) is not None:
         return None
+    if inst.machine_count == 0:
+        trace["path"] = "empty"
+        return HMSchedule(inst.d, ())
 
     norm = normalize(inst, rel, threshold)
-    comp, cmap = compress(norm)
+    comp, cmap = (norm, None) if restricted else compress(norm)
     cutoff = large_machine_cutoff(inst.d, inst.pmax)
     has_large = any(s > cutoff and m > 0 for s, m in zip(comp.s, comp.m))
-    use_balanced = method == "balanced" or (method == "auto" and has_large)
+    use_balanced = method == "balanced" or (
+        method == "auto" and has_large and not restricted)
     question, cap = (comp, None) if rel == LE else cmin_to_idle_cmax(comp)
 
     if use_balanced:
@@ -392,7 +409,7 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
         return None
     if rel == GE:
         sched_c = _complete_to_demand(comp, sched_c)
-    lifted = lift_schedule(sched_c, cmap)
+    lifted = sched_c if restricted else lift_schedule(sched_c, cmap)
     _certify(norm, lifted, FeasibilityQuery(rel, Fraction(1)))
     _certify(inst, lifted, FeasibilityQuery(rel, threshold))
     return lifted
@@ -459,8 +476,10 @@ def _require_machines(inst: Instance) -> None:
 def _optimize_threshold(inst: Instance, objective: str, method: str,
                         state_limit: int | None) -> SolveResult:
     _require_machines(inst)
-    if inst.restrict is not None:
-        raise MalformedInputError("use solve_restricted for restricted instances")
+    j = _unrunnable_job_type(inst)
+    if j is not None:
+        raise InfeasibleRestrictionError(
+            f"job type {j} has {inst.n[j]} jobs but no machine may run it")
     rel = LE if objective == "cmax" else GE
     trace: dict = {"probes": 0, "cache_hits": 0}
     # feasibility depends on T only through the normalized speeds, so a
@@ -472,7 +491,7 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
 
     def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
         nonlocal last
-        key = normalize(inst, rel, T).s
+        key = normalized_speeds(inst, rel, T)
         if key in memo:
             trace["cache_hits"] += 1
             sched, update = memo[key]
@@ -595,58 +614,15 @@ def solve_restricted(inst: Instance, objective: str,
                      state_limit: int | None = None) -> SolveResult:
     """Makespan / minimum-completion optimization under restricted assignment.
 
-    No normalization or compression: per guess T the restricted
-    configuration model is solved directly, its per-type load windows
-    reduced group-wise over each type's allowed job sizes.  A makespan
-    guess uses windows [0, floor(T*s_t)] and job usage exactly n.  A
-    minimum-completion guess uses windows [ceil(T*s_t), ceil(T*s_t) +
-    pmax_t - 1], pmax_t being the largest size type t may run, and job
-    usage at most n: any machine loaded beyond that window can drop one
-    of its jobs and still reach ceil(T*s_t), and the jobs left over are
-    added back onto machines that may run them.  A model is built and
-    solved once per distinct window tuple in a solve; a repeat reuses
-    that answer (completed and certified at its own T) and counts in
-    ``trace["cache_hits"]``.
+    The same threshold driver as ``minimize_makespan`` and
+    ``maximize_min_completion``: every probe goes through
+    ``feasibility``, which normalizes the restricted instance, skips
+    compression, converts a ``>=`` question with ``cmin_to_idle_cmax``
+    and solves the restricted configuration model directly, its per-type
+    load windows reduced over each type's allowed job sizes.  A job type
+    with demand but no machine that may run it raises
+    InfeasibleRestrictionError.
     """
     if objective not in ("cmax", "cmin"):
         raise ValueError(f"restricted solver handles cmax/cmin, not {objective!r}")
-    _require_machines(inst)
-    for j in range(inst.d):
-        if inst.n[j] > 0 and not any(
-                inst.m[t] > 0 and inst.allowed(j, t) for t in range(inst.tau)):
-            raise InfeasibleRestrictionError(
-                f"job type {j} has {inst.n[j]} jobs but no machine may run it")
-    rel = LE if objective == "cmax" else GE
-    trace: dict = {"probes": 0, "cache_hits": 0}
-    # largest job size each machine type may run (1 if it may run none)
-    pmax_t = [max((pj for pj, a in zip(inst.p, inst.allowed_row(t)) if a),
-                  default=1) for t in range(inst.tau)]
-    # The model depends on T only through the windows, so a window tuple
-    # already asked in this solve reuses that model's answer.
-    memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
-
-    def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
-        if rel == LE:
-            windows = tuple((0, math.floor(T * s)) for s in inst.s)
-        else:
-            lows = [math.ceil(T * s) for s in inst.s]
-            windows = tuple((lo, lo + top - 1) for lo, top in zip(lows, pmax_t))
-        if windows in memo:
-            trace["cache_hits"] += 1
-            sched = memo[windows]
-        else:
-            model = build_model(inst, [LoadWindow(*w) for w in windows],
-                                demand=inst.n,
-                                demand_relation=JOB_EQ if rel == LE else JOB_LE)
-            sched = memo[windows] = solve_model(model, state_limit)
-        if sched is None:
-            return None
-        if rel == GE:
-            sched = _complete_to_demand(inst, sched)
-        _certify(inst, sched, FeasibilityQuery(rel, T))
-        return sched
-
-    value, sched = _search_grid(candidate_values(inst, objective), probe,
-                                rel == LE, trace)
-    _certify(inst, sched, FeasibilityQuery(rel, value))
-    return SolveResult(objective, value, sched, trace)
+    return _optimize_threshold(inst, objective, "auto", state_limit)

@@ -7,8 +7,9 @@ set up:
   a sub-vector whose load is exactly the lcm of the job sizes.
 * ``reduce_window``: rewrite a load window [l, u] as (exact blocks of lcm
   load) + (slack blocks of load <= lcm) + a small core window.
-* ``normalize``: rescale speeds so a rel-T feasibility question becomes a
-  rel-1 question with integer speeds bounded by 1 + total load.
+* ``normalize``: rescale speeds (``normalized_speeds``) so a rel-T
+  feasibility question becomes a rel-1 question with integer speeds
+  bounded by 1 + total load.
 * ``compress``: replace each very fast machine by several slow ones plus
   a residual, preserving both <=1- and >=1-feasibility; ``lift_schedule``
   undoes the replacement on certificates.
@@ -30,6 +31,7 @@ from .model import (
     Runs,
     deal,
     dot,
+    make_schedule,
 )
 
 
@@ -125,8 +127,9 @@ def reduce_window(lower: int, upper: int | None,
     return ReducedWindow(exact, slack, lower, upper)
 
 
-def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
-    """Rescale speeds so that rel-threshold feasibility becomes rel-1.
+def normalized_speeds(inst: Instance, rel: str,
+                      threshold: Fraction) -> tuple[int, ...]:
+    """Integer speeds that turn rel-threshold feasibility into rel-1.
 
     For ``<=``: a load L fits iff L <= T*s iff L <= floor(T*s), and no
     machine can ever receive more than the total load, so the new speed
@@ -141,11 +144,16 @@ def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
     if rel not in (LE, GE):
         raise MalformedInputError(f"bad relation {rel!r}")
     cap = 1 + inst.total_load
+    num, den = T.numerator, T.denominator
     if rel == LE:
-        speeds = tuple(min(math.floor(T * s), cap) for s in inst.s)
-    else:
-        speeds = tuple(min(math.ceil(T * s), cap) for s in inst.s)
-    return Instance(inst.p, inst.n, speeds, inst.m, inst.restrict, inst.name)
+        return tuple(min(num * s // den, cap) for s in inst.s)
+    return tuple(min(-(-num * s // den), cap) for s in inst.s)
+
+
+def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
+    """``inst`` with its speeds replaced by ``normalized_speeds``."""
+    return Instance(inst.p, inst.n, normalized_speeds(inst, rel, threshold),
+                    inst.m, inst.restrict, inst.name)
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,8 @@ class CompressionMap:
     speeds (``compressed_speeds``); machines of equal speed are
     interchangeable under threshold-1 load windows, so lifting may
     allocate a speed's configurations to the original types in any fixed
-    order.
+    order.  ``p`` is the job sizes, which give the lifted configurations
+    their loads.
     """
 
     original_m: tuple[int, ...]
@@ -166,6 +175,7 @@ class CompressionMap:
     pieces_per_machine: tuple[int, ...]
     compressed_speeds: tuple[int, ...]
     lcm_load: int
+    p: tuple[int, ...]
 
     @property
     def is_identity(self) -> bool:
@@ -210,7 +220,7 @@ def compress(inst: Instance) -> tuple[Instance, CompressionMap]:
     counts = tuple(by_speed[s] for s in speeds)
     out = Instance(inst.p, inst.n, speeds, counts, None, inst.name)
     cmap = CompressionMap(inst.m, tuple(residual_speed), tuple(pieces),
-                          speeds, delta)
+                          speeds, delta, inst.p)
     return out, cmap
 
 
@@ -242,30 +252,17 @@ def lift_schedule(sched: HMSchedule, cmap: CompressionMap) -> HMSchedule:
         return pools[speed]
 
     d = sched.d
-    raw: list[tuple[int, Configuration, int]] = []
+    raw: list[tuple[int, list[int], int]] = []
     for t, m in enumerate(cmap.original_m):
         segments = deal(m, (pool(cmap.residual_speed[t]), 1),
                         (pool(cmap.lcm_load), cmap.pieces_per_machine[t]))
         for k, slices in segments:
             merged = [0] * d
-            load = 0
             for piece_slice in slices:
                 for piece, mult in piece_slice:
-                    load += mult * piece.load
                     for j in range(d):
                         merged[j] += mult * piece.counts[j]
-            raw.append((t, Configuration(tuple(merged), load), k))
+            raw.append((t, merged, k))
     if any(pool(speed).left for speed in entries):
         raise MalformedInputError("schedule has machines the map cannot place")
-    return _merge_entries(d, raw)
-
-
-def _merge_entries(d: int, raw: list[tuple[int, Configuration, int]]) -> HMSchedule:
-    merged: dict[tuple[int, Configuration], int] = {}
-    for t, cfg, count in raw:
-        if count == 0:
-            continue
-        merged[(t, cfg)] = merged.get((t, cfg), 0) + count
-    entries = tuple((t, cfg, count) for (t, cfg), count in
-                    sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1].counts)))
-    return HMSchedule(d, entries)
+    return make_schedule(d, cmap.p, raw)

@@ -141,6 +141,9 @@ def test_restricted_no_machine_exit_code(tmp_path, capsys):
         "p": [1, 1], "n": [1, 1], "s": [2], "m": [1],
         "restrict": [[True], [False]]}))
     assert main(["solve", str(path), "--objective", "cmax"]) == 2
+    # an unsupported method is reported before the instance's infeasibility
+    assert main(["solve", str(path), "--objective", "cmax",
+                 "--method", "balanced"]) == 1
     capsys.readouterr()
 
 

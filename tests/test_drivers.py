@@ -192,10 +192,29 @@ def test_feasibility_requires_machines():
     assert feasibility(some, "<=", Fraction(1)) is None
 
 
-def test_feasibility_rejects_restricted():
-    inst = Instance(p=(1,), n=(1,), s=(2,), m=(1,), restrict=((True,),))
+def test_feasibility_answers_restricted_questions():
+    stream = [generate(GenParams(seed=2200 + seed, restricted=True,
+                                 job_total_range=(0, 8),
+                                 machine_count_range=(1, 3),
+                                 speed_range=(1, 9))) for seed in range(30)]
+    # a demanded job type that no machine may run
+    stream.append(Instance(p=(1, 1), n=(1, 1), s=(2,), m=(1,),
+                           restrict=((True,), (False,))))
+    answers = []
+    for inst in stream:
+        for rel in ("<=", ">="):
+            for T in (Fraction(1, 3), Fraction(1), Fraction(5, 3), Fraction(4)):
+                sched = feasibility(inst, rel, T)
+                want = brute_force_feasibility(inst, rel, T)
+                assert (sched is not None) == want, (inst, rel, T)
+                if sched is not None:
+                    q = FeasibilityQuery(rel, T)
+                    assert verify_schedule(inst, sched, q).ok, (inst, rel, T)
+                answers.append((rel, want))
+    assert set(answers) == {(rel, want) for rel in ("<=", ">=")
+                            for want in (True, False)}
     with pytest.raises(MalformedInputError):
-        feasibility(inst, "<=", Fraction(1))
+        feasibility(inst, "<=", Fraction(1), method="balanced")
 
 
 def test_idle_capped_feasibility_matches_oracle():
@@ -359,13 +378,18 @@ def test_restricted_diagonal():
 
 
 def test_restricted_all_true_equals_unrestricted():
-    base = Instance(p=(2, 3), n=(3, 2), s=(3, 4), m=(1, 1))
-    allowed = Instance(base.p, base.n, base.s, base.m,
-                       restrict=((True, True), (True, True)))
-    assert solve_restricted(allowed, "cmax").value == \
-        minimize_makespan(base).value
-    assert solve_restricted(allowed, "cmin").value == \
-        maximize_min_completion(base).value
+    # An all-true matrix skips compression, so this compares the
+    # uncompressed and the compressed pipeline, also past the oracle's
+    # six-machine cap: the p23 family at k=8 and the unit family at k=64.
+    for base in (Instance(p=(2, 3), n=(3, 2), s=(3, 4), m=(1, 1)),
+                 Instance(p=(2, 3), n=(24, 16), s=(5, 7), m=(8, 8)),
+                 Instance(p=(1,), n=(64,), s=(1,), m=(64,))):
+        allowed = Instance(base.p, base.n, base.s, base.m,
+                           restrict=((True,) * base.tau,) * base.d)
+        assert solve_restricted(allowed, "cmax").value == \
+            minimize_makespan(base).value, base
+        assert solve_restricted(allowed, "cmin").value == \
+            maximize_min_completion(base).value, base
 
 
 def test_restricted_completion_respects_restrictions():
@@ -431,6 +455,9 @@ RESTRICTED_REPEATS = [
              restrict=((False, True, False, False), (True, False, True, False))),
     Instance(p=(1,), n=(6,), s=(2, 3, 4), m=(1, 1, 1),
              restrict=((True, True, True),)),
+    # machine type 0 may run only the smaller size
+    Instance(p=(1, 3), n=(2, 2), s=(1, 4), m=(1, 2),
+             restrict=((True, True), (False, True))),
 ]
 
 
@@ -438,6 +465,7 @@ RESTRICTED_REPEATS = [
     (RESTRICTED_REPEATS[0], "cmax"),
     (RESTRICTED_REPEATS[0], "cmin"),
     (RESTRICTED_REPEATS[1], "cmin"),
+    (RESTRICTED_REPEATS[2], "cmin"),
 ])
 def test_restricted_memo_builds_each_window_tuple_once(monkeypatch, inst,
                                                        objective):

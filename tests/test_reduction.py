@@ -341,7 +341,7 @@ def random_lift_case(rnd, p=(1, 2)):
     raw = [(speeds.index(speed), cfg, count)
            for speed, total in need.items()
            for cfg, count in random_runs(rnd, total, len(p), 2).items()]
-    cmap = CompressionMap(original_m, residual, pieces, speeds, delta)
+    cmap = CompressionMap(original_m, residual, pieces, speeds, delta, p)
     return make_schedule(len(p), p, raw), cmap
 
 
