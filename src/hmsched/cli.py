@@ -161,24 +161,29 @@ def _solve_with_oracle(inst: Instance, objective: str):
     return drivers.SolveResult(objective, value, sched, {"path": "oracle"})
 
 
+def _require_method(method: str, restricted: bool, objective: str) -> None:
+    """Reject the method choices no driver runs (exit 1, for solve and bench)."""
+    if method == "balanced" and restricted:
+        raise MalformedInputError("restricted instances have no balanced pipeline")
+    if method == "balanced" and objective == "cenvy":
+        raise MalformedInputError("cenvy has no balanced pipeline")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = instance_from_doc(load_json(args.input))
     objective = args.objective
     method = args.method
+    # before the drivers' restriction precheck, which exits 2
+    _require_method(method, inst.restrict is not None, objective)
     start = time.monotonic()
     try:
         if method == "oracle":
             result = _solve_with_oracle(inst, objective)
-        elif method == "balanced" and inst.restrict is not None:
-            # before the drivers' restriction precheck, which exits 2
-            raise MalformedInputError("restricted instances have no balanced pipeline")
         elif objective == "cmax":
             result = drivers.minimize_makespan(inst, method=method)
         elif objective == "cmin":
             result = drivers.maximize_min_completion(inst, method=method)
         else:
-            if method == "balanced":
-                raise MalformedInputError("cenvy has no balanced pipeline")
             result = drivers.minimize_envy(inst)
     except drivers.InfeasibleRestrictionError as exc:
         print(f"no feasible schedule: {exc}", file=sys.stderr)
@@ -274,6 +279,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Solve a batch of generated instances; values on stdout, times on stderr."""
+    _require_method(args.method, args.restricted, args.objective)
     rows = []
     total = 0.0
     for seed in range(args.seed, args.seed + args.count):

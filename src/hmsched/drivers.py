@@ -6,6 +6,16 @@ by that machine's speed (for envy, a difference of two such values), so
 every driver runs ``_search_grid`` over the exact grids listed by
 ``candidate_values`` and never leaves rational arithmetic.
 
+Each search runs inside a certified bracket.  One side is an incumbent
+(``_incumbent``): the proportional fractional assignment, rounded by
+run and checked by verify_schedule.  The other side is the area bound
+P / S, because sum_i s_i * C_i = P on every schedule.  A grid entry
+then searches only the values between the two.  Without restrictions
+every machine's rounded load is within sum(p) of its proportional
+share, so the incumbent lies within d * pmax / s_min of P / S and the
+number of probes does not grow with n or m; a solve whose incumbent
+meets the area bound probes nothing.
+
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
 (``feasibility``): normalize speeds to threshold 1, compress fast
@@ -78,19 +88,25 @@ class CandidateGrid:
     For cmax/cmin each entry is (type, denominator, max_numerator): the
     values {k / denominator : 0 <= k <= max_numerator}.  For cenvy the
     entries are (type1, type2, denominator, max_numerator) with the
-    denominator being the product of the two speeds.
+    denominator being the product of the two speeds.  No schedule does
+    better than ``bound``: the area bound P / S (S the summed speed of
+    all machines) is below every makespan and above every minimum
+    completion, because sum_i s_i * C_i = P; envy is at least 0.
     """
 
     objective: str
     entries: tuple[tuple[int, ...], ...]
+    bound: Fraction
 
 
 def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
+    _require_machines(inst)
     P = inst.total_load
     if objective in ("cmax", "cmin"):
         entries = tuple((t, inst.s[t], inst.s[t] * P)
                         for t in range(inst.tau) if inst.m[t] > 0)
-        return CandidateGrid(objective, entries)
+        capacity = sum(s * m for s, m in zip(inst.s, inst.m))
+        return CandidateGrid(objective, entries, Fraction(P, capacity))
     if objective == "cenvy":
         entries = []
         for t1 in range(inst.tau):
@@ -101,7 +117,7 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
                     continue
                 den = inst.s[t1] * inst.s[t2]
                 entries.append((t1, t2, den, inst.pmax * den))
-        return CandidateGrid(objective, tuple(entries))
+        return CandidateGrid(objective, tuple(entries), Fraction(0))
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -218,7 +234,8 @@ def balanced_feasibility(inst: Instance, rel: str,
     ``balancing.rounded_schedule`` turns each guess into that schedule.
     A guess with an empty spread phase (case 1, ``<=`` only) gives each
     fast machine 2 + the ceiling of its rounded entries and leaves the
-    rest to the slow machines; any other guess (case 2) preassigns
+    rest to the slow machines (no model is solved when the rest exceeds
+    their summed speed); any other guess (case 2) preassigns
     ``balancing.reduced_schedule`` of it and solves the residual model.
     Guesses are pruned by the structural bounds the construction
     guarantees; every surviving guess yields either a certified schedule
@@ -230,6 +247,7 @@ def balanced_feasibility(inst: Instance, rel: str,
     cutoff = large_machine_cutoff(d, pmax)
     large = [t for t in range(inst.tau) if inst.m[t] > 0 and inst.s[t] > cutoff]
     small = [t for t in range(inst.tau) if inst.m[t] > 0 and t not in large]
+    small_capacity = sum(inst.s[t] * inst.m[t] for t in small)
     info: dict = {"path": "balanced", "guesses": 0, "case": None}
 
     # Capacity prechecks; both modes are load-bounded, so infeasible
@@ -281,6 +299,9 @@ def balanced_feasibility(inst: Instance, rel: str,
         if any(dot(p, c) > s for c, s in zip(configs, fast.s)):
             return None
         remainder = tuple(max(v - u, 0) for u, v in zip(placed(configs), n))
+        # the slow machines take the remainder within their capacity
+        if dot(p, remainder) > small_capacity:
+            return None
         raw = [(t, c, m) for t, c, m in zip(large, configs, fast.m)]
         if small:
             part = solve_residual(small, [inst.s[t] for t in small], remainder,
@@ -288,8 +309,6 @@ def balanced_feasibility(inst: Instance, rel: str,
             if part is None:
                 return None
             raw += part
-        elif any(remainder):
-            return None
         sched = _trim_to_demand(make_schedule(d, p, raw), n, p)
         _certify(inst, sched, FeasibilityQuery(LE, Fraction(1)))
         return sched
@@ -419,27 +438,31 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 # Objective drivers
 # ---------------------------------------------------------------------------
 
-def _search_grid(grid: CandidateGrid, probe, minimize: bool,
-                 trace: dict) -> tuple[Fraction, HMSchedule]:
+def _search_grid(grid: CandidateGrid, probe, minimize: bool, trace: dict,
+                 best: tuple[Fraction, HMSchedule]
+                 ) -> tuple[Fraction, HMSchedule]:
     """Best feasible value on the grid, with the schedule that attains it.
 
     Each entry ``(..., den, top)`` stands for the values {k / den :
     0 <= k <= top}, on which feasibility is monotone (every value above
     a feasible one is feasible when minimizing, every value below when
-    maximizing).  Entries are binary-searched over k in order with
-    ``probe(entry, value)``, which returns a certified schedule or None;
-    once a value is found, later entries search only the values strictly
-    better than it.
+    maximizing).  The search starts from a certified incumbent ``best``
+    = (value, schedule) and searches only the bracket between it and
+    ``grid.bound``: on each entry the values strictly better than the
+    best so far and no better than the bound.  Entries are
+    binary-searched over k in order with ``probe(entry, value)``, which
+    returns a certified schedule or None.  An entry whose bracket is
+    empty costs no probe, so a solve whose incumbent meets the bound
+    probes nothing.
     """
-    best: tuple[Fraction, HMSchedule] | None = None
     for entry in grid.entries:
         den, top = entry[-2:]
-        lo, hi = 0, top
-        if best is not None:
-            if minimize:
-                hi = min(hi, math.ceil(best[0] * den) - 1)
-            else:
-                lo = math.floor(best[0] * den) + 1
+        if minimize:
+            lo = math.ceil(grid.bound * den)
+            hi = min(top, math.ceil(best[0] * den) - 1)
+        else:
+            lo = math.floor(best[0] * den) + 1
+            hi = min(top, math.floor(grid.bound * den))
         while lo <= hi:
             mid = (lo + hi) // 2
             trace["probes"] += 1
@@ -451,13 +474,50 @@ def _search_grid(grid: CandidateGrid, probe, minimize: bool,
                 hi = mid - 1
             else:
                 lo = mid + 1
-    # The first entry searches its whole grid, which holds an always
-    # feasible value: the total load for a makespan (every machine has
-    # speed >= 1), 0 for a minimum completion, pmax for envy.
-    if best is None:
-        raise CertificateError(
-            f"no value on the {grid.objective} grid was feasible")
     return best
+
+
+def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
+    """A certified schedule dealt in proportion to speed, and its value.
+
+    Job types go in decreasing size.  Every machine of type t that may
+    run job type j takes floor(n_j * s_t / S_j) of its jobs, S_j the
+    summed speed of all machines that may run j.  Fewer jobs than those
+    machines are left over; they go one per machine to the machines
+    that complete earliest after taking one, which splits at most one
+    run of identical machines per job type.  The work grows with d
+    times the number of runs, never with n or m.  The value is the
+    largest completion for ``<=`` and the smallest for ``>=``, and the
+    schedule is certified at it.
+    """
+    d, p, s = inst.d, inst.p, inst.s
+    # runs of identical machines: [type, counts, load, machines]
+    runs = [[t, [0] * d, 0, m] for t, m in enumerate(inst.m) if m > 0]
+    for j in sorted(range(d), key=lambda j: -p[j]):
+        mine = [run for run in runs if inst.allowed(j, run[0])]
+        capacity = sum(s[t] * k for t, _, _, k in mine)
+        left = inst.n[j]
+        for run in mine:
+            share = inst.n[j] * s[run[0]] // capacity
+            run[1][j] += share
+            run[2] += share * p[j]
+            left -= share * run[3]
+        mine.sort(key=lambda run: Fraction(run[2] + p[j], s[run[0]]))
+        for run in mine:
+            if left == 0:
+                break
+            take = min(left, run[3])
+            if take < run[3]:
+                runs.append([run[0], list(run[1]), run[2], run[3] - take])
+                run[3] = take
+            run[1][j] += 1
+            run[2] += p[j]
+            left -= take
+    sched = make_schedule(d, p, [(t, tuple(c), k) for t, c, _, k in runs])
+    completions = schedule_completions(inst, sched)
+    value = max(completions) if rel == LE else min(completions)
+    _certify(inst, sched, FeasibilityQuery(rel, value))
+    return value, sched
 
 
 def _require_machines(inst: Instance) -> None:
@@ -506,7 +566,7 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
         return sched
 
     value, sched = _search_grid(candidate_values(inst, objective), probe,
-                                rel == LE, trace)
+                                rel == LE, trace, _incumbent(inst, rel))
     # the aggregate counters plus the keys of the last probe only
     trace.update(last)
     _certify(inst, sched, FeasibilityQuery(rel, value))
@@ -600,7 +660,10 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
 
     grid = candidate_values(inst, "cenvy")
     trace["pairs"] = len(grid.entries)
-    value, sched = _search_grid(grid, check, True, trace)
+    _, start = _incumbent(inst, LE)
+    completions = schedule_completions(inst, start)
+    value, sched = _search_grid(grid, check, True, trace,
+                                (max(completions) - min(completions), start))
     completions = schedule_completions(inst, sched)
     achieved = max(completions) - min(completions)
     if achieved != value:

@@ -29,6 +29,7 @@ from hmsched.balancing import (
     reduced_schedule,
 )
 from hmsched.drivers import (
+    _incumbent,
     feasibility,
     maximize_min_completion,
     minimize_envy,
@@ -40,6 +41,7 @@ from hmsched.model import (
     Instance,
     dot,
     make_schedule,
+    schedule_completions,
     verify_schedule,
 )
 from hmsched.oracle import (
@@ -137,12 +139,42 @@ def test_criterion_7_path_equivalence(mixed_results):
               f"({guessing_runs} took the guessing path)")
 
 
+def _certified_incumbent(inst, rel):
+    value, sched = _incumbent(inst, rel)
+    assert verify_schedule(inst, sched, FeasibilityQuery(rel, value)).ok
+    return value, sched
+
+
+def _area_bound(inst):
+    return Fraction(inst.total_load, sum(s * m for s, m in zip(inst.s, inst.m)))
+
+
+def _check_bracket(inst, objective, opt):
+    """The search's bracket holds the oracle optimum."""
+    if objective == "cmax":
+        assert _area_bound(inst) <= opt <= _certified_incumbent(inst, "<=")[0]
+    elif objective == "cmin":
+        assert _certified_incumbent(inst, ">=")[0] <= opt <= _area_bound(inst)
+    else:
+        completions = schedule_completions(inst, _certified_incumbent(inst, "<=")[1])
+        assert opt <= max(completions) - min(completions)
+
+
+def test_criterion_2_bracket_holds_the_optimum(mixed_results):
+    checks = 0
+    for inst, values in mixed_results:
+        for objective, (_, want) in values.items():
+            _check_bracket(inst, objective, want)
+            checks += 1
+    report(2, f"{checks} oracle optima lie inside the certified bracket")
+
+
 # -- criterion 3: restricted assignment --------------------------------------
 
-def test_criterion_3_restricted_equivalence():
-    checked = 0
+def _restricted_stream(count=200):
+    """Criterion 3's assignable restricted instances, in order."""
     seed = 20_000
-    while checked < 200:
+    while count:
         seed += 1
         inst = generate(GenParams(seed=seed, restricted=True,
                                   job_total_range=(0, 10),
@@ -150,12 +182,28 @@ def test_criterion_3_restricted_equivalence():
                                   speed_range=(1, 9)))
         if inst.machine_count == 0 or not assignable(inst):
             continue
+        count -= 1
+        yield inst
+
+
+def test_criterion_3_restricted_equivalence():
+    checked = 0
+    for inst in _restricted_stream():
         objective = "cmax" if checked % 2 == 0 else "cmin"
         want, _ = brute_force(inst, objective)
         got = solve_restricted(inst, objective)
         assert got.value == want, (inst, objective)
         checked += 1
     report(3, f"{checked} restricted instances match the oracle exactly")
+
+
+def test_criterion_3_bracket_holds_the_optimum():
+    checks = 0
+    for inst in _restricted_stream():
+        for objective in ("cmax", "cmin"):
+            _check_bracket(inst, objective, brute_force(inst, objective)[0])
+            checks += 1
+    report(3, f"{checks} restricted optima lie inside the certified bracket")
 
 
 # -- criterion 4: reduction property suites ------------------------------------------------

@@ -147,8 +147,24 @@ def test_restricted_no_machine_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_resource_limit_exit_code():
-    code, out, err = run_cli("solve", str(FIG1), "--objective", "cmax",
+@pytest.mark.parametrize("flags", [["--restricted"], ["--objective", "cenvy"]])
+def test_bench_rejects_methods_solve_rejects(flags, capsys):
+    # solve exits 1 for these method pairs; bench must not fall back to
+    # another method silently
+    assert main(["bench", "--seed", "0", "--count", "3",
+                 "--method", "balanced", *flags]) == 1
+    captured = capsys.readouterr()
+    assert "malformed input" in captured.err
+    assert captured.out == ""
+
+
+def test_resource_limit_exit_code(tmp_path):
+    # fig1's bracket leaves one probe of at most two states; this
+    # instance needs more
+    inst_path = tmp_path / "limit.json"
+    inst_path.write_text(json.dumps(
+        {"p": [2, 5], "n": [31, 49], "s": [1, 4, 5], "m": [1, 1, 1]}))
+    code, out, err = run_cli("solve", str(inst_path), "--objective", "cmax",
                              env={"HMSCHED_STATE_LIMIT": "2"})
     assert code == 3, (out, err)
 

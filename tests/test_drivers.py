@@ -131,8 +131,32 @@ def test_makespan_with_huge_machine_counts(inst, optimum):
                            FeasibilityQuery("<=", optimum)).ok
 
 
+@pytest.mark.parametrize("solver,rel", [(minimize_makespan, "<="),
+                                        (maximize_min_completion, ">=")])
+def test_unit_billion_meets_the_area_bound_without_probes(solver, rel):
+    # the proportional incumbent gives every machine one job, which is
+    # the area bound P/S, so the bracket is empty
+    inst = Instance(p=(1,), n=(10**9,), s=(1,), m=(10**9,))
+    result = solver(inst)
+    assert result.value == 1
+    assert result.trace["probes"] == 0
+    assert verify_schedule(inst, result.schedule, FeasibilityQuery(rel, 1)).ok
+
+
+def test_perturbed_p23_probes_stay_flat():
+    # one extra size-2 job lifts the optimum above the area bound, so the
+    # grid search runs; its bracket does not widen with k
+    probes = set()
+    for k in (8, 16, 32, 64):
+        inst = Instance(p=(2, 3), n=(3 * k + 1, 2 * k), s=(5, 7), m=(k, k))
+        result = minimize_makespan(inst)
+        assert result.value == Fraction(8, 7)
+        probes.add(result.trace["probes"])
+    assert len(probes) == 1 and probes.pop() > 0
+
+
 def test_probe_memo_reuses_repeated_normalized_questions(monkeypatch):
-    inst = Instance(p=(2, 3), n=(48, 32), s=(5, 7), m=(16, 16))
+    inst = Instance(p=(2, 4), n=(28, 40), s=(2, 4, 6), m=(5, 1, 2))
     asked = []
     plain_feasibility = drivers.feasibility
 
@@ -147,7 +171,7 @@ def test_probe_memo_reuses_repeated_normalized_questions(monkeypatch):
     value, _ = drivers._search_grid(
         candidate_values(inst, "cmax"),
         lambda entry, T: plain_feasibility(inst, "<=", T, trace=plain),
-        True, plain)
+        True, plain, drivers._incumbent(inst, "<="))
     hits = result.trace["cache_hits"]
     assert hits >= 1
     assert result.value == value
@@ -157,7 +181,7 @@ def test_probe_memo_reuses_repeated_normalized_questions(monkeypatch):
 
 def test_trace_keeps_only_the_last_probes_keys(monkeypatch):
     # an early probe takes the balanced path, the last one the direct path
-    inst = Instance(p=(2, 5), n=(30, 20), s=(2, 3, 6), m=(1, 1, 1))
+    inst = Instance(p=(4, 5), n=(32, 30), s=(2, 4, 7), m=(2, 1, 2))
     paths = []
     plain_balanced = drivers.balanced_feasibility
 
@@ -444,8 +468,9 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
         return build_model(inst, windows, **kwargs)
 
     monkeypatch.setattr(drivers, "build_model", spy)
-    result = minimize_envy(FIG1)
-    assert result.value == Fraction(3, 65)
+    # FIG1's incumbent already has the optimal envy, so it probes no model
+    result = minimize_envy(Instance(p=(1,), n=(3,), s=(5, 6, 13), m=(1, 1, 1)))
+    assert result.value == Fraction(8, 65)
     assert result.trace["solves"] == len(built) == len(set(built))
     assert result.trace["cache_hits"] > 0
 
@@ -453,10 +478,10 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
 RESTRICTED_REPEATS = [
     Instance(p=(2, 3), n=(0, 9), s=(2, 6, 8, 9), m=(1, 1, 1, 1),
              restrict=((False, True, False, False), (True, False, True, False))),
-    Instance(p=(1,), n=(6,), s=(2, 3, 4), m=(1, 1, 1),
+    Instance(p=(1,), n=(6,), s=(2, 3, 4), m=(1, 2, 1),
              restrict=((True, True, True),)),
     # machine type 0 may run only the smaller size
-    Instance(p=(1, 3), n=(2, 2), s=(1, 4), m=(1, 2),
+    Instance(p=(1, 3), n=(1, 3), s=(1, 4), m=(1, 2),
              restrict=((True, True), (False, True))),
 ]
 
