@@ -66,7 +66,14 @@ from .model import (
     schedule_completions,
     verify_schedule,
 )
-from .reduction import compress, lift_schedule, normalize, normalized_speeds
+from .reduction import (
+    compress,
+    lift_schedule,
+    normalize,
+    normalized_speeds,
+    reduce_window,
+    reduction_constants,
+)
 
 
 class InfeasibleRestrictionError(RuntimeError):
@@ -595,8 +602,17 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     [ceil((C1 - E) * s_t), floor(C1 * s_t)] admit a schedule; such a
     schedule has envy at most E, and at the true pair E = OPT is
     witnessed by the optimal schedule itself, so the minimum over pairs
-    is exact.  Candidate C1 values stay within average-completion +-
-    pmax.
+    is exact.
+
+    OPT <= pmax, because every speed is at least 1: while C_max - C_min
+    > pmax, move any job from a machine completing at C_max (it has
+    one, since C_max > pmax) to one completing at C_min.  The first
+    drops below C_max, the second ends at most C_min + pmax < C_max,
+    and no other completion changes, so the completions sorted in
+    decreasing order drop lexicographically; there are finitely many
+    schedules, so the moves stop at one with envy at most pmax.  Hence
+    each grid stops at pmax * s_t1 * s_t2, and since C_min <= P / S <=
+    C_max on every schedule, an optimal one has C1 <= P / S + pmax.
 
     The scan over a runs in integers: hi_t = a*s_t // s_t1 and lo_t =
     max(0, ceil((a*s_t2 - k) * s_t / (s_t1*s_t2))).  The total upper
@@ -606,13 +622,33 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     is built and solved once per distinct window tuple in a solve;
     ``trace["solves"]`` counts those solves and ``trace["cache_hits"]``
     the window tuples answered from that memo.
+
+    Two facts skip work whose answer is already known, without changing
+    any probe's answer or schedule:
+
+    * The check depends on the pair only through t1: its windows are
+      [ceil((a/s_t1 - E) * s_t), floor(a/s_t1 * s_t)], and t2 only
+      chooses the grid E is drawn from.  It is monotone in E: a larger
+      E lowers every lo_t and so can only move the end of the a
+      interval up, and a schedule inside the smaller windows lies inside
+      the larger ones.  So ``refuted[t1]`` keeps the largest E at which
+      t1's scan found nothing, and a later probe with the same t1 and
+      E <= ``refuted[t1]`` is answered None without a scan
+      (``trace["refuted"]``).  Only refutations are kept, so every
+      feasible probe runs its own scan and returns its own schedule.
+    * A window tuple is skipped before a model is built when some
+      type's reduced core window admits no configuration capped at n
+      (``trace["empty_windows"]``): that is the core group
+      ``build_model`` would make, and ``solve_model`` rejects a model
+      with an empty group before its dynamic program.
     """
     _require_machines(inst)
     if inst.restrict is not None:
         raise MalformedInputError("envy driver expects an unrestricted instance")
     d, p, n = inst.d, inst.p, inst.n
     P = inst.total_load
-    trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0}
+    trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0,
+                   "refuted": 0, "empty_windows": 0}
     if P == 0:
         sched = make_schedule(d, p, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
         _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
@@ -623,9 +659,24 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
     a_num = P + inst.pmax * total_cap
     memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
+    # the largest E at which a top type's scan found no schedule
+    refuted: dict[int, Fraction] = {}
+    # whether a window's reduced core admits a configuration
+    columns: dict[tuple[int, int], bool] = {}
+    consts = reduction_constants(p)
+
+    def has_column(window: tuple[int, int]) -> bool:
+        if window not in columns:
+            red = reduce_window(*window, consts)
+            columns[window] = bool(enumerate_configs(
+                p, n, (red.core_lower, red.core_upper)))
+        return columns[window]
 
     def check(entry: tuple[int, ...], E: Fraction) -> HMSchedule | None:
         t1, t2, den, _ = entry
+        if t1 in refuted and E <= refuted[t1]:
+            trace["refuted"] += 1
+            return None
         s1, s2 = inst.s[t1], inst.s[t2]
         k = E.numerator * (den // E.denominator)
 
@@ -646,6 +697,11 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                             for s, m in zip(inst.s, inst.m))
             if any(lo > hi for lo, hi in windows):
                 continue
+            # a type without machines gets (0, 0), whose core holds the empty
+            # configuration
+            if not all(map(has_column, windows)):
+                trace["empty_windows"] += 1
+                continue
             if windows in memo:
                 trace["cache_hits"] += 1
                 sched = memo[windows]
@@ -656,6 +712,7 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 return sched
+        refuted[t1] = E
         return None
 
     grid = candidate_values(inst, "cenvy")

@@ -462,3 +462,101 @@ def reference_solve_model(model: ConfILPModel,
                 state = prev
 
     return _recombine(model, chosen)
+
+
+# ---------------------------------------------------------------------------
+# Envy search without the refutation bound or the column check
+# ---------------------------------------------------------------------------
+# ``drivers.minimize_envy`` answers some probes from a per-top-type
+# refutation bound and skips window tuples whose core admits no column.
+# This is the search it replaced, kept verbatim, so tests can check that
+# both return the same value, schedule and probe count.
+
+from bisect import bisect_left
+
+from hmsched.confilp import LoadWindow, build_model, solve_model
+from hmsched.drivers import (
+    SolveResult,
+    _certify,
+    _incumbent,
+    _require_machines,
+    _search_grid,
+    candidate_values,
+)
+from hmsched.model import (
+    LE,
+    CertificateError,
+    FeasibilityQuery,
+    MalformedInputError,
+    make_schedule,
+    schedule_completions,
+)
+
+
+def reference_minimize_envy(inst: Instance,
+                            state_limit: int | None = None) -> SolveResult:
+    """``drivers.minimize_envy`` scanning every probe and window tuple."""
+    _require_machines(inst)
+    if inst.restrict is not None:
+        raise MalformedInputError("envy driver expects an unrestricted instance")
+    d, p, n = inst.d, inst.p, inst.n
+    P = inst.total_load
+    trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0}
+    if P == 0:
+        sched = make_schedule(d, p, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
+        _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
+        return SolveResult("cenvy", Fraction(0), sched, trace)
+
+    types = [(s, m) for s, m in zip(inst.s, inst.m) if m > 0]
+    total_cap = sum(s * m for s, m in types)
+    # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
+    a_num = P + inst.pmax * total_cap
+    memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
+
+    def check(entry: tuple[int, ...], E: Fraction) -> HMSchedule | None:
+        t1, t2, den, _ = entry
+        s1, s2 = inst.s[t1], inst.s[t2]
+        k = E.numerator * (den // E.denominator)
+
+        def lower(a: int, s: int) -> int:
+            return max(0, -((k - a * s2) * s // den))
+
+        def fits(a: int) -> bool:
+            return sum(m * (a * s // s1) for s, m in types) >= P
+
+        def overfull(a: int) -> bool:
+            return sum(m * lower(a, s) for s, m in types) > P
+
+        a_hi = a_num * s1 // total_cap
+        first = bisect_left(range(a_hi + 1), True, key=fits)
+        stop = first + bisect_left(range(first, a_hi + 1), True, key=overfull)
+        for a in range(first, stop):
+            windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
+                            for s, m in zip(inst.s, inst.m))
+            if any(lo > hi for lo, hi in windows):
+                continue
+            if windows in memo:
+                trace["cache_hits"] += 1
+                sched = memo[windows]
+            else:
+                trace["solves"] += 1
+                model = build_model(inst, [LoadWindow(*w) for w in windows],
+                                    demand=n, demand_relation=JOB_EQ)
+                sched = memo[windows] = solve_model(model, state_limit)
+            if sched is not None:
+                return sched
+        return None
+
+    grid = candidate_values(inst, "cenvy")
+    trace["pairs"] = len(grid.entries)
+    _, start = _incumbent(inst, LE)
+    completions = schedule_completions(inst, start)
+    value, sched = _search_grid(grid, check, True, trace,
+                                (max(completions) - min(completions), start))
+    completions = schedule_completions(inst, sched)
+    achieved = max(completions) - min(completions)
+    if achieved != value:
+        raise CertificateError(
+            f"schedule envy {achieved} != claimed {value}")
+    _certify(inst, sched, FeasibilityQuery(LE, max(completions)))
+    return SolveResult("cenvy", value, sched, trace)

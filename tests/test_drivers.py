@@ -34,6 +34,8 @@ from hmsched.oracle import (
     generate,
 )
 
+from helpers import instance_stream, reference_minimize_envy
+
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
 
 
@@ -461,11 +463,13 @@ def test_envy_no_jobs():
 
 def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     built = []
+    models = []
     build_model = drivers.build_model
 
     def spy(inst, windows, **kwargs):
         built.append(tuple(windows))
-        return build_model(inst, windows, **kwargs)
+        models.append(build_model(inst, windows, **kwargs))
+        return models[-1]
 
     monkeypatch.setattr(drivers, "build_model", spy)
     # FIG1's incumbent already has the optimal envy, so it probes no model
@@ -473,6 +477,21 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     assert result.value == Fraction(8, 65)
     assert result.trace["solves"] == len(built) == len(set(built))
     assert result.trace["cache_hits"] > 0
+    assert all(g.configs for model in models for g in model.groups
+               if g.role == "core" and g.count > 0)
+
+    # this instance meets core windows without a configuration: they are
+    # skipped before a model is built
+    built.clear()
+    models.clear()
+    inst = Instance(p=(4,), n=(29,), s=(1, 3, 11), m=(2, 1, 1))
+    result = minimize_envy(inst)
+    assert result.value == brute_force(inst, "cenvy")[0]
+    assert result.trace["solves"] == len(built) == len(set(built))
+    assert result.trace["cache_hits"] > 0
+    assert result.trace["empty_windows"] > 0
+    assert all(g.configs for model in models for g in model.groups
+               if g.role == "core" and g.count > 0)
 
 
 RESTRICTED_REPEATS = [
@@ -549,6 +568,53 @@ def test_envy_machine_type_split(inst):
     assert result.value == base
     comps = schedule_completions(split, result.schedule)
     assert max(comps) - min(comps) == base
+
+
+def test_envy_matches_the_search_without_shortcuts(monkeypatch):
+    # The refutation bound and the column check skip only work whose
+    # answer is already known: value, schedule and probes stay those of
+    # the search that scans every probe and builds every window tuple.
+    probes, models = [], []
+    search_grid, build_model = drivers._search_grid, drivers.build_model
+
+    def logged_search(grid, probe, *args):
+        def logged(entry, E):
+            sched = probe(entry, E)
+            probes.append((entry[0], E, sched is None))
+            return sched
+        return search_grid(grid, logged, *args)
+
+    def spy(inst, windows, **kwargs):
+        models.append(build_model(inst, windows, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(drivers, "_search_grid", logged_search)
+    monkeypatch.setattr(drivers, "build_model", spy)
+    instances = [inst for inst in instance_stream(72, base_seed=4_000)
+                 if inst.machine_count > 0] + ENVY_PAST_CAPS
+    assert len(instances) == 78
+    skipped = {"refuted": 0, "empty_windows": 0}
+    for inst in instances:
+        probes.clear()
+        got, want = minimize_envy(inst), reference_minimize_envy(inst)
+        assert got.value == want.value, inst
+        assert got.schedule.entries == want.schedule.entries, inst
+        assert got.trace["probes"] == want.trace["probes"] == len(probes), inst
+        # the bound answers exactly the probes whose top type was refuted
+        # before at an E at least as large
+        refuted, settled = {}, 0
+        for t1, E, infeasible in probes:
+            if t1 in refuted and E <= refuted[t1]:
+                settled += 1
+            elif infeasible:
+                refuted[t1] = E
+        assert got.trace["refuted"] == settled, inst
+        for key in skipped:
+            skipped[key] += got.trace[key]
+    assert all(skipped.values())
+    # no model is built whose core group has no configuration
+    assert all(g.configs for model in models for g in model.groups
+               if g.role == "core" and g.count > 0)
 
 
 @pytest.mark.parametrize("solve,optimum", [
