@@ -7,17 +7,10 @@ returned schedule is a verified certificate.
 """
 
 from .balancing import (
-    FractionalSchedule,
-    build_fractional_schedule,
     cmin_to_idle_cmax,
-    fastest_type,
-    is_regular,
+    guess_configs,
     large_machine_cutoff,
-    load_multiple_subvector,
     reduced_schedule,
-    relative_weights,
-    round_schedule,
-    rounded_schedule,
 )
 from .confilp import (
     ConfILPModel,
@@ -65,7 +58,6 @@ from .reduction import (
     ReducedWindow,
     ReductionConstants,
     compress,
-    cut_block,
     lift_schedule,
     normalize,
     reduce_window,

@@ -25,11 +25,15 @@ minimum-completion question into an idle-capped makespan question
 leftover jobs added back afterwards).  Then either set up the
 configuration model directly (all machines slow, or any restricted
 instance) or run the balanced pipeline: guess the integral data of the
-rounded fractional schedule on the fast machines, preassign its floor
+rounded fractional schedule on the fast machines, build its integer
+configurations (``balancing.guess_configs``), preassign their floor
 minus the balancing margin (``balancing.reduced_schedule``), and solve
 the much smaller residual model.  Either way the answer is certified by
 verify_schedule before being returned; a wrong guess can only surface
-as a discarded guess, never as a wrong verdict.
+as a discarded guess, never as a wrong verdict.  Each schedule a driver
+returns is verified once against the caller's instance at the returned
+value: by ``_incumbent``, or by the ``feasibility`` call (or memo hit)
+of the probe that found it.
 """
 
 from __future__ import annotations
@@ -40,13 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balancing import (
-    build_fractional_schedule,
     cmin_to_idle_cmax,
-    fastest_type,
+    guess_configs,
     large_machine_cutoff,
     reduced_schedule,
-    relative_weights,
-    rounded_schedule,
 )
 from .confilp import LoadWindow, build_model, enumerate_configs, solve_model
 from .model import (
@@ -224,7 +225,7 @@ def _solve_at_one(inst: Instance, idle_cap: int | None, job_relation: str,
 def balanced_feasibility(inst: Instance, rel: str,
                          state_limit: int | None = None
                          ) -> tuple[HMSchedule | None, dict]:
-    """Feasibility at threshold 1 via fractional-schedule guessing.
+    """Feasibility at threshold 1 via rounded-schedule guessing.
 
     ``rel == "<="`` answers: is there a <=1-feasible schedule using
     exactly n?  ``rel == ">="`` expects the instance to be the converted
@@ -238,13 +239,14 @@ def balanced_feasibility(inst: Instance, rel: str,
     fractional schedule for the (unknown) jobs of the fast machines:
     the common floor phase (entries in [0, pmax]), the spread phase
     floor, and the floored proportional phase of the fastest machine.
-    ``balancing.rounded_schedule`` turns each guess into that schedule.
-    A guess with an empty spread phase (case 1, ``<=`` only) gives each
-    fast machine 2 + the ceiling of its rounded entries and leaves the
+    ``balancing.guess_configs`` turns each guess into integer
+    configurations, one per fast type: the floor or the ceiling of that
+    schedule's entries.  A guess with an empty spread phase (case 1,
+    ``<=`` only) gives each fast machine 2 + the ceiling and leaves the
     rest to the slow machines (no model is solved when the rest exceeds
     their summed speed); any other guess (case 2) preassigns
-    ``balancing.reduced_schedule`` of it and solves the residual model.
-    Guesses are pruned by the structural bounds the construction
+    ``balancing.reduced_schedule`` of the floor and solves the residual
+    model.  Guesses are pruned by the structural bounds the construction
     guarantees; every surviving guess yields either a certified schedule
     or a discarded guess, so enumeration order cannot affect soundness.
     """
@@ -270,22 +272,21 @@ def balanced_feasibility(inst: Instance, rel: str,
         info["path"] = "balanced-direct"
         return _solve_at_one(inst, idle_cap, job_relation, state_limit), info
 
-    # The fast machines' shape (speeds, counts, area-2 weights): its
-    # type k is large[k], and case 2's residual instance lists the fast
-    # types first in the same order.
-    fast = Instance(p, (0,) * d, tuple(inst.s[t] for t in large),
-                    tuple(inst.m[t] for t in large))
-    shape = build_fractional_schedule(fast, fast.n)
-    imax = fastest_type(shape)
-    relative = relative_weights(shape, imax)
-    mL = fast.machine_count
-    area2_max = fast.s[imax] - cutoff
+    # Case 2's residual instance lists the fast types first, in the order
+    # of ``large``.
+    fast_s = tuple(inst.s[t] for t in large)
+    fast_m = tuple(inst.m[t] for t in large)
+    mL = sum(fast_m)
+    smax = max(fast_s)
+    area2_max = smax - cutoff
+    area_2 = sum(m * (s - cutoff) for s, m in zip(fast_s, fast_m))
     sum_p = sum(p)
     # Per-entry guess caps: besides the capacity bound ceil(smax / p_j),
     # no guessed entry can exceed n_j (each is at most the fast machines'
     # per-type job count divided by at least one machine).
-    guess_cap = tuple(min(-(-fast.s[imax] // pj), nj) for pj, nj in zip(p, n))
+    guess_cap = tuple(min(-(-smax // pj), nj) for pj, nj in zip(p, n))
     g1a_cap = tuple(min(pmax, nj) for nj in n)
+    zeros = (0,) * d
 
     def solve_residual(types: list[int], speeds: list[int],
                        demand: tuple[int, ...], relation: str
@@ -297,19 +298,18 @@ def balanced_feasibility(inst: Instance, rel: str,
         return [(types[k], cfg.counts, count) for k, cfg, count in part.entries]
 
     def placed(configs: list[tuple[int, ...]]) -> list[int]:
-        return [sum(m * c[j] for m, c in zip(fast.m, configs)) for j in range(d)]
+        return [sum(m * c[j] for m, c in zip(fast_m, configs)) for j in range(d)]
 
     def attempt_case1(g1a, g2) -> HMSchedule | None:
-        rs = rounded_schedule(shape, relative, g1a, (0,) * d, g2)
-        configs = [tuple(2 + math.ceil(x) for x in rs.total(k))
-                   for k in range(len(large))]
-        if any(dot(p, c) > s for c, s in zip(configs, fast.s)):
+        configs = [tuple(2 + x for x in row) for row in
+                   guess_configs(fast_s, cutoff, g1a, zeros, g2, up=True)]
+        if any(dot(p, c) > s for c, s in zip(configs, fast_s)):
             return None
         remainder = tuple(max(v - u, 0) for u, v in zip(placed(configs), n))
         # the slow machines take the remainder within their capacity
         if dot(p, remainder) > small_capacity:
             return None
-        raw = [(t, c, m) for t, c, m in zip(large, configs, fast.m)]
+        raw = [(t, c, m) for t, c, m in zip(large, configs, fast_m)]
         if small:
             part = solve_residual(small, [inst.s[t] for t in small], remainder,
                                   JOB_GE)
@@ -321,9 +321,9 @@ def balanced_feasibility(inst: Instance, rel: str,
         return sched
 
     def attempt_case2(g1a, g1b, g2) -> HMSchedule | None:
-        pre = reduced_schedule(rounded_schedule(shape, relative, g1a, g1b, g2),
+        pre = reduced_schedule(guess_configs(fast_s, cutoff, g1a, g1b, g2),
                                idle_cap, inst.pmin, pmax)
-        speeds = [s - dot(p, c) for c, s in zip(pre, fast.s)]
+        speeds = [s - dot(p, c) for c, s in zip(pre, fast_s)]
         if min(speeds) < 0:
             return None
         used = placed(pre)
@@ -357,7 +357,7 @@ def balanced_feasibility(inst: Instance, rel: str,
             g2_lo = 0 if case1 else max(0, area2_max - sum_p + 1)
             for g2 in enumerate_configs(p, guess_cap, (g2_lo, area2_max),
                                         saturated):
-                if any(mL * (g1a[j] + g1b[j]) * area2_max + shape.area_2 * g2[j]
+                if any(mL * (g1a[j] + g1b[j]) * area2_max + area_2 * g2[j]
                        > n[j] * area2_max for j in range(d)):
                     continue
                 info["guesses"] += 1
@@ -436,7 +436,6 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     if rel == GE:
         sched_c = _complete_to_demand(comp, sched_c)
     lifted = sched_c if restricted else lift_schedule(sched_c, cmap)
-    _certify(norm, lifted, FeasibilityQuery(rel, Fraction(1)))
     _certify(inst, lifted, FeasibilityQuery(rel, threshold))
     return lifted
 
@@ -554,7 +553,8 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
     # reuses that answer: its schedule, re-certified at T, and the trace
     # update the first ask made.
     memo: dict[tuple[int, ...], tuple[HMSchedule | None, dict]] = {}
-    last: dict = {}
+    # a solve that runs no probe is answered by the incumbent
+    last: dict = {"path": "incumbent"}
 
     def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
         nonlocal last
@@ -574,9 +574,9 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
 
     value, sched = _search_grid(candidate_values(inst, objective), probe,
                                 rel == LE, trace, _incumbent(inst, rel))
-    # the aggregate counters plus the keys of the last probe only
+    # the aggregate counters plus the keys of the last probe only; the
+    # schedule was certified at value by _incumbent or by its probe
     trace.update(last)
-    _certify(inst, sched, FeasibilityQuery(rel, value))
     return SolveResult(objective, value, sched, trace)
 
 

@@ -1,12 +1,13 @@
 """Instance-level reductions.
 
-Four independent tools that shrink feasibility problems before any ILP is
-set up:
+Three independent tools that shrink feasibility problems before any ILP
+is set up:
 
-* ``cut_block``: from any job vector with load >= cut_threshold, split off
-  a sub-vector whose load is exactly the lcm of the job sizes.
 * ``reduce_window``: rewrite a load window [l, u] as (exact blocks of lcm
-  load) + (slack blocks of load <= lcm) + a small core window.
+  load) + (slack blocks of load <= lcm) + a small core window.  It rests
+  on the cutting lemma: any job vector with load >= cut_threshold has a
+  sub-vector whose load is exactly the lcm of the job sizes (the tests'
+  witness is ``tests/helpers.cut_block``).
 * ``normalize``: rescale speeds (``normalized_speeds``) so a rel-T
   feasibility question becomes a rel-1 question with integer speeds
   bounded by 1 + total load.
@@ -30,7 +31,6 @@ from .model import (
     MalformedInputError,
     Runs,
     deal,
-    dot,
     make_schedule,
 )
 
@@ -49,29 +49,6 @@ def reduction_constants(p: tuple[int, ...]) -> ReductionConstants:
         raise MalformedInputError("job sizes must be >= 1")
     lcm_load = math.lcm(*p)
     return ReductionConstants(lcm_load, len(p) * max(p) * lcm_load)
-
-
-def cut_block(w: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
-    """Split a sub-vector of load exactly lcm(p) out of w.
-
-    Requires p.w >= d * pmax * lcm(p).  Then some single job type j
-    already carries load p_j * w_j >= lcm(p), and since p_j divides
-    lcm(p), taking lcm(p)/p_j copies of type j is a valid witness.
-    Any witness satisfying 0 <= out <= w and p.out = lcm(p) is acceptable
-    downstream; this one is deterministic (largest per-type load wins,
-    lowest index breaks ties).
-    """
-    k = reduction_constants(p)
-    load = dot(p, w)
-    if load < k.cut_threshold:
-        raise ValueError(
-            f"cut_block requires load >= {k.cut_threshold}, got {load}")
-    j = max(range(len(p)), key=lambda i: (p[i] * w[i], -i))
-    need = k.lcm_load // p[j]
-    assert w[j] >= need, "pigeonhole guarantee violated"
-    out = tuple(need if i == j else 0 for i in range(len(p)))
-    assert dot(p, out) == k.lcm_load
-    return out
 
 
 @dataclass(frozen=True)
@@ -176,11 +153,6 @@ class CompressionMap:
     compressed_speeds: tuple[int, ...]
     lcm_load: int
     p: tuple[int, ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return (all(x == 0 for x in self.pieces_per_machine)
-                and self.compressed_speeds == self.residual_speed)
 
 
 def compress(inst: Instance) -> tuple[Instance, CompressionMap]:

@@ -17,17 +17,15 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    build_fractional_schedule,
     check_fractional_schedule_properties,
+    cut_block,
     instance_stream,
     large_instance_stream,
+    load_multiple_subvector,
     window_decomposes,
 )
-from hmsched.balancing import (
-    build_fractional_schedule,
-    cmin_to_idle_cmax,
-    load_multiple_subvector,
-    reduced_schedule,
-)
+from hmsched.balancing import cmin_to_idle_cmax, reduced_schedule
 from hmsched.drivers import (
     _incumbent,
     feasibility,
@@ -54,7 +52,6 @@ from hmsched.oracle import (
 )
 from hmsched.reduction import (
     compress,
-    cut_block,
     normalize,
     reduce_window,
     reduction_constants,
@@ -320,7 +317,8 @@ def test_criterion_5_fractional_schedule_properties():
 
 def _per_type_floor(inst, idle_cap):
     fs = build_fractional_schedule(inst, inst.n)
-    return reduced_schedule(fs, idle_cap, inst.pmin, inst.pmax)
+    floors = tuple(tuple(map(math.floor, fs.total(t))) for t in range(fs.tau))
+    return reduced_schedule(floors, idle_cap, inst.pmin, inst.pmax)
 
 
 def test_criterion_6_balancing_equivalence():

@@ -1,25 +1,27 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
+    build_fractional_schedule,
     check_fractional_schedule_properties,
     check_unconditional_properties,
-    large_instance_stream,
-)
-from hmsched.balancing import (
-    FractionalSchedule,
-    build_fractional_schedule,
-    cmin_to_idle_cmax,
     fastest_type,
     is_regular,
-    large_machine_cutoff,
+    large_instance_stream,
     load_multiple_subvector,
-    reduced_schedule,
     relative_weights,
     round_schedule,
     rounded_schedule,
+)
+from hmsched.balancing import (
+    cmin_to_idle_cmax,
+    guess_configs,
+    large_machine_cutoff,
+    reduced_schedule,
 )
 from hmsched.model import Instance, dot, make_schedule
 from hmsched.oracle import (
@@ -95,21 +97,10 @@ def test_is_regular():
     assert is_regular(make_schedule(1, (1,), []), pmax)
 
 
-def _fs_with_total(values, speed=100):
-    d = len(values)
-    return FractionalSchedule(
-        p=(1,) * d, speeds=(speed,), counts=(1,), cutoff=5, area_2=speed - 5,
-        phase_1a=tuple(Fraction(v) for v in values),
-        phase_1b=(Fraction(0),) * d, phase_2=((Fraction(0),) * d,),
-        weights=(Fraction(1),))
-
-
 def test_reduced_schedule_margins():
-    fs = _fs_with_total([Fraction(27, 5)])
-    assert reduced_schedule(fs, 2, 2, 3) == ((1,),)   # floor 5 - (3 + 1)
-    assert reduced_schedule(fs, None, 2, 3) == ((2,),)  # floor 5 - 3
-    zero = _fs_with_total([0, 0])
-    assert reduced_schedule(zero, 5, 1, 4) == ((0, 0),)
+    assert reduced_schedule(((5,),), 2, 2, 3) == ((1,),)   # 5 - (3 + 1)
+    assert reduced_schedule(((5,),), None, 2, 3) == ((2,),)  # 5 - 3
+    assert reduced_schedule(((0, 0),), 5, 1, 4) == ((0, 0),)
 
 
 def test_cmin_conversion_formula():
@@ -174,18 +165,37 @@ def test_fractional_schedule_properties_sample():
         check_fractional_schedule_properties(inst)
 
 
-def test_zero_job_shape_rebuilds_the_rounded_schedule():
-    # the balanced pipeline builds every guess from one zero-job shape
+def test_guess_configs_round_the_reference_schedule():
+    # the balanced pipeline's integer configurations are the floor (and
+    # with up=True the ceiling) of the reference rounded schedule built
+    # over one zero-job shape, on each instance's own rounded data and on
+    # random guesses
+    rnd = random.Random(910)
+    checked = 0
     for inst in large_instance_stream(40, base_seed=910):
-        fs = build_fractional_schedule(inst, inst.n)
-        imax = fastest_type(fs)
-        shape = build_fractional_schedule(inst, (0,) * inst.d)
-        assert fastest_type(shape) == imax
-        rs = round_schedule(fs, imax)
-        data = [tuple(int(x) for x in phase) for phase in
-                (rs.phase_1a, rs.phase_1b, rs.phase_2[imax])]
+        cutoff = large_machine_cutoff(inst.d, inst.pmax)
+        fast = [t for t in range(inst.tau) if inst.m[t] > 0 and inst.s[t] > cutoff]
+        if not fast:
+            continue
+        sub = Instance(inst.p, inst.n, tuple(inst.s[t] for t in fast),
+                       tuple(inst.m[t] for t in fast))
+        shape = build_fractional_schedule(sub, (0,) * inst.d)
+        imax = fastest_type(shape)
         ratios = relative_weights(shape, imax)
-        assert rounded_schedule(shape, ratios, *data) == rs, inst
+        rs = round_schedule(build_fractional_schedule(sub, sub.n), imax)
+        guesses = [tuple(tuple(int(x) for x in phase) for phase in
+                         (rs.phase_1a, rs.phase_1b, rs.phase_2[imax]))]
+        guesses += [tuple(tuple(rnd.randint(0, 2 * inst.pmax) for _ in inst.p)
+                          for _ in range(3)) for _ in range(20)]
+        for g1a, g1b, g2 in guesses:
+            totals = [rounded_schedule(shape, ratios, g1a, g1b, g2).total(k)
+                      for k in range(sub.tau)]
+            assert guess_configs(sub.s, cutoff, g1a, g1b, g2) == tuple(
+                tuple(math.floor(x) for x in row) for row in totals), inst
+            assert guess_configs(sub.s, cutoff, g1a, g1b, g2, up=True) == tuple(
+                tuple(math.ceil(x) for x in row) for row in totals), inst
+            checked += 1
+    assert checked >= 400
 
 
 def test_regularity_of_construction():

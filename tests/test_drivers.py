@@ -1,11 +1,12 @@
 import importlib.util
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hmsched
-from hmsched import drivers
+from hmsched import cli, drivers
 from hmsched.balancing import large_machine_cutoff
 from hmsched.drivers import (
     InfeasibleRestrictionError,
@@ -22,6 +23,7 @@ from hmsched.model import (
     Instance,
     MalformedInputError,
     aggregate_jobs,
+    format_rational,
     schedule_completions,
     verify_schedule,
 )
@@ -36,6 +38,7 @@ from hmsched.oracle import (
 
 from helpers import instance_stream, reference_minimize_envy
 
+DATA = Path(__file__).parent / "data"
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
 
 
@@ -135,13 +138,24 @@ def test_makespan_with_huge_machine_counts(inst, optimum):
 
 @pytest.mark.parametrize("solver,rel", [(minimize_makespan, "<="),
                                         (maximize_min_completion, ">=")])
-def test_unit_billion_meets_the_area_bound_without_probes(solver, rel):
+def test_unit_billion_meets_the_area_bound_without_probes(monkeypatch, solver,
+                                                         rel):
     # the proportional incumbent gives every machine one job, which is
-    # the area bound P/S, so the bracket is empty
+    # the area bound P/S, so the bracket is empty; the incumbent's own
+    # check is the only verification, and the trace names the incumbent
     inst = Instance(p=(1,), n=(10**9,), s=(1,), m=(10**9,))
+    checked = []
+    plain_verify = drivers.verify_schedule
+
+    def spy(*args, **kwargs):
+        checked.append(args[2].threshold)
+        return plain_verify(*args, **kwargs)
+
+    monkeypatch.setattr(drivers, "verify_schedule", spy)
     result = solver(inst)
     assert result.value == 1
-    assert result.trace["probes"] == 0
+    assert checked == [1]
+    assert result.trace == {"probes": 0, "cache_hits": 0, "path": "incumbent"}
     assert verify_schedule(inst, result.schedule, FeasibilityQuery(rel, 1)).ok
 
 
@@ -361,6 +375,25 @@ def test_guessing_path_optima_match_direct():
             if tr.get("path") == "balanced" and tr.get("guesses", 0) > 0:
                 exercised += 1
     assert exercised >= 5
+
+
+def test_balanced_path_matches_its_golden_record():
+    # forced-balanced solves of the benchmark's 12 default guessing
+    # instances: values, guess counts, cases, paths and schedules must
+    # stay exactly as recorded
+    records = json.loads((DATA / "balanced_golden.json").read_text())
+    assert len(records) == 24
+    solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
+    for rec in records:
+        inst = cli.instance_from_doc(rec["instance"])
+        result = solver[rec["objective"]](inst, method="balanced")
+        got = {
+            "value": format_rational(result.value),
+            "trace": {k: result.trace.get(k)
+                      for k in ("guesses", "case", "path", "probes")},
+            "schedule": cli.schedule_to_doc(result.schedule),
+        }
+        assert got == {k: rec[k] for k in got}, (rec["objective"], inst)
 
 
 def _bench_corpus():

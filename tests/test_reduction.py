@@ -5,7 +5,13 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import random_runs, reference_lift, window_decomposes
+from helpers import (
+    cut_block,
+    is_identity,
+    random_runs,
+    reference_lift,
+    window_decomposes,
+)
 from hmsched.model import (
     FeasibilityQuery,
     HMSchedule,
@@ -24,7 +30,6 @@ from hmsched.oracle import (
 )
 from hmsched.reduction import (
     compress,
-    cut_block,
     CompressionMap,
     lift_schedule,
     normalize,
@@ -224,7 +229,7 @@ def test_compress_noop_below_threshold():
     inst = Instance(p=(2, 3), n=(1, 1), s=(41, 10), m=(1, 2))
     out, cmap = compress(inst)
     assert out.s == inst.s and out.m == inst.m
-    assert cmap.is_identity
+    assert is_identity(cmap)
 
 
 def test_compress_large_speed():
@@ -246,7 +251,7 @@ def test_compress_idempotent_and_bounded():
         assert out.machine_count <= (2 + inst.total_load) * inst.machine_count
         again, cmap2 = compress(out)
         assert again.s == out.s and again.m == out.m
-        assert cmap2.is_identity
+        assert is_identity(cmap2)
 
 
 @pytest.mark.parametrize("rel", ["<=", ">="])
@@ -281,7 +286,7 @@ def test_lift_identity():
     inst = Instance(p=(2,), n=(2,), s=(5,), m=(1,))
     norm = normalize(inst, "<=", Fraction(1))
     out, cmap = compress(norm)
-    assert cmap.is_identity
+    assert is_identity(cmap)
     sched = feasible_schedule(out, "<=", Fraction(1))
     assert lift_schedule(sched, cmap) == sched
 
