@@ -18,7 +18,6 @@ from .confilp import (
     ResourceLimitError,
     build_model,
     enumerate_configs,
-    reduced_windows_for,
     solve_model,
 )
 from .drivers import (

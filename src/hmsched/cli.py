@@ -99,11 +99,14 @@ def instance_from_doc(doc: dict) -> Instance:
                 for row in restrict):
             raise MalformedInputError("restrict must be an array of boolean arrays")
         restrict = tuple(tuple(row) for row in restrict)
-    inst = Instance(p, n, s, m, restrict, doc.get("name"))
-    if "d" in doc and doc["d"] != inst.d:
-        raise MalformedInputError("d does not match len(p)")
-    if "tau" in doc and doc["tau"] != inst.tau:
-        raise MalformedInputError("tau does not match len(s)")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise MalformedInputError("name must be a string")
+    inst = Instance(p, n, s, m, restrict, name)
+    if "d" in doc and not (_is_int(doc["d"]) and doc["d"] == inst.d):
+        raise MalformedInputError("d must be the integer len(p)")
+    if "tau" in doc and not (_is_int(doc["tau"]) and doc["tau"] == inst.tau):
+        raise MalformedInputError("tau must be the integer len(s)")
     if any(x < 1 for x in inst.s):
         raise MalformedInputError("instance files need speeds >= 1")
     return inst

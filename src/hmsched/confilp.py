@@ -18,13 +18,16 @@ window.
 The solver is an exact dynamic program over remaining demand vectors.
 It is deliberately simple: each state is a demand vector packed into one
 int, a digit per coordinate under a guard bit, so a transition is one
-subtraction and one mask test (see ``solve_model``); machine types are
-processed in order, and column groups whose window admits the empty
-configuration are handled with a breadth-first "fewest loaded machines"
-search so that large machine multiplicities (common after compression)
-cost one sweep instead of one sweep per machine.  The walk-back returns
-each group's picks as {configuration: count} and recombination pairs
-them by run (``model.deal``), so neither grows with the machine count.
+subtraction and one mask test (see ``solve_model``).  Column groups are
+processed in order, each by one sweep of ``count`` rounds, a round per
+machine.  A group whose window admits the empty configuration keeps the
+states it has reached across rounds, so the sweep is a breadth-first
+"fewest loaded machines" search and every state is expanded once; large
+machine multiplicities (common after compression) then cost one sweep
+over the reachable states instead of one per machine.  The walk-back
+returns each group's picks as {configuration: count} and recombination
+pairs them by run (``model.deal``), so neither grows with the machine
+count.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .model import (
     deal,
     dot,
     make_schedule,
+    merge_slices,
 )
 from .reduction import ReductionConstants, reduce_window, reduction_constants
 
@@ -77,20 +81,6 @@ class LoadWindow:
     def __post_init__(self):
         if self.lower < 0 or self.upper < self.lower:
             raise MalformedInputError(f"bad window [{self.lower}, {self.upper}]")
-
-
-@dataclass(frozen=True)
-class BlockCounts:
-    """Bookkeeping from window reduction for one machine type.
-
-    Every machine of the type owes ``exact`` block sub-configurations of
-    load exactly ``lcm_load`` and ``slack`` sub-configurations of load <=
-    ``lcm_load`` on top of its core configuration.
-    """
-
-    exact: int
-    slack: int
-    lcm_load: int
 
 
 @dataclass(frozen=True)
@@ -172,34 +162,6 @@ def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionC
     return reduction_constants(sizes) if sizes else None
 
 
-def reduced_windows_for(inst: Instance, windows: list[LoadWindow]
-                        ) -> tuple[list[LoadWindow], list[BlockCounts]]:
-    """Apply window reduction per machine type.
-
-    Returns the core windows plus per-type block counts.  Types are
-    reduced with constants computed over their allowed job sizes, so
-    restricted instances reduce soundly group by group.  A solution of
-    the core-plus-blocks model expands to a solution of the raw model by
-    summing, per machine, the core configuration with its share of exact
-    and slack block configurations.
-    """
-    if len(windows) != inst.tau:
-        raise MalformedInputError("one window per machine type required")
-    cores: list[LoadWindow] = []
-    blocks: list[BlockCounts] = []
-    for t, win in enumerate(windows):
-        consts = _type_constants(inst.p, inst.allowed_row(t))
-        if consts is None:
-            cores.append(win)
-            blocks.append(BlockCounts(0, 0, 1))
-            continue
-        red = reduce_window(win.lower, win.upper, consts)
-        cores.append(LoadWindow(red.core_lower, red.core_upper))
-        blocks.append(BlockCounts(red.exact_blocks, red.slack_blocks,
-                                  consts.lcm_load))
-    return cores, blocks
-
-
 def build_model(inst: Instance, windows: list[LoadWindow], *,
                 demand: tuple[int, ...] | None = None,
                 demand_relation: str = JOB_EQ,
@@ -213,16 +175,23 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
     On lower-bounded windows with relation >= a machine may legitimately
     over-cover, so there the cap is raised to what the window's upper
     bound admits.
+
+    Each machine type with machines contributes its column groups in one
+    loop over (role, blocks per machine, window), roles in the order
+    core, exact, slack.  With ``reduce`` (the default) the type's window
+    goes through ``reduce_window`` with constants over its allowed job
+    sizes, so restricted instances reduce soundly type by type.  The
+    core group has one machine per machine of the type, and each block
+    role blocks-per-machine times as many (a role with no blocks gets no
+    group).  With ``reduce=False``, or when the type may run no job, the
+    raw window is the core and there are no blocks.
     """
     if demand is None:
         demand = inst.n
     if demand_relation not in (JOB_EQ, JOB_LE, JOB_GE):
         raise MalformedInputError(f"bad demand relation {demand_relation!r}")
-    if reduce:
-        cores, blocks = reduced_windows_for(inst, windows)
-    else:
-        cores = list(windows)
-        blocks = [BlockCounts(0, 0, 1) for _ in windows]
+    if len(windows) != inst.tau:
+        raise MalformedInputError("one window per machine type required")
 
     def column_cap(win: LoadWindow) -> tuple[int, ...]:
         if demand_relation != JOB_GE or win.lower == 0:
@@ -231,28 +200,24 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
                      for d_j, pj in zip(demand, inst.p))
 
     groups: list[ModelGroup] = []
-    for t in range(inst.tau):
+    for t, win in enumerate(windows):
         if inst.m[t] == 0:
             continue
         allowed = inst.allowed_row(t)
-        core_win = cores[t]
-        groups.append(ModelGroup(
-            t, "core", inst.m[t], core_win,
-            tuple(enumerate_configs(inst.p, column_cap(core_win),
-                                    (core_win.lower, core_win.upper), allowed))))
-        blk = blocks[t]
-        if blk.exact > 0:
-            win = LoadWindow(blk.lcm_load, blk.lcm_load)
-            groups.append(ModelGroup(
-                t, "exact", inst.m[t] * blk.exact, win,
-                tuple(enumerate_configs(inst.p, column_cap(win),
-                                        (win.lower, win.upper), allowed))))
-        if blk.slack > 0:
-            win = LoadWindow(0, blk.lcm_load)
-            groups.append(ModelGroup(
-                t, "slack", inst.m[t] * blk.slack, win,
-                tuple(enumerate_configs(inst.p, column_cap(win),
-                                        (win.lower, win.upper), allowed))))
+        parts = [("core", 1, win)]
+        consts = _type_constants(inst.p, allowed) if reduce else None
+        if consts is not None:
+            red = reduce_window(win.lower, win.upper, consts)
+            lcm = consts.lcm_load
+            parts = [("core", 1, LoadWindow(red.core_lower, red.core_upper)),
+                     ("exact", red.exact_blocks, LoadWindow(lcm, lcm)),
+                     ("slack", red.slack_blocks, LoadWindow(0, lcm))]
+        for role, per_machine, part in parts:
+            if per_machine:
+                groups.append(ModelGroup(
+                    t, role, inst.m[t] * per_machine, part,
+                    tuple(enumerate_configs(inst.p, column_cap(part),
+                                            (part.lower, part.upper), allowed))))
     return ConfILPModel(inst.p, inst.tau, tuple(demand), demand_relation,
                         tuple(groups), tuple(windows))
 
@@ -312,11 +277,23 @@ def solve_model(model: ConfILPModel,
     """Exact solve; returns a verified-shape schedule or None if infeasible.
 
     Dynamic programming over remaining-demand vectors, one column group
-    at a time.  Groups whose window admits the empty configuration are
-    searched breadth-first for the fewest loaded machines (identical
-    machines make any reachability witness reusable), other groups step
-    machine by machine.  Tie-breaking is lexicographic everywhere, so the
-    returned schedule is deterministic.  Exceeding ``state_limit``
+    at a time.  A group is one sweep of ``count`` rounds, one per
+    machine: a round applies every nonempty column to the previous
+    round's new states (sorted) and records each state it creates in its
+    own {state: (parent, column index)} dict, the first writer winning.
+    The groups differ only in the ``reached`` set that decides which
+    states count as new.  When the window admits the empty
+    configuration, ``reached`` is kept across rounds, starting from the
+    states the group began with: a machine may stay empty, so a state
+    reached with fewer loaded machines is never expanded again
+    (identical machines make any reachability witness reusable) and the
+    sweep is a breadth-first search for the fewest loaded machines.
+    Otherwise every machine must take a column, and ``reached`` is reset
+    every round.  The states after the group are ``reached``.  The
+    walk-back takes one pick from every round whose dict holds the
+    current state and fills the group's remaining machines with the
+    empty configuration.  Tie-breaking is lexicographic everywhere, so
+    the returned schedule is deterministic.  Exceeding ``state_limit``
     created states raises ResourceLimitError -- never reported as
     infeasible.
 
@@ -349,71 +326,42 @@ def solve_model(model: ConfILPModel,
     left = state_limit
 
     states: set[int] = {_pack(model.demand, width)}
-    trail: list[tuple] = []
+    trail: list[list[dict[int, tuple[int, int]]]] = []
     for group in model.groups:
-        if group.count == 0:
-            trail.append(("skip",))
-            continue
-        columns = [(ci, _pack(cfg, width)) for ci, cfg in enumerate(group.configs)]
-        if columns and group.configs[0] == zero:
-            columns = columns[1:]
-            parent: dict[int, tuple[int, int]] = {}
-            seen = set(states)
-            frontier = sorted(states)
-            for _ in range(group.count):
-                fresh = []
-                for st in frontier:
-                    base = st | H
-                    for ci, col in columns:
-                        x = base - col
-                        g = x & H
-                        if g == H:
-                            ns = x ^ H
-                        elif saturate:
-                            ns = x & (g - (g >> width))
-                        else:
-                            continue
-                        if ns in seen:
-                            continue
-                        seen.add(ns)
-                        parent[ns] = (st, ci)
-                        fresh.append(ns)
-                        left -= 1
-                        if left < 0:
-                            raise ResourceLimitError("state limit exceeded")
-                if not fresh:
-                    break
-                frontier = sorted(fresh)
-            states = seen
-            trail.append(("bfs", parent))
-        else:
-            steps: list[dict[int, tuple[int, int]]] = []
-            cur = dict.fromkeys(states)
-            for _ in range(group.count):
-                nxt: dict[int, tuple[int, int]] = {}
-                for st in sorted(cur):
-                    base = st | H
-                    for ci, col in columns:
-                        x = base - col
-                        g = x & H
-                        if g == H:
-                            ns = x ^ H
-                        elif saturate:
-                            ns = x & (g - (g >> width))
-                        else:
-                            continue
-                        if ns in nxt:
-                            continue
-                        nxt[ns] = (st, ci)
-                        left -= 1
-                        if left < 0:
-                            raise ResourceLimitError("state limit exceeded")
-                steps.append(nxt)
-                cur = nxt
-                if not cur:
-                    break
-            states = set(cur)
-            trail.append(("steps", steps))
+        columns = [(ci, _pack(cfg, width))
+                   for ci, cfg in enumerate(group.configs) if cfg != zero]
+        optional = len(columns) < len(group.configs)
+        rounds: list[dict[int, tuple[int, int]]] = []
+        reached = set(states)
+        frontier = states
+        for _ in range(group.count):
+            if not optional:
+                reached = set()
+            step: dict[int, tuple[int, int]] = {}
+            for st in sorted(frontier):
+                base = st | H
+                for ci, col in columns:
+                    x = base - col
+                    g = x & H
+                    if g == H:
+                        ns = x ^ H
+                    elif saturate:
+                        ns = x & (g - (g >> width))
+                    else:
+                        continue
+                    if ns in reached:
+                        continue
+                    reached.add(ns)
+                    step[ns] = (st, ci)
+                    left -= 1
+                    if left < 0:
+                        raise ResourceLimitError("state limit exceeded")
+            rounds.append(step)
+            if not step:
+                break
+            frontier = step
+        trail.append(rounds)
+        states = reached
         if not states:
             return None
 
@@ -424,33 +372,21 @@ def solve_model(model: ConfILPModel,
     else:
         return None
 
-    # Walk the trail backwards, counting the configs each group used.
-    chosen: list[dict[tuple[int, ...], int]] = [{} for _ in model.groups]
+    # Walk the trail backwards: a round that reached the current state
+    # picked one column for it; the group's other machines stay empty.
+    chosen: list[dict[tuple[int, ...], int]] = []
     state = final
-    for gi in range(len(model.groups) - 1, -1, -1):
-        kind = trail[gi][0]
-        group = model.groups[gi]
-        if kind == "skip":
-            continue
-        configs = group.configs
-        picks = chosen[gi]
-        if kind == "bfs":
-            parent = trail[gi][1]
-            loaded = 0
-            while state in parent:
-                prev, ci = parent[state]
-                picks[configs[ci]] = picks.get(configs[ci], 0) + 1
-                loaded += 1
-                state = prev
-            if group.count > loaded:
-                picks[zero] = group.count - loaded
-        else:
-            steps = trail[gi][1]
-            for si in range(len(steps) - 1, -1, -1):
-                prev, ci = steps[si][state]
-                picks[configs[ci]] = picks.get(configs[ci], 0) + 1
-                state = prev
-
+    for group, rounds in zip(reversed(model.groups), reversed(trail)):
+        picks: dict[tuple[int, ...], int] = {}
+        for step in reversed(rounds):
+            if state in step:
+                state, ci = step[state]
+                picks[group.configs[ci]] = picks.get(group.configs[ci], 0) + 1
+        loaded = sum(picks.values())
+        if group.count > loaded:
+            picks[zero] = group.count - loaded
+        chosen.append(picks)
+    chosen.reverse()
     return _recombine(model, chosen)
 
 
@@ -481,12 +417,7 @@ def _recombine(model: ConfILPModel,
         spm = slacks.left // m if m else 0
         window = model.raw_windows[t]
         for k, slices in deal(m, (cores, 1), (exacts, epm), (slacks, spm)):
-            merged = [0] * d
-            for piece_slice in slices:
-                for piece, mult in piece_slice:
-                    for j in range(d):
-                        merged[j] += mult * piece[j]
-            config = tuple(merged)
+            config = tuple(merge_slices(d, slices))
             load = dot(model.p, config)
             if not window.lower <= load <= window.upper:
                 raise CertificateError(

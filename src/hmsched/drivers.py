@@ -247,8 +247,10 @@ def balanced_feasibility(inst: Instance, rel: str,
     their summed speed); any other guess (case 2) preassigns
     ``balancing.reduced_schedule`` of the floor and solves the residual
     model.  Guesses are pruned by the structural bounds the construction
-    guarantees; every surviving guess yields either a certified schedule
-    or a discarded guess, so enumeration order cannot affect soundness.
+    guarantees; every surviving guess yields either a schedule or a
+    discarded guess, so enumeration order cannot affect soundness.  The
+    schedule is not certified here: ``feasibility`` certifies it once,
+    lifted, against the caller's instance.
     """
     d, p, n, pmax = inst.d, inst.p, inst.n, inst.pmax
     idle_cap = None if rel == LE else pmax - 1
@@ -316,9 +318,7 @@ def balanced_feasibility(inst: Instance, rel: str,
             if part is None:
                 return None
             raw += part
-        sched = _trim_to_demand(make_schedule(d, p, raw), n, p)
-        _certify(inst, sched, FeasibilityQuery(LE, Fraction(1)))
-        return sched
+        return _trim_to_demand(make_schedule(d, p, raw), n, p)
 
     def attempt_case2(g1a, g1b, g2) -> HMSchedule | None:
         pre = reduced_schedule(guess_configs(fast_s, cutoff, g1a, g1b, g2),
@@ -340,11 +340,7 @@ def balanced_feasibility(inst: Instance, rel: str,
         raw = [(t, tuple(a + b for a, b in zip(c, base[t])) if t in base
                 else c, count) for t, c, count in part]
         sched = make_schedule(d, p, raw)
-        if rel == LE:
-            sched = _trim_to_demand(sched, n, p)
-        _certify(inst, sched,
-                 FeasibilityQuery(LE, Fraction(1), idle_cap, job_relation))
-        return sched
+        return _trim_to_demand(sched, n, p) if rel == LE else sched
 
     # Integer form of the rounded schedule using at most n:
     #   mL*(g1a+g1b)[j]*area2_max + area_2*g2[j] <= n_j*area2_max

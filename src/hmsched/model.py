@@ -454,6 +454,16 @@ class Runs:
             self._i, self._used = self._i + 1, 0
 
 
+def merge_slices(d: int, slices: tuple) -> list[int]:
+    """Sum one ``deal`` segment's slices of count vectors into one vector."""
+    merged = [0] * d
+    for piece_slice in slices:
+        for piece, mult in piece_slice:
+            for j in range(d):
+                merged[j] += mult * piece[j]
+    return merged
+
+
 def deal(machines: int, *draws: tuple[Runs, int]) -> list[tuple[int, tuple]]:
     """Give each of ``machines`` machines one slice from every draw.
 

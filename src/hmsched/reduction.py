@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
-    Configuration,
     GE,
     HMSchedule,
     Instance,
@@ -32,6 +31,7 @@ from .model import (
     Runs,
     deal,
     make_schedule,
+    merge_slices,
 )
 
 
@@ -205,21 +205,23 @@ def lift_schedule(sched: HMSchedule, cmap: CompressionMap) -> HMSchedule:
     share identical load windows, so this fixed deterministic allocation
     (pools sorted, consumed in original-type order: a type's residuals,
     then its pieces machine by machine) preserves both <=1- and
-    >=1-feasibility verdicts.  Pools stay (configuration, count) runs and
-    are dealt out by run (``model.deal``), so the work follows the
-    schedule's entries, not the number of machines.
+    >=1-feasibility verdicts.  Pools stay (count vector, count) runs and
+    are dealt out by run (``model.deal``), each segment's slices summed by
+    ``model.merge_slices``, so the work follows the schedule's entries,
+    not the number of machines.
     """
-    entries: dict[int, list[tuple[Configuration, int]]] = {}
+    entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for t, cfg, count in sched.entries:
         if not 0 <= t < len(cmap.compressed_speeds):
             raise MalformedInputError(f"schedule type {t} unknown to the map")
-        entries.setdefault(cmap.compressed_speeds[t], []).append((cfg, count))
+        entries.setdefault(cmap.compressed_speeds[t], []).append(
+            (cfg.counts, count))
     pools: dict[int, Runs] = {}
 
     def pool(speed: int) -> Runs:
         if speed not in pools:
             pools[speed] = Runs(
-                sorted(entries.get(speed, ()), key=lambda run: run[0].counts),
+                sorted(entries.get(speed, ()), key=lambda run: run[0]),
                 f"machines of speed {speed} in the schedule")
         return pools[speed]
 
@@ -228,13 +230,7 @@ def lift_schedule(sched: HMSchedule, cmap: CompressionMap) -> HMSchedule:
     for t, m in enumerate(cmap.original_m):
         segments = deal(m, (pool(cmap.residual_speed[t]), 1),
                         (pool(cmap.lcm_load), cmap.pieces_per_machine[t]))
-        for k, slices in segments:
-            merged = [0] * d
-            for piece_slice in slices:
-                for piece, mult in piece_slice:
-                    for j in range(d):
-                        merged[j] += mult * piece.counts[j]
-            raw.append((t, merged, k))
+        raw += [(t, merge_slices(d, slices), k) for k, slices in segments]
     if any(pool(speed).left for speed in entries):
         raise MalformedInputError("schedule has machines the map cannot place")
     return make_schedule(d, cmap.p, raw)

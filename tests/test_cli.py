@@ -192,6 +192,12 @@ def test_cli_runs_are_bytewise_deterministic():
     ("restrict", [[1]]),
     ("restrict", [["yes"]]),
     ("restrict", [True]),
+    ("d", True),
+    ("d", 1.0),
+    ("tau", True),
+    ("tau", 1.0),
+    ("name", {"a": 1}),
+    ("name", 7),
 ])
 def test_non_integer_instance_fields_are_malformed(field, value, tmp_path,
                                                     capsys):

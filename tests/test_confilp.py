@@ -13,7 +13,6 @@ from hmsched.confilp import (
     ResourceLimitError,
     build_model,
     enumerate_configs,
-    reduced_windows_for,
     solve_model,
 )
 from hmsched.model import (
@@ -135,13 +134,15 @@ def test_solve_empty_demand():
 
 def test_reduced_windows_bookkeeping():
     inst = Instance(p=(2, 3), n=(20, 20), s=(100,), m=(1,))
-    cores, blocks = reduced_windows_for(inst, [LoadWindow(40, 100)])
-    assert (cores[0].lower, cores[0].upper) == (34, 70)
-    assert (blocks[0].exact, blocks[0].slack) == (1, 4)
+    groups = build_model(inst, [LoadWindow(40, 100)]).groups
+    assert [(g.role, g.count) for g in groups] == [
+        ("core", 1), ("exact", 1), ("slack", 4)]
+    assert [(g.window.lower, g.window.upper) for g in groups] == [
+        (34, 70), (6, 6), (0, 6)]
 
-    cores, blocks = reduced_windows_for(inst, [LoadWindow(0, 5)])
-    assert (blocks[0].exact, blocks[0].slack) == (0, 0)
-    assert (cores[0].lower, cores[0].upper) == (0, 5)
+    groups = build_model(inst, [LoadWindow(0, 5)]).groups
+    assert [(g.role, g.count) for g in groups] == [("core", 1)]
+    assert (groups[0].window.lower, groups[0].window.upper) == (0, 5)
 
 
 def test_reduction_does_not_change_verdicts():

@@ -332,6 +332,21 @@ def test_balanced_two_fast_machines():
     assert sched is None
 
 
+def test_balanced_guess_count_on_several_fast_machines():
+    # Three speed-73 machines (cutoff 64).  The load 218 fits in 219, but
+    # no schedule exists at threshold 1, so the guess loop runs to its
+    # end.  With more than one machine on a fast type the "uses at most n"
+    # prune depends on the machine counts in area_2; 30 guesses survive
+    # it (31 if area_2 ignored the counts).
+    inst = Instance(p=(3, 4), n=(2, 53), s=(73,), m=(3,))
+    assert inst.s[0] > large_machine_cutoff(inst.d, inst.pmax)
+    assert inst.total_load <= inst.s[0] * inst.m[0]
+    sched, info = balanced_feasibility(inst, "<=")
+    assert sched is None
+    assert info == {"path": "balanced", "guesses": 30, "case": None}
+    assert feasibility(inst, "<=", Fraction(1), method="confilp") is None
+
+
 def test_balanced_matches_direct_on_fast_instances():
     checked = 0
     for seed in range(25):
