@@ -40,8 +40,8 @@ from .model import (
     LE,
     MalformedInputError,
     format_rational,
+    objective_value,
     parse_rational,
-    schedule_completions,
     verify_schedule,
 )
 
@@ -228,8 +228,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = verify_schedule(
             inst, sched, FeasibilityQuery(LE, Fraction(inst.total_load + 1)))
         violations = [v for v in report.violations]
-        completions = schedule_completions(inst, sched)
-        envy = (max(completions) - min(completions)) if completions else Fraction(0)
+        envy = objective_value(inst, sched, "cenvy")
         if envy > value:
             violations.append(
                 f"envy {format_rational(envy)} exceeds {format_rational(value)}")

@@ -6,15 +6,15 @@ by that machine's speed (for envy, a difference of two such values), so
 every driver runs ``_search_grid`` over the exact grids listed by
 ``candidate_values`` and never leaves rational arithmetic.
 
-Each search runs inside a certified bracket.  One side is an incumbent
-(``_incumbent``): the proportional fractional assignment, rounded by
-run and checked by verify_schedule.  The other side is the area bound
-P / S, because sum_i s_i * C_i = P on every schedule.  A grid entry
-then searches only the values between the two.  Without restrictions
-every machine's rounded load is within sum(p) of its proportional
-share, so the incumbent lies within d * pmax / s_min of P / S and the
-number of probes does not grow with n or m; a solve whose incumbent
-meets the area bound probes nothing.
+Each search keeps one certified bracket that every probe narrows.  One
+side is the best schedule so far at its own value, first an incumbent
+(``_incumbent``): the proportional assignment, rounded by run.  The
+other side is refuted, first at the area bound P / S, because
+sum_i s_i * C_i = P on every schedule.  So no solve asks a question
+twice.  Without restrictions every machine's rounded load is within
+sum(p) of its proportional share, so the incumbent lies within
+d * pmax / s_min of P / S and the number of probes does not grow with n
+or m; a solve whose incumbent meets the area bound probes nothing.
 
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
@@ -30,10 +30,10 @@ configurations (``balancing.guess_configs``), preassign their floor
 minus the balancing margin (``balancing.reduced_schedule``), and solve
 the much smaller residual model.  Either way the answer is certified by
 verify_schedule before being returned; a wrong guess can only surface
-as a discarded guess, never as a wrong verdict.  Each schedule a driver
-returns is verified once against the caller's instance at the returned
-value: by ``_incumbent``, or by the ``feasibility`` call (or memo hit)
-of the probe that found it.
+as a discarded guess, never as a wrong verdict.  Each schedule the
+threshold driver returns is verified once against the caller's
+instance, by ``_incumbent`` or by the ``feasibility`` call that found
+it, at a threshold its own value meets.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ from .model import (
     aggregate_jobs,
     dot,
     make_schedule,
-    schedule_completions,
+    objective_value,
     verify_schedule,
 )
 from .reduction import (
     compress,
     lift_schedule,
     normalize,
-    normalized_speeds,
     reduce_window,
     reduction_constants,
 )
@@ -95,11 +94,11 @@ class CandidateGrid:
 
     For cmax/cmin each entry is (type, denominator, max_numerator): the
     values {k / denominator : 0 <= k <= max_numerator}.  For cenvy the
-    entries are (type1, type2, denominator, max_numerator) with the
-    denominator being the product of the two speeds.  No schedule does
-    better than ``bound``: the area bound P / S (S the summed speed of
-    all machines) is below every makespan and above every minimum
-    completion, because sum_i s_i * C_i = P; envy is at least 0.
+    entries are (type1, type2, denominator, max_numerator), denominator
+    the product of the two speeds, each type1's entries consecutive.  No
+    schedule does better than ``bound``: the area bound P / S (S the
+    summed speed of all machines) is below every makespan and above
+    every minimum completion, because sum_i s_i * C_i = P; envy is >= 0.
     """
 
     objective: str
@@ -108,11 +107,26 @@ class CandidateGrid:
 
 
 def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
+    """The exact grid every optimum of ``objective`` lies on.
+
+    A makespan or minimum completion is some type t machine's load k
+    over s_t, with k at most P_t, the load of the job types t may run.
+    With this cap no two probes of a ``_search_grid`` solve share
+    normalized speeds, min(floor(T * s_t), 1 + P) for ``<=``.  A later
+    probe lies inside the bracket an earlier probe T1 left.  If T1 was
+    refuted, a later probe k / s_t (k <= P_t) lies above it: type t's
+    normalized speed is k there and below k at T1.  If T1 returned a
+    schedule of makespan L / s_u (L <= P), a later probe lies below it:
+    type u's normalized speed is below L there and at least L at T1.
+    The 1 + P clamp cannot equalize speeds that low.  ``>=`` mirrors
+    this with ceilings.
+    """
     _require_machines(inst)
     P = inst.total_load
     if objective in ("cmax", "cmin"):
-        entries = tuple((t, inst.s[t], inst.s[t] * P)
-                        for t in range(inst.tau) if inst.m[t] > 0)
+        entries = tuple((t, inst.s[t], sum(
+            pj * nj for pj, nj, ok in zip(inst.p, inst.n, inst.allowed_row(t))
+            if ok)) for t in range(inst.tau) if inst.m[t] > 0)
         capacity = sum(s * m for s, m in zip(inst.s, inst.m))
         return CandidateGrid(objective, entries, Fraction(P, capacity))
     if objective == "cenvy":
@@ -440,42 +454,48 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 # Objective drivers
 # ---------------------------------------------------------------------------
 
-def _search_grid(grid: CandidateGrid, probe, minimize: bool, trace: dict,
+def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
                  best: tuple[Fraction, HMSchedule]
                  ) -> tuple[Fraction, HMSchedule]:
     """Best feasible value on the grid, with the schedule that attains it.
 
     Each entry ``(..., den, top)`` stands for the values {k / den :
-    0 <= k <= top}, on which feasibility is monotone (every value above
-    a feasible one is feasible when minimizing, every value below when
-    maximizing).  The search starts from a certified incumbent ``best``
-    = (value, schedule) and searches only the bracket between it and
-    ``grid.bound``: on each entry the values strictly better than the
-    best so far and no better than the bound.  Entries are
-    binary-searched over k in order with ``probe(entry, value)``, which
-    returns a certified schedule or None.  An entry whose bracket is
-    empty costs no probe, so a solve whose incumbent meets the bound
-    probes nothing.
+    0 <= k <= top}.  The bracket's best side ``best`` is a schedule and
+    its own value (``objective_value``), first a certified incumbent;
+    its refuted side is first ``grid.bound``.  Entries are
+    binary-searched over k in order, each only strictly inside the
+    bracket, with ``probe(entry, value)``, which returns a certified
+    schedule or None.  A schedule moves the best side to its own value.
+    A refutation moves the refuted side for every entry that asks the
+    same monotone question (every value above a feasible one is
+    feasible when minimizing, every value below when maximizing): all
+    entries of a cmax or cmin grid, and the consecutive envy entries of
+    one top type t1.  An empty bracket costs no probe.
     """
+    minimize = grid.objective != "cmin"
+    question = refuted = None
     for entry in grid.entries:
+        if grid.objective == "cenvy" and entry[0] != question:
+            question, refuted = entry[0], None
         den, top = entry[-2:]
-        if minimize:
-            lo = math.ceil(grid.bound * den)
-            hi = min(top, math.ceil(best[0] * den) - 1)
-        else:
-            lo = math.floor(best[0] * den) + 1
-            hi = min(top, math.floor(grid.bound * den))
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            trace["probes"] += 1
-            sched = probe(entry, Fraction(mid, den))
-            if sched is not None:
-                best = (Fraction(mid, den), sched)
-            # step toward better values after a success, away after a failure
-            if (sched is not None) == minimize:
-                hi = mid - 1
+        while True:
+            if minimize:
+                lo = (math.ceil(grid.bound * den) if refuted is None
+                      else math.floor(refuted * den) + 1)
+                hi = min(top, math.ceil(best[0] * den) - 1)
             else:
-                lo = mid + 1
+                lo = math.floor(best[0] * den) + 1
+                hi = min(top, math.floor(grid.bound * den) if refuted is None
+                         else math.ceil(refuted * den) - 1)
+            if lo > hi:
+                break
+            value = Fraction((lo + hi) // 2, den)
+            trace["probes"] += 1
+            sched = probe(entry, value)
+            if sched is None:
+                refuted = value
+            else:
+                best = (objective_value(inst, sched, grid.objective), sched)
     return best
 
 
@@ -516,8 +536,7 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
             run[2] += p[j]
             left -= take
     sched = make_schedule(d, p, [(t, tuple(c), k) for t, c, _, k in runs])
-    completions = schedule_completions(inst, sched)
-    value = max(completions) if rel == LE else min(completions)
+    value = objective_value(inst, sched, "cmax" if rel == LE else "cmin")
     _certify(inst, sched, FeasibilityQuery(rel, value))
     return value, sched
 
@@ -543,35 +562,20 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
         raise InfeasibleRestrictionError(
             f"job type {j} has {inst.n[j]} jobs but no machine may run it")
     rel = LE if objective == "cmax" else GE
-    trace: dict = {"probes": 0, "cache_hits": 0}
-    # feasibility depends on T only through the normalized speeds, so a
-    # probe whose normalized speeds were already asked in this solve
-    # reuses that answer: its schedule, re-certified at T, and the trace
-    # update the first ask made.
-    memo: dict[tuple[int, ...], tuple[HMSchedule | None, dict]] = {}
+    trace: dict = {"probes": 0}
     # a solve that runs no probe is answered by the incumbent
     last: dict = {"path": "incumbent"}
 
     def probe(entry: tuple[int, ...], T: Fraction) -> HMSchedule | None:
         nonlocal last
-        key = normalized_speeds(inst, rel, T)
-        if key in memo:
-            trace["cache_hits"] += 1
-            sched, update = memo[key]
-            if sched is not None:
-                _certify(inst, sched, FeasibilityQuery(rel, T))
-        else:
-            update = {}
-            sched = feasibility(inst, rel, T, method=method,
-                                state_limit=state_limit, trace=update)
-            memo[key] = sched, update
-        last = update
-        return sched
+        last = {}
+        return feasibility(inst, rel, T, method=method,
+                           state_limit=state_limit, trace=last)
 
-    value, sched = _search_grid(candidate_values(inst, objective), probe,
-                                rel == LE, trace, _incumbent(inst, rel))
-    # the aggregate counters plus the keys of the last probe only; the
-    # schedule was certified at value by _incumbent or by its probe
+    value, sched = _search_grid(inst, candidate_values(inst, objective), probe,
+                                trace, _incumbent(inst, rel))
+    # the probe count plus the last probe's keys; _incumbent or the probe
+    # that found the schedule certified it at a threshold its value meets
     trace.update(last)
     return SolveResult(objective, value, sched, trace)
 
@@ -619,24 +623,21 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     ``trace["solves"]`` counts those solves and ``trace["cache_hits"]``
     the window tuples answered from that memo.
 
-    Two facts skip work whose answer is already known, without changing
-    any probe's answer or schedule:
+    The check depends on the pair only through t1: its windows are
+    [ceil((a/s_t1 - E) * s_t), floor(a/s_t1 * s_t)], and t2 only
+    chooses the grid E is drawn from.  It is monotone in E: a larger E
+    lowers every lo_t and so can only move the end of the a interval
+    up, and a schedule inside the smaller windows lies inside the
+    larger ones.  So the grid lists the entries of one t1 consecutively
+    and ``_search_grid`` shares their refuted side: no probe asks an E
+    that an earlier refutation of its t1 settled.  A schedule found at
+    E has envy at most E, and the search moves to that envy.
 
-    * The check depends on the pair only through t1: its windows are
-      [ceil((a/s_t1 - E) * s_t), floor(a/s_t1 * s_t)], and t2 only
-      chooses the grid E is drawn from.  It is monotone in E: a larger
-      E lowers every lo_t and so can only move the end of the a
-      interval up, and a schedule inside the smaller windows lies inside
-      the larger ones.  So ``refuted[t1]`` keeps the largest E at which
-      t1's scan found nothing, and a later probe with the same t1 and
-      E <= ``refuted[t1]`` is answered None without a scan
-      (``trace["refuted"]``).  Only refutations are kept, so every
-      feasible probe runs its own scan and returns its own schedule.
-    * A window tuple is skipped before a model is built when some
-      type's reduced core window admits no configuration capped at n
-      (``trace["empty_windows"]``): that is the core group
-      ``build_model`` would make, and ``solve_model`` rejects a model
-      with an empty group before its dynamic program.
+    A window tuple is skipped before a model is built when some type's
+    reduced core window admits no configuration capped at n
+    (``trace["empty_windows"]``): that is the core group ``build_model``
+    would make, and ``solve_model`` rejects a model with an empty group
+    before its dynamic program.
     """
     _require_machines(inst)
     if inst.restrict is not None:
@@ -644,7 +645,7 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     d, p, n = inst.d, inst.p, inst.n
     P = inst.total_load
     trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0,
-                   "refuted": 0, "empty_windows": 0}
+                   "empty_windows": 0}
     if P == 0:
         sched = make_schedule(d, p, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
         _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
@@ -655,8 +656,6 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
     a_num = P + inst.pmax * total_cap
     memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
-    # the largest E at which a top type's scan found no schedule
-    refuted: dict[int, Fraction] = {}
     # whether a window's reduced core admits a configuration
     columns: dict[tuple[int, int], bool] = {}
     consts = reduction_constants(p)
@@ -670,9 +669,6 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
 
     def check(entry: tuple[int, ...], E: Fraction) -> HMSchedule | None:
         t1, t2, den, _ = entry
-        if t1 in refuted and E <= refuted[t1]:
-            trace["refuted"] += 1
-            return None
         s1, s2 = inst.s[t1], inst.s[t2]
         k = E.numerator * (den // E.denominator)
 
@@ -708,21 +704,16 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 return sched
-        refuted[t1] = E
         return None
 
     grid = candidate_values(inst, "cenvy")
     trace["pairs"] = len(grid.entries)
     _, start = _incumbent(inst, LE)
-    completions = schedule_completions(inst, start)
-    value, sched = _search_grid(grid, check, True, trace,
-                                (max(completions) - min(completions), start))
-    completions = schedule_completions(inst, sched)
-    achieved = max(completions) - min(completions)
-    if achieved != value:
-        raise CertificateError(
-            f"schedule envy {achieved} != claimed {value}")
-    _certify(inst, sched, FeasibilityQuery(LE, max(completions)))
+    value, sched = _search_grid(inst, grid, check, trace,
+                                (objective_value(inst, start, "cenvy"), start))
+    # value is the schedule's own envy; certify its machines and jobs
+    _certify(inst, sched,
+             FeasibilityQuery(LE, objective_value(inst, sched, "cmax")))
     return SolveResult("cenvy", value, sched, trace)
 
 

@@ -390,6 +390,14 @@ def schedule_completions(inst: Instance, sched: HMSchedule) -> list[Fraction]:
     return out
 
 
+def objective_value(inst: Instance, sched: HMSchedule, objective: str) -> Fraction:
+    """The largest completion ("cmax"), the smallest ("cmin") or their
+    difference ("cenvy"); each is 0 without machines."""
+    completions = schedule_completions(inst, sched) or [Fraction(0)]
+    high, low = max(completions), min(completions)
+    return {"cmax": high, "cmin": low, "cenvy": high - low}[objective]
+
+
 # ---------------------------------------------------------------------------
 # Run-length multisets
 # ---------------------------------------------------------------------------

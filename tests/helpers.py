@@ -707,22 +707,24 @@ def reference_solve_model(model: ConfILPModel,
 
 
 # ---------------------------------------------------------------------------
-# Envy search without the refutation bound or the column check
+# Envy search without the shared bracket or the column check
 # ---------------------------------------------------------------------------
-# ``drivers.minimize_envy`` answers some probes from a per-top-type
-# refutation bound and skips window tuples whose core admits no column.
-# This is the search it replaced, kept verbatim, so tests can check that
-# both return the same value, schedule and probe count.
+# ``drivers.minimize_envy`` skips every probe its bracket already settles
+# and every window tuple whose core admits no column.  This is the search
+# it replaced: the grid search that restarts each entry from the bound
+# and moves to the probed value, kept verbatim, and the envy check that
+# scans every probe and builds every window tuple, so tests can check
+# that both return the same value and schedule.
 
 from bisect import bisect_left
 
 from hmsched.confilp import LoadWindow, build_model, solve_model
 from hmsched.drivers import (
+    CandidateGrid,
     SolveResult,
     _certify,
     _incumbent,
     _require_machines,
-    _search_grid,
     candidate_values,
 )
 from hmsched.model import (
@@ -733,6 +735,45 @@ from hmsched.model import (
     make_schedule,
     schedule_completions,
 )
+
+
+def _search_grid(grid: CandidateGrid, probe, minimize: bool, trace: dict,
+                 best: tuple[Fraction, HMSchedule]
+                 ) -> tuple[Fraction, HMSchedule]:
+    """Best feasible value on the grid, with the schedule that attains it.
+
+    Each entry ``(..., den, top)`` stands for the values {k / den :
+    0 <= k <= top}, on which feasibility is monotone (every value above
+    a feasible one is feasible when minimizing, every value below when
+    maximizing).  The search starts from a certified incumbent ``best``
+    = (value, schedule) and searches only the bracket between it and
+    ``grid.bound``: on each entry the values strictly better than the
+    best so far and no better than the bound.  Entries are
+    binary-searched over k in order with ``probe(entry, value)``, which
+    returns a certified schedule or None.  An entry whose bracket is
+    empty costs no probe, so a solve whose incumbent meets the bound
+    probes nothing.
+    """
+    for entry in grid.entries:
+        den, top = entry[-2:]
+        if minimize:
+            lo = math.ceil(grid.bound * den)
+            hi = min(top, math.ceil(best[0] * den) - 1)
+        else:
+            lo = math.floor(best[0] * den) + 1
+            hi = min(top, math.floor(grid.bound * den))
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            trace["probes"] += 1
+            sched = probe(entry, Fraction(mid, den))
+            if sched is not None:
+                best = (Fraction(mid, den), sched)
+            # step toward better values after a success, away after a failure
+            if (sched is not None) == minimize:
+                hi = mid - 1
+            else:
+                lo = mid + 1
+    return best
 
 
 def reference_minimize_envy(inst: Instance,

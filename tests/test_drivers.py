@@ -35,18 +35,27 @@ from hmsched.oracle import (
     brute_force_feasibility,
     generate,
 )
+from hmsched.reduction import normalized_speeds
 
+from helpers import _search_grid as reference_search_grid
 from helpers import instance_stream, reference_minimize_envy
 
 DATA = Path(__file__).parent / "data"
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
+# machine type 0 may run neither job type
+RESTRICTED_NO_REPEAT = Instance(p=(2, 2), n=(5, 2), s=(2, 3, 7), m=(1, 1, 1),
+                                restrict=((False, True, False),
+                                          (False, False, True)))
 
 
 def test_candidate_values_grids():
     grid = candidate_values(FIG1, "cmax")
     t, den, top = grid.entries[0]
-    assert (den, top) == (15, 105)  # values k/15 up to 7 = total load
-    assert Fraction(top, den) == FIG1.total_load
+    assert (den, top) == (15, 7)  # values k/15 up to the total load 7
+
+    # each type's grid stops at the load of the job types it may run
+    grid = candidate_values(RESTRICTED_NO_REPEAT, "cmax")
+    assert grid.entries == ((0, 2, 0), (1, 3, 10), (2, 7, 4))
 
     single = Instance(p=(2,), n=(3,), s=(4,), m=(1,))
     grid = candidate_values(single, "cmax")
@@ -155,7 +164,7 @@ def test_unit_billion_meets_the_area_bound_without_probes(monkeypatch, solver,
     result = solver(inst)
     assert result.value == 1
     assert checked == [1]
-    assert result.trace == {"probes": 0, "cache_hits": 0, "path": "incumbent"}
+    assert result.trace == {"probes": 0, "path": "incumbent"}
     assert verify_schedule(inst, result.schedule, FeasibilityQuery(rel, 1)).ok
 
 
@@ -169,30 +178,6 @@ def test_perturbed_p23_probes_stay_flat():
         assert result.value == Fraction(8, 7)
         probes.add(result.trace["probes"])
     assert len(probes) == 1 and probes.pop() > 0
-
-
-def test_probe_memo_reuses_repeated_normalized_questions(monkeypatch):
-    inst = Instance(p=(2, 4), n=(28, 40), s=(2, 4, 6), m=(5, 1, 2))
-    asked = []
-    plain_feasibility = drivers.feasibility
-
-    def spy(*args, **kwargs):
-        asked.append(args[2])
-        return plain_feasibility(*args, **kwargs)
-
-    monkeypatch.setattr(drivers, "feasibility", spy)
-    result = minimize_makespan(inst)
-    # the same search with every probe asked afresh
-    plain = {"probes": 0}
-    value, _ = drivers._search_grid(
-        candidate_values(inst, "cmax"),
-        lambda entry, T: plain_feasibility(inst, "<=", T, trace=plain),
-        True, plain, drivers._incumbent(inst, "<="))
-    hits = result.trace["cache_hits"]
-    assert hits >= 1
-    assert result.value == value
-    assert result.trace["probes"] == plain["probes"] == len(asked) + hits
-    assert {k: v for k, v in result.trace.items() if k != "cache_hits"} == plain
 
 
 def test_trace_keeps_only_the_last_probes_keys(monkeypatch):
@@ -209,7 +194,7 @@ def test_trace_keeps_only_the_last_probes_keys(monkeypatch):
     result = minimize_makespan(inst)
     assert paths
     assert result.trace["path"] == "direct-confilp"
-    assert set(result.trace) == {"probes", "cache_hits", "path"}
+    assert set(result.trace) == {"probes", "path"}
 
 
 def test_feasibility_fig1_thresholds():
@@ -524,7 +509,6 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     result = minimize_envy(Instance(p=(1,), n=(3,), s=(5, 6, 13), m=(1, 1, 1)))
     assert result.value == Fraction(8, 65)
     assert result.trace["solves"] == len(built) == len(set(built))
-    assert result.trace["cache_hits"] > 0
     assert all(g.configs for model in models for g in model.groups
                if g.role == "core" and g.count > 0)
 
@@ -542,6 +526,64 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
                if g.role == "core" and g.count > 0)
 
 
+def _spy_questions(monkeypatch):
+    """Lists that collect every feasibility call's normalized speeds and
+    every model's window tuple."""
+    asked, built = [], []
+    plain_feasibility, plain_build = drivers.feasibility, drivers.build_model
+
+    def spy_feasibility(inst, rel, T, **kwargs):
+        asked.append(normalized_speeds(inst, rel, T))
+        return plain_feasibility(inst, rel, T, **kwargs)
+
+    def spy_build(inst, windows, **kwargs):
+        built.append(tuple(windows))
+        return plain_build(inst, windows, **kwargs)
+
+    monkeypatch.setattr(drivers, "feasibility", spy_feasibility)
+    monkeypatch.setattr(drivers, "build_model", spy_build)
+    return asked, built
+
+
+def _solve_asking_each_question_once(asked, built, inst, objective):
+    # each probe's answer narrows the one bracket past every value it
+    # settles, so no two probes of a solve ask the same normalized
+    # speeds (see candidate_values), and no restricted solve, which
+    # builds one model per probe, builds a window tuple twice
+    asked.clear()
+    built.clear()
+    if inst.restrict is None:
+        solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
+        result = solver[objective](inst)
+    else:
+        result = solve_restricted(inst, objective)
+    assert result.trace["probes"] == len(asked), (inst, objective)
+    assert len(set(asked)) == len(asked), (inst, objective)
+    if inst.restrict is not None:
+        assert len(set(built)) == len(built), (inst, objective)
+    return result
+
+
+def test_probe_memo_reuses_repeated_normalized_questions(monkeypatch):
+    # a solve that repeated normalized questions, answered by a probe
+    # memo, while every grid entry restarted its search from the area
+    # bound; the one bracket asks each question once
+    inst = Instance(p=(2, 4), n=(28, 40), s=(2, 4, 6), m=(5, 1, 2))
+    plain_feasibility = drivers.feasibility
+    asked, built = _spy_questions(monkeypatch)
+    result = _solve_asking_each_question_once(asked, built, inst, "cmax")
+    # the search that restarts every entry, with every probe asked afresh
+    plain = {"probes": 0}
+    value, _ = reference_search_grid(
+        candidate_values(inst, "cmax"),
+        lambda entry, T: plain_feasibility(inst, "<=", T),
+        True, plain, drivers._incumbent(inst, "<="))
+    assert result.value == value
+    assert result.trace["probes"] < plain["probes"]
+
+
+# Restricted solves that repeated window tuples while every grid entry
+# restarted its search from the area bound.
 RESTRICTED_REPEATS = [
     Instance(p=(2, 3), n=(0, 9), s=(2, 6, 8, 9), m=(1, 1, 1, 1),
              restrict=((False, True, False, False), (True, False, True, False))),
@@ -561,20 +603,39 @@ RESTRICTED_REPEATS = [
 ])
 def test_restricted_memo_builds_each_window_tuple_once(monkeypatch, inst,
                                                        objective):
-    built = []
-    build_model = drivers.build_model
-
-    def spy(inst, windows, **kwargs):
-        built.append(tuple(windows))
-        return build_model(inst, windows, **kwargs)
-
-    monkeypatch.setattr(drivers, "build_model", spy)
-    result = solve_restricted(inst, objective)
-    hits = result.trace["cache_hits"]
-    assert hits > 0
-    assert len(built) == len(set(built))
-    assert result.trace["probes"] == len(built) + hits
+    asked, built = _spy_questions(monkeypatch)
+    result = _solve_asking_each_question_once(asked, built, inst, objective)
+    assert result.trace["probes"] == len(built)
     assert result.value == brute_force(inst, objective)[0]
+
+
+def _restricted_stream(count: int, base_seed: int):
+    out, seed = [], base_seed
+    while len(out) < count:
+        inst = generate(GenParams(seed=seed, restricted=True,
+                                  job_total_range=(0, 10),
+                                  machine_count_range=(1, 4),
+                                  speed_range=(1, 9)))
+        seed += 1
+        if inst.machine_count > 0 and assignable(inst):
+            out.append(inst)
+    return out
+
+
+def test_searches_never_repeat_a_question(monkeypatch):
+    asked, built = _spy_questions(monkeypatch)
+    # RESTRICTED_NO_REPEAT made 10 probes, 5 of them repeats, while every
+    # grid entry restarted its search from the area bound
+    cases = [(RESTRICTED_NO_REPEAT, "cmax")] + [
+        (inst, objective)
+        for inst in (instance_stream(30, base_seed=6_000)
+                     + _restricted_stream(30, base_seed=7_000))
+        if inst.machine_count > 0 for objective in ("cmax", "cmin")]
+    for inst, objective in cases:
+        result = _solve_asking_each_question_once(asked, built, inst,
+                                                  objective)
+        assert result.value == brute_force(inst, objective)[0], (inst,
+                                                                 objective)
 
 
 # Envy instances with 8 to 40 machines, past the oracle's six-machine cap.
@@ -619,18 +680,19 @@ def test_envy_machine_type_split(inst):
 
 
 def test_envy_matches_the_search_without_shortcuts(monkeypatch):
-    # The refutation bound and the column check skip only work whose
-    # answer is already known: value, schedule and probes stay those of
-    # the search that scans every probe and builds every window tuple.
+    # The shared bracket and the column check skip only work whose answer
+    # is already known: value and schedule stay those of the search that
+    # restarts every entry from the bound, scans every probe and builds
+    # every window tuple, and no instance takes more probes than it.
     probes, models = [], []
     search_grid, build_model = drivers._search_grid, drivers.build_model
 
-    def logged_search(grid, probe, *args):
+    def logged_search(inst, grid, probe, *args):
         def logged(entry, E):
             sched = probe(entry, E)
             probes.append((entry[0], E, sched is None))
             return sched
-        return search_grid(grid, logged, *args)
+        return search_grid(inst, grid, logged, *args)
 
     def spy(inst, windows, **kwargs):
         models.append(build_model(inst, windows, **kwargs))
@@ -641,25 +703,22 @@ def test_envy_matches_the_search_without_shortcuts(monkeypatch):
     instances = [inst for inst in instance_stream(72, base_seed=4_000)
                  if inst.machine_count > 0] + ENVY_PAST_CAPS
     assert len(instances) == 78
-    skipped = {"refuted": 0, "empty_windows": 0}
+    empty_windows = 0
     for inst in instances:
         probes.clear()
         got, want = minimize_envy(inst), reference_minimize_envy(inst)
         assert got.value == want.value, inst
         assert got.schedule.entries == want.schedule.entries, inst
-        assert got.trace["probes"] == want.trace["probes"] == len(probes), inst
-        # the bound answers exactly the probes whose top type was refuted
-        # before at an E at least as large
-        refuted, settled = {}, 0
+        assert got.trace["probes"] == len(probes) <= want.trace["probes"], inst
+        # no probe asks an E that an earlier refutation of its top type
+        # already settled
+        refuted = {}
         for t1, E, infeasible in probes:
-            if t1 in refuted and E <= refuted[t1]:
-                settled += 1
-            elif infeasible:
+            assert E > refuted.get(t1, -1), inst
+            if infeasible:
                 refuted[t1] = E
-        assert got.trace["refuted"] == settled, inst
-        for key in skipped:
-            skipped[key] += got.trace[key]
-    assert all(skipped.values())
+        empty_windows += got.trace["empty_windows"]
+    assert empty_windows
     # no model is built whose core group has no configuration
     assert all(g.configs for model in models for g in model.groups
                if g.role == "core" and g.count > 0)
