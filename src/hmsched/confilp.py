@@ -28,13 +28,24 @@ over the reachable states instead of one per machine.  The walk-back
 returns each group's picks as {configuration: count} and recombination
 pairs them by run (``model.deal``), so neither grows with the machine
 count.
+
+The sweep creates no state that the machines still left cannot finish.
+Per group it knows the largest and smallest column load, and so the
+most and the least load the remaining machines can take; a state whose
+remaining load lies outside that range (above it for ``=``/``>=``,
+below it for ``=``/``<=``) is dead.  Every parent of a live state is
+live and a dead state stays dead at later rounds, so the bounded sweep
+creates the same live states with the same first writers and returns
+the same schedule as the unbounded one, with fewer states created.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .model import (
     CertificateError,
@@ -223,30 +234,24 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
 
 
 def _necessarily_infeasible(model: ConfILPModel) -> bool:
-    """Cheap necessary-condition checks before running the DP."""
-    total_load = dot(model.p, model.demand)
-    min_load = 0
-    max_load = 0
+    """Cheap necessary-condition checks before running the DP.
+
+    A group with machines but no column, or (for ``=`` and ``>=``) a job
+    type the groups cannot cover even taking its most per machine.  A
+    total load out of the groups' reach needs no check here: the
+    capacity bound in ``solve_model`` then creates no state.
+    """
     per_job_max = [0] * len(model.p)
     for g in model.groups:
         if g.count == 0:
             continue
         if not g.configs:
             return True
-        min_load += g.count * g.window.lower
-        max_load += g.count * g.window.upper
         for j in range(len(model.p)):
             best = max((c[j] for c in g.configs), default=0)
             per_job_max[j] = per_job_max[j] + g.count * best
-    rel = model.demand_relation
-    if rel in (JOB_EQ, JOB_LE) and min_load > total_load:
-        return True
-    if rel in (JOB_EQ, JOB_GE):
-        if max_load < total_load:
-            return True
-        if any(have < need for have, need in zip(per_job_max, model.demand)):
-            return True
-    return False
+    return (model.demand_relation in (JOB_EQ, JOB_GE)
+            and any(have < need for have, need in zip(per_job_max, model.demand)))
 
 
 def _packing(model: ConfILPModel) -> tuple[int, int]:
@@ -278,9 +283,10 @@ def solve_model(model: ConfILPModel,
 
     Dynamic programming over remaining-demand vectors, one column group
     at a time.  A group is one sweep of ``count`` rounds, one per
-    machine: a round applies every nonempty column to the previous
-    round's new states (sorted) and records each state it creates in its
-    own {state: (parent, column index)} dict, the first writer winning.
+    machine: a round applies every live nonempty column (see the
+    capacity bound below) to the previous round's new states (sorted)
+    and records each state it creates in its own {state: (parent,
+    column index)} dict, the first writer winning.
     The groups differ only in the ``reached`` set that decides which
     states count as new.  When the window admits the empty
     configuration, ``reached`` is kept across rounds, starting from the
@@ -314,6 +320,47 @@ def solve_model(model: ConfILPModel,
     at zero: with ``g = x & H``, ``g - (g >> width)`` holds the value
     bits of exactly the digits whose guard survived, and ``x`` masked by
     it keeps s - c there and 0 elsewhere.
+
+    Capacity bound (the reachability bound of dynamic programs over
+    configurations; Jansen & Rohwedder, ITCS 2019).  A state's remaining
+    load is ``L = sum p_j * s_j``.  Let ``hi_g`` and ``lo_g`` be group
+    g's largest and smallest column load (``lo_g = 0`` when the empty
+    configuration is a column), and ``up_after[g]`` and
+    ``low_after[g]`` the sums of ``count * hi`` and ``count * lo`` over
+    groups g, g + 1, ...  After round r of group g, ``rest = count - r -
+    1`` of its machines and all later groups remain, so a state created
+    there with load L' is dead, and is not created, if
+      - the relation is ``=`` or ``>=`` and ``L' > most = rest * hi_g +
+        up_after[g + 1]``: a step lowers L by at most its column's load,
+        also when ``>=`` saturates, so state 0 is out of reach;
+      - the relation is ``=`` or ``<=`` and ``L' < least = rest * lo_g +
+        low_after[g + 1]``: an unsaturated step lowers L by exactly its
+        column's load, so the remaining machines cannot all be filled.
+    Each state carries L: ``L - column load`` after an unsaturated step,
+    recomputed from its digits after a saturated one.  For ``=`` and
+    ``<=`` a group's columns are sorted by load and each state bisects
+    them to the live interval ``[L - most, L - least]``; exactly one
+    column leads from a state to a given next state (their difference),
+    so the order in which a state tries its columns decides no first
+    writer.  ``>=`` keeps column-index order and filters column by
+    column, because saturation can map two columns onto the same next
+    state.
+
+    The schedules are those of the unbounded sweep.  Every successor of
+    a dead state is dead and every parent of a live state is live: one
+    round earlier ``most`` is larger by ``hi_g``, at least what a step
+    removes, and ``least`` by ``lo_g``, at most what an unsaturated step
+    removes (across a group boundary ``up_after[g] = count * hi_g +
+    up_after[g + 1]``, likewise for ``low_after``).  A state dead at one
+    round stays dead at every later round that shares its ``reached``
+    set: ``most`` never grows, and ``least`` shrinks only within a group
+    without the empty configuration, which resets ``reached`` every
+    round.  So the unbounded sweep's live states are created at the same
+    rounds by the same first writer (that writer is live, so it is in
+    the frontier, in the same sorted order), every dead state it made
+    has no path to the final state, and the final state and walk-back
+    chain are unchanged.  Only the number of states created falls, and
+    that is what ``state_limit`` counts.
     """
     if state_limit is None:
         state_limit = state_limit_default()
@@ -321,37 +368,89 @@ def solve_model(model: ConfILPModel,
         return None
 
     saturate = model.demand_relation == JOB_GE
-    zero = tuple(0 for _ in model.p)
+    p = model.p
+    zero = tuple(0 for _ in p)
     width, H = _packing(model)
+    digit = (1 << width) - 1
     left = state_limit
 
-    states: set[int] = {_pack(model.demand, width)}
+    def load(state: int) -> int:
+        total = 0
+        for pj in reversed(p):
+            total += pj * (state & digit)
+            state >>= width + 1
+        return total
+
+    whole = dot(p, model.demand)
+    column_loads = [[sum(map(mul, p, cfg)) for cfg in g.configs]
+                    for g in model.groups]
+    up_after = [0] * (len(model.groups) + 1)
+    low_after = [0] * (len(model.groups) + 1)
+    for gi in range(len(model.groups) - 1, -1, -1):
+        count = model.groups[gi].count
+        up_after[gi] = up_after[gi + 1] + count * max(column_loads[gi])
+        low_after[gi] = low_after[gi + 1] + count * min(column_loads[gi])
+
+    states: dict[int, int] = {_pack(model.demand, width): whole}
     trail: list[list[dict[int, tuple[int, int]]]] = []
-    for group in model.groups:
-        columns = [(ci, _pack(cfg, width))
-                   for ci, cfg in enumerate(group.configs) if cfg != zero]
+    for gi, group in enumerate(model.groups):
+        hi, lo = max(column_loads[gi]), min(column_loads[gi])
+        columns = [(ci, _pack(cfg, width), cl)
+                   for ci, (cfg, cl) in enumerate(zip(group.configs,
+                                                      column_loads[gi]))
+                   if cfg != zero]
         optional = len(columns) < len(group.configs)
+        if not saturate:
+            columns.sort(key=lambda column: column[2])
+        by_load = sorted(cl for _, _, cl in columns)
+        lightest, heaviest = (by_load[0], by_load[-1]) if columns else (0, 0)
         rounds: list[dict[int, tuple[int, int]]] = []
-        reached = set(states)
+        reached = dict(states)
         frontier = states
-        for _ in range(group.count):
+        for r in range(group.count):
+            rest = group.count - r - 1
+            most = rest * hi + up_after[gi + 1]
+            least = rest * lo + low_after[gi + 1]
+            # a bound the relation does not impose is moved past every state
+            if model.demand_relation == JOB_LE:
+                most = whole
+            elif saturate:
+                least = -heaviest
+            known = reached
             if not optional:
-                reached = set()
+                reached = {}
             step: dict[int, tuple[int, int]] = {}
             for st in sorted(frontier):
+                have = known[st]
                 base = st | H
-                for ci, col in columns:
+                # a column lighter than floor leaves more than the later
+                # machines can take, one heavier than ceil less than they need
+                floor, ceil = have - most, have - least
+                if saturate or (floor <= lightest and ceil >= heaviest):
+                    live = columns
+                else:
+                    live = columns[bisect_left(by_load, floor):
+                                   bisect_right(by_load, ceil)]
+                for ci, col, cl in live:
+                    if cl < floor:
+                        continue
                     x = base - col
                     g = x & H
                     if g == H:
                         ns = x ^ H
+                        if ns in reached:
+                            continue
+                        rem = have - cl
                     elif saturate:
                         ns = x & (g - (g >> width))
+                        if ns in reached:
+                            continue
+                        rem = load(ns)
+                        if rem > most:
+                            continue
                     else:
                         continue
-                    if ns in reached:
-                        continue
-                    reached.add(ns)
+                    reached[ns] = rem
                     step[ns] = (st, ci)
                     left -= 1
                     if left < 0:

@@ -464,8 +464,10 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
     its own value (``objective_value``), first a certified incumbent;
     its refuted side is first ``grid.bound``.  Entries are
     binary-searched over k in order, each only strictly inside the
-    bracket, with ``probe(entry, value)``, which returns a certified
-    schedule or None.  A schedule moves the best side to its own value.
+    bracket, with ``probe(entry, value)``, which returns a schedule or
+    None; the schedule is certified by the probe (``feasibility``) or,
+    for envy, once the search returns it (``minimize_envy``).  A
+    schedule moves the best side to its own value.
     A refutation moves the refuted side for every entry that asks the
     same monotone question (every value above a feasible one is
     feasible when minimizing, every value below when maximizing): all
@@ -711,9 +713,11 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     _, start = _incumbent(inst, LE)
     value, sched = _search_grid(inst, grid, check, trace,
                                 (objective_value(inst, start, "cenvy"), start))
-    # value is the schedule's own envy; certify its machines and jobs
-    _certify(inst, sched,
-             FeasibilityQuery(LE, objective_value(inst, sched, "cmax")))
+    # value is the schedule's own envy; certify a probe's schedule, whose
+    # machines and jobs nothing has checked (_incumbent certified start)
+    if sched is not start:
+        _certify(inst, sched,
+                 FeasibilityQuery(LE, objective_value(inst, sched, "cmax")))
     return SolveResult("cenvy", value, sched, trace)
 
 

@@ -372,19 +372,20 @@ def random_dp_model(rnd: random.Random, relation: str) -> ConfILPModel:
                        reduce=rnd.random() < 0.5)
 
 
-def smallest_sufficient_limit(model: ConfILPModel) -> int:
-    """Fewest states the reference DP needs without ResourceLimitError."""
+def smallest_sufficient_limit(model: ConfILPModel,
+                              solve=reference_solve_model) -> int:
+    """Fewest states ``solve`` needs without ResourceLimitError."""
     lo, hi = 0, 1
     while True:
         try:
-            reference_solve_model(model, state_limit=hi)
+            solve(model, state_limit=hi)
             break
         except ResourceLimitError:
             lo, hi = hi + 1, 2 * hi
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            reference_solve_model(model, state_limit=mid)
+            solve(model, state_limit=mid)
             hi = mid
         except ResourceLimitError:
             lo = mid + 1
@@ -399,7 +400,7 @@ def entries_or_none(sched):
 def test_packed_dp_matches_tuple_reference(relation):
     rnd = random.Random(f"packed-{relation}")
     verdicts = set()
-    over_covered = 0
+    over_covered = pruned = 0
     for _ in range(80):
         model = random_dp_model(rnd, relation)
         over_covered += any(c > need for g in model.groups
@@ -412,8 +413,17 @@ def test_packed_dp_matches_tuple_reference(relation):
         assert entries_or_none(solve_model(model, state_limit=limit)) == \
             entries_or_none(want), (model, limit)
         if limit > 0:
-            for solve in (solve_model, reference_solve_model):
-                with pytest.raises(ResourceLimitError):
-                    solve(model, state_limit=limit - 1)
+            with pytest.raises(ResourceLimitError):
+                reference_solve_model(model, state_limit=limit - 1)
+        # the capacity bound only ever drops states
+        own = smallest_sufficient_limit(model, solve_model)
+        assert own <= limit, (model, own, limit)
+        pruned += own < limit
+        assert entries_or_none(solve_model(model, state_limit=own)) == \
+            entries_or_none(want), (model, own)
+        if own > 0:
+            with pytest.raises(ResourceLimitError):
+                solve_model(model, state_limit=own - 1)
     assert verdicts == {True, False}
+    assert pruned > 0
     assert (over_covered > 0) == (relation == ">=")

@@ -332,6 +332,17 @@ def test_balanced_guess_count_on_several_fast_machines():
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is None
 
 
+def test_capacity_bound_solves_fast_machines_within_3000_states():
+    # The fast-machine family p=(2,5), n=(30k+1, 20k), s=(2,3,6) at k=4,
+    # solved directly.  Its probes' dynamic programs need between 3 000
+    # and 10 000 states without the capacity bound, at most 1 500 with it.
+    inst = Instance(p=(2, 5), n=(121, 80), s=(2, 3, 6), m=(1, 1, 1))
+    result = minimize_makespan(inst, method="confilp", state_limit=3000)
+    assert result.value == Fraction(117, 2)
+    assert verify_schedule(inst, result.schedule,
+                           FeasibilityQuery("<=", result.value)).ok
+
+
 def test_balanced_matches_direct_on_fast_instances():
     checked = 0
     for seed in range(25):
@@ -492,6 +503,30 @@ def test_envy_ignores_empty_machine_types():
 def test_envy_no_jobs():
     inst = Instance(p=(4,), n=(0,), s=(2, 7), m=(1, 1))
     assert minimize_envy(inst).value == 0
+
+
+@pytest.mark.parametrize("inst, beaten", [
+    (FIG1, False),  # the incumbent's envy 3/65 is optimal
+    # the incumbent's envy is 3/2, a probe finds envy 0
+    (Instance(p=(2, 3), n=(3, 2), s=(1, 2), m=(1, 1)), True),
+])
+def test_envy_verifies_the_returned_schedule_once(monkeypatch, inst, beaten):
+    checked = []
+    plain_verify = drivers.verify_schedule
+
+    def spy(*args, **kwargs):
+        checked.append(args[1])
+        return plain_verify(*args, **kwargs)
+
+    monkeypatch.setattr(drivers, "verify_schedule", spy)
+    result = minimize_envy(inst)
+    assert result.trace["probes"] > 0
+    # _incumbent certifies the incumbent; a probe's schedule is certified
+    # once the search returns it
+    assert len(checked) == 1 + beaten
+    assert checked[-1] == result.schedule
+    assert verify_schedule(inst, result.schedule, FeasibilityQuery(
+        "<=", max(schedule_completions(inst, result.schedule)))).ok
 
 
 def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
