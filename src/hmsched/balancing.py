@@ -71,9 +71,10 @@ def reduced_schedule(floors: tuple[tuple[int, ...], ...], idle_cap: int | None,
     type-j jobs of B, which leaves every load and load window as it was.
     An idle cap lets a machine also leave up to idle_cap load empty, at
     most idle_cap // pmin jobs of one type.  Acceptance criterion 6
-    checks the makespan form (no cap, usage >= n), the idle form
-    (rotating caps, usage = n) and the production minimum-completion
-    form (cap pmax - 1, usage <= n) against the oracle.
+    checks the makespan form (no cap, usage >= n, and the production
+    form with usage = n), the idle form (rotating caps, usage = n) and
+    the production minimum-completion form (cap pmax - 1, usage <= n)
+    against the oracle.
     """
     margin = pmax if idle_cap is None else pmax + idle_cap // pmin
     return tuple(tuple(max(x - margin, 0) for x in row) for row in floors)

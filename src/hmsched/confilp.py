@@ -1,10 +1,10 @@
 """Configuration enumeration, window reduction, and exact model solving.
 
 A feasibility question "is there a schedule whose per-machine loads lie
-in given per-type windows and whose job usage stands in a given relation
-to the demand vector" becomes a configuration ILP: per machine type,
-choose a multiset of load-window-respecting configurations, one per
-machine, so that demands and machine counts match.
+in given per-type windows and whose job usage is exactly n (``=``) or at
+most n (``<=``)" becomes a configuration ILP: per machine type, choose a
+multiset of load-window-respecting configurations, one per machine, so
+that demands and machine counts match.
 
 Window reduction rewrites each type's window as a small core window plus
 a number of exact / slack blocks (see reduction.reduce_window); the
@@ -32,8 +32,8 @@ count.
 The sweep creates no state that the machines still left cannot finish.
 Per group it knows the largest and smallest column load, and so the
 most and the least load the remaining machines can take; a state whose
-remaining load lies outside that range (above it for ``=``/``>=``,
-below it for ``=``/``<=``) is dead.  Every parent of a live state is
+remaining load lies outside that range (above it for ``=``, below it
+for ``=`` and ``<=``) is dead.  Every parent of a live state is
 live and a dead state stays dead at later rounds, so the bounded sweep
 creates the same live states with the same first writers and returns
 the same schedule as the unbounded one, with fewer states created.
@@ -52,7 +52,6 @@ from .model import (
     HMSchedule,
     Instance,
     JOB_EQ,
-    JOB_GE,
     JOB_LE,
     MalformedInputError,
     Runs,
@@ -108,7 +107,6 @@ class ModelGroup:
 @dataclass(frozen=True)
 class ConfILPModel:
     p: tuple[int, ...]
-    tau: int
     demand: tuple[int, ...]
     demand_relation: str
     groups: tuple[ModelGroup, ...]
@@ -174,18 +172,15 @@ def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionC
 
 
 def build_model(inst: Instance, windows: list[LoadWindow], *,
-                demand: tuple[int, ...] | None = None,
                 demand_relation: str = JOB_EQ,
                 reduce: bool = True) -> ConfILPModel:
     """Assemble the configuration model for the given load windows.
 
-    Columns live within the (possibly reduced) window, restricted to the
-    type's allowed job set, and are capped at the demand vector whenever
-    that cap is sound: always for usage relations = and <=, and for >=
-    only on windows without a lower bound (surplus is then removable).
-    On lower-bounded windows with relation >= a machine may legitimately
-    over-cover, so there the cap is raised to what the window's upper
-    bound admits.
+    The model asks for job usage exactly ``inst.n`` (``demand_relation``
+    ``=``) or at most ``inst.n`` (``<=``).  Columns live within the
+    (possibly reduced) window, restricted to the type's allowed job set,
+    and capped at ``inst.n``: under either relation no machine takes
+    more of a job type than the whole demand.
 
     Each machine type with machines contributes its column groups in one
     loop over (role, blocks per machine, window), roles in the order
@@ -197,18 +192,10 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
     group).  With ``reduce=False``, or when the type may run no job, the
     raw window is the core and there are no blocks.
     """
-    if demand is None:
-        demand = inst.n
-    if demand_relation not in (JOB_EQ, JOB_LE, JOB_GE):
+    if demand_relation not in (JOB_EQ, JOB_LE):
         raise MalformedInputError(f"bad demand relation {demand_relation!r}")
     if len(windows) != inst.tau:
         raise MalformedInputError("one window per machine type required")
-
-    def column_cap(win: LoadWindow) -> tuple[int, ...]:
-        if demand_relation != JOB_GE or win.lower == 0:
-            return demand
-        return tuple(max(d_j, win.upper // pj)
-                     for d_j, pj in zip(demand, inst.p))
 
     groups: list[ModelGroup] = []
     for t, win in enumerate(windows):
@@ -227,19 +214,19 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
             if per_machine:
                 groups.append(ModelGroup(
                     t, role, inst.m[t] * per_machine, part,
-                    tuple(enumerate_configs(inst.p, column_cap(part),
+                    tuple(enumerate_configs(inst.p, inst.n,
                                             (part.lower, part.upper), allowed))))
-    return ConfILPModel(inst.p, inst.tau, tuple(demand), demand_relation,
-                        tuple(groups), tuple(windows))
+    return ConfILPModel(inst.p, inst.n, demand_relation, tuple(groups),
+                        tuple(windows))
 
 
 def _necessarily_infeasible(model: ConfILPModel) -> bool:
     """Cheap necessary-condition checks before running the DP.
 
-    A group with machines but no column, or (for ``=`` and ``>=``) a job
-    type the groups cannot cover even taking its most per machine.  A
-    total load out of the groups' reach needs no check here: the
-    capacity bound in ``solve_model`` then creates no state.
+    A group with machines but no column, or (for ``=``) a job type the
+    groups cannot cover even taking its most per machine.  A total load
+    out of the groups' reach needs no check here: the capacity bound in
+    ``solve_model`` then creates no state.
     """
     per_job_max = [0] * len(model.p)
     for g in model.groups:
@@ -250,7 +237,7 @@ def _necessarily_infeasible(model: ConfILPModel) -> bool:
         for j in range(len(model.p)):
             best = max((c[j] for c in g.configs), default=0)
             per_job_max[j] = per_job_max[j] + g.count * best
-    return (model.demand_relation in (JOB_EQ, JOB_GE)
+    return (model.demand_relation == JOB_EQ
             and any(have < need for have, need in zip(per_job_max, model.demand)))
 
 
@@ -259,7 +246,8 @@ def _packing(model: ConfILPModel) -> tuple[int, int]:
 
     Every demand entry and every column entry fits in ``width`` bits, so
     each coordinate gets a ``width``-bit digit with one guard bit above
-    it; coordinate 0 takes the most significant digit.
+    it; coordinate 0 takes the most significant digit.  Scanning the
+    columns too keeps a hand-built model inside the invariant.
     """
     top = max([0, *model.demand,
                *(x for g in model.groups for c in g.configs for x in c)])
@@ -296,6 +284,7 @@ def solve_model(model: ConfILPModel,
     sweep is a breadth-first search for the fewest loaded machines.
     Otherwise every machine must take a column, and ``reached`` is reset
     every round.  The states after the group are ``reached``.  The
+    final state is 0 for ``=`` and the smallest one left for ``<=``; the
     walk-back takes one pick from every round whose dict holds the
     current state and fills the group's remaining machines with the
     empty configuration.  Tie-breaking is lexicographic everywhere, so
@@ -307,79 +296,63 @@ def solve_model(model: ConfILPModel,
     per coordinate, coordinate 0 most significant, each digit holding
     its value in ``width`` bits below a guard bit.  Invariant: the guard
     bits of every state and every column are clear, because ``width``
-    covers the demand (states only shrink) and every column entry, the
-    over-covering ``>=`` columns included.  Int order is then tuple
-    order, so sorting and ``min`` break ties as on tuples.
+    covers the demand (states only shrink) and every column entry.  Int
+    order is then tuple order, so sorting and ``min`` break ties as on
+    tuples.
 
     A step computes ``x = (state | H) - column`` with ``H`` the guard
     mask.  Each digit of ``state | H`` is ``2**width + s`` and exceeds
     the column's digit ``c < 2**width``, so no digit borrows from its
     neighbour and the digit's guard bit survives exactly when s >= c.
     If every guard bit survives (``x & H == H``) the next state is ``x ^
-    H``.  Otherwise ``=``/``<=`` skip the column, and ``>=`` saturates
-    at zero: with ``g = x & H``, ``g - (g >> width)`` holds the value
-    bits of exactly the digits whose guard survived, and ``x`` masked by
-    it keeps s - c there and 0 elsewhere.
+    H``; otherwise the column takes more than the state has left and is
+    skipped.
 
     Capacity bound (the reachability bound of dynamic programs over
     configurations; Jansen & Rohwedder, ITCS 2019).  A state's remaining
-    load is ``L = sum p_j * s_j``.  Let ``hi_g`` and ``lo_g`` be group
-    g's largest and smallest column load (``lo_g = 0`` when the empty
-    configuration is a column), and ``up_after[g]`` and
-    ``low_after[g]`` the sums of ``count * hi`` and ``count * lo`` over
-    groups g, g + 1, ...  After round r of group g, ``rest = count - r -
-    1`` of its machines and all later groups remain, so a state created
-    there with load L' is dead, and is not created, if
-      - the relation is ``=`` or ``>=`` and ``L' > most = rest * hi_g +
-        up_after[g + 1]``: a step lowers L by at most its column's load,
-        also when ``>=`` saturates, so state 0 is out of reach;
-      - the relation is ``=`` or ``<=`` and ``L' < least = rest * lo_g +
-        low_after[g + 1]``: an unsaturated step lowers L by exactly its
-        column's load, so the remaining machines cannot all be filled.
-    Each state carries L: ``L - column load`` after an unsaturated step,
-    recomputed from its digits after a saturated one.  For ``=`` and
-    ``<=`` a group's columns are sorted by load and each state bisects
-    them to the live interval ``[L - most, L - least]``; exactly one
-    column leads from a state to a given next state (their difference),
-    so the order in which a state tries its columns decides no first
-    writer.  ``>=`` keeps column-index order and filters column by
-    column, because saturation can map two columns onto the same next
-    state.
+    load is ``L = sum p_j * s_j``, and a step lowers it by exactly its
+    column's load.  Let ``hi_g`` and ``lo_g`` be group g's largest and
+    smallest column load (``lo_g = 0`` when the empty configuration is a
+    column), and ``up_after[g]`` and ``low_after[g]`` the sums of
+    ``count * hi`` and ``count * lo`` over groups g, g + 1, ...  After
+    round r of group g, ``rest = count - r - 1`` of its machines and all
+    later groups remain, so a state created there with load L' is dead,
+    and is not created, if
+      - the relation is ``=`` and ``L' > most = rest * hi_g +
+        up_after[g + 1]``: state 0 is out of reach;
+      - ``L' < least = rest * lo_g + low_after[g + 1]``: the remaining
+        machines cannot all be filled.
+    Each state carries L.  A group's columns are sorted by load and each
+    state bisects them to the live interval ``[L - most, L - least]``;
+    exactly one column leads from a state to a given next state (their
+    difference), so the order in which a state tries its columns decides
+    no first writer.
 
     The schedules are those of the unbounded sweep.  Every successor of
     a dead state is dead and every parent of a live state is live: one
     round earlier ``most`` is larger by ``hi_g``, at least what a step
-    removes, and ``least`` by ``lo_g``, at most what an unsaturated step
-    removes (across a group boundary ``up_after[g] = count * hi_g +
-    up_after[g + 1]``, likewise for ``low_after``).  A state dead at one
-    round stays dead at every later round that shares its ``reached``
-    set: ``most`` never grows, and ``least`` shrinks only within a group
-    without the empty configuration, which resets ``reached`` every
-    round.  So the unbounded sweep's live states are created at the same
-    rounds by the same first writer (that writer is live, so it is in
-    the frontier, in the same sorted order), every dead state it made
-    has no path to the final state, and the final state and walk-back
-    chain are unchanged.  Only the number of states created falls, and
-    that is what ``state_limit`` counts.
+    removes, and ``least`` by ``lo_g``, at most what a step removes
+    (across a group boundary ``up_after[g] = count * hi_g + up_after[g +
+    1]``, likewise for ``low_after``).  A state dead at one round stays
+    dead at every later round that shares its ``reached`` set: ``most``
+    never grows, and ``least`` shrinks only within a group without the
+    empty configuration, which resets ``reached`` every round.  So the
+    unbounded sweep's live states are created at the same rounds by the
+    same first writer (that writer is live, so it is in the frontier, in
+    the same sorted order), every dead state it made has no path to the
+    final state, and the final state and walk-back chain are unchanged.
+    Only the number of states created falls, and that is what
+    ``state_limit`` counts.
     """
     if state_limit is None:
         state_limit = state_limit_default()
     if _necessarily_infeasible(model):
         return None
 
-    saturate = model.demand_relation == JOB_GE
     p = model.p
     zero = tuple(0 for _ in p)
     width, H = _packing(model)
-    digit = (1 << width) - 1
     left = state_limit
-
-    def load(state: int) -> int:
-        total = 0
-        for pj in reversed(p):
-            total += pj * (state & digit)
-            state >>= width + 1
-        return total
 
     whole = dot(p, model.demand)
     column_loads = [[sum(map(mul, p, cfg)) for cfg in g.configs]
@@ -400,22 +373,18 @@ def solve_model(model: ConfILPModel,
                                                       column_loads[gi]))
                    if cfg != zero]
         optional = len(columns) < len(group.configs)
-        if not saturate:
-            columns.sort(key=lambda column: column[2])
-        by_load = sorted(cl for _, _, cl in columns)
+        columns.sort(key=lambda column: column[2])
+        by_load = [cl for _, _, cl in columns]
         lightest, heaviest = (by_load[0], by_load[-1]) if columns else (0, 0)
         rounds: list[dict[int, tuple[int, int]]] = []
         reached = dict(states)
         frontier = states
         for r in range(group.count):
             rest = group.count - r - 1
-            most = rest * hi + up_after[gi + 1]
+            # ``<=`` imposes no upper bound: move it past every state
+            most = (whole if model.demand_relation == JOB_LE
+                    else rest * hi + up_after[gi + 1])
             least = rest * lo + low_after[gi + 1]
-            # a bound the relation does not impose is moved past every state
-            if model.demand_relation == JOB_LE:
-                most = whole
-            elif saturate:
-                least = -heaviest
             known = reached
             if not optional:
                 reached = {}
@@ -426,31 +395,19 @@ def solve_model(model: ConfILPModel,
                 # a column lighter than floor leaves more than the later
                 # machines can take, one heavier than ceil less than they need
                 floor, ceil = have - most, have - least
-                if saturate or (floor <= lightest and ceil >= heaviest):
+                if floor <= lightest and ceil >= heaviest:
                     live = columns
                 else:
                     live = columns[bisect_left(by_load, floor):
                                    bisect_right(by_load, ceil)]
                 for ci, col, cl in live:
-                    if cl < floor:
-                        continue
                     x = base - col
-                    g = x & H
-                    if g == H:
-                        ns = x ^ H
-                        if ns in reached:
-                            continue
-                        rem = have - cl
-                    elif saturate:
-                        ns = x & (g - (g >> width))
-                        if ns in reached:
-                            continue
-                        rem = load(ns)
-                        if rem > most:
-                            continue
-                    else:
+                    if x & H != H:
                         continue
-                    reached[ns] = rem
+                    ns = x ^ H
+                    if ns in reached:
+                        continue
+                    reached[ns] = have - cl
                     step[ns] = (st, ci)
                     left -= 1
                     if left < 0:

@@ -57,7 +57,6 @@ from .model import (
     HMSchedule,
     Instance,
     JOB_EQ,
-    JOB_GE,
     JOB_LE,
     LE,
     MalformedInputError,
@@ -231,8 +230,7 @@ def _solve_at_one(inst: Instance, idle_cap: int | None, job_relation: str,
     """
     windows = [LoadWindow(0 if idle_cap is None else max(0, s - idle_cap), s)
                for s in inst.s]
-    model = build_model(inst, windows, demand=inst.n,
-                        demand_relation=job_relation)
+    model = build_model(inst, windows, demand_relation=job_relation)
     return solve_model(model, state_limit)
 
 
@@ -260,11 +258,18 @@ def balanced_feasibility(inst: Instance, rel: str,
     rest to the slow machines (no model is solved when the rest exceeds
     their summed speed); any other guess (case 2) preassigns
     ``balancing.reduced_schedule`` of the floor and solves the residual
-    model.  Guesses are pruned by the structural bounds the construction
-    guarantees; every surviving guess yields either a schedule or a
-    discarded guess, so enumeration order cannot affect soundness.  The
-    schedule is not certified here: ``feasibility`` certifies it once,
-    lifted, against the caller's instance.
+    model.  Every residual asks the question's job relation: ``=`` for
+    ``<=``, ``<=`` for ``>=``.  Case 1's fast machines may take more than
+    n, so ``_trim_to_demand`` drops the surplus.  Case 2 never does: the
+    guess filter ``mL * (g1a + g1b) * area2_max + area_2 * g2 <= n *
+    area2_max`` bounds the fractional usage by n, and flooring and
+    ``reduced_schedule`` only lower entries, so its residual demand is
+    n minus the preassignment exactly.  Guesses are pruned by the
+    structural bounds the construction guarantees; every surviving guess
+    yields either a schedule or a discarded guess, so enumeration order
+    cannot affect soundness.  The schedule is not certified here:
+    ``feasibility`` certifies it once, lifted, against the caller's
+    instance.
     """
     d, p, n, pmax = inst.d, inst.p, inst.n, inst.pmax
     idle_cap = None if rel == LE else pmax - 1
@@ -305,10 +310,10 @@ def balanced_feasibility(inst: Instance, rel: str,
     zeros = (0,) * d
 
     def solve_residual(types: list[int], speeds: list[int],
-                       demand: tuple[int, ...], relation: str
+                       demand: tuple[int, ...]
                        ) -> list[tuple[int, tuple[int, ...], int]] | None:
         sub = Instance(p, demand, tuple(speeds), tuple(inst.m[t] for t in types))
-        part = _solve_at_one(sub, idle_cap, relation, state_limit)
+        part = _solve_at_one(sub, idle_cap, job_relation, state_limit)
         if part is None:
             return None
         return [(types[k], cfg.counts, count) for k, cfg, count in part.entries]
@@ -327,8 +332,7 @@ def balanced_feasibility(inst: Instance, rel: str,
             return None
         raw = [(t, c, m) for t, c, m in zip(large, configs, fast_m)]
         if small:
-            part = solve_residual(small, [inst.s[t] for t in small], remainder,
-                                  JOB_GE)
+            part = solve_residual(small, [inst.s[t] for t in small], remainder)
             if part is None:
                 return None
             raw += part
@@ -340,21 +344,16 @@ def balanced_feasibility(inst: Instance, rel: str,
         speeds = [s - dot(p, c) for c, s in zip(pre, fast_s)]
         if min(speeds) < 0:
             return None
-        used = placed(pre)
-        if rel == GE and any(u > v for u, v in zip(used, n)):
-            return None
-        residual = tuple(max(v - u, 0) for u, v in zip(used, n))
+        residual = tuple(v - u for u, v in zip(placed(pre), n))
         part = solve_residual(large + small,
-                              speeds + [inst.s[t] for t in small], residual,
-                              JOB_GE if rel == LE else JOB_LE)
+                              speeds + [inst.s[t] for t in small], residual)
         if part is None:
             return None
         # Fold the preassignment back into the residual configurations.
         base = dict(zip(large, pre))
         raw = [(t, tuple(a + b for a, b in zip(c, base[t])) if t in base
                 else c, count) for t, c, count in part]
-        sched = make_schedule(d, p, raw)
-        return _trim_to_demand(sched, n, p) if rel == LE else sched
+        return make_schedule(d, p, raw)
 
     # Integer form of the rounded schedule using at most n:
     #   mL*(g1a+g1b)[j]*area2_max + area_2*g2[j] <= n_j*area2_max
@@ -702,7 +701,7 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
             else:
                 trace["solves"] += 1
                 model = build_model(inst, [LoadWindow(*w) for w in windows],
-                                    demand=n, demand_relation=JOB_EQ)
+                                    demand_relation=JOB_EQ)
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 return sched

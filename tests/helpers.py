@@ -582,7 +582,7 @@ from hmsched.confilp import (
     _recombine,
     state_limit_default,
 )
-from hmsched.model import JOB_EQ, JOB_GE
+from hmsched.model import JOB_EQ
 
 
 def reference_solve_model(model: ConfILPModel,
@@ -609,8 +609,6 @@ def reference_solve_model(model: ConfILPModel,
     budget = [state_limit]
 
     def transition(state: tuple[int, ...], cfg: tuple[int, ...]) -> tuple[int, ...] | None:
-        if rel == JOB_GE:
-            return tuple(s - c if s > c else 0 for s, c in zip(state, cfg))
         for s, c in zip(state, cfg):
             if c > s:
                 return None
@@ -669,7 +667,7 @@ def reference_solve_model(model: ConfILPModel,
         if not states:
             return None
 
-    if rel in (JOB_EQ, JOB_GE):
+    if rel == JOB_EQ:
         if zero not in states:
             return None
         final = zero
@@ -782,7 +780,7 @@ def reference_minimize_envy(inst: Instance,
     _require_machines(inst)
     if inst.restrict is not None:
         raise MalformedInputError("envy driver expects an unrestricted instance")
-    d, p, n = inst.d, inst.p, inst.n
+    d, p = inst.d, inst.p
     P = inst.total_load
     trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0}
     if P == 0:
@@ -824,7 +822,7 @@ def reference_minimize_envy(inst: Instance,
             else:
                 trace["solves"] += 1
                 model = build_model(inst, [LoadWindow(*w) for w in windows],
-                                    demand=n, demand_relation=JOB_EQ)
+                                    demand_relation=JOB_EQ)
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 return sched

@@ -335,6 +335,15 @@ def test_criterion_6_balancing_equivalence():
         except OracleCapError:
             continue
         assert feas == ext, (inst, "cmax form")
+        # the balanced pipeline's makespan form: the floor extends to a
+        # schedule using exactly n
+        try:
+            ext = brute_force_feasibility(inst, "<=", Fraction(1),
+                                          job_relation="=",
+                                          config_floor=floor)
+        except OracleCapError:
+            continue
+        assert feas == ext, (inst, "production cmax form")
 
         # idle-capped form with a rotating cap
         cap = (0, 1, inst.pmax - 1, inst.pmax + 1)[idx % 4]
@@ -384,7 +393,7 @@ def test_criterion_6_balancing_equivalence():
         assert direct == via, inst
         conversions += 1
     report(6, f"extendability equals feasibility on {checked} all-fast "
-              f"instances (all three forms); conversion round-trips on "
+              f"instances (all four forms); conversion round-trips on "
               f"{conversions} instances")
 
 

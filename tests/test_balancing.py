@@ -103,6 +103,43 @@ def test_reduced_schedule_margins():
     assert reduced_schedule(((0, 0),), 5, 1, 4) == ((0, 0),)
 
 
+def test_filtered_guesses_place_at_most_n():
+    # The balanced pipeline keeps a guess only if
+    #   mL * (g1a + g1b)_j * area2_max + area_2 * g2_j <= n_j * area2_max,
+    # i.e. the fast machines' fractional usage is at most n.  Flooring
+    # and the balancing margin only lower entries, so the preassignment
+    # never places more than n and case 2's residual demand is exact.
+    rnd = random.Random(920)
+    checked = tight = 0
+    while checked < 2000:
+        d = rnd.randint(1, 3)
+        p = tuple(rnd.randint(1, 6) for _ in range(d))
+        pmax = max(p)
+        cutoff = large_machine_cutoff(d, pmax)
+        speeds = tuple(sorted({cutoff + rnd.randint(1, 60)
+                               for _ in range(rnd.randint(1, 3))}))
+        m = tuple(rnd.randint(1, 4) for _ in speeds)
+        mL, area2_max = sum(m), max(speeds) - cutoff
+        area_2 = sum(k * (s - cutoff) for s, k in zip(speeds, m))
+        g1a, g1b, g2 = (tuple(rnd.randint(0, 2 * pmax) for _ in p)
+                        for _ in range(3))
+        # n at the filter's boundary or a little above it
+        need = [-(-(mL * (a + b) * area2_max + area_2 * x) // area2_max)
+                for a, b, x in zip(g1a, g1b, g2)]
+        n = tuple(v + rnd.choice((0, 0, 1, 2)) for v in need)
+        assert all(mL * (a + b) * area2_max + area_2 * x <= nj * area2_max
+                   for a, b, x, nj in zip(g1a, g1b, g2, n))
+        floors = guess_configs(speeds, cutoff, g1a, g1b, g2)
+        for rows in (floors, reduced_schedule(floors, None, min(p), pmax),
+                     reduced_schedule(floors, pmax - 1, min(p), pmax)):
+            placed = [sum(k * row[j] for k, row in zip(m, rows))
+                      for j in range(d)]
+            assert all(u <= v for u, v in zip(placed, n)), (speeds, m, n)
+        tight += tuple(need) == n
+        checked += 1
+    assert tight > 0
+
+
 def test_cmin_conversion_formula():
     inst = Instance(p=(2, 3), n=(1, 1), s=(4, 7), m=(1, 1))
     out, cap = cmin_to_idle_cmax(inst)

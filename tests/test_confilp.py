@@ -19,6 +19,7 @@ from hmsched.model import (
     CertificateError,
     FeasibilityQuery,
     Instance,
+    MalformedInputError,
     aggregate_jobs,
     verify_schedule,
 )
@@ -219,25 +220,9 @@ def test_demand_relations():
     assert solve_model(build_model(inst, windows)) is None
     le = solve_model(build_model(inst, windows, demand_relation="<="))
     assert le is not None and aggregate_jobs(le)[0] <= 3
-    # covering at least one job is possible
-    ge = solve_model(build_model(inst, windows, demand=(1,),
-                                 demand_relation=">="))
-    assert ge is not None and aggregate_jobs(ge)[0] >= 1
-
-
-def test_over_covering_with_lower_bounded_windows():
-    # usage >= n permits assignments beyond n; a lower-bounded window
-    # may force them (one machine, window [9, 9], only 4 real jobs)
-    inst = Instance(p=(1,), n=(4,), s=(9,), m=(1,))
-    for reduce in (True, False):
-        sched = solve_model(build_model(inst, [LoadWindow(9, 9)],
-                                        demand_relation=">=", reduce=reduce))
-        assert sched is not None, reduce
-        assert aggregate_jobs(sched) == (9,)
-    # but infeasible when sizes cannot hit the window at all
-    odd = Instance(p=(2,), n=(1,), s=(9,), m=(1,))
-    assert solve_model(build_model(odd, [LoadWindow(9, 9)],
-                                   demand_relation=">=")) is None
+    # the model asks only "usage = n" or "usage <= n"
+    with pytest.raises(MalformedInputError, match="bad demand relation"):
+        build_model(inst, windows, demand_relation=">=")
 
 
 def test_verified_against_oracle_sweep():
@@ -293,8 +278,7 @@ def hand_built_model(rnd, p=(1, 2)):
                 pick = rnd.choice(configs)
                 demand = [a + b for a, b in zip(demand, pick)]
         raw.append(LoadWindow(epm * lcm, 3 + (epm + spm) * lcm))
-    return ConfILPModel(p, len(raw), tuple(demand), "=", tuple(groups),
-                        tuple(raw))
+    return ConfILPModel(p, tuple(demand), "=", tuple(groups), tuple(raw))
 
 
 def test_solve_model_recombines_like_per_machine_expansion(monkeypatch):
@@ -336,8 +320,7 @@ def test_recombine_runs_match_per_machine_expansion(seed):
             groups.append(ModelGroup(t, role, m * width, LoadWindow(0, 0), ()))
             chosen.append(random_runs(rnd, m * width, len(p), 3))
         raw.append(LoadWindow(0, rnd.randint(40, 120)))
-    model = ConfILPModel(p, len(raw), (0,) * len(p), "=", tuple(groups),
-                         tuple(raw))
+    model = ConfILPModel(p, (0,) * len(p), "=", tuple(groups), tuple(raw))
     try:
         want = reference_recombine(model, chosen)
     except CertificateError as exc:
@@ -352,8 +335,8 @@ def random_dp_model(rnd: random.Random, relation: str) -> ConfILPModel:
     """A seeded model whose demand entries sit at the packing's width boundary.
 
     Each demand entry is 2**k - 1, 2**k or a value below them, so digit
-    widths land on both sides of a bit-length step; ``>=`` models get
-    lower-bounded windows, whose columns may over-cover the demand.
+    widths land on both sides of a bit-length step; half the windows
+    have a lower bound.
     """
     d = rnd.randint(1, 3)
     k = rnd.randint(1, 3)
@@ -368,7 +351,7 @@ def random_dp_model(rnd: random.Random, relation: str) -> ConfILPModel:
         upper = rnd.randint(1, 12)
         lower = rnd.randint(0, upper) if rnd.random() < 0.5 else 0
         windows.append(LoadWindow(lower, upper))
-    return build_model(inst, windows, demand=demand, demand_relation=relation,
+    return build_model(inst, windows, demand_relation=relation,
                        reduce=rnd.random() < 0.5)
 
 
@@ -396,7 +379,7 @@ def entries_or_none(sched):
     return None if sched is None else sched.entries
 
 
-@pytest.mark.parametrize("relation", ["=", "<=", ">="])
+@pytest.mark.parametrize("relation", ["=", "<="])
 def test_packed_dp_matches_tuple_reference(relation):
     rnd = random.Random(f"packed-{relation}")
     verdicts = set()
@@ -426,4 +409,5 @@ def test_packed_dp_matches_tuple_reference(relation):
                 solve_model(model, state_limit=own - 1)
     assert verdicts == {True, False}
     assert pruned > 0
-    assert (over_covered > 0) == (relation == ">=")
+    # no column exceeds the demand, which ``_packing``'s width relies on
+    assert over_covered == 0

@@ -317,6 +317,33 @@ def test_balanced_two_fast_machines():
     assert sched is None
 
 
+@pytest.mark.parametrize("n, s, guesses, remainder", [
+    ((20, 11), (36, 45, 69, 72), 1, ((16, 7), (36, 45))),
+    ((28, 9), (8, 43, 73, 74), 24, ((10, 5), (8, 43))),
+])
+def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
+    # Cutoff 64: two fast and two slow machines.  A guess with an empty
+    # spread phase gives each fast machine 2 plus its ceiling, the slow
+    # machines take the rest of n exactly, and the surplus is trimmed.
+    inst = Instance(p=(3, 4), n=n, s=s, m=(1, 1, 1, 1))
+    assert large_machine_cutoff(inst.d, inst.pmax) == 64
+    asked = []
+    solve_at_one = drivers._solve_at_one
+
+    def spy(sub, idle_cap, job_relation, state_limit):
+        asked.append((sub.n, sub.s, job_relation))
+        return solve_at_one(sub, idle_cap, job_relation, state_limit)
+
+    monkeypatch.setattr(drivers, "_solve_at_one", spy)
+    sched, info = balanced_feasibility(inst, "<=")
+    assert info == {"path": "balanced", "guesses": guesses, "case": 1}
+    assert asked[-1] == (*remainder, "=")
+    report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
+    assert report.ok, report.violations
+    assert aggregate_jobs(sched) == inst.n
+    assert brute_force_feasibility(inst, "<=", Fraction(1))
+
+
 def test_balanced_guess_count_on_several_fast_machines():
     # Three speed-73 machines (cutoff 64).  The load 218 fits in 219, but
     # no schedule exists at threshold 1, so the guess loop runs to its
