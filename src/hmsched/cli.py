@@ -164,6 +164,17 @@ def _solve_with_oracle(inst: Instance, objective: str):
     return drivers.SolveResult(objective, value, sched, {"path": "oracle"})
 
 
+def _solve(inst: Instance, objective: str, method: str) -> drivers.SolveResult:
+    """The one objective dispatch of ``solve`` and ``bench``."""
+    if method == "oracle":
+        return _solve_with_oracle(inst, objective)
+    if objective == "cenvy":
+        return drivers.minimize_envy(inst)
+    solver = (drivers.minimize_makespan if objective == "cmax"
+              else drivers.maximize_min_completion)
+    return solver(inst, method=method)
+
+
 def _require_method(method: str, restricted: bool, objective: str) -> None:
     """Reject the method choices no driver runs (exit 1, for solve and bench)."""
     if method == "balanced" and restricted:
@@ -180,14 +191,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _require_method(method, inst.restrict is not None, objective)
     start = time.monotonic()
     try:
-        if method == "oracle":
-            result = _solve_with_oracle(inst, objective)
-        elif objective == "cmax":
-            result = drivers.minimize_makespan(inst, method=method)
-        elif objective == "cmin":
-            result = drivers.maximize_min_completion(inst, method=method)
-        else:
-            result = drivers.minimize_envy(inst)
+        result = _solve(inst, objective, method)
     except drivers.InfeasibleRestrictionError as exc:
         print(f"no feasible schedule: {exc}", file=sys.stderr)
         return EXIT_NO_SCHEDULE
@@ -286,21 +290,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     total = 0.0
     for seed in range(args.seed, args.seed + args.count):
         inst = oracle.generate(_params_from_args(args, seed))
-        restricted = inst.restrict is not None
         if (inst.machine_count == 0 or not oracle.assignable(inst)
-                or (restricted and args.objective == "cenvy")):
+                or (inst.restrict is not None and args.objective == "cenvy")):
             rows.append((seed, "skipped"))
             continue
         start = time.monotonic()
         try:
-            if restricted:
-                result = drivers.solve_restricted(inst, args.objective)
-            elif args.objective == "cmax":
-                result = drivers.minimize_makespan(inst, method=args.method)
-            elif args.objective == "cmin":
-                result = drivers.maximize_min_completion(inst, method=args.method)
-            else:
-                result = drivers.minimize_envy(inst)
+            result = _solve(inst, args.objective, args.method)
         except ResourceLimitError:
             print(f"seed {seed}: resource limit", file=sys.stderr)
             return EXIT_RESOURCE

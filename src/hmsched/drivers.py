@@ -18,17 +18,18 @@ or m; a solve whose incumbent meets the area bound probes nothing.
 
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
-(``feasibility``): normalize speeds to threshold 1, compress fast
-machines into slow ones (unrestricted instances only), and turn a
+(``feasibility``): normalize speeds to threshold 1 and turn a
 minimum-completion question into an idle-capped makespan question
 (``cmin_to_idle_cmax``: bounded load windows, job usage at most n,
-leftover jobs added back afterwards).  Then either set up the
-configuration model directly (all machines slow, or any restricted
-instance) or run the balanced pipeline: guess the integral data of the
-rounded fractional schedule on the fast machines, build its integer
-configurations (``balancing.guess_configs``), preassign their floor
-minus the balancing margin (``balancing.reduced_schedule``), and solve
-the much smaller residual model.  Either way the answer is certified by
+leftover jobs added back afterwards).  Then solve one configuration
+model directly, unless the instance is unrestricted and compressing its
+fast machines (``reduction.compress``) leaves one above the
+large-machine cutoff.  Only such a probe guesses the integral data of
+the rounded fractional schedule on the fast machines, builds its integer
+configurations (``balancing.guess_configs``), preassigns their floor
+minus the balancing margin (``balancing.reduced_schedule``), solves the
+much smaller residual model, and lifts the schedule back
+(``reduction.lift_schedule``).  Either way the answer is certified by
 verify_schedule before being returned; a wrong guess can only surface
 as a discarded guess, never as a wrong verdict.  Each schedule the
 threshold driver returns is verified once against the caller's
@@ -246,11 +247,12 @@ def balanced_feasibility(inst: Instance, rel: str,
     schedule using at most n whose idle load is at most pmax - 1 on
     every machine at threshold 1?
 
-    Machines faster than the large-machine cutoff are handled by
-    enumerating the three integral vectors that determine the rounded
-    fractional schedule for the (unknown) jobs of the fast machines:
-    the common floor phase (entries in [0, pmax]), the spread phase
-    floor, and the floored proportional phase of the fastest machine.
+    Machines faster than the large-machine cutoff (there must be one, or
+    ``MalformedInputError`` is raised) are handled by enumerating the
+    three integral vectors that determine the rounded fractional
+    schedule for the (unknown) jobs of the fast machines: the common
+    floor phase (entries in [0, pmax]), the spread phase floor, and the
+    floored proportional phase of the fastest machine.
     ``balancing.guess_configs`` turns each guess into integer
     configurations, one per fast type: the floor or the ceiling of that
     schedule's entries.  A guess with an empty spread phase (case 1,
@@ -276,6 +278,8 @@ def balanced_feasibility(inst: Instance, rel: str,
     job_relation = JOB_EQ if rel == LE else JOB_LE
     cutoff = large_machine_cutoff(d, pmax)
     large = [t for t in range(inst.tau) if inst.m[t] > 0 and inst.s[t] > cutoff]
+    if not large:
+        raise MalformedInputError("the guessing pipeline needs a fast machine")
     small = [t for t in range(inst.tau) if inst.m[t] > 0 and t not in large]
     small_capacity = sum(inst.s[t] * inst.m[t] for t in small)
     info: dict = {"path": "balanced", "guesses": 0, "case": None}
@@ -288,10 +292,6 @@ def balanced_feasibility(inst: Instance, rel: str,
     if rel == GE and sum(m * max(s - idle_cap, 0)
                          for s, m in zip(inst.s, inst.m)) > total_load:
         return None, info
-
-    if not large:
-        info["path"] = "balanced-direct"
-        return _solve_at_one(inst, idle_cap, job_relation, state_limit), info
 
     # Case 2's residual instance lists the fast types first, in the order
     # of ``large``.
@@ -390,20 +390,22 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
                 trace: dict | None = None) -> HMSchedule | None:
     """Decide rel-threshold feasibility and return a certified schedule.
 
-    Every query, with job usage exactly n, runs the full pipeline:
-    normalize, compress, convert a ``>=`` question into an idle-capped
-    ``<=`` one (``cmin_to_idle_cmax``), then the direct configuration
-    model or the balanced pipeline depending on whether any compressed
-    machine exceeds the large-machine cutoff (``method`` forces the
-    choice).  Both paths ask their threshold-1 models through
-    ``_solve_at_one``.  The converted question asks for job usage at
-    most n; its leftover jobs are added back before lifting, which only
-    raises loads.
+    Every query, with job usage exactly n, is normalized to threshold 1;
+    a ``>=`` question becomes an idle-capped ``<=`` one that asks for
+    usage at most n (``cmin_to_idle_cmax``), and its leftover jobs are
+    added back afterwards, which only raises loads.
 
-    A restricted instance skips compression, because merged speed types
-    have no sound restriction row, and always takes the direct path
-    (``method="balanced"`` is malformed for it).  ``build_model`` reduces
-    each type's load window over the job sizes that type may run, and
+    A probe guesses only when the instance is unrestricted, ``method`` is
+    not ``"confilp"`` and ``compress`` leaves a machine above the
+    large-machine cutoff: it converts the compressed instance, runs
+    ``balanced_feasibility`` and lifts the schedule back.  Every other
+    probe asks one model on the normalized instance (``_solve_at_one``),
+    whose load windows ``build_model`` cuts into the lcm blocks that
+    compression would make.  So ``"balanced"`` routes like ``"auto"``.
+
+    Restricted instances never compress (merged speed types have no
+    sound restriction row; ``method="balanced"`` is malformed for them).
+    Each type's load window is reduced over the sizes it may run, and
     leftover jobs go only to machines that may run them.
     """
     threshold = Fraction(threshold)
@@ -424,29 +426,31 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
         return HMSchedule(inst.d, ())
 
     norm = normalize(inst, rel, threshold)
-    comp, cmap = (norm, None) if restricted else compress(norm)
-    cutoff = large_machine_cutoff(inst.d, inst.pmax)
-    has_large = any(s > cutoff and m > 0 for s, m in zip(comp.s, comp.m))
-    use_balanced = method == "balanced" or (
-        method == "auto" and has_large and not restricted)
-    question, cap = (comp, None) if rel == LE else cmin_to_idle_cmax(comp)
+    guess = not restricted and method != "confilp"
+    if guess:
+        comp, cmap = compress(norm)
+        cutoff = large_machine_cutoff(inst.d, inst.pmax)
+        guess = any(s > cutoff and m > 0 for s, m in zip(comp.s, comp.m))
+    base = comp if guess else norm
+    question, cap = (base, None) if rel == LE else cmin_to_idle_cmax(base)
 
-    if use_balanced:
-        sched_c, info = balanced_feasibility(question, rel,
-                                             state_limit=state_limit)
+    if guess:
+        sched, info = balanced_feasibility(question, rel,
+                                           state_limit=state_limit)
         trace.update(info)
     else:
-        sched_c = _solve_at_one(question, cap,
-                                JOB_EQ if rel == LE else JOB_LE, state_limit)
+        sched = _solve_at_one(question, cap, JOB_EQ if rel == LE else JOB_LE,
+                              state_limit)
         trace["path"] = "direct-confilp"
 
-    if sched_c is None:
+    if sched is None:
         return None
     if rel == GE:
-        sched_c = _complete_to_demand(comp, sched_c)
-    lifted = sched_c if restricted else lift_schedule(sched_c, cmap)
-    _certify(inst, lifted, FeasibilityQuery(rel, threshold))
-    return lifted
+        sched = _complete_to_demand(base, sched)
+    if guess:
+        sched = lift_schedule(sched, cmap)
+    _certify(inst, sched, FeasibilityQuery(rel, threshold))
+    return sched
 
 
 # ---------------------------------------------------------------------------

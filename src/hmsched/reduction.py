@@ -82,26 +82,19 @@ def reduce_window(lower: int, upper: int | None,
     lower bound drops); then, for bounded windows, while the span
     upper - lower >= cut_threshold + lcm_load, peel a slack block (upper
     drops by lcm_load).  Termination leaves core_lower < cut_threshold
-    and, when bounded, span < cut_threshold + lcm_load.
+    and, when bounded, span < cut_threshold + lcm_load.  Both counts are
+    computed in closed form, so the cost does not grow with the window.
     """
     if lower < 0 or (upper is not None and upper < lower):
         raise MalformedInputError(f"bad window [{lower}, {upper}]")
     delta, gamma = k.lcm_load, k.cut_threshold
-    exact = 0
-    slack = 0
+    exact = max(0, (lower - gamma) // delta + 1)
+    lower -= exact * delta
     if upper is None:
-        while lower >= gamma:
-            lower -= delta
-            exact += 1
         return ReducedWindow(exact, 0, lower, None)
-    while lower >= gamma:
-        lower -= delta
-        upper -= delta
-        exact += 1
-    while upper - lower >= gamma + delta:
-        upper -= delta
-        slack += 1
-    return ReducedWindow(exact, slack, lower, upper)
+    upper -= exact * delta
+    slack = max(0, (upper - lower - gamma) // delta)
+    return ReducedWindow(exact, slack, lower, upper - slack * delta)
 
 
 def normalized_speeds(inst: Instance, rel: str,

@@ -8,10 +8,13 @@ and lemma witnesses that the package itself does not run live here too.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+import hmsched
 from hmsched.balancing import large_machine_cutoff
 from hmsched.model import HMSchedule, Instance, MalformedInputError, dot
 from hmsched.oracle import GenParams, generate
@@ -287,6 +290,21 @@ def instance_stream(count: int, base_seed: int = 0, **overrides):
         regime.update(overrides)
         out.append(generate(GenParams(seed=base_seed + i, **regime)))
     return out
+
+
+def guessing_corpus() -> list[tuple[str, Instance, Fraction]]:
+    """The benchmark's default ``guessing`` solves and their committed optima.
+
+    Each entry is (objective, instance, optimum).  The corpus module
+    ``perfbench/corpus.py`` is loaded from its file and only read.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    solves = corpus.build(hmsched, "guessing", "default")
+    expected = corpus.load_expected("guessing", "default", solves)
+    return [(kind, inst, want) for (kind, inst), want in zip(solves, expected)]
 
 
 def large_instance_stream(count: int, base_seed: int = 0,

@@ -20,6 +20,7 @@ from helpers import (
     build_fractional_schedule,
     check_fractional_schedule_properties,
     cut_block,
+    guessing_corpus,
     instance_stream,
     large_instance_stream,
     load_multiple_subvector,
@@ -114,26 +115,35 @@ def test_criterion_2_oracle_equivalence(mixed_results):
 
 
 def test_criterion_7_path_equivalence(mixed_results):
-    compared = 0
-    guessing_runs = 0
+    probes = []
     for inst, values in mixed_results:
         cmax_opt = values["cmax"][1]
-        cmin_opt = values["cmin"][1]
-        probes = [("<=", cmax_opt), (">=", cmin_opt)]
+        probes += [(inst, "<=", cmax_opt), (inst, ">=", values["cmin"][1])]
         if cmax_opt > 0:
             s = max(inst.s)
-            probes.append(("<=", Fraction(math.ceil(cmax_opt * s) - 1, s)))
-        for rel, T in probes:
-            direct = feasibility(inst, rel, T, method="confilp")
-            trace: dict = {}
-            balanced = feasibility(inst, rel, T, method="balanced",
-                                   trace=trace)
-            assert (direct is None) == (balanced is None), (inst, rel, T)
-            if trace.get("path") == "balanced":
-                guessing_runs += 1
-            compared += 1
-    report(7, f"{compared} feasibility probes agree across both pipelines "
-              f"({guessing_runs} took the guessing path)")
+            probes.append((inst, "<=",
+                           Fraction(math.ceil(cmax_opt * s) - 1, s)))
+    # the benchmark's guessing instances, at each committed optimum and
+    # one grid step of the fastest type past it
+    for objective, inst, opt in guessing_corpus():
+        s = max(inst.s)
+        if objective == "cmax":
+            past = Fraction(math.ceil(opt * s) - 1, s)
+            probes += [(inst, "<=", opt), (inst, "<=", past)]
+        else:
+            past = Fraction(math.floor(opt * s) + 1, s)
+            probes += [(inst, ">=", opt), (inst, ">=", past)]
+    guessing_runs = 0
+    for inst, rel, T in probes:
+        direct = feasibility(inst, rel, T, method="confilp")
+        trace: dict = {}
+        balanced = feasibility(inst, rel, T, method="balanced", trace=trace)
+        assert (direct is None) == (balanced is None), (inst, rel, T)
+        if trace.get("guesses", 0) > 0:
+            guessing_runs += 1
+    assert guessing_runs > 0
+    report(7, f"{len(probes)} feasibility probes agree across both pipelines "
+              f"({guessing_runs} of them guessed)")
 
 
 def _certified_incumbent(inst, rel):

@@ -258,3 +258,54 @@ def test_oracle_method_maps_driver_rejections(tmp_path, capsys):
     assert main(["solve", str(no_machines), "--objective", "cmax",
                  "--method", "oracle"]) == 1
     capsys.readouterr()
+
+
+def _route_instance(rnd) -> dict:
+    """A random instance document: d <= 3, sizes in {1..7, 12}, job
+    counts <= 30, speeds <= 60, up to 3 machine types of at most 5
+    machines each, a third of them restricted."""
+    d, tau = rnd.randint(1, 3), rnd.randint(1, 3)
+    doc = {"p": [rnd.choice((1, 2, 3, 4, 5, 6, 7, 12)) for _ in range(d)],
+           "n": [rnd.randint(0, 30) for _ in range(d)],
+           "s": [rnd.randint(1, 60) for _ in range(tau)],
+           "m": [rnd.randint(1, 5) for _ in range(tau)]}
+    if rnd.random() < 1 / 3:
+        doc["restrict"] = [[rnd.random() < 0.7 for _ in range(tau)]
+                           for _ in range(d)]
+    return doc
+
+
+def test_cli_routes_agree_on_random_instances(tmp_path, monkeypatch, capsys):
+    # Every solve ends in a documented exit code, the methods that all
+    # succeed agree, and every schedule returned certifies its value.
+    import random
+    monkeypatch.setenv("HMSCHED_STATE_LIMIT", "20000")
+    rnd = random.Random(2026)
+    inst_path, out_path = tmp_path / "inst.json", tmp_path / "out.json"
+    sched_path = tmp_path / "sched.json"
+    codes = {}
+    for _ in range(150):
+        inst_path.write_text(json.dumps(_route_instance(rnd)))
+        for objective, methods in (("cmax", ("auto", "balanced", "confilp")),
+                                   ("cmin", ("auto", "balanced", "confilp")),
+                                   ("cenvy", ("auto",))):
+            values = {}
+            for method in methods:
+                code = main(["solve", str(inst_path), "--objective", objective,
+                             "--method", method, "--output", str(out_path)])
+                assert code in (0, 1, 2, 3), (inst_path.read_text(), method)
+                codes[code] = codes.get(code, 0) + 1
+                if code:
+                    continue
+                doc = json.loads(out_path.read_text())
+                values[method] = doc["value"]
+                sched_path.write_text(json.dumps(doc["schedule"]))
+                assert main(["check", str(inst_path), str(sched_path),
+                             "--objective", objective,
+                             "--value", doc["value"]]) == 0
+            if len(values) == len(methods):
+                assert len(set(values.values())) == 1, (
+                    inst_path.read_text(), objective, values)
+        capsys.readouterr()
+    assert codes.get(0, 0) > 0, codes
+    print(f"route differential: exit codes {sorted(codes.items())}")

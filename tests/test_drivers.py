@@ -1,13 +1,13 @@
-import importlib.util
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import hmsched
 from hmsched import cli, drivers
 from hmsched.balancing import large_machine_cutoff
+from hmsched.confilp import ResourceLimitError
 from hmsched.drivers import (
     InfeasibleRestrictionError,
     balanced_feasibility,
@@ -38,7 +38,7 @@ from hmsched.oracle import (
 from hmsched.reduction import normalized_speeds
 
 from helpers import _search_grid as reference_search_grid
-from helpers import instance_stream, reference_minimize_envy
+from helpers import guessing_corpus, instance_stream, reference_minimize_envy
 
 DATA = Path(__file__).parent / "data"
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
@@ -298,11 +298,28 @@ def test_min_completion_grid_tight():
     assert kinds == {True, False}
 
 
-def test_balanced_on_all_small_is_direct():
+def test_balanced_needs_a_fast_machine():
+    # cutoff 12: no machine is fast, so there is nothing to guess
     inst = Instance(p=(2,), n=(3,), s=(4, 2), m=(1, 1))
-    sched, info = balanced_feasibility(inst, "<=")
-    assert info["path"] == "balanced-direct"
-    assert sched is not None
+    with pytest.raises(MalformedInputError):
+        balanced_feasibility(inst, "<=")
+
+
+def test_only_a_probe_that_guesses_lifts(monkeypatch):
+    # Compression splits every machine into speed-1 pieces plus speed-3
+    # residuals, none above the cutoff 10, so auto and balanced both ask
+    # one direct model on the normalized instance, and nothing is lifted.
+    inst = Instance(p=(1, 1), n=(15, 15), s=(4, 6, 7), m=(3, 1, 1))
+    lifted = []
+    plain_lift = drivers.lift_schedule
+    monkeypatch.setattr(drivers, "lift_schedule",
+                        lambda *args: lifted.append(args) or plain_lift(*args))
+    auto = minimize_makespan(inst)
+    balanced = minimize_makespan(inst, method="balanced")
+    assert auto.value == balanced.value == Fraction(5, 4)
+    assert auto.schedule == balanced.schedule
+    assert auto.trace["path"] == balanced.trace["path"] == "direct-confilp"
+    assert lifted == []
 
 
 def test_balanced_two_fast_machines():
@@ -370,6 +387,39 @@ def test_capacity_bound_solves_fast_machines_within_3000_states():
                            FeasibilityQuery("<=", result.value)).ok
 
 
+def test_direct_fast_machines_solve_uncompressed_within_1200_states():
+    # The same instance asks its uncompressed direct models 1 103 states
+    # at most; compressed, one of them needed 1 476.
+    inst = Instance(p=(2, 5), n=(121, 80), s=(2, 3, 6), m=(1, 1, 1))
+    result = minimize_makespan(inst, method="confilp", state_limit=1200)
+    assert result.value == Fraction(117, 2)
+
+
+@pytest.mark.parametrize("method", ["auto", "confilp"])
+@pytest.mark.parametrize("inst, threshold", [
+    (Instance(p=(1,), n=(10**9,), s=(10**6, 1), m=(1, 1)),
+     Fraction(999999001, 10**6)),
+    (Instance(p=(2, 3), n=(10**6, 10**6), s=(1000, 7), m=(1, 1)),
+     Fraction(4994)),
+])
+def test_direct_probe_cost_does_not_grow_with_speed(method, inst, threshold):
+    # Neither instance guesses, so the fast machine's normalized speed
+    # (about 10^9 and 5*10^6) reaches build_model uncompressed; its window
+    # must be cut into lcm blocks in closed form, leaving the state budget
+    # to bound the probe.
+    start = time.monotonic()
+    for rel in ("<=", ">="):
+        try:
+            sched = feasibility(inst, rel, threshold, method=method,
+                                state_limit=2000)
+        except ResourceLimitError:
+            continue
+        if sched is not None:
+            assert verify_schedule(inst, sched,
+                                   FeasibilityQuery(rel, threshold)).ok
+    assert time.monotonic() - start < 5
+
+
 def test_balanced_matches_direct_on_fast_instances():
     checked = 0
     for seed in range(25):
@@ -434,23 +484,12 @@ def test_balanced_path_matches_its_golden_record():
         assert got == {k: rec[k] for k in got}, (rec["objective"], inst)
 
 
-def _bench_corpus():
-    """The benchmark's corpus module, loaded from its file (read only)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("method", ["auto", "balanced", "confilp"])
 def test_methods_reach_guessing_corpus_optima(method):
-    corpus = _bench_corpus()
-    solves = corpus.build(hmsched, "guessing", "default")
-    expected = corpus.load_expected("guessing", "default", solves)
+    solves = guessing_corpus()
     solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
     assert len(solves) == 24
-    for (kind, inst), want in zip(solves, expected):
+    for kind, inst, want in solves:
         assert solver[kind](inst, method=method).value == want, (kind, inst)
 
 

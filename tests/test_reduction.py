@@ -134,6 +134,29 @@ def test_reduce_window_invariants(p, lower, span, unbounded):
                 * k.lcm_load == upper)
 
 
+@pytest.mark.parametrize("p", [(1,), (2, 3), (4, 6, 7)])
+@pytest.mark.parametrize("lower, span", [
+    (0, 10**15), (10**15, 0), (10**15, 10**15), (10**15, None),
+])
+def test_reduce_window_huge_windows(p, lower, span):
+    # The block counts are computed, not peeled one lcm at a time, so a
+    # window of 10^15 load returns at once with the same invariants.
+    k = reduction_constants(p)
+    upper = None if span is None else lower + span
+    red = reduce_window(lower, upper, k)
+    assert 0 <= red.core_lower < k.cut_threshold
+    assert red.core_lower + red.exact_blocks * k.lcm_load == lower
+    if upper is None:
+        assert red.core_upper is None and red.slack_blocks == 0
+    else:
+        assert red.core_upper - red.core_lower < k.cut_threshold + k.lcm_load
+        assert (red.core_upper + (red.exact_blocks + red.slack_blocks)
+                * k.lcm_load == upper)
+        # one more slack block would push the span under the threshold
+        assert (red.slack_blocks == 0 or red.core_upper - red.core_lower
+                >= k.cut_threshold)
+
+
 
 
 @pytest.mark.parametrize("p,window", [
