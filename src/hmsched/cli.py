@@ -8,7 +8,9 @@ timing-related goes to stderr, never into the document.
 Exit codes:
 
 - 0: success (``check``: the certificate holds);
-- 1: malformed input: an unreadable or ill-typed instance, schedule or
+- 1: malformed input: a usage error (an unknown command, option or
+  choice, or a missing argument), a ``gen``/``bench`` range the
+  generator rejects, an unreadable or ill-typed instance, schedule or
   ``--value``, or a non-integer HMSCHED_STATE_LIMIT;
 - 2: no feasible schedule exists (a restricted job type with no machine
   allowed to run it);
@@ -175,20 +177,10 @@ def _solve(inst: Instance, objective: str, method: str) -> drivers.SolveResult:
     return solver(inst, method=method)
 
 
-def _require_method(method: str, restricted: bool, objective: str) -> None:
-    """Reject the method choices no driver runs (exit 1, for solve and bench)."""
-    if method == "balanced" and restricted:
-        raise MalformedInputError("restricted instances have no balanced pipeline")
-    if method == "balanced" and objective == "cenvy":
-        raise MalformedInputError("cenvy has no balanced pipeline")
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = instance_from_doc(load_json(args.input))
     objective = args.objective
     method = args.method
-    # before the drivers' restriction precheck, which exits 2
-    _require_method(method, inst.restrict is not None, objective)
     start = time.monotonic()
     try:
         result = _solve(inst, objective, method)
@@ -222,21 +214,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     sched = schedule_from_doc(load_json(args.schedule), inst.p)
     value = parse_rational(args.value)
     objective = args.objective
-    if objective == "cmax":
-        report = verify_schedule(inst, sched, FeasibilityQuery(LE, value))
-        ok, violations = report.ok, list(report.violations)
-    elif objective == "cmin":
-        report = verify_schedule(inst, sched, FeasibilityQuery(GE, value))
-        ok, violations = report.ok, list(report.violations)
+    if objective == "cenvy":
+        # any makespan: the query checks machines and job usage only
+        query = FeasibilityQuery(LE, Fraction(inst.total_load + 1))
     else:
-        report = verify_schedule(
-            inst, sched, FeasibilityQuery(LE, Fraction(inst.total_load + 1)))
-        violations = [v for v in report.violations]
-        envy = objective_value(inst, sched, "cenvy")
-        if envy > value:
-            violations.append(
-                f"envy {format_rational(envy)} exceeds {format_rational(value)}")
-        ok = not violations
+        query = FeasibilityQuery(LE if objective == "cmax" else GE, value)
+    violations = list(verify_schedule(inst, sched, query).violations)
+    if objective == "cenvy" and (
+            envy := objective_value(inst, sched, "cenvy")) > value:
+        violations.append(
+            f"envy {format_rational(envy)} exceeds {format_rational(value)}")
+    ok = not violations
     for v in violations:
         print(v, file=sys.stderr)
     print("ok" if ok else "FAILED")
@@ -285,7 +273,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Solve a batch of generated instances; values on stdout, times on stderr."""
-    _require_method(args.method, args.restricted, args.objective)
     rows = []
     total = 0.0
     for seed in range(args.seed, args.seed + args.count):
@@ -314,8 +301,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as malformed input; exit 2 means no schedule."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise MalformedInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hmsched",
         description="Exact solver for high-multiplicity scheduling "
                     "on uniform machines",
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--objective", required=True,
                          choices=["cmax", "cmin", "cenvy"])
     p_solve.add_argument("--method", default="auto",
-                         choices=["auto", "balanced", "confilp", "oracle"])
+                         choices=["auto", "confilp", "oracle"])
     p_solve.add_argument("--output", help="write the result document here")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -352,16 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--objective", default="cmax",
                          choices=["cmax", "cmin", "cenvy"])
     p_bench.add_argument("--method", default="auto",
-                         choices=["auto", "balanced", "confilp"])
+                         choices=["auto", "confilp"])
     _add_gen_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MalformedInputError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

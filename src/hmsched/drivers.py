@@ -22,16 +22,17 @@ threshold driver (``_optimize_threshold``) and one feasibility route
 minimum-completion question into an idle-capped makespan question
 (``cmin_to_idle_cmax``: bounded load windows, job usage at most n,
 leftover jobs added back afterwards).  Then solve one configuration
-model directly, unless the instance is unrestricted and compressing its
-fast machines (``reduction.compress``) leaves one above the
-large-machine cutoff.  Only such a probe guesses the integral data of
-the rounded fractional schedule on the fast machines, builds its integer
-configurations (``balancing.guess_configs``), preassigns their floor
-minus the balancing margin (``balancing.reduced_schedule``), solves the
-much smaller residual model, and lifts the schedule back
-(``reduction.lift_schedule``).  Either way the answer is certified by
-verify_schedule before being returned; a wrong guess can only surface
-as a discarded guess, never as a wrong verdict.  Each schedule the
+model directly, unless the method is ``"auto"``, the instance is
+unrestricted and compressing its fast machines (``reduction.compress``)
+leaves one above the large-machine cutoff.  Only such a probe guesses
+the integral data of the rounded fractional schedule on the fast
+machines, builds its integer configurations (``balancing.guess_configs``),
+preassigns their floor minus the balancing margin
+(``balancing.reduced_schedule``), solves the much smaller residual
+model, and lifts the schedule back (``reduction.lift_schedule``).
+Either way the answer is certified by verify_schedule before being
+returned; a wrong guess can only surface as a discarded guess, never as
+a wrong verdict.  Each schedule the
 threshold driver returns is verified once against the caller's
 instance, by ``_incumbent`` or by the ``feasibility`` call that found
 it, at a threshold its own value meets.
@@ -220,18 +221,20 @@ def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
 # Balanced pipeline
 # ---------------------------------------------------------------------------
 
-def _solve_at_one(inst: Instance, idle_cap: int | None, job_relation: str,
+def _solve_at_one(inst: Instance, rel: str,
                   state_limit: int | None) -> HMSchedule | None:
-    """Solve inst's configuration model at threshold 1.
+    """Solve inst's configuration model of a ``rel`` question at threshold 1.
 
-    Each machine type gets the load window [s - idle_cap, s] ([0, s]
-    without a cap), and job usage is compared with inst.n by
-    ``job_relation``.  Every threshold-1 model of the direct and the
-    balanced path is asked through here.
+    Each machine type gets the load window [0, s] for ``<=`` and
+    [s - pmax + 1, s] for ``>=`` (inst being ``cmin_to_idle_cmax``'s
+    converted form), and job usage is exactly inst.n for ``<=`` and at
+    most inst.n for ``>=``.  Every threshold-1 model of the direct and
+    the balanced path is asked through here.
     """
-    windows = [LoadWindow(0 if idle_cap is None else max(0, s - idle_cap), s)
+    windows = [LoadWindow(0 if rel == LE else max(0, s - inst.pmax + 1), s)
                for s in inst.s]
-    model = build_model(inst, windows, demand_relation=job_relation)
+    model = build_model(inst, windows,
+                        demand_relation=JOB_EQ if rel == LE else JOB_LE)
     return solve_model(model, state_limit)
 
 
@@ -260,8 +263,9 @@ def balanced_feasibility(inst: Instance, rel: str,
     rest to the slow machines (no model is solved when the rest exceeds
     their summed speed); any other guess (case 2) preassigns
     ``balancing.reduced_schedule`` of the floor and solves the residual
-    model.  Every residual asks the question's job relation: ``=`` for
-    ``<=``, ``<=`` for ``>=``.  Case 1's fast machines may take more than
+    model.  Every residual asks ``_solve_at_one`` the question's
+    relation, which fixes usage ``=`` for ``<=``, ``<=`` for ``>=``.
+    Case 1's fast machines may take more than
     n, so ``_trim_to_demand`` drops the surplus.  Case 2 never does: the
     guess filter ``mL * (g1a + g1b) * area2_max + area_2 * g2 <= n *
     area2_max`` bounds the fractional usage by n, and flooring and
@@ -275,7 +279,6 @@ def balanced_feasibility(inst: Instance, rel: str,
     """
     d, p, n, pmax = inst.d, inst.p, inst.n, inst.pmax
     idle_cap = None if rel == LE else pmax - 1
-    job_relation = JOB_EQ if rel == LE else JOB_LE
     cutoff = large_machine_cutoff(d, pmax)
     large = [t for t in range(inst.tau) if inst.m[t] > 0 and inst.s[t] > cutoff]
     if not large:
@@ -313,7 +316,7 @@ def balanced_feasibility(inst: Instance, rel: str,
                        demand: tuple[int, ...]
                        ) -> list[tuple[int, tuple[int, ...], int]] | None:
         sub = Instance(p, demand, tuple(speeds), tuple(inst.m[t] for t in types))
-        part = _solve_at_one(sub, idle_cap, job_relation, state_limit)
+        part = _solve_at_one(sub, rel, state_limit)
         if part is None:
             return None
         return [(types[k], cfg.counts, count) for k, cfg, count in part.entries]
@@ -395,27 +398,24 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     usage at most n (``cmin_to_idle_cmax``), and its leftover jobs are
     added back afterwards, which only raises loads.
 
-    A probe guesses only when the instance is unrestricted, ``method`` is
-    not ``"confilp"`` and ``compress`` leaves a machine above the
-    large-machine cutoff: it converts the compressed instance, runs
-    ``balanced_feasibility`` and lifts the schedule back.  Every other
-    probe asks one model on the normalized instance (``_solve_at_one``),
-    whose load windows ``build_model`` cuts into the lcm blocks that
-    compression would make.  So ``"balanced"`` routes like ``"auto"``.
+    A probe guesses only when ``method`` is ``"auto"`` (not
+    ``"confilp"``), the instance is unrestricted and ``compress`` leaves a
+    machine above the large-machine cutoff: it converts the compressed
+    instance, runs ``balanced_feasibility`` and lifts the schedule back.
+    Every other probe asks one model on the normalized instance
+    (``_solve_at_one``), whose load windows ``build_model`` cuts into the
+    lcm blocks that compression would make.
 
     Restricted instances never compress (merged speed types have no
-    sound restriction row; ``method="balanced"`` is malformed for them).
-    Each type's load window is reduced over the sizes it may run, and
-    leftover jobs go only to machines that may run them.
+    sound restriction row).  Each type's load window is reduced over the
+    sizes it may run, and leftover jobs go only to machines that may run
+    them.
     """
     threshold = Fraction(threshold)
-    restricted = inst.restrict is not None
     if threshold < 0:
         raise MalformedInputError("threshold must be >= 0")
-    if method not in ("auto", "balanced", "confilp"):
+    if method not in ("auto", "confilp"):
         raise ValueError(f"unknown method {method!r}")
-    if restricted and method == "balanced":
-        raise MalformedInputError("restricted instances have no balanced pipeline")
     if trace is None:
         trace = {}
 
@@ -426,21 +426,20 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
         return HMSchedule(inst.d, ())
 
     norm = normalize(inst, rel, threshold)
-    guess = not restricted and method != "confilp"
+    guess = inst.restrict is None and method == "auto"
     if guess:
         comp, cmap = compress(norm)
         cutoff = large_machine_cutoff(inst.d, inst.pmax)
         guess = any(s > cutoff and m > 0 for s, m in zip(comp.s, comp.m))
     base = comp if guess else norm
-    question, cap = (base, None) if rel == LE else cmin_to_idle_cmax(base)
+    question = base if rel == LE else cmin_to_idle_cmax(base)[0]
 
     if guess:
         sched, info = balanced_feasibility(question, rel,
                                            state_limit=state_limit)
         trace.update(info)
     else:
-        sched = _solve_at_one(question, cap, JOB_EQ if rel == LE else JOB_LE,
-                              state_limit)
+        sched = _solve_at_one(question, rel, state_limit)
         trace["path"] = "direct-confilp"
 
     if sched is None:

@@ -6,10 +6,10 @@ normalization, no compression, no window reduction, no configuration
 model.  Machines are expanded to a plain list and per-machine job
 vectors are enumerated directly.
 
-Two implementations are provided: a memoized dynamic program over
-(machine index, remaining jobs) used as the primary oracle, and a plain
-exhaustive recursion used to cross-check the dynamic program on tiny
-inputs.  Instances above the hard caps are refused, never approximated.
+The oracle is a memoized dynamic program over (machine index,
+remaining jobs); a plain exhaustive recursion cross-checks it on tiny
+inputs (``tests/helpers.brute_force_reference``).  Instances above the
+hard caps are refused, never approximated.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .model import (
     JOB_EQ,
     JOB_GE,
     JOB_LE,
+    MalformedInputError,
     make_schedule,
 )
 
@@ -357,46 +358,6 @@ def brute_force(inst: Instance, objective: str,
 
 
 # ---------------------------------------------------------------------------
-# Plain recursion cross-check (no memoization, tiny inputs only)
-# ---------------------------------------------------------------------------
-
-def brute_force_reference(inst: Instance, objective: str,
-                          machine_cap: int = 4) -> Fraction:
-    """Second, independent implementation: exhaustive recursion."""
-    _check_speeds(inst)
-    machines = _expand_machines(inst, machine_cap)
-    if not machines:
-        raise ValueError("need at least one machine")
-    best: list[Fraction | None] = [None]
-    value_of = {"cmax": max, "cmin": min,
-                "cenvy": lambda comps: max(comps) - min(comps)}[objective]
-    # cmin is maximized, the other objectives minimized
-    sign = -1 if objective == "cmin" else 1
-
-    def rec(i: int, rem: tuple[int, ...], comps: list[Fraction]) -> None:
-        if i == len(machines):
-            if any(rem):
-                return
-            value = value_of(comps)
-            if best[0] is None or sign * value < sign * best[0]:
-                best[0] = value
-            return
-        t = machines[i]
-        for cfg in product(*(range(r + 1) for r in rem)):
-            if inst.restrict is not None and any(
-                    c > 0 and not inst.restrict[j][t] for j, c in enumerate(cfg)):
-                continue
-            load = sum(pj * cj for pj, cj in zip(inst.p, cfg))
-            comps.append(Fraction(load, inst.s[t]))
-            rec(i + 1, tuple(r - c for r, c in zip(rem, cfg)), comps)
-            comps.pop()
-
-    rec(0, inst.n, [])
-    assert best[0] is not None
-    return best[0]
-
-
-# ---------------------------------------------------------------------------
 # Instance generation
 # ---------------------------------------------------------------------------
 
@@ -419,11 +380,12 @@ class GenParams:
                      "speed_range", "job_total_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
-                raise ValueError(f"{name} is empty")
+                raise MalformedInputError(f"{name} is empty")
         if self.d_range[0] < 1 or self.pmax_range[0] < 1:
-            raise ValueError("need d >= 1 and pmax >= 1")
-        if self.machine_count_range[0] < 0 or self.speed_range[0] < 1:
-            raise ValueError("bad machine ranges")
+            raise MalformedInputError("need d >= 1 and pmax >= 1")
+        if (self.machine_count_range[0] < 0 or self.speed_range[0] < 1
+                or self.job_total_range[0] < 0):
+            raise MalformedInputError("need machines >= 0, speeds >= 1, jobs >= 0")
 
 
 def generate(params: GenParams) -> Instance:

@@ -859,3 +859,46 @@ def reference_minimize_envy(inst: Instance,
             f"schedule envy {achieved} != claimed {value}")
     _certify(inst, sched, FeasibilityQuery(LE, max(completions)))
     return SolveResult("cenvy", value, sched, trace)
+
+
+# ---------------------------------------------------------------------------
+# Plain recursion cross-check of the oracle (no memoization, tiny inputs)
+# ---------------------------------------------------------------------------
+
+from hmsched.oracle import _check_speeds, _expand_machines
+
+
+def brute_force_reference(inst: Instance, objective: str,
+                          machine_cap: int = 4) -> Fraction:
+    """Second, independent implementation: exhaustive recursion."""
+    _check_speeds(inst)
+    machines = _expand_machines(inst, machine_cap)
+    if not machines:
+        raise ValueError("need at least one machine")
+    best: list[Fraction | None] = [None]
+    value_of = {"cmax": max, "cmin": min,
+                "cenvy": lambda comps: max(comps) - min(comps)}[objective]
+    # cmin is maximized, the other objectives minimized
+    sign = -1 if objective == "cmin" else 1
+
+    def rec(i: int, rem: tuple[int, ...], comps: list[Fraction]) -> None:
+        if i == len(machines):
+            if any(rem):
+                return
+            value = value_of(comps)
+            if best[0] is None or sign * value < sign * best[0]:
+                best[0] = value
+            return
+        t = machines[i]
+        for cfg in product(*(range(r + 1) for r in rem)):
+            if inst.restrict is not None and any(
+                    c > 0 and not inst.restrict[j][t] for j, c in enumerate(cfg)):
+                continue
+            load = sum(pj * cj for pj, cj in zip(inst.p, cfg))
+            comps.append(Fraction(load, inst.s[t]))
+            rec(i + 1, tuple(r - c for r, c in zip(rem, cfg)), comps)
+            comps.pop()
+
+    rec(0, inst.n, [])
+    assert best[0] is not None
+    return best[0]

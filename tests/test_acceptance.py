@@ -137,8 +137,8 @@ def test_criterion_7_path_equivalence(mixed_results):
     for inst, rel, T in probes:
         direct = feasibility(inst, rel, T, method="confilp")
         trace: dict = {}
-        balanced = feasibility(inst, rel, T, method="balanced", trace=trace)
-        assert (direct is None) == (balanced is None), (inst, rel, T)
+        auto = feasibility(inst, rel, T, trace=trace)
+        assert (direct is None) == (auto is None), (inst, rel, T)
         if trace.get("guesses", 0) > 0:
             guessing_runs += 1
     assert guessing_runs > 0
@@ -421,7 +421,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         ("gen", "--seed", "42", "--restricted", "--output", str(gen_file)),
         ("solve", str(DATA / "fig1.json"), "--objective", "cmax"),
         ("solve", str(DATA / "fig1.json"), "--objective", "cmin",
-         "--method", "balanced"),
+         "--method", "confilp"),
         ("solve", str(DATA / "fig1.json"), "--objective", "cenvy"),
         ("check", str(DATA / "fig1.json"), str(DATA / "fig1_schedule.json"),
          "--objective", "cmax", "--value", "3/13"),

@@ -7,7 +7,12 @@ import pytest
 
 from hmsched import cli, drivers
 from hmsched.balancing import large_machine_cutoff
-from hmsched.confilp import ResourceLimitError
+from hmsched.confilp import (
+    LoadWindow,
+    ResourceLimitError,
+    build_model,
+    solve_model,
+)
 from hmsched.drivers import (
     InfeasibleRestrictionError,
     balanced_feasibility,
@@ -24,6 +29,7 @@ from hmsched.model import (
     MalformedInputError,
     aggregate_jobs,
     format_rational,
+    objective_value,
     schedule_completions,
     verify_schedule,
 )
@@ -238,7 +244,8 @@ def test_feasibility_answers_restricted_questions():
                 answers.append((rel, want))
     assert set(answers) == {(rel, want) for rel in ("<=", ">=")
                             for want in (True, False)}
-    with pytest.raises(MalformedInputError):
+    # the drivers know two methods, auto and confilp
+    with pytest.raises(ValueError):
         feasibility(inst, "<=", Fraction(1), method="balanced")
 
 
@@ -251,8 +258,10 @@ def test_idle_capped_feasibility_matches_oracle():
         if inst.machine_count == 0:
             continue
         cap = seed % 4
+        windows = [LoadWindow(max(0, s - cap), s) for s in inst.s]
         for job_relation in ("=", "<="):
-            sched = drivers._solve_at_one(inst, cap, job_relation, None)
+            model = build_model(inst, windows, demand_relation=job_relation)
+            sched = solve_model(model, None)
             want = brute_force_feasibility(inst, "<=", Fraction(1),
                                            idle_cap=cap,
                                            job_relation=job_relation)
@@ -307,18 +316,18 @@ def test_balanced_needs_a_fast_machine():
 
 def test_only_a_probe_that_guesses_lifts(monkeypatch):
     # Compression splits every machine into speed-1 pieces plus speed-3
-    # residuals, none above the cutoff 10, so auto and balanced both ask
-    # one direct model on the normalized instance, and nothing is lifted.
+    # residuals, none above the cutoff 10, so auto asks one direct model
+    # on the normalized instance, as confilp does, and nothing is lifted.
     inst = Instance(p=(1, 1), n=(15, 15), s=(4, 6, 7), m=(3, 1, 1))
     lifted = []
     plain_lift = drivers.lift_schedule
     monkeypatch.setattr(drivers, "lift_schedule",
                         lambda *args: lifted.append(args) or plain_lift(*args))
     auto = minimize_makespan(inst)
-    balanced = minimize_makespan(inst, method="balanced")
-    assert auto.value == balanced.value == Fraction(5, 4)
-    assert auto.schedule == balanced.schedule
-    assert auto.trace["path"] == balanced.trace["path"] == "direct-confilp"
+    direct = minimize_makespan(inst, method="confilp")
+    assert auto.value == direct.value == Fraction(5, 4)
+    assert auto.schedule == direct.schedule
+    assert auto.trace["path"] == direct.trace["path"] == "direct-confilp"
     assert lifted == []
 
 
@@ -347,14 +356,15 @@ def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
     asked = []
     solve_at_one = drivers._solve_at_one
 
-    def spy(sub, idle_cap, job_relation, state_limit):
-        asked.append((sub.n, sub.s, job_relation))
-        return solve_at_one(sub, idle_cap, job_relation, state_limit)
+    def spy(sub, rel, state_limit):
+        asked.append((sub.n, sub.s, rel))
+        return solve_at_one(sub, rel, state_limit)
 
     monkeypatch.setattr(drivers, "_solve_at_one", spy)
     sched, info = balanced_feasibility(inst, "<=")
     assert info == {"path": "balanced", "guesses": guesses, "case": 1}
-    assert asked[-1] == (*remainder, "=")
+    # a "<=" question asks every residual for usage exactly its demand
+    assert asked[-1] == (*remainder, "<=")
     report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
     assert report.ok, report.violations
     assert aggregate_jobs(sched) == inst.n
@@ -435,8 +445,8 @@ def test_balanced_matches_direct_on_fast_instances():
         for num, den in ((1, 1), (3, 4), (5, 4)):
             T = Fraction(num, den)
             direct = feasibility(inst, "<=", T, method="confilp")
-            balanced = feasibility(inst, "<=", T, method="balanced")
-            assert (direct is None) == (balanced is None), (inst, T)
+            auto = feasibility(inst, "<=", T)
+            assert (direct is None) == (auto is None), (inst, T)
             checked += 1
     assert checked >= 30
 
@@ -455,26 +465,26 @@ def test_guessing_path_optima_match_direct():
         inst = Instance(p, n, speeds, tuple(1 for _ in speeds))
         for solver in (minimize_makespan, maximize_min_completion):
             direct = solver(inst, method="confilp")
-            balanced = solver(inst, method="balanced")
-            assert direct.value == balanced.value, (inst, solver.__name__)
+            auto = solver(inst)
+            assert direct.value == auto.value, (inst, solver.__name__)
             tr = {}
             feasibility(inst, "<=" if solver is minimize_makespan else ">=",
-                        direct.value, method="balanced", trace=tr)
+                        direct.value, trace=tr)
             if tr.get("path") == "balanced" and tr.get("guesses", 0) > 0:
                 exercised += 1
     assert exercised >= 5
 
 
 def test_balanced_path_matches_its_golden_record():
-    # forced-balanced solves of the benchmark's 12 default guessing
-    # instances: values, guess counts, cases, paths and schedules must
-    # stay exactly as recorded
+    # auto solves of the benchmark's 12 default guessing instances:
+    # values, guess counts, cases, paths and schedules must stay exactly
+    # as recorded
     records = json.loads((DATA / "balanced_golden.json").read_text())
     assert len(records) == 24
     solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
     for rec in records:
         inst = cli.instance_from_doc(rec["instance"])
-        result = solver[rec["objective"]](inst, method="balanced")
+        result = solver[rec["objective"]](inst)
         got = {
             "value": format_rational(result.value),
             "trace": {k: result.trace.get(k)
@@ -484,7 +494,7 @@ def test_balanced_path_matches_its_golden_record():
         assert got == {k: rec[k] for k in got}, (rec["objective"], inst)
 
 
-@pytest.mark.parametrize("method", ["auto", "balanced", "confilp"])
+@pytest.mark.parametrize("method", ["auto", "confilp"])
 def test_methods_reach_guessing_corpus_optima(method):
     solves = guessing_corpus()
     solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
@@ -749,35 +759,61 @@ ENVY_PAST_CAPS = [
     Instance(p=(5, 7), n=(6, 5), s=(2, 3, 4), m=(3, 3, 2)),
 ]
 ENVY_IDS = [f"m{inst.machine_count}-d{inst.d}" for inst in ENVY_PAST_CAPS]
+# The metamorphic relations below check every ENVY_PAST_CAPS instance for
+# cenvy, and for cmax and cmin under both methods.
+PAST_CAPS = [pytest.param(inst, "cenvy", "auto", id=name)
+             for inst, name in zip(ENVY_PAST_CAPS, ENVY_IDS)] + [
+    pytest.param(inst, objective, method, id=f"{objective}-{method}-{name}")
+    for objective in ("cmax", "cmin") for method in ("auto", "confilp")
+    for inst, name in zip(ENVY_PAST_CAPS, ENVY_IDS)]
 
 
-@pytest.mark.parametrize("inst", ENVY_PAST_CAPS, ids=ENVY_IDS)
-def test_envy_speed_scaling(inst):
-    base = minimize_envy(inst).value
+def _optimum(inst: Instance, objective: str, method: str) -> Fraction:
+    """The optimum, checked to be the returned schedule's own value."""
+    if objective == "cenvy":
+        result = minimize_envy(inst)
+    else:
+        solver = (minimize_makespan if objective == "cmax"
+                  else maximize_min_completion)
+        result = solver(inst, method=method)
+    assert objective_value(inst, result.schedule, objective) == result.value
+    return result.value
+
+
+@pytest.mark.parametrize("inst, objective, method", PAST_CAPS)
+def test_envy_speed_scaling(inst, objective, method):
+    base = _optimum(inst, objective, method)
     scaled = Instance(inst.p, inst.n, tuple(3 * s for s in inst.s), inst.m)
-    assert minimize_envy(scaled).value == base / 3
+    assert _optimum(scaled, objective, method) == base / 3
 
 
-@pytest.mark.parametrize("inst", ENVY_PAST_CAPS, ids=ENVY_IDS)
-def test_envy_type_permutation(inst):
-    base = minimize_envy(inst).value
+@pytest.mark.parametrize("inst, objective, method", PAST_CAPS)
+def test_envy_type_permutation(inst, objective, method):
+    base = _optimum(inst, objective, method)
     jobs = Instance(inst.p[1:] + inst.p[:1], inst.n[1:] + inst.n[:1],
                     inst.s, inst.m)
     machines = Instance(inst.p, inst.n, inst.s[::-1], inst.m[::-1])
-    assert minimize_envy(jobs).value == base
-    assert minimize_envy(machines).value == base
+    assert _optimum(jobs, objective, method) == base
+    assert _optimum(machines, objective, method) == base
 
 
-@pytest.mark.parametrize("inst", ENVY_PAST_CAPS, ids=ENVY_IDS)
-def test_envy_machine_type_split(inst):
-    base = minimize_envy(inst).value
+@pytest.mark.parametrize("inst, objective, method", PAST_CAPS)
+def test_envy_machine_type_split(inst, objective, method):
+    base = _optimum(inst, objective, method)
     m1 = inst.m[0] // 2
     split = Instance(inst.p, inst.n, inst.s + (inst.s[0],),
                      (inst.m[0] - m1,) + inst.m[1:] + (m1,))
-    result = minimize_envy(split)
-    assert result.value == base
-    comps = schedule_completions(split, result.schedule)
-    assert max(comps) - min(comps) == base
+    assert _optimum(split, objective, method) == base
+
+
+@pytest.mark.parametrize("inst, objective, method", PAST_CAPS)
+def test_job_type_split(inst, objective, method):
+    # half of job type 0's jobs become a second type of the same size
+    base = _optimum(inst, objective, method)
+    half = inst.n[0] // 2
+    split = Instance(inst.p + inst.p[:1], (inst.n[0] - half,) + inst.n[1:]
+                     + (half,), inst.s, inst.m)
+    assert _optimum(split, objective, method) == base
 
 
 def test_envy_matches_the_search_without_shortcuts(monkeypatch):

@@ -8,10 +8,11 @@ from hmsched.oracle import (
     OracleCapError,
     brute_force,
     brute_force_feasibility,
-    brute_force_reference,
     feasible_schedule,
     generate,
 )
+
+from helpers import brute_force_reference
 
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
 
