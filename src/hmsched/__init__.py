@@ -34,7 +34,6 @@ from .drivers import (
 )
 from .model import (
     CertificateError,
-    Configuration,
     FeasibilityQuery,
     HMSchedule,
     Instance,

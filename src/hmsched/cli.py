@@ -10,8 +10,9 @@ Exit codes:
 - 0: success (``check``: the certificate holds);
 - 1: malformed input: a usage error (an unknown command, option or
   choice, or a missing argument), a ``gen``/``bench`` range the
-  generator rejects, an unreadable or ill-typed instance, schedule or
-  ``--value``, or a non-integer HMSCHED_STATE_LIMIT;
+  generator rejects, a negative ``bench --count``, an unreadable or
+  ill-typed instance, schedule or ``--value``, an unwritable
+  ``--output``, or a non-integer HMSCHED_STATE_LIMIT;
 - 2: no feasible schedule exists (a restricted job type with no machine
   allowed to run it);
 - 3: resource limit exceeded: the solver's state budget, or the size
@@ -34,7 +35,6 @@ from pathlib import Path
 from . import drivers, oracle
 from .confilp import ResourceLimitError, STATE_LIMIT_ENV
 from .model import (
-    Configuration,
     FeasibilityQuery,
     GE,
     HMSchedule,
@@ -117,29 +117,31 @@ def instance_from_doc(doc: dict) -> Instance:
 def schedule_to_doc(sched: HMSchedule) -> dict:
     return {
         "d": sched.d,
-        "entries": [[t, list(cfg.counts), count]
-                    for t, cfg, count in sched.entries],
+        "entries": [[t, list(counts), count]
+                    for t, counts, count in sched.entries],
     }
 
 
-def schedule_from_doc(doc: dict, p: tuple[int, ...]) -> HMSchedule:
+def schedule_from_doc(doc: dict, d: int) -> HMSchedule:
+    """The schedule of ``doc``; ``d`` is its dimension if it gives none
+    (``HMSchedule`` checks the entries)."""
     try:
-        rows = [(t, tuple(counts), count) for t, counts, count in doc["entries"]]
-        d = doc.get("d", len(p))
+        entries = [(t, tuple(counts), count) for t, counts, count in doc["entries"]]
+        d = doc.get("d", d)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad schedule document: {exc}") from exc
-    if not _is_int(d) or not all(_is_int(v) for t, counts, count in rows
-                                 for v in (t, count, *counts)):
-        raise MalformedInputError("schedule documents hold integers only")
-    entries = tuple((t, Configuration.from_counts(counts, p), count)
-                    for t, counts, count in rows)
+    if not _is_int(d):
+        raise MalformedInputError("schedule d must be an integer")
     return HMSchedule(d, entries)
 
 
 def dump_doc(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise MalformedInputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -211,7 +213,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     inst = instance_from_doc(load_json(args.instance))
-    sched = schedule_from_doc(load_json(args.schedule), inst.p)
+    sched = schedule_from_doc(load_json(args.schedule), inst.d)
     value = parse_rational(args.value)
     objective = args.objective
     if objective == "cenvy":
@@ -273,6 +275,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Solve a batch of generated instances; values on stdout, times on stderr."""
+    if args.count < 0:
+        raise MalformedInputError(f"--count must be >= 0, got {args.count}")
     rows = []
     total = 0.0
     for seed in range(args.seed, args.seed + args.count):

@@ -1,4 +1,4 @@
-"""Configuration enumeration, window reduction, and exact model solving.
+"""Enumeration of configurations, window reduction, and exact model solving.
 
 A feasibility question "is there a schedule whose per-machine loads lie
 in given per-type windows and whose job usage is exactly n (``=``) or at
@@ -480,4 +480,4 @@ def _recombine(model: ConfILPModel,
                     f"type {t}: recombined load {load} escaped its window "
                     f"[{window.lower}, {window.upper}]")
             raw.append((t, config, k))
-    return make_schedule(d, model.p, raw)
+    return make_schedule(d, raw)

@@ -156,13 +156,12 @@ def _certify(inst: Instance, sched: HMSchedule, q: FeasibilityQuery) -> None:
         raise CertificateError("; ".join(report.violations))
 
 
-def _trim_to_demand(sched: HMSchedule, n: tuple[int, ...],
-                    p: tuple[int, ...]) -> HMSchedule:
+def _trim_to_demand(sched: HMSchedule, n: tuple[int, ...]) -> HMSchedule:
     """Remove excess jobs until usage equals n (loads only decrease)."""
     usage = aggregate_jobs(sched)
     if any(u < v for u, v in zip(usage, n)):
         raise CertificateError(f"usage {usage} under-covers demand {n}")
-    work = [(t, list(cfg.counts), count) for t, cfg, count in sched.entries]
+    work = list(sched.entries)
     for j in range(sched.d):
         excess = usage[j] - n[j]
         i = 0
@@ -184,7 +183,7 @@ def _trim_to_demand(sched: HMSchedule, n: tuple[int, ...],
                 work.append((t, reduced, 1))
             excess -= total
             i += 1
-    return make_schedule(sched.d, p, [(t, tuple(c), k) for t, c, k in work])
+    return make_schedule(sched.d, work)
 
 
 def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
@@ -209,12 +208,12 @@ def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
     if not extra:
         return sched
     raw = []
-    for i, (t, cfg, count) in enumerate(sched.entries):
+    for i, (t, counts, count) in enumerate(sched.entries):
         if i in extra:
-            raw.append((t, tuple(c + x for c, x in zip(cfg.counts, extra[i])), 1))
+            raw.append((t, tuple(c + x for c, x in zip(counts, extra[i])), 1))
             count -= 1
-        raw.append((t, cfg.counts, count))
-    return make_schedule(inst.d, inst.p, raw)
+        raw.append((t, counts, count))
+    return make_schedule(inst.d, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def balanced_feasibility(inst: Instance, rel: str,
         part = _solve_at_one(sub, rel, state_limit)
         if part is None:
             return None
-        return [(types[k], cfg.counts, count) for k, cfg, count in part.entries]
+        return [(types[k], counts, count) for k, counts, count in part.entries]
 
     def placed(configs: list[tuple[int, ...]]) -> list[int]:
         return [sum(m * c[j] for m, c in zip(fast_m, configs)) for j in range(d)]
@@ -339,7 +338,7 @@ def balanced_feasibility(inst: Instance, rel: str,
             if part is None:
                 return None
             raw += part
-        return _trim_to_demand(make_schedule(d, p, raw), n, p)
+        return _trim_to_demand(make_schedule(d, raw), n)
 
     def attempt_case2(g1a, g1b, g2) -> HMSchedule | None:
         pre = reduced_schedule(guess_configs(fast_s, cutoff, g1a, g1b, g2),
@@ -356,7 +355,7 @@ def balanced_feasibility(inst: Instance, rel: str,
         base = dict(zip(large, pre))
         raw = [(t, tuple(a + b for a, b in zip(c, base[t])) if t in base
                 else c, count) for t, c, count in part]
-        return make_schedule(d, p, raw)
+        return make_schedule(d, raw)
 
     # Integer form of the rounded schedule using at most n:
     #   mL*(g1a+g1b)[j]*area2_max + area_2*g2[j] <= n_j*area2_max
@@ -539,7 +538,7 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
             run[1][j] += 1
             run[2] += p[j]
             left -= take
-    sched = make_schedule(d, p, [(t, tuple(c), k) for t, c, _, k in runs])
+    sched = make_schedule(d, [(t, c, k) for t, c, _, k in runs])
     value = objective_value(inst, sched, "cmax" if rel == LE else "cmin")
     _certify(inst, sched, FeasibilityQuery(rel, value))
     return value, sched
@@ -651,7 +650,7 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0,
                    "empty_windows": 0}
     if P == 0:
-        sched = make_schedule(d, p, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
+        sched = make_schedule(d, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
         _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
         return SolveResult("cenvy", Fraction(0), sched, trace)
 

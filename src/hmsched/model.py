@@ -156,53 +156,37 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# Configurations and schedules
+# Schedules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Configuration:
-    """A job-multiplicity vector for one machine, with its total load.
-
-    Counts and load must be ``int`` and not ``bool``; anything else
-    raises MalformedInputError rather than being converted.
-    """
-
-    counts: tuple[int, ...]
-    load: int
-
-    def __post_init__(self):
-        counts = tuple(self.counts)
-        for x in counts:
-            _require_int(x, "configuration counts")
-        _require_int(self.load, "configuration load")
-        if any(x < 0 for x in counts):
-            raise MalformedInputError("configuration counts must be >= 0")
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_counts(cls, counts: tuple[int, ...], p: tuple[int, ...]) -> "Configuration":
-        return cls(tuple(counts), dot(p, tuple(counts)))
-
 
 @dataclass(frozen=True)
 class HMSchedule:
     """High-multiplicity schedule: counts of (machine type, configuration).
 
-    Two machines of the same type with different configurations appear as
-    two entries.  ``d`` is carried explicitly so empty schedules still
-    know their job dimensionality.  Machine types and counts must be
-    ``int`` and not ``bool`` (MalformedInputError otherwise).
+    Each entry is ``(t, counts, count)``: ``count`` machines of type
+    ``t`` each run the job-count vector ``counts`` (a configuration).
+    Two machines of the same type with different configurations appear
+    as two entries.  ``d`` is carried explicitly so empty schedules
+    still know their job dimensionality.  Machine types, counts and
+    configuration entries must be ``int`` and not ``bool``, counts and
+    configuration entries ``>= 0`` and every configuration of length
+    ``d`` (MalformedInputError otherwise).
     """
 
     d: int
-    entries: tuple[tuple[int, Configuration, int], ...]
+    entries: tuple[tuple[int, tuple[int, ...], int], ...]
 
     def __post_init__(self):
-        entries = tuple(tuple(entry) for entry in self.entries)
-        for t, cfg, count in entries:
+        entries = tuple((t, tuple(counts), count)
+                        for t, counts, count in self.entries)
+        for t, counts, count in entries:
             _require_int(t, "entry machine types")
             _require_int(count, "entry counts")
-            if len(cfg.counts) != self.d:
+            for x in counts:
+                _require_int(x, "configuration counts")
+                if x < 0:
+                    raise MalformedInputError("configuration counts must be >= 0")
+            if len(counts) != self.d:
                 raise MalformedInputError("configuration dimension != d")
             if count < 0:
                 raise MalformedInputError("entry count must be >= 0")
@@ -215,13 +199,13 @@ class HMSchedule:
 def aggregate_jobs(sched: HMSchedule) -> tuple[int, ...]:
     """Total job usage of a schedule: sum of count * config over entries."""
     usage = [0] * sched.d
-    for _, cfg, count in sched.entries:
-        for j, c in enumerate(cfg.counts):
+    for _, counts, count in sched.entries:
+        for j, c in enumerate(counts):
             usage[j] += count * c
     return tuple(usage)
 
 
-def make_schedule(d: int, p: tuple[int, ...],
+def make_schedule(d: int,
                   raw: list[tuple[int, tuple[int, ...], int]]) -> HMSchedule:
     """Build an HMSchedule from (type, counts, count) triples.
 
@@ -235,9 +219,8 @@ def make_schedule(d: int, p: tuple[int, ...],
             continue
         key = (t, tuple(counts))
         merged[key] = merged.get(key, 0) + count
-    entries = tuple((t, Configuration.from_counts(counts, p), count)
-                    for (t, counts), count in sorted(merged.items()))
-    return HMSchedule(d, entries)
+    return HMSchedule(d, tuple((t, counts, count)
+                               for (t, counts), count in sorted(merged.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +303,13 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
             violations.append(
                 f"type {t}: schedule covers {have} machines, instance has {inst.m[t]}")
 
-    for t, cfg, count in sched.entries:
+    for t, counts, count in sched.entries:
         if count == 0:
             continue
-        load = dot(inst.p, cfg.counts)
-        if load != cfg.load:
-            violations.append(f"type {t}: stored load {cfg.load} != p.counts {load}")
+        load = dot(inst.p, counts)
         speed = inst.s[t]
         if inst.restrict is not None:
-            for j, c in enumerate(cfg.counts):
+            for j, c in enumerate(counts):
                 if c > 0 and not inst.restrict[j][t]:
                     violations.append(f"type {t}: job type {j} not allowed")
         # Load-form completion bound: exact even for speed-0 machines.
@@ -378,15 +359,16 @@ def schedule_completions(inst: Instance, sched: HMSchedule) -> list[Fraction]:
     and min are those over all machines, whatever the entry counts.
     """
     out: list[Fraction] = []
-    for t, cfg, count in sched.entries:
+    for t, counts, count in sched.entries:
         if count == 0:
             continue
+        load = dot(inst.p, counts)
         if inst.s[t] == 0:
-            if cfg.load > 0:
+            if load > 0:
                 raise MalformedInputError("positive load on zero-speed machine")
             out.append(Fraction(0))
         else:
-            out.append(Fraction(cfg.load, inst.s[t]))
+            out.append(Fraction(load, inst.s[t]))
     return out
 
 

@@ -193,7 +193,7 @@ def _feasible_schedule(inst, rel, threshold, idle_cap, job_relation,
         prev, cfg = trail[i][state]
         raw.append((machines[i], cfg, 1))
         state = prev
-    return make_schedule(inst.d, inst.p, raw)
+    return make_schedule(inst.d, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ def _envy_value(inst: Instance, machine_cap: int, state_cap: int
                 placed = True
                 break
         assert placed, "witness walk lost the optimum"
-    return value, make_schedule(inst.d, inst.p, raw)
+    return value, make_schedule(inst.d, raw)
 
 
 def brute_force(inst: Instance, objective: str,

@@ -136,8 +136,7 @@ class CompressionMap:
     speeds (``compressed_speeds``); machines of equal speed are
     interchangeable under threshold-1 load windows, so lifting may
     allocate a speed's configurations to the original types in any fixed
-    order.  ``p`` is the job sizes, which give the lifted configurations
-    their loads.
+    order.
     """
 
     original_m: tuple[int, ...]
@@ -145,7 +144,6 @@ class CompressionMap:
     pieces_per_machine: tuple[int, ...]
     compressed_speeds: tuple[int, ...]
     lcm_load: int
-    p: tuple[int, ...]
 
 
 def compress(inst: Instance) -> tuple[Instance, CompressionMap]:
@@ -185,7 +183,7 @@ def compress(inst: Instance) -> tuple[Instance, CompressionMap]:
     counts = tuple(by_speed[s] for s in speeds)
     out = Instance(inst.p, inst.n, speeds, counts, None, inst.name)
     cmap = CompressionMap(inst.m, tuple(residual_speed), tuple(pieces),
-                          speeds, delta, inst.p)
+                          speeds, delta)
     return out, cmap
 
 
@@ -204,11 +202,10 @@ def lift_schedule(sched: HMSchedule, cmap: CompressionMap) -> HMSchedule:
     not the number of machines.
     """
     entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for t, cfg, count in sched.entries:
+    for t, counts, count in sched.entries:
         if not 0 <= t < len(cmap.compressed_speeds):
             raise MalformedInputError(f"schedule type {t} unknown to the map")
-        entries.setdefault(cmap.compressed_speeds[t], []).append(
-            (cfg.counts, count))
+        entries.setdefault(cmap.compressed_speeds[t], []).append((counts, count))
     pools: dict[int, Runs] = {}
 
     def pool(speed: int) -> Runs:
@@ -226,4 +223,4 @@ def lift_schedule(sched: HMSchedule, cmap: CompressionMap) -> HMSchedule:
         raw += [(t, merge_slices(d, slices), k) for k, slices in segments]
     if any(pool(speed).left for speed in entries):
         raise MalformedInputError("schedule has machines the map cannot place")
-    return make_schedule(d, cmap.p, raw)
+    return make_schedule(d, raw)

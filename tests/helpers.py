@@ -180,7 +180,7 @@ def is_regular(sched: FractionalSchedule | HMSchedule, pmax: int) -> bool:
     > 0).  Empty schedules are vacuously regular.
     """
     if isinstance(sched, HMSchedule):
-        rows = [cfg.counts for _, cfg, count in sched.entries if count > 0]
+        rows = [counts for _, counts, count in sched.entries if count > 0]
         d = sched.d
     else:
         rows = [sched.total(t) for t in range(sched.tau) if sched.counts[t] > 0]
@@ -491,7 +491,6 @@ def window_decomposes(c, p, red, k):
 
 from hmsched.model import (
     CertificateError,
-    Configuration,
     HMSchedule,
     MalformedInputError,
 )
@@ -532,17 +531,16 @@ def reference_recombine(model, chosen) -> HMSchedule:
             key = (t, tuple(merged))
             merged_entries[key] = merged_entries.get(key, 0) + 1
     return HMSchedule(d, tuple(
-        (t, Configuration.from_counts(c, model.p), k)
-        for (t, c), k in sorted(merged_entries.items())))
+        (t, c, k) for (t, c), k in sorted(merged_entries.items())))
 
 
 def reference_lift(sched: HMSchedule, cmap) -> HMSchedule:
     """``reduction.lift_schedule`` with one pool element per machine."""
     pools = {}
-    for t, cfg, count in sched.entries:
-        pools.setdefault(cmap.compressed_speeds[t], []).extend([cfg] * count)
+    for t, counts, count in sched.entries:
+        pools.setdefault(cmap.compressed_speeds[t], []).extend([counts] * count)
     for pool in pools.values():
-        pool.sort(key=lambda c: c.counts)
+        pool.sort()
     cursor = {}
 
     def draw(speed, how_many):
@@ -558,20 +556,17 @@ def reference_lift(sched: HMSchedule, cmap) -> HMSchedule:
         residuals = draw(cmap.residual_speed[t], m)
         piece_lists = [draw(cmap.lcm_load, cmap.pieces_per_machine[t])
                        for _ in range(m)]
-        for cfg, pieces in zip(residuals, piece_lists):
-            merged = list(cfg.counts)
-            load = cfg.load
+        for counts, pieces in zip(residuals, piece_lists):
+            merged = list(counts)
             for piece in pieces:
-                load += piece.load
                 for j in range(sched.d):
-                    merged[j] += piece.counts[j]
-            key = (t, Configuration(tuple(merged), load))
+                    merged[j] += piece[j]
+            key = (t, tuple(merged))
             merged_entries[key] = merged_entries.get(key, 0) + 1
     if any(cursor.get(speed, 0) != len(pool) for speed, pool in pools.items()):
         raise MalformedInputError("schedule has machines the map cannot place")
     return HMSchedule(sched.d, tuple(
-        (t, cfg, k) for (t, cfg), k in
-        sorted(merged_entries.items(), key=lambda kv: (kv[0][0], kv[0][1].counts))))
+        (t, c, k) for (t, c), k in sorted(merged_entries.items())))
 
 
 def random_runs(rnd, total: int, d: int, top: int):
@@ -802,7 +797,7 @@ def reference_minimize_envy(inst: Instance,
     P = inst.total_load
     trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0}
     if P == 0:
-        sched = make_schedule(d, p, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
+        sched = make_schedule(d, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
         _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
         return SolveResult("cenvy", Fraction(0), sched, trace)
 

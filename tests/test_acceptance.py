@@ -70,7 +70,7 @@ def report(criterion: int, detail: str) -> None:
 def test_criterion_1_reference_schedule():
     start = time.monotonic()
     inst = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
-    sched = make_schedule(1, (1,), [(0, (3,), 1), (1, (3,), 1), (2, (1,), 1)])
+    sched = make_schedule(1, [(0, (3,), 1), (1, (3,), 1), (2, (1,), 1)])
     rep = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1, 4)))
     assert rep.ok
     assert rep.max_idle_load == Fraction(7, 4)

@@ -88,13 +88,13 @@ def test_speed_below_cutoff_rejected():
 
 def test_is_regular():
     pmax = 3
-    mixed = make_schedule(1, (1,), [(0, (pmax,), 1), (0, (pmax - 1,), 1)])
+    mixed = make_schedule(1, [(0, (pmax,), 1), (0, (pmax - 1,), 1)])
     assert not is_regular(mixed, pmax)
-    uniform = make_schedule(1, (1,), [(0, (pmax,), 1), (0, (pmax + 2,), 1)])
+    uniform = make_schedule(1, [(0, (pmax,), 1), (0, (pmax + 2,), 1)])
     assert is_regular(uniform, pmax)
-    low = make_schedule(1, (1,), [(0, (1,), 1), (0, (0,), 1)])
+    low = make_schedule(1, [(0, (1,), 1), (0, (0,), 1)])
     assert is_regular(low, pmax)
-    assert is_regular(make_schedule(1, (1,), []), pmax)
+    assert is_regular(make_schedule(1, []), pmax)
 
 
 def test_reduced_schedule_margins():

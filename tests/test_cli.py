@@ -38,7 +38,7 @@ def test_instance_doc_round_trip():
 
 def test_schedule_doc_round_trip(tmp_path):
     doc = json.loads(FIG1_SCHEDULE.read_text())
-    sched = schedule_from_doc(doc, (1,))
+    sched = schedule_from_doc(doc, 1)
     assert schedule_to_doc(sched) == doc
 
 
@@ -156,6 +156,7 @@ USAGE_ERRORS = {
     "solve-method": ["solve", str(FIG1), "--objective", "cmax",
                      "--method", "balanced"],
     "bench-method": ["bench", "--method", "balanced"],
+    "bench-count": ["bench", "--count", "-3"],
     "no-objective": ["solve", str(FIG1)],
     "no-schedule": ["check", str(FIG1)],
     "no-seed": ["gen"],
@@ -246,6 +247,7 @@ def test_check_unparseable_value_is_malformed(capsys):
     [[0.0, [3], 1], [1, [3], 1], [2, [1], 1]],
     [[0, [3.0], 1], [1, [3], 1], [2, [1], 1]],
     [[0, [3], True], [1, [3], 1], [2, [1], 1]],
+    [[0, [-1], 1]],
 ])
 def test_non_integer_schedule_entries_are_malformed(entries, tmp_path,
                                                     capsys):
@@ -254,6 +256,19 @@ def test_non_integer_schedule_entries_are_malformed(entries, tmp_path,
     assert main(["check", str(FIG1), str(path),
                  "--objective", "cmax", "--value", "3/13"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", str(FIG1), "--objective", "cmax"],
+    ["gen", "--seed", "1"],
+], ids=["solve", "gen"])
+def test_unwritable_output_is_malformed(args, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(*args, "--output", str(target))
+    assert code == 1, (out, err)
+    assert b"cannot write" in err
+    assert b"Traceback" not in err
+    assert not target.exists()
 
 
 def test_non_integer_state_limit_is_malformed():

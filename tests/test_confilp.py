@@ -21,6 +21,7 @@ from hmsched.model import (
     Instance,
     MalformedInputError,
     aggregate_jobs,
+    dot,
     verify_schedule,
 )
 from hmsched.oracle import (
@@ -114,7 +115,7 @@ def test_solve_fig1_threshold_fifth():
     windows = [LoadWindow(0, s) for s in norm.s]
     sched = solve_model(build_model(norm, windows))
     assert sched is not None
-    loads = sorted(cfg.load for _, cfg, _ in sched.entries)
+    loads = sorted(dot(norm.p, counts) for _, counts, _ in sched.entries)
     assert loads == [2, 2, 3]
     assert aggregate_jobs(sched) == (7,)
 
@@ -198,8 +199,8 @@ def test_solved_schedules_respect_windows():
         if sched is None:
             continue
         assert aggregate_jobs(sched) == inst.n
-        for t, cfg, count in sched.entries:
-            assert 0 <= cfg.load <= 2 * inst.s[t]
+        for t, counts, count in sched.entries:
+            assert 0 <= dot(inst.p, counts) <= 2 * inst.s[t]
         for t in range(inst.tau):
             assert sched.machines_of_type(t) == inst.m[t]
 

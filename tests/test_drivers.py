@@ -28,6 +28,7 @@ from hmsched.model import (
     Instance,
     MalformedInputError,
     aggregate_jobs,
+    dot,
     format_rational,
     objective_value,
     schedule_completions,
@@ -78,7 +79,8 @@ def test_candidate_values_grids():
 def test_makespan_fig1():
     result = minimize_makespan(FIG1)
     assert result.value == Fraction(1, 5)
-    assert sorted(cfg.load for _, cfg, _ in result.schedule.entries) == [2, 2, 3]
+    assert sorted(dot(FIG1.p, counts)
+                  for _, counts, _ in result.schedule.entries) == [2, 2, 3]
     report = verify_schedule(FIG1, result.schedule,
                              FeasibilityQuery("<=", result.value))
     assert report.ok

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from helpers import expand_runs
 from hmsched.model import (
-    Configuration,
     FeasibilityQuery,
     HMSchedule,
     Instance,
@@ -29,7 +28,7 @@ def fig1():
 @pytest.fixture
 def fig1_schedule():
     # 3, 3, 1 unit jobs on the three machines
-    return make_schedule(1, (1,), [(0, (3,), 1), (1, (3,), 1), (2, (1,), 1)])
+    return make_schedule(1, [(0, (3,), 1), (1, (3,), 1), (2, (1,), 1)])
 
 
 @given(num=st.integers(-10**12, 10**12), den=st.integers(1, 10**9))
@@ -77,16 +76,16 @@ def test_verify_is_pure(fig1, fig1_schedule):
 
 
 def test_verify_machine_count_mismatch_is_violation(fig1):
-    short = make_schedule(1, (1,), [(0, (7,), 1)])
+    short = make_schedule(1, [(0, (7,), 1)])
     report = verify_schedule(fig1, short, FeasibilityQuery("<=", Fraction(1)))
     assert not report.ok
 
 
 def test_verify_dimension_mismatch_raises(fig1):
-    bad = HMSchedule(2, ((0, Configuration((1, 1), 2), 1),))
+    bad = HMSchedule(2, ((0, (1, 1), 1),))
     with pytest.raises(MalformedInputError):
         verify_schedule(fig1, bad, FeasibilityQuery("<=", Fraction(1)))
-    out_of_range = HMSchedule(1, ((5, Configuration((1,), 1), 1),))
+    out_of_range = HMSchedule(1, ((5, (1,), 1),))
     with pytest.raises(MalformedInputError):
         verify_schedule(fig1, out_of_range, FeasibilityQuery("<=", Fraction(1)))
 
@@ -94,7 +93,7 @@ def test_verify_dimension_mismatch_raises(fig1):
 def test_verify_reports_restriction_violation():
     inst = Instance(p=(1, 1), n=(1, 1), s=(2, 2), m=(1, 1),
                     restrict=((True, False), (False, True)))
-    sched = make_schedule(2, (1, 1), [(0, (0, 1), 1), (1, (1, 0), 1)])
+    sched = make_schedule(2, [(0, (0, 1), 1), (1, (1, 0), 1)])
     report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
     assert not report.ok
     assert any("not allowed" in v for v in report.violations)
@@ -116,7 +115,7 @@ def test_query_validation():
 
 
 def test_aggregate_jobs_examples(fig1_schedule):
-    sched = make_schedule(1, (1,), [(0, (3,), 1), (1, (2,), 2)])
+    sched = make_schedule(1, [(0, (3,), 1), (1, (2,), 2)])
     assert aggregate_jobs(sched) == (7,)
     assert aggregate_jobs(HMSchedule(2, ())) == (0, 0)
     assert aggregate_jobs(fig1_schedule) == (7,)
@@ -149,12 +148,19 @@ def test_instance_rejects_non_boolean_restrict_cells(cell):
         Instance(p=(1,), n=(1,), s=(1, 1), m=(1, 1), restrict=((True, cell),))
 
 
-@pytest.mark.parametrize("counts,load", [
-    ((1.7,), 2), ((True,), 1), (("1",), 1), ((Fraction(1),), 1), ((1,), 1.0),
-], ids=["float", "bool", "str", "Fraction", "float-load"])
-def test_configuration_rejects_non_integer_entries(counts, load):
+@pytest.mark.parametrize("counts", [
+    (1.7,), (True,), ("1",), (Fraction(1),),
+], ids=["float", "bool", "str", "Fraction"])
+def test_configuration_rejects_non_integer_entries(counts):
     with pytest.raises(MalformedInputError):
-        Configuration(counts, load)
+        HMSchedule(1, ((0, counts, 1),))
+
+
+@pytest.mark.parametrize("counts", [(-1,), (1, 1)],
+                         ids=["negative", "wrong-length"])
+def test_schedule_rejects_bad_configuration_counts(counts):
+    with pytest.raises(MalformedInputError):
+        HMSchedule(1, ((0, counts, 1),))
 
 
 @pytest.mark.parametrize("t,count", [
@@ -163,7 +169,7 @@ def test_configuration_rejects_non_integer_entries(counts, load):
         "Fraction-count"])
 def test_schedule_rejects_non_integer_entries(t, count):
     with pytest.raises(MalformedInputError):
-        HMSchedule(1, ((t, Configuration((1,), 1), count),))
+        HMSchedule(1, ((t, (1,), count),))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -202,10 +208,8 @@ def split(rnd, total):
         total -= k
     return out
 
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=4),
-       st.lists(st.integers(1, 6), min_size=1, max_size=4))
-def test_aggregate_matches_manual_sum(counts, p):
-    d = min(len(counts), len(p))
-    counts, p = tuple(counts[:d]), tuple(p[:d])
-    sched = make_schedule(d, p, [(0, counts, 2), (0, counts, 1)])
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+def test_aggregate_matches_manual_sum(counts):
+    counts = tuple(counts)
+    sched = make_schedule(len(counts), [(0, counts, 2), (0, counts, 1)])
     assert aggregate_jobs(sched) == tuple(3 * c for c in counts)

@@ -323,7 +323,7 @@ def test_lift_merges_split_machine():
     lifted = lift_schedule(sched, cmap)
     report = verify_schedule(inst, lifted, FeasibilityQuery("<=", Fraction(1)))
     assert report.ok
-    assert lifted.entries[0][1].load == 5
+    assert dot(inst.p, lifted.entries[0][1]) == 5
 
 
 @pytest.mark.parametrize("rel", ["<=", ">="])
@@ -352,7 +352,7 @@ def test_lift_preserves_verdict(rel):
     assert lifted_any >= 10
 
 
-def random_lift_case(rnd, p=(1, 2)):
+def random_lift_case(rnd, d=2):
     """A compression map with 2..4 pieces per machine and a schedule with
     seeded runs on its compressed types; type 0's residual speed is the
     piece speed, so one pool feeds both residuals and pieces."""
@@ -368,9 +368,9 @@ def random_lift_case(rnd, p=(1, 2)):
         need[delta] += m * k
     raw = [(speeds.index(speed), cfg, count)
            for speed, total in need.items()
-           for cfg, count in random_runs(rnd, total, len(p), 2).items()]
-    cmap = CompressionMap(original_m, residual, pieces, speeds, delta, p)
-    return make_schedule(len(p), p, raw), cmap
+           for cfg, count in random_runs(rnd, total, d, 2).items()]
+    cmap = CompressionMap(original_m, residual, pieces, speeds, delta)
+    return make_schedule(d, raw), cmap
 
 
 @pytest.mark.parametrize("seed", range(30))
