@@ -87,7 +87,11 @@ def cmin_to_idle_cmax(inst: Instance) -> tuple[Instance, int]:
     the converted instance admits a schedule using at most n jobs whose
     idle load is at most pmax - 1 on every machine at threshold 1.
     """
-    shift = inst.pmax - 1
-    speeds = tuple(s + shift for s in inst.s)
-    out = Instance(inst.p, inst.n, speeds, inst.m, inst.restrict, inst.name)
-    return out, shift
+    out = Instance(inst.p, inst.n, idle_cmax_speeds(inst.s, inst.pmax), inst.m,
+                   inst.restrict, inst.name)
+    return out, inst.pmax - 1
+
+
+def idle_cmax_speeds(speeds: tuple[int, ...], pmax: int) -> tuple[int, ...]:
+    """The speeds of ``cmin_to_idle_cmax``'s converted instance."""
+    return tuple(s + pmax - 1 for s in speeds)

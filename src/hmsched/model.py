@@ -43,6 +43,16 @@ def parse_rational(text: str) -> Fraction:
         raise MalformedInputError(f"not a rational number: {text!r}") from exc
 
 
+def floor_times(x: Fraction, k: int) -> int:
+    """floor(x * k) for an integer k, in integers."""
+    return x.numerator * k // x.denominator
+
+
+def ceil_times(x: Fraction, k: int) -> int:
+    """ceil(x * k) for an integer k, in integers."""
+    return -(-x.numerator * k // x.denominator)
+
+
 def _require_int(x, what: str) -> None:
     """Raise MalformedInputError unless x is an int (bools excluded)."""
     if not isinstance(x, int) or isinstance(x, bool):
@@ -54,11 +64,6 @@ def dot(p: tuple[int, ...], c: tuple[int, ...]) -> int:
     if len(p) != len(c):
         raise MalformedInputError(f"vector lengths differ: {len(p)} vs {len(c)}")
     return sum(a * b for a, b in zip(p, c))
-
-
-def dotminus(a, b):
-    """Positive difference max(a - b, 0), exact for ints and Fractions."""
-    return a - b if a > b else a - a
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +280,25 @@ class VerificationReport:
     violations: tuple[str, ...] = field(default=())
 
 
+def _completion_range(pairs) -> tuple[Fraction, Fraction]:
+    """The largest and smallest completion among (load, speed) pairs.
+
+    Speeds are positive; completions are compared by cross-multiplying,
+    and only the two results become Fractions (both 0 without pairs).
+    """
+    high = low = None
+    for load, speed in pairs:
+        if high is None:
+            high = low = (load, speed)
+        elif load * high[1] > high[0] * speed:
+            high = (load, speed)
+        elif load * low[1] < low[0] * speed:
+            low = (load, speed)
+    if high is None:
+        return Fraction(0), Fraction(0)
+    return Fraction(*high), Fraction(*low)
+
+
 def verify_schedule(inst: Instance, sched: HMSchedule,
                     q: FeasibilityQuery) -> VerificationReport:
     """Check a schedule certificate against an instance and query.
@@ -284,7 +308,8 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
     exactly), the idle cap when present, machine-count consistency with
     m, restriction compliance, and the job usage relation against n.
     Structural dimension mismatches raise MalformedInputError; semantic
-    failures are reported as violations with ok=False.
+    failures are reported as violations with ok=False.  The bounds are
+    compared in integers, scaled by the threshold's denominator.
     """
     if sched.d != inst.d:
         raise MalformedInputError(f"schedule has d={sched.d}, instance d={inst.d}")
@@ -294,8 +319,9 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
 
     violations: list[str] = []
     T = q.threshold
-    completions: list[Fraction] = []
-    idles: list[Fraction] = []
+    num, den = T.numerator, T.denominator
+    completions: list[tuple[int, int]] = []
+    idle = 0  # the largest idle load T * speed - load, times den
 
     for t in range(inst.tau):
         have = sched.machines_of_type(t)
@@ -314,21 +340,21 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
                     violations.append(f"type {t}: job type {j} not allowed")
         # Load-form completion bound: exact even for speed-0 machines.
         if q.relation == LE:
-            if load > T * speed:
+            if load * den > num * speed:
                 violations.append(
                     f"type {t}: load {load} exceeds {format_rational(T)} * {speed}")
-            idles.append(dotminus(T * speed, Fraction(load)))
+            idle = max(idle, num * speed - load * den)
         else:
-            if load < T * speed:
+            if load * den < num * speed:
                 violations.append(
                     f"type {t}: load {load} below {format_rational(T)} * {speed}")
         # Zero-speed machines are constrained through the load form above;
         # they have no finite completion time to report.
         if speed > 0:
-            completions.append(Fraction(load, speed))
+            completions.append((load, speed))
 
-    max_idle = max(idles, default=Fraction(0))
-    if q.idle_cap is not None and max_idle > q.idle_cap:
+    max_idle = Fraction(idle, den)
+    if q.idle_cap is not None and idle > q.idle_cap * den:
         violations.append(
             f"max idle load {format_rational(max_idle)} exceeds cap {q.idle_cap}")
 
@@ -341,14 +367,30 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
     if not cmp_ok:
         violations.append(f"job usage {usage} not {q.job_relation} n={inst.n}")
 
+    high, low = _completion_range(completions)
     return VerificationReport(
         ok=not violations,
-        max_completion=max(completions, default=Fraction(0)),
-        min_completion=min(completions, default=Fraction(0)),
+        max_completion=high,
+        min_completion=low,
         max_idle_load=max_idle,
         job_usage=usage,
         violations=tuple(violations),
     )
+
+
+def _entry_loads(inst: Instance, sched: HMSchedule):
+    """(load, speed) of each entry with machines; a zero-speed machine
+    gives (0, 1), completion 0, and may carry no load."""
+    for t, counts, count in sched.entries:
+        if count == 0:
+            continue
+        load = dot(inst.p, counts)
+        if inst.s[t] == 0:
+            if load > 0:
+                raise MalformedInputError("positive load on zero-speed machine")
+            yield 0, 1
+        else:
+            yield load, inst.s[t]
 
 
 def schedule_completions(inst: Instance, sched: HMSchedule) -> list[Fraction]:
@@ -358,26 +400,16 @@ def schedule_completions(inst: Instance, sched: HMSchedule) -> list[Fraction]:
     holds each distinct machine's completion time at least once; its max
     and min are those over all machines, whatever the entry counts.
     """
-    out: list[Fraction] = []
-    for t, counts, count in sched.entries:
-        if count == 0:
-            continue
-        load = dot(inst.p, counts)
-        if inst.s[t] == 0:
-            if load > 0:
-                raise MalformedInputError("positive load on zero-speed machine")
-            out.append(Fraction(0))
-        else:
-            out.append(Fraction(load, inst.s[t]))
-    return out
+    return [Fraction(load, speed) for load, speed in _entry_loads(inst, sched)]
 
 
 def objective_value(inst: Instance, sched: HMSchedule, objective: str) -> Fraction:
     """The largest completion ("cmax"), the smallest ("cmin") or their
     difference ("cenvy"); each is 0 without machines."""
-    completions = schedule_completions(inst, sched) or [Fraction(0)]
-    high, low = max(completions), min(completions)
-    return {"cmax": high, "cmin": low, "cenvy": high - low}[objective]
+    high, low = _completion_range(_entry_loads(inst, sched))
+    if objective == "cenvy":
+        return high - low
+    return {"cmax": high, "cmin": low}[objective]
 
 
 # ---------------------------------------------------------------------------

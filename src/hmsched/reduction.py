@@ -29,7 +29,9 @@ from .model import (
     LE,
     MalformedInputError,
     Runs,
+    ceil_times,
     deal,
+    floor_times,
     make_schedule,
     merge_slices,
 )
@@ -114,10 +116,8 @@ def normalized_speeds(inst: Instance, rel: str,
     if rel not in (LE, GE):
         raise MalformedInputError(f"bad relation {rel!r}")
     cap = 1 + inst.total_load
-    num, den = T.numerator, T.denominator
-    if rel == LE:
-        return tuple(min(num * s // den, cap) for s in inst.s)
-    return tuple(min(-(-num * s // den), cap) for s in inst.s)
+    rounded = floor_times if rel == LE else ceil_times
+    return tuple(min(rounded(T, s), cap) for s in inst.s)
 
 
 def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
@@ -146,6 +146,37 @@ class CompressionMap:
     lcm_load: int
 
 
+def compress_machines(p: tuple[int, ...], s: tuple[int, ...], m: tuple[int, ...]
+                      ) -> tuple[tuple[int, ...], CompressionMap]:
+    """``compress``'s machine count per compressed speed, and its map.
+
+    Computed from the sizes, speeds and machine counts alone, so a caller
+    can look at the compressed speeds before it builds an instance.
+    """
+    k = reduction_constants(p)
+    delta = k.lcm_load
+    limit = k.cut_threshold + delta
+    residual_speed: list[int] = []
+    pieces: list[int] = []
+    by_speed: dict[int, int] = {}  # insertion order = first occurrence
+    for speed, count in zip(s, m):
+        if speed >= limit:
+            num = -((speed - limit) // -delta)  # ceil((speed - limit) / delta)
+            residual = speed - num * delta
+        else:
+            num = 0
+            residual = speed
+        residual_speed.append(residual)
+        pieces.append(num)
+        by_speed[residual] = by_speed.get(residual, 0) + count
+        if num:
+            by_speed[delta] = by_speed.get(delta, 0) + num * count
+    speeds = tuple(by_speed)
+    cmap = CompressionMap(tuple(m), tuple(residual_speed), tuple(pieces),
+                          speeds, delta)
+    return tuple(by_speed[x] for x in speeds), cmap
+
+
 def compress(inst: Instance) -> tuple[Instance, CompressionMap]:
     """Replace every machine of speed >= cut_threshold + lcm_load.
 
@@ -161,29 +192,8 @@ def compress(inst: Instance) -> tuple[Instance, CompressionMap]:
     """
     if inst.restrict is not None:
         raise MalformedInputError("compress does not support restricted instances")
-    k = reduction_constants(inst.p)
-    delta = k.lcm_load
-    limit = k.cut_threshold + delta
-    residual_speed: list[int] = []
-    pieces: list[int] = []
-    by_speed: dict[int, int] = {}  # insertion order = first occurrence
-    for s, m in zip(inst.s, inst.m):
-        if s >= limit:
-            num = -((s - limit) // -delta)  # ceil((s - limit) / delta)
-            residual = s - num * delta
-        else:
-            num = 0
-            residual = s
-        residual_speed.append(residual)
-        pieces.append(num)
-        by_speed[residual] = by_speed.get(residual, 0) + m
-        if num:
-            by_speed[delta] = by_speed.get(delta, 0) + num * m
-    speeds = tuple(by_speed)
-    counts = tuple(by_speed[s] for s in speeds)
-    out = Instance(inst.p, inst.n, speeds, counts, None, inst.name)
-    cmap = CompressionMap(inst.m, tuple(residual_speed), tuple(pieces),
-                          speeds, delta)
+    counts, cmap = compress_machines(inst.p, inst.s, inst.m)
+    out = Instance(inst.p, inst.n, cmap.compressed_speeds, counts, None, inst.name)
     return out, cmap
 
 

@@ -857,6 +857,103 @@ def reference_minimize_envy(inst: Instance,
 
 
 # ---------------------------------------------------------------------------
+# Fraction certificate reference
+# ---------------------------------------------------------------------------
+# ``model.verify_schedule`` compares loads with thresholds in integers.
+# This is the check it replaced, kept verbatim with its Fraction products,
+# so tests can compare whole reports.
+
+from hmsched.model import (
+    JOB_GE,
+    JOB_LE,
+    VerificationReport,
+    aggregate_jobs,
+    format_rational,
+)
+
+
+def _dotminus(a, b):
+    """Positive difference max(a - b, 0), exact for ints and Fractions."""
+    return a - b if a > b else a - a
+
+
+def reference_verify_schedule(inst: Instance, sched: HMSchedule,
+                              q: FeasibilityQuery) -> VerificationReport:
+    """Check a schedule certificate against an instance and query.
+
+    Pure function.  Checks, per machine type: the completion bound under
+    ``q.relation`` (in load form, so zero-speed machines are handled
+    exactly), the idle cap when present, machine-count consistency with
+    m, restriction compliance, and the job usage relation against n.
+    Structural dimension mismatches raise MalformedInputError; semantic
+    failures are reported as violations with ok=False.
+    """
+    if sched.d != inst.d:
+        raise MalformedInputError(f"schedule has d={sched.d}, instance d={inst.d}")
+    for t, _, _ in sched.entries:
+        if not 0 <= t < inst.tau:
+            raise MalformedInputError(f"machine type {t} out of range")
+
+    violations: list[str] = []
+    T = q.threshold
+    completions: list[Fraction] = []
+    idles: list[Fraction] = []
+
+    for t in range(inst.tau):
+        have = sched.machines_of_type(t)
+        if have != inst.m[t]:
+            violations.append(
+                f"type {t}: schedule covers {have} machines, instance has {inst.m[t]}")
+
+    for t, counts, count in sched.entries:
+        if count == 0:
+            continue
+        load = dot(inst.p, counts)
+        speed = inst.s[t]
+        if inst.restrict is not None:
+            for j, c in enumerate(counts):
+                if c > 0 and not inst.restrict[j][t]:
+                    violations.append(f"type {t}: job type {j} not allowed")
+        # Load-form completion bound: exact even for speed-0 machines.
+        if q.relation == LE:
+            if load > T * speed:
+                violations.append(
+                    f"type {t}: load {load} exceeds {format_rational(T)} * {speed}")
+            idles.append(_dotminus(T * speed, Fraction(load)))
+        else:
+            if load < T * speed:
+                violations.append(
+                    f"type {t}: load {load} below {format_rational(T)} * {speed}")
+        # Zero-speed machines are constrained through the load form above;
+        # they have no finite completion time to report.
+        if speed > 0:
+            completions.append(Fraction(load, speed))
+
+    max_idle = max(idles, default=Fraction(0))
+    if q.idle_cap is not None and max_idle > q.idle_cap:
+        violations.append(
+            f"max idle load {format_rational(max_idle)} exceeds cap {q.idle_cap}")
+
+    usage = aggregate_jobs(sched)
+    cmp_ok = {
+        JOB_EQ: usage == inst.n,
+        JOB_LE: all(u <= v for u, v in zip(usage, inst.n)),
+        JOB_GE: all(u >= v for u, v in zip(usage, inst.n)),
+    }[q.job_relation]
+    if not cmp_ok:
+        violations.append(f"job usage {usage} not {q.job_relation} n={inst.n}")
+
+    return VerificationReport(
+        ok=not violations,
+        max_completion=max(completions, default=Fraction(0)),
+        min_completion=min(completions, default=Fraction(0)),
+        max_idle_load=max_idle,
+        job_usage=usage,
+        violations=tuple(violations),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Plain recursion cross-check of the oracle (no memoization, tiny inputs)
 # ---------------------------------------------------------------------------
 

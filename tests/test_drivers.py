@@ -863,6 +863,40 @@ def test_envy_matches_the_search_without_shortcuts(monkeypatch):
                if g.role == "core" and g.count > 0)
 
 
+def test_envy_settles_each_top_type_with_one_probe(monkeypatch):
+    # When the incumbent's envy is optimal, each top type's first probe,
+    # the grid value just below it, is refuted and empties every entry of
+    # that top type, so the search costs at most one probe per top type.
+    probes = []
+    search_grid = drivers._search_grid
+
+    def logged_search(inst, grid, probe, *args):
+        def logged(entry, E):
+            sched = probe(entry, E)
+            probes.append((entry[0], sched is None))
+            return sched
+        return search_grid(inst, grid, logged, *args)
+
+    monkeypatch.setattr(drivers, "_search_grid", logged_search)
+    instances = [inst for inst in instance_stream(72, base_seed=4_000)
+                 if inst.machine_count > 0] + ENVY_PAST_CAPS
+    probed = 0
+    for inst in instances:
+        probes.clear()
+        result = minimize_envy(inst)
+        _, start = drivers._incumbent(inst, "<=")
+        if objective_value(inst, start, "cenvy") != result.value:
+            continue
+        top_types = [t1 for t1, _ in probes]
+        assert len(top_types) == len(set(top_types)), inst
+        assert all(refuted for _, refuted in probes), inst
+        assert result.schedule == start, inst
+        assert result.trace["probes"] == len(probes), inst
+        probed += bool(probes)
+    # 64 of the 78 instances have an optimal incumbent, 47 of them probe
+    assert probed >= 40, probed
+
+
 @pytest.mark.parametrize("solve,optimum", [
     (minimize_makespan, 1),
     (maximize_min_completion, 1),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import expand_runs
+from helpers import expand_runs, reference_verify_schedule
 from hmsched.model import (
     FeasibilityQuery,
     HMSchedule,
@@ -15,6 +15,7 @@ from hmsched.model import (
     deal,
     format_rational,
     make_schedule,
+    objective_value,
     parse_rational,
     verify_schedule,
 )
@@ -103,6 +104,79 @@ def test_verify_idle_cap_enforced(fig1, fig1_schedule):
     q = FeasibilityQuery("<=", Fraction(1, 4), idle_cap=1)
     report = verify_schedule(fig1, fig1_schedule, q)
     assert not report.ok  # idle load 7/4 > 1
+
+
+def _random_certificate(rnd: random.Random):
+    """A seeded instance, schedule and query near the schedule's own values.
+
+    Machine counts, job usage and restrictions are right or off by a
+    little, speeds include 0, and the threshold is a completion of the
+    schedule, a value next to one, or 0.
+    """
+    d, tau = rnd.randint(1, 3), rnd.randint(1, 3)
+    p = tuple(rnd.randint(1, 6) for _ in range(d))
+    s = tuple(rnd.choice((0, 1, 2, 3, 5, 7)) for _ in range(tau))
+    m = tuple(rnd.randint(0, 3) for _ in range(tau))
+    raw = []
+    for t in range(tau):
+        machines = max(0, m[t] + rnd.choice((0, 0, 0, -1, 1)))
+        while machines:
+            k = rnd.randint(0 if rnd.random() < 0.1 else 1, machines)
+            counts = tuple(0 if s[t] == 0 and rnd.random() < 0.8
+                           else rnd.randint(0, 3) for _ in range(d))
+            raw.append((t, counts, k))
+            machines -= k
+    sched = HMSchedule(d, tuple(raw))
+    usage = aggregate_jobs(sched)
+    n = tuple(max(0, u + rnd.choice((0, 0, 0, -1, 1))) for u in usage)
+    restrict = None
+    if rnd.random() < 0.5:
+        restrict = tuple(tuple(rnd.random() < 0.8 for _ in range(tau))
+                         for _ in range(d))
+    inst = Instance(p, n, s, m, restrict)
+    loads = [(sum(a * b for a, b in zip(p, counts)), s[t])
+             for t, counts, count in raw if count and s[t]]
+    if loads and rnd.random() < 0.8:
+        load, speed = rnd.choice(loads)
+        T = Fraction(load, speed) + rnd.choice((0, 0, Fraction(1, 7), -Fraction(1, 7)))
+    else:
+        T = Fraction(rnd.randint(0, 12), rnd.randint(1, 5))
+    relation = rnd.choice(("<=", ">="))
+    q = FeasibilityQuery(relation, max(T, Fraction(0)),
+                         idle_cap=(rnd.choice((None, 0, 1, 3, 8))
+                                   if relation == "<=" else None),
+                         job_relation=rnd.choice(("=", "<=", ">=")))
+    return inst, sched, q
+
+
+VIOLATION_KINDS = ("covers", "not allowed", "idle", "exceeds", "below", "usage")
+
+
+def test_verify_matches_the_fraction_reference():
+    # the integer comparisons give the Fraction check's report, field for
+    # field, violation strings included
+    rnd = random.Random(2024)
+    seen = set()
+    for _ in range(3000):
+        inst, sched, q = _random_certificate(rnd)
+        report = verify_schedule(inst, sched, q)
+        assert report == reference_verify_schedule(inst, sched, q), (inst, sched, q)
+        seen.add(report.ok)
+        for violation in report.violations:
+            kind = next(k for k in VIOLATION_KINDS if k in violation)
+            seen.add(kind if kind != "usage" else (kind, q.job_relation))
+        seen |= {("speed 0", s == 0) for s, m in zip(inst.s, inst.m) if m}
+        seen.add(("idle", report.max_idle_load > 0))
+        if all(inst.s):
+            assert objective_value(inst, sched, "cmax") == report.max_completion
+            assert objective_value(inst, sched, "cmin") == report.min_completion
+            assert objective_value(inst, sched, "cenvy") == (
+                report.max_completion - report.min_completion)
+    # every kind of report occurred: machine counts, disallowed job types,
+    # idle caps, loads above and below the threshold, each job relation
+    assert {True, False, "covers", "not allowed", "idle", "exceeds", "below",
+            ("usage", "="), ("usage", "<="), ("usage", ">="),
+            ("speed 0", True), ("idle", True)} <= seen, seen
 
 
 def test_query_validation():
