@@ -20,7 +20,8 @@ Exit codes:
 - 4: ``check`` found the certificate violated.
 
 The solver's state budget is read from the environment variable
-HMSCHED_STATE_LIMIT (default 2,000,000 states).
+HMSCHED_STATE_LIMIT (default 2,000,000 states), once per solve before
+any probe runs; ``--method oracle`` does not read it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import drivers, oracle
-from .confilp import ResourceLimitError, STATE_LIMIT_ENV
+from .confilp import ResourceLimitError, STATE_LIMIT_ENV, state_limit_default
 from .model import (
     FeasibilityQuery,
     GE,
@@ -169,14 +170,16 @@ def _solve_with_oracle(inst: Instance, objective: str):
 
 
 def _solve(inst: Instance, objective: str, method: str) -> drivers.SolveResult:
-    """The one objective dispatch of ``solve`` and ``bench``."""
+    """The one objective dispatch of ``solve`` and ``bench``; it reads the
+    state budget once, so a solve that builds no model checks it too."""
     if method == "oracle":
         return _solve_with_oracle(inst, objective)
+    state_limit = state_limit_default()
     if objective == "cenvy":
-        return drivers.minimize_envy(inst)
+        return drivers.minimize_envy(inst, state_limit=state_limit)
     solver = (drivers.minimize_makespan if objective == "cmax"
               else drivers.maximize_min_completion)
-    return solver(inst, method=method)
+    return solver(inst, method=method, state_limit=state_limit)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -18,13 +18,15 @@ or m; a solve whose incumbent meets the area bound probes nothing.
 
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
-(``feasibility``): normalize speeds to threshold 1 and turn a
-minimum-completion question into an idle-capped makespan question
-(``cmin_to_idle_cmax``: bounded load windows, job usage at most n,
-leftover jobs added back afterwards).  Then solve one configuration
-model directly, unless the method is ``"auto"``, the instance is
-unrestricted and compressing its fast machines (``reduction.compress``)
-leaves one above the large-machine cutoff.  Only such a probe guesses
+(``feasibility``): normalize speeds to threshold 1, refute the probe
+without a model when no loads in multiples of each type's job size gcd
+fit (``capacity_refutes``), and turn a minimum-completion question into
+an idle-capped makespan question (``cmin_to_idle_cmax``: bounded load
+windows, job usage at most n, leftover jobs added back afterwards).
+Then solve one configuration model directly, unless the method is
+``"auto"``, the instance is unrestricted and compressing its fast
+machines (``reduction.compress``) leaves one above the large-machine
+cutoff.  Only such a probe guesses
 the integral data of the rounded fractional schedule on the fast
 machines, builds its integer configurations (``balancing.guess_configs``),
 preassigns their floor minus the balancing margin
@@ -132,9 +134,8 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
     _require_machines(inst)
     P = inst.total_load
     if objective in ("cmax", "cmin"):
-        entries = tuple((t, inst.s[t], sum(
-            pj * nj for pj, nj, ok in zip(inst.p, inst.n, inst.allowed_row(t))
-            if ok)) for t in range(inst.tau) if inst.m[t] > 0)
+        entries = tuple((t, inst.s[t], cap) for t, (m, _, cap)
+                        in enumerate(type_loads(inst)) if m > 0)
         capacity = sum(s * m for s, m in zip(inst.s, inst.m))
         return CandidateGrid(objective, entries, Fraction(P, capacity))
     if objective == "cenvy":
@@ -149,6 +150,47 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
                 entries.append((t1, t2, den, inst.pmax * den))
         return CandidateGrid(objective, tuple(entries), Fraction(0))
     raise ValueError(f"unknown objective {objective!r}")
+
+
+def type_loads(inst: Instance) -> list[tuple[int, int, int]]:
+    """(m_t, g_t, P_t) per machine type t, for ``capacity_refutes``: g_t
+    is the gcd of the job sizes with demand that t may run (1 if there
+    are none) and P_t their total load."""
+    out = []
+    for t, m in enumerate(inst.m):
+        g = cap = 0
+        for j, (pj, nj) in enumerate(zip(inst.p, inst.n)):
+            if nj and inst.allowed(j, t):
+                g, cap = math.gcd(g, pj), cap + pj * nj
+        out.append((m, g or 1, cap))
+    return out
+
+
+def capacity_refutes(total: int, windows) -> bool:
+    """True if no schedule of load ``total`` keeps its loads in ``windows``.
+
+    ``windows`` holds one (m_t, g_t, P_t, lo_t, hi_t) per machine type
+    with machines, as ``type_loads`` gives them plus the load window
+    [lo_t, hi_t] (hi_t None: unbounded) of each of its m_t machines.
+    It refutes only questions without a schedule, because a machine of
+    type t runs only job sizes with demand that t may run: its load is a
+    sum of such sizes, so a multiple of their gcd g_t and at most their
+    total load P_t.  Inside its window it lies between
+    ceil(lo_t / g_t) * g_t and min(floor(hi_t / g_t) * g_t, P_t); if the
+    first exceeds the second no load fits.  The loads of all machines
+    sum to ``total``, which must therefore lie between the sums of these
+    ends over all machines.  It costs O(tau) integer steps and builds no
+    model.
+    """
+    least = most = 0
+    for m, g, cap, lo, hi in windows:
+        lo = -(-lo // g) * g
+        hi = cap if hi is None else min(hi // g * g, cap)
+        if lo > hi:
+            return True
+        least += m * lo
+        most += m * hi
+    return not least <= total <= most
 
 
 def _unrunnable_job_type(inst: Instance) -> int | None:
@@ -293,15 +335,6 @@ def balanced_feasibility(inst: Instance, rel: str,
     small_capacity = sum(inst.s[t] * inst.m[t] for t in small)
     info: dict = {"path": "balanced", "guesses": 0, "case": None}
 
-    # Capacity prechecks; both modes are load-bounded, so infeasible
-    # thresholds die here instead of in the guess enumeration.
-    total_load = inst.total_load
-    if rel == LE and total_load > sum(s * m for s, m in zip(inst.s, inst.m)):
-        return None, info
-    if rel == GE and sum(m * max(s - idle_cap, 0)
-                         for s, m in zip(inst.s, inst.m)) > total_load:
-        return None, info
-
     # Case 2's residual instance lists the fast types first, in the order
     # of ``large``.
     fast_s = tuple(inst.s[t] for t in large)
@@ -404,6 +437,13 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     usage at most n (``cmin_to_idle_cmax``), and its leftover jobs are
     added back afterwards, which only raises loads.
 
+    Before any of that, ``capacity_refutes`` asks the normalized question
+    itself, with usage exactly n: every machine's load lies in [0, s_t]
+    for ``<=`` and in [s_t, oo) for ``>=``, s_t the normalized speed.
+    If no multiples of each type's job size gcd fit there, the probe is
+    refuted (``trace["path"] == "capacity"``) before any instance or
+    model is built, whether it would guess or not, restricted or not.
+
     A probe guesses only when ``method`` is ``"auto"`` (not
     ``"confilp"``), the instance is unrestricted and compression leaves a
     machine above the large-machine cutoff, which the compressed speeds
@@ -435,6 +475,11 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
         return HMSchedule(inst.d, ())
 
     speeds, machines = normalized_speeds(inst, rel, threshold), inst.m
+    windows = [(m, g, cap, 0, s) if rel == LE else (m, g, cap, s, None)
+               for (m, g, cap), s in zip(type_loads(inst), speeds) if m > 0]
+    if capacity_refutes(inst.total_load, windows):
+        trace["path"] = "capacity"
+        return None
     cmap = None
     if inst.restrict is None and method == "auto":
         counts, comp = compress_machines(inst.p, speeds, inst.m)
@@ -664,13 +709,19 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     C_max on every schedule, an optimal one has C1 <= P / S + pmax.
 
     The scan over a runs in integers: hi_t = a*s_t // s_t1 and lo_t =
-    max(0, ceil((a*s_t2 - k) * s_t / (s_t1*s_t2))).  The total upper
-    room and the total lower need are both nondecreasing in a, so two
+    max(0, ceil((a*s_t2 - k) * s_t / (s_t1*s_t2))).  Every machine's
+    load is a multiple of g, the gcd of the sizes with demand, and at
+    most P (``capacity_refutes``), so the upper room sums each hi_t
+    rounded down to a multiple of g and capped at P, and the lower need
+    each lo_t rounded up to one.  Both are nondecreasing in a, so two
     binary searches bound the candidates to the interval where room >= P
-    and need <= P; inside it only an empty window rejects an a.  A model
-    is built and solved once per distinct window tuple in a solve;
-    ``trace["solves"]`` counts those solves and ``trace["cache_hits"]``
-    the window tuples answered from that memo.
+    and need <= P; inside it only a window that holds no multiple of g
+    rejects an a, counted in ``trace["empty_windows"]``.  The rounding
+    drops only values of a whose model is infeasible, so the first a
+    that admits a schedule, and its schedule, are those of the unrounded
+    scan.  A model is built and solved once per distinct window tuple
+    in a solve; ``trace["solves"]`` counts those solves and
+    ``trace["cache_hits"]`` the window tuples answered from that memo.
 
     The check depends on the pair only through t1: its windows are
     [ceil((a/s_t1 - E) * s_t), floor(a/s_t1 * s_t)], and t2 only
@@ -685,11 +736,11 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     any of its grids; once the best envy is optimal, that one refuted
     probe settles t1, and the incumbent's envy is often optimal already.
 
-    A window tuple is skipped before a model is built when some type's
-    reduced core window admits no configuration capped at n
-    (``trace["empty_windows"]``): that is the core group ``build_model``
-    would make, and ``solve_model`` rejects a model with an empty group
-    before its dynamic program.
+    A window tuple is also skipped before a model is built, and counted
+    in ``trace["empty_windows"]``, when some type's reduced core window
+    admits no configuration capped at n: that is the core group
+    ``build_model`` would make, and ``solve_model`` rejects a model with
+    an empty group before its dynamic program.
     """
     _require_machines(inst)
     if inst.restrict is not None:
@@ -703,8 +754,8 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
         _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
         return SolveResult("cenvy", Fraction(0), sched, trace)
 
-    types = [(s, m) for s, m in zip(inst.s, inst.m) if m > 0]
-    total_cap = sum(s * m for s, m in types)
+    types = [(s, m, g) for s, (m, g, _) in zip(inst.s, type_loads(inst)) if m > 0]
+    total_cap = sum(s * m for s, m, _ in types)
     # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
     a_num = P + inst.pmax * total_cap
     memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
@@ -728,22 +779,24 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
             return max(0, -((k - a * s2) * s // den))
 
         def fits(a: int) -> bool:
-            return sum(m * (a * s // s1) for s, m in types) >= P
+            return not capacity_refutes(P, [(m, g, P, 0, a * s // s1)
+                                            for s, m, g in types])
 
         def overfull(a: int) -> bool:
-            return sum(m * lower(a, s) for s, m in types) > P
+            return capacity_refutes(P, [(m, g, P, lower(a, s), None)
+                                        for s, m, g in types])
 
         a_hi = a_num * s1 // total_cap
         first = bisect_left(range(a_hi + 1), True, key=fits)
         stop = first + bisect_left(range(first, a_hi + 1), True, key=overfull)
         for a in range(first, stop):
-            windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
-                            for s, m in zip(inst.s, inst.m))
-            if any(lo > hi for lo, hi in windows):
-                continue
             # a type without machines gets (0, 0), whose core holds the empty
             # configuration
-            if not all(map(has_column, windows)):
+            windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
+                            for s, m in zip(inst.s, inst.m))
+            hollow = capacity_refutes(P, [(m, g, P, lower(a, s), a * s // s1)
+                                          for s, m, g in types])
+            if hollow or not all(map(has_column, windows)):
                 trace["empty_windows"] += 1
                 continue
             if windows in memo:

@@ -279,6 +279,18 @@ def test_non_integer_state_limit_is_malformed():
     assert b"Traceback" not in err
 
 
+def test_state_limit_is_read_before_solving(tmp_path, monkeypatch, capsys):
+    # this instance's incumbent meets the area bound, so no solve builds
+    # a model; the limit is still read, and rejected
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"p": [1], "n": [2], "s": [1], "m": [2]}))
+    monkeypatch.setenv("HMSCHED_STATE_LIMIT", "abc")
+    for objective in ("cmax", "cmin", "cenvy"):
+        assert main(["solve", str(path), "--objective", objective]) == 1
+    assert main(["bench"]) == 1
+    assert "HMSCHED_STATE_LIMIT" in capsys.readouterr().err
+
+
 def test_oracle_above_caps_exit_code(tmp_path, capsys):
     path = tmp_path / "many.json"
     path.write_text(json.dumps({"p": [1], "n": [9], "s": [1], "m": [9]}))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hmsched import cli, drivers
-from hmsched.balancing import large_machine_cutoff
+from hmsched.balancing import idle_cmax_speeds, large_machine_cutoff
 from hmsched.confilp import (
     LoadWindow,
     ResourceLimitError,
@@ -625,11 +625,31 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     assert all(g.configs for model in models for g in model.groups
                if g.role == "core" and g.count > 0)
 
-    # this instance meets core windows without a configuration: they are
-    # skipped before a model is built
+    # Every load here is a multiple of 4: the scan rounds its windows to
+    # multiples of 4 and builds fewer models than the same scan without
+    # the rounding, with the same value and schedule.
+    inst = Instance(p=(4,), n=(29,), s=(1, 3, 11), m=(2, 1, 1))
+    plain_refutes = drivers.capacity_refutes
+    monkeypatch.setattr(drivers, "capacity_refutes", lambda total, windows:
+                        plain_refutes(total, [(m, 1, cap, lo, hi) for
+                                              m, _, cap, lo, hi in windows]))
+    built.clear()
+    unrounded = minimize_envy(inst)
+    unrounded_built = len(built)
+    monkeypatch.setattr(drivers, "capacity_refutes", plain_refutes)
     built.clear()
     models.clear()
-    inst = Instance(p=(4,), n=(29,), s=(1, 3, 11), m=(2, 1, 1))
+    result = minimize_envy(inst)
+    assert result.value == unrounded.value == brute_force(inst, "cenvy")[0]
+    assert result.schedule == unrounded.schedule
+    assert result.trace["solves"] == len(built) == len(set(built))
+    assert len(built) < unrounded_built
+
+    # this gcd-1 instance meets core windows without a configuration,
+    # skipped before a model is built, and repeats window tuples
+    built.clear()
+    models.clear()
+    inst = Instance(p=(3, 4), n=(4, 2), s=(1, 6, 7), m=(2, 1, 1))
     result = minimize_envy(inst)
     assert result.value == brute_force(inst, "cenvy")[0]
     assert result.trace["solves"] == len(built) == len(set(built))
@@ -717,8 +737,17 @@ RESTRICTED_REPEATS = [
 def test_restricted_memo_builds_each_window_tuple_once(monkeypatch, inst,
                                                        objective):
     asked, built = _spy_questions(monkeypatch)
+    refuted = []
+    plain_refutes = drivers.capacity_refutes
+
+    def spy(total, windows):
+        refuted.append(plain_refutes(total, windows))
+        return refuted[-1]
+
+    monkeypatch.setattr(drivers, "capacity_refutes", spy)
     result = _solve_asking_each_question_once(asked, built, inst, objective)
-    assert result.trace["probes"] == len(built)
+    # every probe builds one model, unless the capacity check refutes it
+    assert result.trace["probes"] == len(built) + sum(refuted)
     assert result.value == brute_force(inst, objective)[0]
 
 
@@ -749,6 +778,40 @@ def test_searches_never_repeat_a_question(monkeypatch):
                                                   objective)
         assert result.value == brute_force(inst, objective)[0], (inst,
                                                                  objective)
+
+
+def test_capacity_check_refutes_only_infeasible_models():
+    # At every grid threshold of the oracle and restricted streams where
+    # the capacity check refutes the normalized question, the model that
+    # feasibility would otherwise ask has no schedule either.
+    refuted = asked = 0
+    for inst in (instance_stream(35, base_seed=8_000)
+                 + _restricted_stream(35, base_seed=9_000)):
+        if inst.machine_count == 0:
+            continue
+        loads = drivers.type_loads(inst)
+        seen = set()
+        for rel in ("<=", ">="):
+            for t, den, top in candidate_values(inst, "cmax").entries:
+                for k in range(top + 1):
+                    speeds = normalized_speeds(inst, rel, Fraction(k, den))
+                    if (rel, speeds) in seen:
+                        continue
+                    seen.add((rel, speeds))
+                    asked += 1
+                    windows = [(m, g, cap, 0, s) if rel == "<=" else
+                               (m, g, cap, s, None)
+                               for (m, g, cap), s in zip(loads, speeds) if m]
+                    if not drivers.capacity_refutes(inst.total_load, windows):
+                        continue
+                    refuted += 1
+                    if rel == ">=":
+                        speeds = idle_cmax_speeds(speeds, inst.pmax)
+                    question = Instance(inst.p, inst.n, speeds, inst.m,
+                                        inst.restrict)
+                    assert drivers._solve_at_one(question, rel, None) is None, (
+                        inst, rel, k, den)
+    assert refuted > asked // 4, (refuted, asked)
 
 
 # Envy instances with 8 to 40 machines, past the oracle's six-machine cap.
@@ -816,6 +879,30 @@ def test_job_type_split(inst, objective, method):
     split = Instance(inst.p + inst.p[:1], (inst.n[0] - half,) + inst.n[1:]
                      + (half,), inst.s, inst.m)
     assert _optimum(split, objective, method) == base
+
+
+def _scaled_optimum(inst: Instance, objective: str, k: int) -> Fraction:
+    """The optimum with every job size times k; ``r`` objectives forbid
+    job type j on machine type t when j + t is 1 modulo 3."""
+    inst = Instance(tuple(k * p for p in inst.p), inst.n, inst.s, inst.m)
+    if not objective.startswith("r"):
+        return _optimum(inst, objective, "auto")
+    inst = Instance(inst.p, inst.n, inst.s, inst.m, restrict=tuple(
+        tuple((j + t) % 3 != 1 for t in range(inst.tau))
+        for j in range(inst.d)))
+    result = solve_restricted(inst, objective[1:])
+    assert objective_value(inst, result.schedule, objective[1:]) == result.value
+    return result.value
+
+
+@pytest.mark.parametrize("objective", ["cmax", "cmin", "cenvy", "rcmax",
+                                       "rcmin"])
+@pytest.mark.parametrize("inst", ENVY_PAST_CAPS, ids=ENVY_IDS)
+def test_job_size_scaling(inst, objective):
+    # Every load, and so every completion and the optimum, scales with the
+    # job sizes; the capacity check then sees every gcd times 3.
+    assert _scaled_optimum(inst, objective, 3) == \
+        3 * _scaled_optimum(inst, objective, 1)
 
 
 def test_envy_matches_the_search_without_shortcuts(monkeypatch):
