@@ -7,7 +7,6 @@ returned schedule is a verified certificate.
 """
 
 from .balancing import (
-    cmin_to_idle_cmax,
     guess_configs,
     large_machine_cutoff,
     reduced_schedule,

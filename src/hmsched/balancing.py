@@ -28,8 +28,6 @@ fractional construction itself is the tests' reference
 
 from __future__ import annotations
 
-from .model import Instance
-
 
 def large_machine_cutoff(d: int, pmax: int) -> int:
     """Speed bound d * pmax * (4 + pmax) above which machines count as fast."""
@@ -80,18 +78,12 @@ def reduced_schedule(floors: tuple[tuple[int, ...], ...], idle_cap: int | None,
     return tuple(tuple(max(x - margin, 0) for x in row) for row in floors)
 
 
-def cmin_to_idle_cmax(inst: Instance) -> tuple[Instance, int]:
-    """Convert a >=1 feasibility question into an idle-capped <=1 one.
-
-    Raising every speed by pmax - 1 makes the instance >=1-feasible iff
-    the converted instance admits a schedule using at most n jobs whose
-    idle load is at most pmax - 1 on every machine at threshold 1.
-    """
-    out = Instance(inst.p, inst.n, idle_cmax_speeds(inst.s, inst.pmax), inst.m,
-                   inst.restrict, inst.name)
-    return out, inst.pmax - 1
-
-
 def idle_cmax_speeds(speeds: tuple[int, ...], pmax: int) -> tuple[int, ...]:
-    """The speeds of ``cmin_to_idle_cmax``'s converted instance."""
+    """Speeds that turn a >=1 feasibility question into an idle-capped <=1 one.
+
+    Raising every speed by pmax - 1 makes an instance >=1-feasible iff
+    the instance with these speeds admits a schedule using at most n
+    jobs whose idle load is at most pmax - 1 on every machine at
+    threshold 1.
+    """
     return tuple(s + pmax - 1 for s in speeds)

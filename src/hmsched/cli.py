@@ -12,7 +12,9 @@ Exit codes:
   choice, or a missing argument), a ``gen``/``bench`` range the
   generator rejects, a negative ``bench --count``, an unreadable or
   ill-typed instance, schedule or ``--value``, an unwritable
-  ``--output``, or a non-integer HMSCHED_STATE_LIMIT;
+  ``--output``, a non-integer HMSCHED_STATE_LIMIT, or an instance that
+  ``solve`` cannot take: no machines, or a restricted instance with
+  ``--objective cenvy``, under every ``--method``;
 - 2: no feasible schedule exists (a restricted job type with no machine
   allowed to run it);
 - 3: resource limit exceeded: the solver's state budget, or the size
@@ -158,22 +160,15 @@ def load_json(path: str) -> dict:
 # solve
 # ---------------------------------------------------------------------------
 
-def _solve_with_oracle(inst: Instance, objective: str):
-    # the drivers' rejections, mapped to the same exit codes
-    if inst.machine_count == 0:
-        raise MalformedInputError("need at least one machine")
-    if not oracle.assignable(inst):
-        raise drivers.InfeasibleRestrictionError(
-            "a demanded job type has no machine that may run it")
-    value, sched = oracle.brute_force(inst, objective)
-    return drivers.SolveResult(objective, value, sched, {"path": "oracle"})
-
-
 def _solve(inst: Instance, objective: str, method: str) -> drivers.SolveResult:
     """The one objective dispatch of ``solve`` and ``bench``; it reads the
-    state budget once, so a solve that builds no model checks it too."""
+    state budget once, so a solve that builds no model checks it too.
+    The oracle admits the instance as the drivers do (``drivers.admit``),
+    so every method ends an inadmissible instance in the same exit code."""
     if method == "oracle":
-        return _solve_with_oracle(inst, objective)
+        drivers.admit(inst, objective)
+        value, sched = oracle.brute_force(inst, objective)
+        return drivers.SolveResult(objective, value, sched, {"path": "oracle"})
     state_limit = state_limit_default()
     if objective == "cenvy":
         return drivers.minimize_envy(inst, state_limit=state_limit)
@@ -277,15 +272,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Solve a batch of generated instances; values on stdout, times on stderr."""
+    """Solve a batch of generated instances; values on stdout, times on stderr.
+
+    An instance ``drivers.admit`` rejects is listed as skipped."""
     if args.count < 0:
         raise MalformedInputError(f"--count must be >= 0, got {args.count}")
     rows = []
     total = 0.0
     for seed in range(args.seed, args.seed + args.count):
         inst = oracle.generate(_params_from_args(args, seed))
-        if (inst.machine_count == 0 or not oracle.assignable(inst)
-                or (inst.restrict is not None and args.objective == "cenvy")):
+        try:
+            drivers.admit(inst, args.objective)
+        except (MalformedInputError, drivers.InfeasibleRestrictionError):
             rows.append((seed, "skipped"))
             continue
         start = time.monotonic()

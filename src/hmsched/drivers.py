@@ -16,19 +16,22 @@ sum(p) of its proportional share, so the incumbent lies within
 d * pmax / s_min of P / S and the number of probes does not grow with n
 or m; a solve whose incumbent meets the area bound probes nothing.
 
+Every solve route, the drivers' and the command line's oracle alike,
+first asks ``admit`` whether the instance can be solved at all.
+
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
 (``feasibility``): normalize speeds to threshold 1, refute the probe
 without a model when no loads in multiples of each type's job size gcd
 fit (``capacity_refutes``), and turn a minimum-completion question into
-an idle-capped makespan question (``cmin_to_idle_cmax``: bounded load
+an idle-capped makespan question (``idle_cmax_speeds``: bounded load
 windows, job usage at most n, leftover jobs added back afterwards).
 Then solve one configuration model directly, unless the method is
 ``"auto"``, the instance is unrestricted and compressing its fast
-machines (``reduction.compress``) leaves one above the large-machine
-cutoff.  Only such a probe guesses
-the integral data of the rounded fractional schedule on the fast
-machines, builds its integer configurations (``balancing.guess_configs``),
+machines (``reduction.compress_machines``) leaves one above the
+large-machine cutoff.  Only such a probe guesses the integral data of
+the rounded fractional schedule on the fast machines, builds its
+integer configurations (``balancing.guess_configs``),
 preassigns their floor minus the balancing margin
 (``balancing.reduced_schedule``), solves the much smaller residual
 model, and lifts the schedule back (``reduction.lift_schedule``).
@@ -129,9 +132,8 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
     schedule of makespan L / s_u (L <= P), a later probe lies below it:
     type u's normalized speed is below L there and at least L at T1.
     The 1 + P clamp cannot equalize speeds that low.  ``>=`` mirrors
-    this with ceilings.
+    this with ceilings.  ``inst`` must pass ``admit``.
     """
-    _require_machines(inst)
     P = inst.total_load
     if objective in ("cmax", "cmin"):
         entries = tuple((t, inst.s[t], cap) for t, (m, _, cap)
@@ -197,6 +199,30 @@ def _unrunnable_job_type(inst: Instance) -> int | None:
     """A job type with demand that no machine may run (None if none is)."""
     return next((j for j in range(inst.d) if inst.n[j] > 0 and not any(
         inst.m[t] > 0 and inst.allowed(j, t) for t in range(inst.tau))), None)
+
+
+def admit(inst: Instance, objective: str) -> None:
+    """Reject an instance that no route can solve for ``objective``.
+
+    Every solve route asks this first, so each input ends in the same
+    exit code whichever method solves it.  No machines, or a machine
+    type with machines but speed 0 (the value grids divide by every
+    speed present; speed 0 without machines stays allowed), is
+    malformed, and so is a restricted ``cenvy`` solve: restricted
+    assignment is defined for makespan and minimum completion only.  A
+    job type with demand that no machine may run leaves no schedule
+    (``InfeasibleRestrictionError``).
+    """
+    if inst.machine_count < 1:
+        raise MalformedInputError("need at least one machine")
+    if any(s == 0 and m > 0 for s, m in zip(inst.s, inst.m)):
+        raise MalformedInputError("machine types with machines need speed >= 1")
+    if objective == "cenvy" and inst.restrict is not None:
+        raise MalformedInputError("cenvy needs an unrestricted instance")
+    j = _unrunnable_job_type(inst)
+    if j is not None:
+        raise InfeasibleRestrictionError(
+            f"job type {j} has {inst.n[j]} jobs but no machine may run it")
 
 
 def _certify(inst: Instance, sched: HMSchedule, q: FeasibilityQuery) -> None:
@@ -274,8 +300,8 @@ def _solve_at_one(inst: Instance, rel: str,
     """Solve inst's configuration model of a ``rel`` question at threshold 1.
 
     Each machine type gets the load window [0, s] for ``<=`` and
-    [s - pmax + 1, s] for ``>=`` (inst being ``cmin_to_idle_cmax``'s
-    converted form), and job usage is exactly inst.n for ``<=`` and at
+    [s - pmax + 1, s] for ``>=`` (inst's speeds already raised by
+    ``idle_cmax_speeds``), and job usage is exactly inst.n for ``<=`` and at
     most inst.n for ``>=``.  Every threshold-1 model of the direct and
     the balanced path is asked through here.
     """
@@ -294,7 +320,7 @@ def balanced_feasibility(inst: Instance, rel: str,
     ``rel == "<="`` answers: is there a <=1-feasible schedule using
     exactly n?  ``rel == ">="`` expects the instance to be the converted
     form of a minimum-completion question (speeds already raised by
-    pmax - 1, see ``cmin_to_idle_cmax``) and answers: is there a
+    pmax - 1, see ``idle_cmax_speeds``) and answers: is there a
     schedule using at most n whose idle load is at most pmax - 1 on
     every machine at threshold 1?
 
@@ -434,7 +460,7 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 
     Every query, with job usage exactly n, is normalized to threshold 1;
     a ``>=`` question becomes an idle-capped ``<=`` one that asks for
-    usage at most n (``cmin_to_idle_cmax``), and its leftover jobs are
+    usage at most n (``idle_cmax_speeds``), and its leftover jobs are
     added back afterwards, which only raises loads.
 
     Before any of that, ``capacity_refutes`` asks the normalized question
@@ -470,10 +496,6 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 
     if _unrunnable_job_type(inst) is not None:
         return None
-    if inst.machine_count == 0:
-        trace["path"] = "empty"
-        return HMSchedule(inst.d, ())
-
     speeds, machines = normalized_speeds(inst, rel, threshold), inst.m
     windows = [(m, g, cap, 0, s) if rel == LE else (m, g, cap, s, None)
                for (m, g, cap), s in zip(type_loads(inst), speeds) if m > 0]
@@ -635,26 +657,9 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
     return value, sched
 
 
-def _require_machines(inst: Instance) -> None:
-    """Reject instances no objective driver can search.
-
-    The value grids divide by the speed of every machine type present,
-    so a type with machines but speed 0 is malformed here (speed 0 with
-    no machines stays allowed).
-    """
-    if inst.machine_count < 1:
-        raise MalformedInputError("need at least one machine")
-    if any(s == 0 and m > 0 for s, m in zip(inst.s, inst.m)):
-        raise MalformedInputError("machine types with machines need speed >= 1")
-
-
 def _optimize_threshold(inst: Instance, objective: str, method: str,
                         state_limit: int | None) -> SolveResult:
-    _require_machines(inst)
-    j = _unrunnable_job_type(inst)
-    if j is not None:
-        raise InfeasibleRestrictionError(
-            f"job type {j} has {inst.n[j]} jobs but no machine may run it")
+    admit(inst, objective)
     rel = LE if objective == "cmax" else GE
     trace: dict = {"probes": 0}
     # a solve that runs no probe is answered by the incumbent
@@ -741,19 +746,16 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     admits no configuration capped at n: that is the core group
     ``build_model`` would make, and ``solve_model`` rejects a model with
     an empty group before its dynamic program.
+
+    A zero-load instance takes the same search: its incumbent leaves
+    every machine empty, with envy 0, which the grid's bound meets, so
+    no probe is asked.
     """
-    _require_machines(inst)
-    if inst.restrict is not None:
-        raise MalformedInputError("envy driver expects an unrestricted instance")
-    d, p, n = inst.d, inst.p, inst.n
+    admit(inst, "cenvy")
+    p, n = inst.p, inst.n
     P = inst.total_load
     trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0,
                    "empty_windows": 0}
-    if P == 0:
-        sched = make_schedule(d, [(t, (0,) * d, m) for t, m in enumerate(inst.m)])
-        _certify(inst, sched, FeasibilityQuery(LE, Fraction(0)))
-        return SolveResult("cenvy", Fraction(0), sched, trace)
-
     types = [(s, m, g) for s, (m, g, _) in zip(inst.s, type_loads(inst)) if m > 0]
     total_cap = sum(s * m for s, m, _ in types)
     # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
@@ -831,7 +833,7 @@ def solve_restricted(inst: Instance, objective: str,
     The same threshold driver as ``minimize_makespan`` and
     ``maximize_min_completion``: every probe goes through
     ``feasibility``, which normalizes the restricted instance, skips
-    compression, converts a ``>=`` question with ``cmin_to_idle_cmax``
+    compression, converts a ``>=`` question with ``idle_cmax_speeds``
     and solves the restricted configuration model directly, its per-type
     load windows reduced over each type's allowed job sizes.  A job type
     with demand but no machine that may run it raises

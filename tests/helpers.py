@@ -735,14 +735,13 @@ from hmsched.drivers import (
     SolveResult,
     _certify,
     _incumbent,
-    _require_machines,
+    admit,
     candidate_values,
 )
 from hmsched.model import (
     LE,
     CertificateError,
     FeasibilityQuery,
-    MalformedInputError,
     make_schedule,
     schedule_completions,
 )
@@ -790,9 +789,7 @@ def _search_grid(grid: CandidateGrid, probe, minimize: bool, trace: dict,
 def reference_minimize_envy(inst: Instance,
                             state_limit: int | None = None) -> SolveResult:
     """``drivers.minimize_envy`` scanning every probe and window tuple."""
-    _require_machines(inst)
-    if inst.restrict is not None:
-        raise MalformedInputError("envy driver expects an unrestricted instance")
+    admit(inst, "cenvy")
     d, p = inst.d, inst.p
     P = inst.total_load
     trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0}

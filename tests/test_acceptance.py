@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from helpers import (
     load_multiple_subvector,
     window_decomposes,
 )
-from hmsched.balancing import cmin_to_idle_cmax, reduced_schedule
+from hmsched.balancing import idle_cmax_speeds, reduced_schedule
 from hmsched.drivers import (
     _incumbent,
     feasibility,
@@ -393,7 +394,8 @@ def test_criterion_6_balancing_equivalence():
                                   speed_range=(1, 9)))
         if inst.machine_count == 0:
             continue
-        conv, cap = cmin_to_idle_cmax(inst)
+        conv = replace(inst, s=idle_cmax_speeds(inst.s, inst.pmax))
+        cap = inst.pmax - 1
         try:
             direct = brute_force_feasibility(inst, ">=", Fraction(1))
             via = brute_force_feasibility(conv, "<=", Fraction(1),

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from helpers import (
     rounded_schedule,
 )
 from hmsched.balancing import (
-    cmin_to_idle_cmax,
     guess_configs,
+    idle_cmax_speeds,
     large_machine_cutoff,
     reduced_schedule,
 )
@@ -142,11 +143,9 @@ def test_filtered_guesses_place_at_most_n():
 
 def test_cmin_conversion_formula():
     inst = Instance(p=(2, 3), n=(1, 1), s=(4, 7), m=(1, 1))
-    out, cap = cmin_to_idle_cmax(inst)
-    assert out.s == (6, 9) and cap == 2
+    assert idle_cmax_speeds(inst.s, inst.pmax) == (6, 9) and inst.pmax - 1 == 2
     unit = Instance(p=(1,), n=(1,), s=(4, 7), m=(1, 1))
-    out, cap = cmin_to_idle_cmax(unit)
-    assert out.s == (4, 7) and cap == 0
+    assert idle_cmax_speeds(unit.s, unit.pmax) == (4, 7) and unit.pmax - 1 == 0
 
 
 def test_cmin_conversion_round_trip():
@@ -157,7 +156,8 @@ def test_cmin_conversion_round_trip():
                                   speed_range=(1, 9)))
         if inst.machine_count == 0:
             continue
-        conv, cap = cmin_to_idle_cmax(inst)
+        conv = replace(inst, s=idle_cmax_speeds(inst.s, inst.pmax))
+        cap = inst.pmax - 1
         try:
             direct = brute_force_feasibility(inst, ">=", Fraction(1))
             via = brute_force_feasibility(conv, "<=", Fraction(1),

@@ -310,6 +310,16 @@ def test_oracle_method_maps_driver_rejections(tmp_path, capsys):
     no_machines.write_text(json.dumps({"p": [1], "n": [1], "s": [2], "m": [0]}))
     assert main(["solve", str(no_machines), "--objective", "cmax",
                  "--method", "oracle"]) == 1
+    # envy is defined for unrestricted instances only, whichever method
+    # solves it, also when a job type cannot run at all
+    restricted = tmp_path / "restricted.json"
+    restricted.write_text(json.dumps({
+        "p": [1, 2], "n": [2, 1], "s": [1, 3], "m": [1, 1],
+        "restrict": [[True, True], [False, True]]}))
+    for path in (restricted, blocked):
+        for method in ("auto", "confilp", "oracle"):
+            assert main(["solve", str(path), "--objective", "cenvy",
+                         "--method", method]) == 1, (path.name, method)
     capsys.readouterr()
 
 
