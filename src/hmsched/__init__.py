@@ -13,7 +13,6 @@ from .balancing import (
 )
 from .confilp import (
     ConfILPModel,
-    LoadWindow,
     ResourceLimitError,
     build_model,
     enumerate_configs,

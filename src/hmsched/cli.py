@@ -13,10 +13,11 @@ Exit codes:
   generator rejects, a negative ``bench --count``, an unreadable or
   ill-typed instance, schedule or ``--value``, an unwritable
   ``--output``, a non-integer HMSCHED_STATE_LIMIT, or an instance that
-  ``solve`` cannot take: no machines, or a restricted instance with
-  ``--objective cenvy``, under every ``--method``;
+  ``solve`` and ``check`` cannot take (``drivers.admit``): no machines,
+  or a restricted instance with ``--objective cenvy``, under every
+  ``--method``;
 - 2: no feasible schedule exists (a restricted job type with no machine
-  allowed to run it);
+  allowed to run it), for ``solve`` and ``check`` alike;
 - 3: resource limit exceeded: the solver's state budget, or the size
   caps of ``--method oracle``;
 - 4: ``check`` found the certificate violated.
@@ -182,14 +183,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     objective = args.objective
     method = args.method
     start = time.monotonic()
-    try:
-        result = _solve(inst, objective, method)
-    except drivers.InfeasibleRestrictionError as exc:
-        print(f"no feasible schedule: {exc}", file=sys.stderr)
-        return EXIT_NO_SCHEDULE
-    except (ResourceLimitError, oracle.OracleCapError) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    result = _solve(inst, objective, method)
     elapsed = time.monotonic() - start
 
     doc = {
@@ -210,10 +204,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """Verify a certificate: machines per type, restrictions, the
+    completion bound and usage exactly n, plus the envy bound for
+    ``cenvy``; an instance ``solve`` would reject exits as ``solve``."""
     inst = instance_from_doc(load_json(args.instance))
+    objective = args.objective
+    drivers.admit(inst, objective)
     sched = schedule_from_doc(load_json(args.schedule), inst.d)
     value = parse_rational(args.value)
-    objective = args.objective
     if objective == "cenvy":
         # any makespan: the query checks machines and job usage only
         query = FeasibilityQuery(LE, Fraction(inst.total_load + 1))
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--objective", required=True,
                          choices=["cmax", "cmin", "cenvy"])
     p_solve.add_argument("--method", default="auto",
-                         choices=["auto", "confilp", "oracle"])
+                         choices=[*drivers.METHODS, "oracle"])
     p_solve.add_argument("--output", help="write the result document here")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--objective", default="cmax",
                          choices=["cmax", "cmin", "cenvy"])
     p_bench.add_argument("--method", default="auto",
-                         choices=["auto", "confilp"])
+                         choices=drivers.METHODS)
     _add_gen_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -365,7 +363,10 @@ def main(argv: list[str] | None = None) -> int:
     except MalformedInputError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except ResourceLimitError as exc:
+    except drivers.InfeasibleRestrictionError as exc:
+        print(f"no feasible schedule: {exc}", file=sys.stderr)
+        return EXIT_NO_SCHEDULE
+    except (ResourceLimitError, oracle.OracleCapError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -82,25 +82,13 @@ def state_limit_default() -> int:
 
 
 @dataclass(frozen=True)
-class LoadWindow:
-    """Per-machine-type load bounds [lower, upper], both inclusive."""
-
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if self.lower < 0 or self.upper < self.lower:
-            raise MalformedInputError(f"bad window [{self.lower}, {self.upper}]")
-
-
-@dataclass(frozen=True)
 class ModelGroup:
     """One column group: ``count`` identical machines sharing a column set."""
 
     machine_type: int
     role: str  # "core" | "exact" | "slack"
     count: int
-    window: LoadWindow
+    window: tuple[int, int]  # load bounds [lower, upper], both inclusive
     configs: tuple[tuple[int, ...], ...]
 
 
@@ -110,19 +98,14 @@ class ConfILPModel:
     demand: tuple[int, ...]
     demand_relation: str
     groups: tuple[ModelGroup, ...]
-    raw_windows: tuple[LoadWindow, ...]
+    raw_windows: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=8192)
 def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
-               upper: int | None, allowed: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
+               upper: int, allowed: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
     d = len(p)
-    bounds = []
-    for j in range(d):
-        b = cap[j] if allowed[j] else 0
-        if upper is not None:
-            b = min(b, upper // p[j])
-        bounds.append(b)
+    bounds = [min(cap[j], upper // p[j]) if allowed[j] else 0 for j in range(d)]
     # Max load contributable by types j..d-1, for lower-bound pruning.
     suffix = [0] * (d + 1)
     for j in range(d - 1, -1, -1):
@@ -137,10 +120,7 @@ def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
             return
         if load + suffix[j] < lower:
             return
-        hi = bounds[j]
-        if upper is not None:
-            hi = min(hi, (upper - load) // p[j])
-        for c in range(hi + 1):
+        for c in range(min(bounds[j], (upper - load) // p[j]) + 1):
             cur[j] = c
             rec(j + 1, load + c * p[j])
         cur[j] = 0
@@ -150,7 +130,7 @@ def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
 
 
 def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
-                      window: tuple[int, int | None],
+                      window: tuple[int, int],
                       allowed: tuple[bool, ...] | None = None) -> list[tuple[int, ...]]:
     """All c with 0 <= c <= cap, load within window, zero on disallowed types.
 
@@ -171,26 +151,27 @@ def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionC
     return reduction_constants(sizes) if sizes else None
 
 
-def build_model(inst: Instance, windows: list[LoadWindow], *,
-                demand_relation: str = JOB_EQ,
-                reduce: bool = True) -> ConfILPModel:
+def build_model(inst: Instance, windows, *,
+                demand_relation: str = JOB_EQ) -> ConfILPModel:
     """Assemble the configuration model for the given load windows.
 
-    The model asks for job usage exactly ``inst.n`` (``demand_relation``
-    ``=``) or at most ``inst.n`` (``<=``).  Columns live within the
-    (possibly reduced) window, restricted to the type's allowed job set,
-    and capped at ``inst.n``: under either relation no machine takes
-    more of a job type than the whole demand.
+    ``windows`` holds one (lower, upper) pair per machine type, with
+    ``0 <= lower <= upper`` for every type, with machines or not
+    (MalformedInputError otherwise).  The model asks for job usage
+    exactly ``inst.n`` (``demand_relation`` ``=``) or at most ``inst.n``
+    (``<=``).  Columns live within the reduced window, restricted to the
+    type's allowed job set, and capped at ``inst.n``: under either
+    relation no machine takes more of a job type than the whole demand.
 
     Each machine type with machines contributes its column groups in one
     loop over (role, blocks per machine, window), roles in the order
-    core, exact, slack.  With ``reduce`` (the default) the type's window
-    goes through ``reduce_window`` with constants over its allowed job
-    sizes, so restricted instances reduce soundly type by type.  The
-    core group has one machine per machine of the type, and each block
-    role blocks-per-machine times as many (a role with no blocks gets no
-    group).  With ``reduce=False``, or when the type may run no job, the
-    raw window is the core and there are no blocks.
+    core, exact, slack.  The type's window goes through
+    ``reduce_window`` with constants over its allowed job sizes, so
+    restricted instances reduce soundly type by type.  The core group
+    has one machine per machine of the type, and each block role
+    blocks-per-machine times as many (a role with no blocks gets no
+    group).  When the type may run no job, the raw window is the core
+    and there are no blocks.
     """
     if demand_relation not in (JOB_EQ, JOB_LE):
         raise MalformedInputError(f"bad demand relation {demand_relation!r}")
@@ -198,24 +179,25 @@ def build_model(inst: Instance, windows: list[LoadWindow], *,
         raise MalformedInputError("one window per machine type required")
 
     groups: list[ModelGroup] = []
-    for t, win in enumerate(windows):
+    for t, (lower, upper) in enumerate(windows):
+        if not 0 <= lower <= upper:
+            raise MalformedInputError(f"bad window [{lower}, {upper}]")
         if inst.m[t] == 0:
             continue
         allowed = inst.allowed_row(t)
-        parts = [("core", 1, win)]
-        consts = _type_constants(inst.p, allowed) if reduce else None
+        parts = [("core", 1, (lower, upper))]
+        consts = _type_constants(inst.p, allowed)
         if consts is not None:
-            red = reduce_window(win.lower, win.upper, consts)
+            red = reduce_window(lower, upper, consts)
             lcm = consts.lcm_load
-            parts = [("core", 1, LoadWindow(red.core_lower, red.core_upper)),
-                     ("exact", red.exact_blocks, LoadWindow(lcm, lcm)),
-                     ("slack", red.slack_blocks, LoadWindow(0, lcm))]
+            parts = [("core", 1, (red.core_lower, red.core_upper)),
+                     ("exact", red.exact_blocks, (lcm, lcm)),
+                     ("slack", red.slack_blocks, (0, lcm))]
         for role, per_machine, part in parts:
             if per_machine:
                 groups.append(ModelGroup(
                     t, role, inst.m[t] * per_machine, part,
-                    tuple(enumerate_configs(inst.p, inst.n,
-                                            (part.lower, part.upper), allowed))))
+                    tuple(enumerate_configs(inst.p, inst.n, part, allowed))))
     return ConfILPModel(inst.p, inst.n, demand_relation, tuple(groups),
                         tuple(windows))
 
@@ -471,13 +453,13 @@ def _recombine(model: ConfILPModel,
         m = cores.left
         epm = exacts.left // m if m else 0
         spm = slacks.left // m if m else 0
-        window = model.raw_windows[t]
+        lower, upper = model.raw_windows[t]
         for k, slices in deal(m, (cores, 1), (exacts, epm), (slacks, spm)):
             config = tuple(merge_slices(d, slices))
             load = dot(model.p, config)
-            if not window.lower <= load <= window.upper:
+            if not lower <= load <= upper:
                 raise CertificateError(
                     f"type {t}: recombined load {load} escaped its window "
-                    f"[{window.lower}, {window.upper}]")
+                    f"[{lower}, {upper}]")
             raw.append((t, config, k))
     return make_schedule(d, raw)

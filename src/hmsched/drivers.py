@@ -58,7 +58,7 @@ from .balancing import (
     large_machine_cutoff,
     reduced_schedule,
 )
-from .confilp import LoadWindow, build_model, enumerate_configs, solve_model
+from .confilp import build_model, enumerate_configs, solve_model
 from .model import (
     CertificateError,
     FeasibilityQuery,
@@ -87,6 +87,10 @@ from .reduction import (
 # Probes no longer call these; the benchmark's tracer rebinds them by
 # name in this module.
 from .reduction import compress, normalize  # noqa: F401
+
+
+# the solving methods ``feasibility`` and the threshold drivers accept
+METHODS = ("auto", "confilp")
 
 
 class InfeasibleRestrictionError(RuntimeError):
@@ -305,7 +309,7 @@ def _solve_at_one(inst: Instance, rel: str,
     most inst.n for ``>=``.  Every threshold-1 model of the direct and
     the balanced path is asked through here.
     """
-    windows = [LoadWindow(0 if rel == LE else max(0, s - inst.pmax + 1), s)
+    windows = [(0 if rel == LE else max(0, s - inst.pmax + 1), s)
                for s in inst.s]
     model = build_model(inst, windows,
                         demand_relation=JOB_EQ if rel == LE else JOB_LE)
@@ -489,7 +493,7 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     threshold = Fraction(threshold)
     if threshold < 0:
         raise MalformedInputError("threshold must be >= 0")
-    if method not in ("auto", "confilp"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if trace is None:
         trace = {}
@@ -659,6 +663,9 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
 
 def _optimize_threshold(inst: Instance, objective: str, method: str,
                         state_limit: int | None) -> SolveResult:
+    # a solve whose incumbent meets the area bound asks ``feasibility`` nothing
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     admit(inst, objective)
     rel = LE if objective == "cmax" else GE
     trace: dict = {"probes": 0}
@@ -806,8 +813,7 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                 sched = memo[windows]
             else:
                 trace["solves"] += 1
-                model = build_model(inst, [LoadWindow(*w) for w in windows],
-                                    demand_relation=JOB_EQ)
+                model = build_model(inst, windows, demand_relation=JOB_EQ)
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 return sched

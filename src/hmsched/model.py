@@ -244,27 +244,16 @@ class FeasibilityQuery:
     """What to check a schedule against.
 
     ``relation`` bounds every machine's completion time by ``threshold``
-    (from above for ``<=``, from below for ``>=``).  ``idle_cap`` limits
-    the idle load threshold*speed - load on every machine and is only
-    meaningful together with ``<=``.  ``job_relation`` compares the
-    schedule's total job usage against the instance's n.
+    (from above for ``<=``, from below for ``>=``); the schedule must
+    also use exactly the instance's n jobs.
     """
 
     relation: str
     threshold: Fraction
-    idle_cap: int | None = None
-    job_relation: str = JOB_EQ
 
     def __post_init__(self):
         if self.relation not in (LE, GE):
             raise MalformedInputError(f"bad relation {self.relation!r}")
-        if self.job_relation not in (JOB_EQ, JOB_LE, JOB_GE):
-            raise MalformedInputError(f"bad job relation {self.job_relation!r}")
-        if self.idle_cap is not None:
-            if self.relation != LE:
-                raise MalformedInputError("idle_cap requires relation <=")
-            if self.idle_cap < 0:
-                raise MalformedInputError("idle_cap must be >= 0")
         object.__setattr__(self, "threshold", Fraction(self.threshold))
 
 
@@ -305,11 +294,12 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
 
     Pure function.  Checks, per machine type: the completion bound under
     ``q.relation`` (in load form, so zero-speed machines are handled
-    exactly), the idle cap when present, machine-count consistency with
-    m, restriction compliance, and the job usage relation against n.
-    Structural dimension mismatches raise MalformedInputError; semantic
-    failures are reported as violations with ok=False.  The bounds are
-    compared in integers, scaled by the threshold's denominator.
+    exactly), machine-count consistency with m, restriction compliance,
+    and job usage exactly n.  The largest idle load threshold * speed -
+    load under ``<=`` is reported, not checked.  Structural dimension
+    mismatches raise MalformedInputError; semantic failures are reported
+    as violations with ok=False.  The bounds are compared in integers,
+    scaled by the threshold's denominator.
     """
     if sched.d != inst.d:
         raise MalformedInputError(f"schedule has d={sched.d}, instance d={inst.d}")
@@ -353,26 +343,16 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
         if speed > 0:
             completions.append((load, speed))
 
-    max_idle = Fraction(idle, den)
-    if q.idle_cap is not None and idle > q.idle_cap * den:
-        violations.append(
-            f"max idle load {format_rational(max_idle)} exceeds cap {q.idle_cap}")
-
     usage = aggregate_jobs(sched)
-    cmp_ok = {
-        JOB_EQ: usage == inst.n,
-        JOB_LE: all(u <= v for u, v in zip(usage, inst.n)),
-        JOB_GE: all(u >= v for u, v in zip(usage, inst.n)),
-    }[q.job_relation]
-    if not cmp_ok:
-        violations.append(f"job usage {usage} not {q.job_relation} n={inst.n}")
+    if usage != inst.n:
+        violations.append(f"job usage {usage} != n={inst.n}")
 
     high, low = _completion_range(completions)
     return VerificationReport(
         ok=not violations,
         max_completion=high,
         min_completion=low,
-        max_idle_load=max_idle,
+        max_idle_load=Fraction(idle, den),
         job_usage=usage,
         violations=tuple(violations),
     )

@@ -523,11 +523,11 @@ def reference_recombine(model, chosen) -> HMSchedule:
                 for j in range(d):
                     merged[j] += piece[j]
             load = dot(model.p, tuple(merged))
-            raw = model.raw_windows[t]
-            if not raw.lower <= load <= raw.upper:
+            lower, upper = model.raw_windows[t]
+            if not lower <= load <= upper:
                 raise CertificateError(
                     f"type {t}: recombined load {load} escaped its window "
-                    f"[{raw.lower}, {raw.upper}]")
+                    f"[{lower}, {upper}]")
             key = (t, tuple(merged))
             merged_entries[key] = merged_entries.get(key, 0) + 1
     return HMSchedule(d, tuple(
@@ -718,6 +718,27 @@ def reference_solve_model(model: ConfILPModel,
 
 
 # ---------------------------------------------------------------------------
+# The unreduced configuration model
+# ---------------------------------------------------------------------------
+# ``confilp.build_model`` always cuts each load window into a core and
+# lcm blocks.  This is the model without that cut, one core group per
+# machine type over its raw window, so tests can check that the cut
+# changes no verdict.
+
+from hmsched.confilp import ModelGroup, enumerate_configs
+
+
+def unreduced_model(inst: Instance, windows, *,
+                    demand_relation: str = JOB_EQ) -> ConfILPModel:
+    """``build_model`` with every type's raw window as its only group."""
+    groups = tuple(
+        ModelGroup(t, "core", inst.m[t], window, tuple(enumerate_configs(
+            inst.p, inst.n, window, inst.allowed_row(t))))
+        for t, window in enumerate(windows) if inst.m[t] > 0)
+    return ConfILPModel(inst.p, inst.n, demand_relation, groups, tuple(windows))
+
+
+# ---------------------------------------------------------------------------
 # Envy search without the shared bracket or the column check
 # ---------------------------------------------------------------------------
 # ``drivers.minimize_envy`` skips every probe its bracket already settles
@@ -729,7 +750,7 @@ def reference_solve_model(model: ConfILPModel,
 
 from bisect import bisect_left
 
-from hmsched.confilp import LoadWindow, build_model, solve_model
+from hmsched.confilp import build_model, solve_model
 from hmsched.drivers import (
     CandidateGrid,
     SolveResult,
@@ -831,8 +852,7 @@ def reference_minimize_envy(inst: Instance,
                 sched = memo[windows]
             else:
                 trace["solves"] += 1
-                model = build_model(inst, [LoadWindow(*w) for w in windows],
-                                    demand_relation=JOB_EQ)
+                model = build_model(inst, windows, demand_relation=JOB_EQ)
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 return sched
@@ -857,12 +877,11 @@ def reference_minimize_envy(inst: Instance,
 # Fraction certificate reference
 # ---------------------------------------------------------------------------
 # ``model.verify_schedule`` compares loads with thresholds in integers.
-# This is the check it replaced, kept verbatim with its Fraction products,
-# so tests can compare whole reports.
+# This is the check it replaced, kept with its Fraction products, so
+# tests can compare whole reports.  Like the query, it checks usage
+# exactly n and no idle cap.
 
 from hmsched.model import (
-    JOB_GE,
-    JOB_LE,
     VerificationReport,
     aggregate_jobs,
     format_rational,
@@ -880,10 +899,10 @@ def reference_verify_schedule(inst: Instance, sched: HMSchedule,
 
     Pure function.  Checks, per machine type: the completion bound under
     ``q.relation`` (in load form, so zero-speed machines are handled
-    exactly), the idle cap when present, machine-count consistency with
-    m, restriction compliance, and the job usage relation against n.
-    Structural dimension mismatches raise MalformedInputError; semantic
-    failures are reported as violations with ok=False.
+    exactly), machine-count consistency with m, restriction compliance,
+    and job usage exactly n.  Structural dimension mismatches raise
+    MalformedInputError; semantic failures are reported as violations
+    with ok=False.
     """
     if sched.d != inst.d:
         raise MalformedInputError(f"schedule has d={sched.d}, instance d={inst.d}")
@@ -926,25 +945,15 @@ def reference_verify_schedule(inst: Instance, sched: HMSchedule,
         if speed > 0:
             completions.append(Fraction(load, speed))
 
-    max_idle = max(idles, default=Fraction(0))
-    if q.idle_cap is not None and max_idle > q.idle_cap:
-        violations.append(
-            f"max idle load {format_rational(max_idle)} exceeds cap {q.idle_cap}")
-
     usage = aggregate_jobs(sched)
-    cmp_ok = {
-        JOB_EQ: usage == inst.n,
-        JOB_LE: all(u <= v for u, v in zip(usage, inst.n)),
-        JOB_GE: all(u >= v for u, v in zip(usage, inst.n)),
-    }[q.job_relation]
-    if not cmp_ok:
-        violations.append(f"job usage {usage} not {q.job_relation} n={inst.n}")
+    if usage != inst.n:
+        violations.append(f"job usage {usage} != n={inst.n}")
 
     return VerificationReport(
         ok=not violations,
         max_completion=max(completions, default=Fraction(0)),
         min_completion=min(completions, default=Fraction(0)),
-        max_idle_load=max_idle,
+        max_idle_load=max(idles, default=Fraction(0)),
         job_usage=usage,
         violations=tuple(violations),
     )

@@ -83,11 +83,44 @@ def test_check_pass_and_fail(capsys):
 
 def test_check_empty_schedule(tmp_path, capsys):
     inst = tmp_path / "empty.json"
-    inst.write_text(json.dumps({"p": [1], "n": [0], "s": [2], "m": [0]}))
+    inst.write_text(json.dumps({"p": [1], "n": [0], "s": [2], "m": [1]}))
     sched = tmp_path / "empty_sched.json"
-    sched.write_text(json.dumps({"d": 1, "entries": []}))
+    sched.write_text(json.dumps({"d": 1, "entries": [[0, [0], 1]]}))
     assert main(["check", str(inst), str(sched),
                  "--objective", "cmax", "--value", "0/1"]) == 0
+    # without machines the instance is malformed, as for ``solve``
+    inst.write_text(json.dumps({"p": [1], "n": [0], "s": [2], "m": [0]}))
+    sched.write_text(json.dumps({"d": 1, "entries": []}))
+    assert main(["solve", str(inst), "--objective", "cmax"]) == 1
+    assert main(["check", str(inst), str(sched),
+                 "--objective", "cmax", "--value", "0/1"]) == 1
+    capsys.readouterr()
+
+
+def test_check_exits_as_solve_does(tmp_path, capsys):
+    # envy is undefined on a restricted instance, even for a schedule
+    # that meets the value
+    restricted = tmp_path / "restricted.json"
+    restricted.write_text(json.dumps({
+        "p": [1, 2], "n": [2, 1], "s": [1, 3], "m": [1, 1],
+        "restrict": [[True, True], [False, True]]}))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"d": 2, "entries": [[0, [2, 0], 1],
+                                                     [1, [0, 1], 1]]}))
+    assert main(["solve", str(restricted), "--objective", "cenvy"]) == 1
+    assert main(["check", str(restricted), str(sched),
+                 "--objective", "cenvy", "--value", "4/3"]) == 1
+    assert main(["check", str(restricted), str(sched),
+                 "--objective", "cmax", "--value", "2/1"]) == 0
+    # a demanded job type that no machine may run has no schedule
+    blocked = tmp_path / "blocked.json"
+    blocked.write_text(json.dumps({
+        "p": [1, 1], "n": [1, 1], "s": [2], "m": [1],
+        "restrict": [[True], [False]]}))
+    sched.write_text(json.dumps({"d": 2, "entries": [[0, [1, 1], 1]]}))
+    assert main(["solve", str(blocked), "--objective", "cmax"]) == 2
+    assert main(["check", str(blocked), str(sched),
+                 "--objective", "cmax", "--value", "1/1"]) == 2
     capsys.readouterr()
 
 

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_runs, reference_recombine, reference_solve_model
+from helpers import (
+    random_runs,
+    reference_recombine,
+    reference_solve_model,
+    unreduced_model,
+)
 from hmsched import confilp
 from hmsched.confilp import (
     ConfILPModel,
-    LoadWindow,
     ModelGroup,
     ResourceLimitError,
     build_model,
@@ -75,36 +79,39 @@ def test_enumerate_count_matches_nested_loops(p, cap, window):
     assert len(set(got)) == len(got)
 
 
-def test_enumerate_unbounded_uses_cap():
-    out = enumerate_configs((2,), (3,), (4, None))
-    assert out == [(2,), (3,)]
-
-
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
 
 
 def test_build_model_fig1_columns():
     norm = normalize(FIG1, "<=", Fraction(1, 5))  # speeds (3, 2, 2)
-    windows = [LoadWindow(0, s) for s in norm.s]
-    model = build_model(norm, windows, reduce=False)
+    windows = [(0, s) for s in norm.s]
+    model = unreduced_model(norm, windows)
     assert [len(g.configs) for g in model.groups] == [4, 3, 3]
     assert model.demand == (7,)
 
 
 def test_build_model_no_machines():
     inst = Instance(p=(1,), n=(0,), s=(3,), m=(0,))
-    model = build_model(inst, [LoadWindow(0, 3)])
+    model = build_model(inst, [(0, 3)])
     assert model.groups == ()
     assert solve_model(model) is not None
     bad = Instance(p=(1,), n=(2,), s=(3,), m=(0,))
-    assert solve_model(build_model(bad, [LoadWindow(0, 3)])) is None
+    assert solve_model(build_model(bad, [(0, 3)])) is None
+
+
+@pytest.mark.parametrize("bad", [(-1, 3), (4, 3)])
+@pytest.mark.parametrize("m", [(1, 1), (1, 0)])
+def test_build_model_rejects_bad_windows(bad, m):
+    # every type's window is checked, also one without machines
+    inst = Instance(p=(1,), n=(2,), s=(3, 3), m=m)
+    with pytest.raises(MalformedInputError, match="bad window"):
+        build_model(inst, [(0, 3), bad])
 
 
 def test_build_model_restricted_columns():
     inst = Instance(p=(1, 1), n=(2, 2), s=(2, 2), m=(1, 1),
                     restrict=((True, False), (False, True)))
-    model = build_model(inst, [LoadWindow(0, 2), LoadWindow(0, 2)],
-                        reduce=False)
+    model = unreduced_model(inst, [(0, 2), (0, 2)])
     by_type = {g.machine_type: g.configs for g in model.groups}
     assert all(c[1] == 0 for c in by_type[0])
     assert all(c[0] == 0 for c in by_type[1])
@@ -112,7 +119,7 @@ def test_build_model_restricted_columns():
 
 def test_solve_fig1_threshold_fifth():
     norm = normalize(FIG1, "<=", Fraction(1, 5))
-    windows = [LoadWindow(0, s) for s in norm.s]
+    windows = [(0, s) for s in norm.s]
     sched = solve_model(build_model(norm, windows))
     assert sched is not None
     loads = sorted(dot(norm.p, counts) for _, counts, _ in sched.entries)
@@ -122,13 +129,13 @@ def test_solve_fig1_threshold_fifth():
 
 def test_solve_fig1_threshold_sixth_infeasible():
     norm = normalize(FIG1, "<=", Fraction(1, 6))  # speeds (2, 2, 1), capacity 5
-    windows = [LoadWindow(0, s) for s in norm.s]
+    windows = [(0, s) for s in norm.s]
     assert solve_model(build_model(norm, windows)) is None
 
 
 def test_solve_empty_demand():
     inst = Instance(p=(2,), n=(0,), s=(5, 3), m=(2, 1))
-    sched = solve_model(build_model(inst, [LoadWindow(0, 5), LoadWindow(0, 3)]))
+    sched = solve_model(build_model(inst, [(0, 5), (0, 3)]))
     assert sched is not None
     assert aggregate_jobs(sched) == (0,)
     assert sched.machines_of_type(0) == 2
@@ -136,15 +143,14 @@ def test_solve_empty_demand():
 
 def test_reduced_windows_bookkeeping():
     inst = Instance(p=(2, 3), n=(20, 20), s=(100,), m=(1,))
-    groups = build_model(inst, [LoadWindow(40, 100)]).groups
+    groups = build_model(inst, [(40, 100)]).groups
     assert [(g.role, g.count) for g in groups] == [
         ("core", 1), ("exact", 1), ("slack", 4)]
-    assert [(g.window.lower, g.window.upper) for g in groups] == [
-        (34, 70), (6, 6), (0, 6)]
+    assert [g.window for g in groups] == [(34, 70), (6, 6), (0, 6)]
 
-    groups = build_model(inst, [LoadWindow(0, 5)]).groups
+    groups = build_model(inst, [(0, 5)]).groups
     assert [(g.role, g.count) for g in groups] == [("core", 1)]
-    assert (groups[0].window.lower, groups[0].window.upper) == (0, 5)
+    assert groups[0].window == (0, 5)
 
 
 def test_reduction_does_not_change_verdicts():
@@ -163,7 +169,7 @@ def test_reduction_does_not_change_verdicts():
         assert assignable(inst), inst
         for rel in ("<=", ">="):
             if rel == "<=":
-                windows = [LoadWindow(0, (T * s).__floor__()) for s in inst.s]
+                windows = [(0, (T * s).__floor__()) for s in inst.s]
                 relation = "="
             else:
                 windows = []
@@ -171,12 +177,12 @@ def test_reduction_does_not_change_verdicts():
                     lower = (T * s).__ceil__()
                     top = max((pj for pj, a in zip(inst.p, inst.allowed_row(t))
                                if a), default=1)
-                    windows.append(LoadWindow(lower, lower + top - 1))
+                    windows.append((lower, lower + top - 1))
                 relation = "<="
-            with_red = solve_model(build_model(inst, windows, reduce=True,
+            with_red = solve_model(build_model(inst, windows,
                                                demand_relation=relation))
-            without = solve_model(build_model(inst, windows, reduce=False,
-                                              demand_relation=relation))
+            without = solve_model(unreduced_model(inst, windows,
+                                                  demand_relation=relation))
             assert (with_red is None) == (without is None), (inst, rel, T)
             try:
                 want = brute_force_feasibility(inst, rel, T)
@@ -194,7 +200,7 @@ def test_solved_schedules_respect_windows():
                                   speed_range=(2, 9)))
         if inst.machine_count == 0:
             continue
-        windows = [LoadWindow(0, 2 * s) for s in inst.s]
+        windows = [(0, 2 * s) for s in inst.s]
         sched = solve_model(build_model(inst, windows))
         if sched is None:
             continue
@@ -207,7 +213,7 @@ def test_solved_schedules_respect_windows():
 
 def test_resource_limit_is_distinct_from_infeasible():
     inst = Instance(p=(1, 1, 1), n=(4, 4, 4), s=(6, 6), m=(2, 2))
-    windows = [LoadWindow(0, 6), LoadWindow(0, 6)]
+    windows = [(0, 6), (0, 6)]
     model = build_model(inst, windows)
     with pytest.raises(ResourceLimitError):
         solve_model(model, state_limit=3)
@@ -216,7 +222,7 @@ def test_resource_limit_is_distinct_from_infeasible():
 
 def test_demand_relations():
     inst = Instance(p=(2,), n=(3,), s=(4,), m=(1,))
-    windows = [LoadWindow(0, 4)]
+    windows = [(0, 4)]
     # exactly three jobs of size two cannot fit a speed-4 machine
     assert solve_model(build_model(inst, windows)) is None
     le = solve_model(build_model(inst, windows, demand_relation="<="))
@@ -235,7 +241,7 @@ def test_verified_against_oracle_sweep():
         if inst.machine_count == 0:
             continue
         T = Fraction(1 + seed % 7, 1 + seed % 4)
-        windows = [LoadWindow(0, (T * s).__floor__()) for s in inst.s]
+        windows = [(0, (T * s).__floor__()) for s in inst.s]
         sched = solve_model(build_model(inst, windows))
         try:
             want = brute_force_feasibility(inst, "<=", T)
@@ -269,16 +275,15 @@ def hand_built_model(rnd, p=(1, 2)):
     for t in range(rnd.randint(1, 2)):
         m, epm, spm = rnd.randint(2, 6), rnd.randint(2, 3), rnd.randint(2, 3)
         for role, count, window in (
-                ("core", m, LoadWindow(0, 3)),
-                ("exact", m * epm, LoadWindow(lcm, lcm)),
-                ("slack", m * spm, LoadWindow(0, lcm))):
-            configs = tuple(enumerate_configs(p, (8, 8), (window.lower,
-                                                         window.upper)))
+                ("core", m, (0, 3)),
+                ("exact", m * epm, (lcm, lcm)),
+                ("slack", m * spm, (0, lcm))):
+            configs = tuple(enumerate_configs(p, (8, 8), window))
             groups.append(ModelGroup(t, role, count, window, configs))
             for _ in range(count):
                 pick = rnd.choice(configs)
                 demand = [a + b for a, b in zip(demand, pick)]
-        raw.append(LoadWindow(epm * lcm, 3 + (epm + spm) * lcm))
+        raw.append((epm * lcm, 3 + (epm + spm) * lcm))
     return ConfILPModel(p, tuple(demand), "=", tuple(groups), tuple(raw))
 
 
@@ -318,9 +323,9 @@ def test_recombine_runs_match_per_machine_expansion(seed):
         for role, width in per_machine.items():
             if role != "core" and width == 0:
                 continue
-            groups.append(ModelGroup(t, role, m * width, LoadWindow(0, 0), ()))
+            groups.append(ModelGroup(t, role, m * width, (0, 0), ()))
             chosen.append(random_runs(rnd, m * width, len(p), 3))
-        raw.append(LoadWindow(0, rnd.randint(40, 120)))
+        raw.append((0, rnd.randint(40, 120)))
     model = ConfILPModel(p, (0,) * len(p), "=", tuple(groups), tuple(raw))
     try:
         want = reference_recombine(model, chosen)
@@ -351,9 +356,9 @@ def random_dp_model(rnd: random.Random, relation: str) -> ConfILPModel:
     for _ in range(tau):
         upper = rnd.randint(1, 12)
         lower = rnd.randint(0, upper) if rnd.random() < 0.5 else 0
-        windows.append(LoadWindow(lower, upper))
-    return build_model(inst, windows, demand_relation=relation,
-                       reduce=rnd.random() < 0.5)
+        windows.append((lower, upper))
+    build = build_model if rnd.random() < 0.5 else unreduced_model
+    return build(inst, windows, demand_relation=relation)
 
 
 def smallest_sufficient_limit(model: ConfILPModel,

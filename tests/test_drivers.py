@@ -8,7 +8,6 @@ import pytest
 from hmsched import cli, drivers
 from hmsched.balancing import idle_cmax_speeds, large_machine_cutoff
 from hmsched.confilp import (
-    LoadWindow,
     ResourceLimitError,
     build_model,
     solve_model,
@@ -251,6 +250,15 @@ def test_feasibility_answers_restricted_questions():
         feasibility(inst, "<=", Fraction(1), method="balanced")
 
 
+@pytest.mark.parametrize("solve", [minimize_makespan, maximize_min_completion])
+def test_unknown_method_is_rejected_without_a_probe(solve):
+    # the incumbent meets the area bound, so no probe would check the method
+    inst = Instance(p=(1,), n=(4,), s=(1,), m=(2,))
+    assert solve(inst).trace == {"probes": 0, "path": "incumbent"}
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        solve(inst, method="bogus")
+
+
 def test_idle_capped_feasibility_matches_oracle():
     checked = 0
     for seed in range(30):
@@ -260,7 +268,7 @@ def test_idle_capped_feasibility_matches_oracle():
         if inst.machine_count == 0:
             continue
         cap = seed % 4
-        windows = [LoadWindow(max(0, s - cap), s) for s in inst.s]
+        windows = [(max(0, s - cap), s) for s in inst.s]
         for job_relation in ("=", "<="):
             model = build_model(inst, windows, demand_relation=job_relation)
             sched = solve_model(model, None)
@@ -269,8 +277,16 @@ def test_idle_capped_feasibility_matches_oracle():
                                            job_relation=job_relation)
             assert (sched is not None) == want, (inst, cap, job_relation)
             if sched is not None:
-                q = FeasibilityQuery("<=", Fraction(1), cap, job_relation)
-                assert verify_schedule(inst, sched, q).ok, (inst, cap)
+                # every load in its window, usage by the relation, and
+                # every machine scheduled
+                for t, counts, count in sched.entries:
+                    lo, hi = windows[t]
+                    assert lo <= dot(inst.p, counts) <= hi, (inst, cap)
+                usage = aggregate_jobs(sched)
+                assert all(u <= v for u, v in zip(usage, inst.n)), (inst, cap)
+                assert job_relation == "<=" or usage == inst.n, (inst, cap)
+                assert all(sched.machines_of_type(t) == m
+                           for t, m in enumerate(inst.m)), (inst, cap)
             checked += 1
     assert checked >= 40
 

@@ -71,7 +71,7 @@ def test_verify_fails_below_true_makespan(fig1, fig1_schedule):
 
 
 def test_verify_is_pure(fig1, fig1_schedule):
-    q = FeasibilityQuery("<=", Fraction(1, 4), idle_cap=2)
+    q = FeasibilityQuery("<=", Fraction(1, 4))
     assert verify_schedule(fig1, fig1_schedule, q) == \
         verify_schedule(fig1, fig1_schedule, q)
 
@@ -98,12 +98,6 @@ def test_verify_reports_restriction_violation():
     report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
     assert not report.ok
     assert any("not allowed" in v for v in report.violations)
-
-
-def test_verify_idle_cap_enforced(fig1, fig1_schedule):
-    q = FeasibilityQuery("<=", Fraction(1, 4), idle_cap=1)
-    report = verify_schedule(fig1, fig1_schedule, q)
-    assert not report.ok  # idle load 7/4 > 1
 
 
 def _random_certificate(rnd: random.Random):
@@ -141,15 +135,11 @@ def _random_certificate(rnd: random.Random):
         T = Fraction(load, speed) + rnd.choice((0, 0, Fraction(1, 7), -Fraction(1, 7)))
     else:
         T = Fraction(rnd.randint(0, 12), rnd.randint(1, 5))
-    relation = rnd.choice(("<=", ">="))
-    q = FeasibilityQuery(relation, max(T, Fraction(0)),
-                         idle_cap=(rnd.choice((None, 0, 1, 3, 8))
-                                   if relation == "<=" else None),
-                         job_relation=rnd.choice(("=", "<=", ">=")))
+    q = FeasibilityQuery(rnd.choice(("<=", ">=")), max(T, Fraction(0)))
     return inst, sched, q
 
 
-VIOLATION_KINDS = ("covers", "not allowed", "idle", "exceeds", "below", "usage")
+VIOLATION_KINDS = ("covers", "not allowed", "exceeds", "below", "usage")
 
 
 def test_verify_matches_the_fraction_reference():
@@ -163,8 +153,7 @@ def test_verify_matches_the_fraction_reference():
         assert report == reference_verify_schedule(inst, sched, q), (inst, sched, q)
         seen.add(report.ok)
         for violation in report.violations:
-            kind = next(k for k in VIOLATION_KINDS if k in violation)
-            seen.add(kind if kind != "usage" else (kind, q.job_relation))
+            seen.add(next(k for k in VIOLATION_KINDS if k in violation))
         seen |= {("speed 0", s == 0) for s, m in zip(inst.s, inst.m) if m}
         seen.add(("idle", report.max_idle_load > 0))
         if all(inst.s):
@@ -173,19 +162,14 @@ def test_verify_matches_the_fraction_reference():
             assert objective_value(inst, sched, "cenvy") == (
                 report.max_completion - report.min_completion)
     # every kind of report occurred: machine counts, disallowed job types,
-    # idle caps, loads above and below the threshold, each job relation
-    assert {True, False, "covers", "not allowed", "idle", "exceeds", "below",
-            ("usage", "="), ("usage", "<="), ("usage", ">="),
+    # loads above and below the threshold, usage other than n
+    assert {True, False, "covers", "not allowed", "exceeds", "below", "usage",
             ("speed 0", True), ("idle", True)} <= seen, seen
 
 
 def test_query_validation():
     with pytest.raises(MalformedInputError):
-        FeasibilityQuery(">=", Fraction(1), idle_cap=1)
-    with pytest.raises(MalformedInputError):
         FeasibilityQuery("<", Fraction(1))
-    with pytest.raises(MalformedInputError):
-        FeasibilityQuery("<=", Fraction(1), job_relation="!=")
 
 
 def test_aggregate_jobs_examples(fig1_schedule):
