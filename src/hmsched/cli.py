@@ -13,9 +13,9 @@ Exit codes:
   generator rejects, a negative ``bench --count``, an unreadable or
   ill-typed instance, schedule or ``--value``, an unwritable
   ``--output``, a non-integer HMSCHED_STATE_LIMIT, or an instance that
-  ``solve`` and ``check`` cannot take (``drivers.admit``): no machines,
-  or a restricted instance with ``--objective cenvy``, under every
-  ``--method``;
+  ``solve`` and ``check`` cannot take (``drivers.admit``): no job types,
+  no machines, or a restricted instance with ``--objective cenvy``,
+  under every ``--method``;
 - 2: no feasible schedule exists (a restricted job type with no machine
   allowed to run it), for ``solve`` and ``check`` alike;
 - 3: resource limit exceeded: the solver's state budget, or the size

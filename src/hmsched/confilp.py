@@ -131,7 +131,7 @@ def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
 
 def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
                       window: tuple[int, int],
-                      allowed: tuple[bool, ...] | None = None) -> list[tuple[int, ...]]:
+                      allowed: tuple[bool, ...]) -> list[tuple[int, ...]]:
     """All c with 0 <= c <= cap, load within window, zero on disallowed types.
 
     Output is in ascending lexicographic order (first coordinate most
@@ -139,8 +139,6 @@ def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
     """
     if any(x < 0 for x in cap):
         raise MalformedInputError("cap must be >= 0")
-    if allowed is None:
-        allowed = tuple(True for _ in p)
     lower, upper = window
     return list(_enumerate(tuple(p), tuple(cap), lower, upper, tuple(allowed)))
 
@@ -171,17 +169,22 @@ def build_model(inst: Instance, windows, *,
     has one machine per machine of the type, and each block role
     blocks-per-machine times as many (a role with no blocks gets no
     group).  When the type may run no job, the raw window is the core
-    and there are no blocks.
+    and there are no blocks.  The first group without a column ends the
+    model: none of its machines can take a column, so ``solve_model``
+    rejects the model before its dynamic program, and later groups would
+    enumerate columns for nothing.
     """
     if demand_relation not in (JOB_EQ, JOB_LE):
         raise MalformedInputError(f"bad demand relation {demand_relation!r}")
     if len(windows) != inst.tau:
         raise MalformedInputError("one window per machine type required")
 
-    groups: list[ModelGroup] = []
-    for t, (lower, upper) in enumerate(windows):
+    for lower, upper in windows:
         if not 0 <= lower <= upper:
             raise MalformedInputError(f"bad window [{lower}, {upper}]")
+
+    groups: list[ModelGroup] = []
+    for t, (lower, upper) in enumerate(windows):
         if inst.m[t] == 0:
             continue
         allowed = inst.allowed_row(t)
@@ -198,6 +201,9 @@ def build_model(inst: Instance, windows, *,
                 groups.append(ModelGroup(
                     t, role, inst.m[t] * per_machine, part,
                     tuple(enumerate_configs(inst.p, inst.n, part, allowed))))
+                if not groups[-1].configs:
+                    return ConfILPModel(inst.p, inst.n, demand_relation,
+                                        tuple(groups), tuple(windows))
     return ConfILPModel(inst.p, inst.n, demand_relation, tuple(groups),
                         tuple(windows))
 

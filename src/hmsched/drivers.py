@@ -49,8 +49,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 from .balancing import (
     guess_configs,
@@ -77,13 +75,7 @@ from .model import (
     objective_value,
     verify_schedule,
 )
-from .reduction import (
-    compress_machines,
-    lift_schedule,
-    normalized_speeds,
-    reduce_window,
-    reduction_constants,
-)
+from .reduction import compress_machines, lift_schedule, normalized_speeds
 # Probes no longer call these; the benchmark's tracer rebinds them by
 # name in this module.
 from .reduction import compress, normalize  # noqa: F401
@@ -109,13 +101,13 @@ class SolveResult:
 class CandidateGrid:
     """Description of the exact search set for one objective.
 
-    For cmax/cmin each entry is (type, denominator, max_numerator): the
-    values {k / denominator : 0 <= k <= max_numerator}.  For cenvy the
-    entries are (type1, type2, denominator, max_numerator), denominator
-    the product of the two speeds, each type1's entries consecutive.  No
-    schedule does better than ``bound``: the area bound P / S (S the
-    summed speed of all machines) is below every makespan and above
-    every minimum completion, because sum_i s_i * C_i = P; envy is >= 0.
+    Each entry is (type, denominator, max_numerator): the values
+    {k / denominator : 0 <= k <= max_numerator}.  The type is the machine
+    type whose completion the value is (cmax, cmin) or that completes
+    last (cenvy).  No schedule does better than ``bound``: the area
+    bound P / S (S the summed speed of all machines) is below every
+    makespan and above every minimum completion, because
+    sum_i s_i * C_i = P; envy is >= 0.
     """
 
     objective: str
@@ -136,7 +128,14 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
     schedule of makespan L / s_u (L <= P), a later probe lies below it:
     type u's normalized speed is below L there and at least L at T1.
     The 1 + P clamp cannot equalize speeds that low.  ``>=`` mirrors
-    this with ceilings.  ``inst`` must pass ``admit``.
+    this with ceilings.
+
+    An envy is a difference of two completions a / s_t, each a multiple
+    of 1 / L, L the lcm of the speeds of the types with machines, so
+    every envy lies on {k / L}; it is at most pmax (``minimize_envy``).
+    Envy lists one entry (t1, L, pmax * L) per type t1 with machines,
+    for the top type whose machines complete last.  ``inst`` must pass
+    ``admit``.
     """
     P = inst.total_load
     if objective in ("cmax", "cmin"):
@@ -145,16 +144,10 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
         capacity = sum(s * m for s, m in zip(inst.s, inst.m))
         return CandidateGrid(objective, entries, Fraction(P, capacity))
     if objective == "cenvy":
-        entries = []
-        for t1 in range(inst.tau):
-            if inst.m[t1] == 0:
-                continue
-            for t2 in range(inst.tau):
-                if inst.m[t2] == 0:
-                    continue
-                den = inst.s[t1] * inst.s[t2]
-                entries.append((t1, t2, den, inst.pmax * den))
-        return CandidateGrid(objective, tuple(entries), Fraction(0))
+        present = [t for t in range(inst.tau) if inst.m[t] > 0]
+        L = math.lcm(*(inst.s[t] for t in present))
+        return CandidateGrid(objective, tuple(
+            (t1, L, inst.pmax * L) for t1 in present), Fraction(0))
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -209,7 +202,8 @@ def admit(inst: Instance, objective: str) -> None:
     """Reject an instance that no route can solve for ``objective``.
 
     Every solve route asks this first, so each input ends in the same
-    exit code whichever method solves it.  No machines, or a machine
+    exit code whichever method solves it.  No job types (as ``gen``
+    asks d >= 1; the envy grid needs pmax), no machines, or a machine
     type with machines but speed 0 (the value grids divide by every
     speed present; speed 0 without machines stays allowed), is
     malformed, and so is a restricted ``cenvy`` solve: restricted
@@ -217,6 +211,8 @@ def admit(inst: Instance, objective: str) -> None:
     job type with demand that no machine may run leaves no schedule
     (``InfeasibleRestrictionError``).
     """
+    if inst.d < 1:
+        raise MalformedInputError("need at least one job type")
     if inst.machine_count < 1:
         raise MalformedInputError("need at least one machine")
     if any(s == 0 and m > 0 for s, m in zip(inst.s, inst.m)):
@@ -546,7 +542,7 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
                  ) -> tuple[Fraction, HMSchedule]:
     """Best feasible value on the grid, with the schedule that attains it.
 
-    Each entry ``(..., den, top)`` stands for the values {k / den :
+    Each entry ``(type, den, top)`` stands for the values {k / den :
     0 <= k <= top}.  The bracket's best side ``best`` is a schedule and
     its own value (``objective_value``), first a certified incumbent;
     its refuted side is first ``grid.bound``.  Entries are
@@ -558,27 +554,27 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
     A refutation moves the refuted side for every entry that asks the
     same monotone question (every value above a feasible one is
     feasible when minimizing, every value below when maximizing): all
-    entries of a cmax or cmin grid, and the consecutive envy entries of
-    one top type t1.  An empty bracket costs no probe, and the bracket
-    ends are floor divisions, not Fraction products.
+    entries of a cmax or cmin grid, and the one entry of an envy top
+    type.  An empty bracket costs no probe, and the bracket ends are
+    floor divisions, not Fraction products.
 
     Envy asks each top type's question first at the top of its bracket:
-    the largest value k / den below the best side, over all of t1's
-    entries, at or above the bound.  A refutation there empties every
-    entry of t1, so a t1 that cannot beat the best side costs one probe
-    instead of a bisection from the bound; a schedule moves the best
-    side to its own envy and the entries are bisected as before.  The
-    incumbent's envy is usually optimal, so this is the common case.
-    Makespan and minimum completion keep plain bisection: on the
-    ``guessing`` benchmark their brackets hold 0-3 candidates, the
-    incumbent is optimal in fewer than half of the solves, and asking
-    the top first made those solves 5-26 % slower when it was tried.
+    the largest grid value below the best side, at or above the bound.
+    A refutation there empties the entry, so a top type that cannot
+    beat the best side costs one probe instead of a bisection from the
+    bound; a schedule moves the best side to its own envy and the entry
+    is bisected as before.  The incumbent's envy is usually optimal, so
+    this is the common case.  Makespan and minimum completion keep plain
+    bisection: on the ``guessing`` benchmark their brackets hold 0-3
+    candidates, the incumbent is optimal in fewer than half of the
+    solves, and asking the top first made those solves 5-26 % slower
+    when it was tried.
     """
     minimize = grid.objective != "cmin"
     envy = grid.objective == "cenvy"
     bound = grid.bound
 
-    def refutes(entry: tuple[int, ...], value: Fraction) -> bool:
+    def refutes(entry: tuple[int, int, int], value: Fraction) -> bool:
         """Probe at value: True if refuted; a schedule moves the best side."""
         nonlocal best
         trace["probes"] += 1
@@ -588,18 +584,15 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
         best = (objective_value(inst, sched, grid.objective), sched)
         return False
 
-    questions = ([list(group) for _, group in groupby(grid.entries, itemgetter(0))]
-                 if envy else [grid.entries])
+    questions = [(entry,) for entry in grid.entries] if envy else [grid.entries]
     for entries in questions:
         refuted = None
-        if envy:
-            # the largest grid value below the best side, over t1's entries
-            value, entry = max((Fraction(min(top, ceil_times(best[0], den) - 1), den),
-                                (t1, t2, den, top)) for t1, t2, den, top in entries)
-            if value >= bound and refutes(entry, value):
-                refuted = value
         for entry in entries:
-            den, top = entry[-2:]
+            _, den, top = entry
+            if envy:
+                value = Fraction(min(top, ceil_times(best[0], den) - 1), den)
+                if value >= bound and refutes(entry, value):
+                    refuted = value
             while True:
                 if minimize:
                     lo = (ceil_times(bound, den) if refuted is None
@@ -702,13 +695,14 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     """Smallest achievable gap between the largest and smallest completion.
 
     The optimum is C1 - C2 for the completions of some two machines, so
-    it lies on the grid {k / (s_t1 * s_t2)} for some ordered type pair.
-    Per pair, binary search the smallest E = k / (s_t1 * s_t2) such that
-    for some candidate top completion C1 = a / s_t1 the load windows
-    [ceil((C1 - E) * s_t), floor(C1 * s_t)] admit a schedule; such a
-    schedule has envy at most E, and at the true pair E = OPT is
-    witnessed by the optimal schedule itself, so the minimum over pairs
-    is exact.
+    it lies on the grid {k / L} of ``candidate_values``, L the lcm of the
+    speeds with machines.  Per top type t1, binary search the smallest
+    E = k / L such that for some candidate top completion C1 = a / s_t1
+    the load windows [ceil((C1 - E) * s_t), floor(C1 * s_t)] admit a
+    schedule; such a schedule has envy at most E, and at the type of a
+    machine that completes last in an optimal schedule E = OPT is
+    witnessed by that schedule itself, so the minimum over top types is
+    exact.
 
     OPT <= pmax, because every speed is at least 1: while C_max - C_min
     > pmax, move any job from a machine completing at C_max (it has
@@ -717,75 +711,59 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     and no other completion changes, so the completions sorted in
     decreasing order drop lexicographically; there are finitely many
     schedules, so the moves stop at one with envy at most pmax.  Hence
-    each grid stops at pmax * s_t1 * s_t2, and since C_min <= P / S <=
-    C_max on every schedule, an optimal one has C1 <= P / S + pmax.
+    the grid stops at pmax * L, and since C_min <= P / S <= C_max on
+    every schedule, an optimal one has C1 <= P / S + pmax.
 
-    The scan over a runs in integers: hi_t = a*s_t // s_t1 and lo_t =
-    max(0, ceil((a*s_t2 - k) * s_t / (s_t1*s_t2))).  Every machine's
-    load is a multiple of g, the gcd of the sizes with demand, and at
-    most P (``capacity_refutes``), so the upper room sums each hi_t
-    rounded down to a multiple of g and capped at P, and the lower need
-    each lo_t rounded up to one.  Both are nondecreasing in a, so two
-    binary searches bound the candidates to the interval where room >= P
-    and need <= P; inside it only a window that holds no multiple of g
-    rejects an a, counted in ``trace["empty_windows"]``.  The rounding
-    drops only values of a whose model is infeasible, so the first a
-    that admits a schedule, and its schedule, are those of the unrounded
-    scan.  A model is built and solved once per distinct window tuple
-    in a solve; ``trace["solves"]`` counts those solves and
-    ``trace["cache_hits"]`` the window tuples answered from that memo.
+    The scan over a runs in integers: C1 = a * (L / s_t1) / L, so hi_t
+    = a*s_t // s_t1 and lo_t = max(0, ceil((a * (L / s_t1) - k) * s_t
+    / L)).  Every machine's load is a multiple of g, the gcd of the
+    sizes with demand, and at most P (``capacity_refutes``), so the
+    upper room sums each hi_t rounded down to a multiple of g and capped
+    at P, and the lower need each lo_t rounded up to one.  Both are
+    nondecreasing in a, so two binary searches bound the candidates to
+    the interval where room >= P and need <= P; inside it only a window
+    that holds no multiple of g rejects an a, counted in
+    ``trace["empty_windows"]``.  The rounding drops only values of a
+    whose model is infeasible, so the first a that admits a schedule,
+    and its schedule, are those of the unrounded scan.  A model is
+    built and solved once per distinct window tuple in a solve;
+    ``trace["solves"]`` counts those solves and ``trace["cache_hits"]``
+    the window tuples answered from that memo.  A window whose reduced
+    core admits no configuration ends its model at that empty group
+    (``build_model``), which ``solve_model`` rejects before its dynamic
+    program.
 
-    The check depends on the pair only through t1: its windows are
-    [ceil((a/s_t1 - E) * s_t), floor(a/s_t1 * s_t)], and t2 only
-    chooses the grid E is drawn from.  It is monotone in E: a larger E
-    lowers every lo_t and so can only move the end of the a interval
-    up, and a schedule inside the smaller windows lies inside the
-    larger ones.  So the grid lists the entries of one t1 consecutively
-    and ``_search_grid`` shares their refuted side: no probe asks an E
-    that an earlier refutation of its t1 settled.  A schedule found at
-    E has envy at most E, and the search moves to that envy.  Each t1 is
-    asked first just below the best envy so far, at the largest value of
-    any of its grids; once the best envy is optimal, that one refuted
-    probe settles t1, and the incumbent's envy is often optimal already.
-
-    A window tuple is also skipped before a model is built, and counted
-    in ``trace["empty_windows"]``, when some type's reduced core window
-    admits no configuration capped at n: that is the core group
-    ``build_model`` would make, and ``solve_model`` rejects a model with
-    an empty group before its dynamic program.
+    The check is monotone in E: a larger E lowers every lo_t and so can
+    only move the end of the a interval up, and a schedule inside the
+    smaller windows lies inside the larger ones.  So ``_search_grid``
+    keeps one refuted side per top type: no probe asks an E that an
+    earlier refutation of its t1 settled.  A schedule found at E has
+    envy at most E, and the search moves to that envy.  Each t1 is
+    asked first just below the best envy so far; once the best envy is
+    optimal, that one refuted probe settles t1, and the incumbent's envy
+    is often optimal already.
 
     A zero-load instance takes the same search: its incumbent leaves
     every machine empty, with envy 0, which the grid's bound meets, so
     no probe is asked.
     """
     admit(inst, "cenvy")
-    p, n = inst.p, inst.n
     P = inst.total_load
-    trace: dict = {"pairs": 0, "probes": 0, "solves": 0, "cache_hits": 0,
+    trace: dict = {"probes": 0, "solves": 0, "cache_hits": 0,
                    "empty_windows": 0}
     types = [(s, m, g) for s, (m, g, _) in zip(inst.s, type_loads(inst)) if m > 0]
     total_cap = sum(s * m for s, m, _ in types)
     # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
     a_num = P + inst.pmax * total_cap
     memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
-    # whether a window's reduced core admits a configuration
-    columns: dict[tuple[int, int], bool] = {}
-    consts = reduction_constants(p)
 
-    def has_column(window: tuple[int, int]) -> bool:
-        if window not in columns:
-            red = reduce_window(*window, consts)
-            columns[window] = bool(enumerate_configs(
-                p, n, (red.core_lower, red.core_upper)))
-        return columns[window]
-
-    def check(entry: tuple[int, ...], E: Fraction) -> HMSchedule | None:
-        t1, t2, den, _ = entry
-        s1, s2 = inst.s[t1], inst.s[t2]
+    def check(entry: tuple[int, int, int], E: Fraction) -> HMSchedule | None:
+        t1, den, _ = entry
+        s1 = inst.s[t1]
         k = E.numerator * (den // E.denominator)
 
         def lower(a: int, s: int) -> int:
-            return max(0, -((k - a * s2) * s // den))
+            return max(0, -((k - a * (den // s1)) * s // den))
 
         def fits(a: int) -> bool:
             return not capacity_refutes(P, [(m, g, P, 0, a * s // s1)
@@ -799,15 +777,13 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
         first = bisect_left(range(a_hi + 1), True, key=fits)
         stop = first + bisect_left(range(first, a_hi + 1), True, key=overfull)
         for a in range(first, stop):
-            # a type without machines gets (0, 0), whose core holds the empty
-            # configuration
-            windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
-                            for s, m in zip(inst.s, inst.m))
-            hollow = capacity_refutes(P, [(m, g, P, lower(a, s), a * s // s1)
-                                          for s, m, g in types])
-            if hollow or not all(map(has_column, windows)):
+            if capacity_refutes(P, [(m, g, P, lower(a, s), a * s // s1)
+                                    for s, m, g in types]):
                 trace["empty_windows"] += 1
                 continue
+            # a type without machines gets (0, 0), which build_model skips
+            windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
+                            for s, m in zip(inst.s, inst.m))
             if windows in memo:
                 trace["cache_hits"] += 1
                 sched = memo[windows]
@@ -820,7 +796,6 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
         return None
 
     grid = candidate_values(inst, "cenvy")
-    trace["pairs"] = len(grid.entries)
     _, start = _incumbent(inst, LE)
     value, sched = _search_grid(inst, grid, check, trace,
                                 (objective_value(inst, start, "cenvy"), start))

@@ -739,14 +739,15 @@ def unreduced_model(inst: Instance, windows, *,
 
 
 # ---------------------------------------------------------------------------
-# Envy search without the shared bracket or the column check
+# Envy search over type pairs, without the shared bracket
 # ---------------------------------------------------------------------------
-# ``drivers.minimize_envy`` skips every probe its bracket already settles
-# and every window tuple whose core admits no column.  This is the search
-# it replaced: the grid search that restarts each entry from the bound
-# and moves to the probed value, kept verbatim, and the envy check that
-# scans every probe and builds every window tuple, so tests can check
-# that both return the same value and schedule.
+# ``drivers.minimize_envy`` searches one grid {k / L} per top type and
+# skips every probe its bracket already settles.  This is the search it
+# replaced: one grid {k / (s_t1 * s_t2)} per ordered pair of types, the
+# grid search that restarts each entry from the bound and moves to the
+# probed value, kept verbatim, and the envy check that scans every probe
+# and builds every window tuple, so tests can check that both return the
+# same value and schedule.
 
 from bisect import bisect_left
 
@@ -757,7 +758,6 @@ from hmsched.drivers import (
     _certify,
     _incumbent,
     admit,
-    candidate_values,
 )
 from hmsched.model import (
     LE,
@@ -858,7 +858,10 @@ def reference_minimize_envy(inst: Instance,
                 return sched
         return None
 
-    grid = candidate_values(inst, "cenvy")
+    present = [t for t in range(inst.tau) if inst.m[t] > 0]
+    grid = CandidateGrid("cenvy", tuple(
+        (t1, t2, inst.s[t1] * inst.s[t2], inst.pmax * inst.s[t1] * inst.s[t2])
+        for t1 in present for t2 in present), Fraction(0))
     trace["pairs"] = len(grid.entries)
     _, start = _incumbent(inst, LE)
     completions = schedule_completions(inst, start)

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hmsched.cli import (
     instance_from_doc,
@@ -353,6 +354,18 @@ def test_oracle_method_maps_driver_rejections(tmp_path, capsys):
         for method in ("auto", "confilp", "oracle"):
             assert main(["solve", str(path), "--objective", "cenvy",
                          "--method", method]) == 1, (path.name, method)
+    # an instance without job types is malformed, as ``gen`` says, for
+    # every objective and method, and for ``check``
+    no_jobs = tmp_path / "no_jobs.json"
+    no_jobs.write_text(json.dumps({"p": [], "n": [], "s": [1], "m": [6]}))
+    for objective in ("cmax", "cmin", "cenvy"):
+        for method in ("auto", "confilp", "oracle"):
+            assert main(["solve", str(no_jobs), "--objective", objective,
+                         "--method", method]) == 1, (objective, method)
+    idle = tmp_path / "idle.json"
+    idle.write_text(json.dumps({"d": 0, "entries": [[0, [], 6]]}))
+    assert main(["check", str(no_jobs), str(idle), "--objective", "cenvy",
+                 "--value", "0"]) == 1
     capsys.readouterr()
 
 
@@ -405,3 +418,73 @@ def test_cli_routes_agree_on_random_instances(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     assert codes.get(0, 0) > 0, codes
     print(f"route differential: exit codes {sorted(codes.items())}")
+
+
+# Instance and schedule documents for the fuzz test: small well-shaped
+# documents with zero counts and speeds allowed, of which up to two
+# fields are then replaced by junk: a value of the wrong type or sign,
+# an array empty, ragged or of junk, or a matrix of any shape.
+_junk = st.recursive(
+    st.integers(-1, 5) | st.sampled_from([True, False, 1.5, "2", None]),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _instance_doc(draw):
+    d, tau = (draw(st.sampled_from((0, 1, 1, 2, 2, 3))) for _ in range(2))
+
+    def ints(lo, hi, k):
+        return draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k))
+
+    doc = {"p": ints(1, 5, d), "n": ints(0, 5, d), "s": ints(0, 6, tau),
+           "m": ints(0, 3, tau)}
+    if draw(st.booleans()):
+        doc["restrict"] = [draw(st.lists(st.booleans(), min_size=tau,
+                                         max_size=tau)) for _ in range(d)]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        key = draw(st.sampled_from(("p", "n", "s", "m", "restrict", "d", "tau")))
+        doc[key] = draw(_junk)
+    return doc
+
+
+@st.composite
+def _schedule_doc(draw):
+    d = draw(st.integers(0, 3))
+    entries = draw(st.lists(st.tuples(
+        st.integers(0, 3), st.lists(st.integers(0, 3), min_size=d, max_size=d),
+        st.integers(0, 3)).map(list), max_size=3))
+    doc = {"d": d, "entries": entries}
+    if draw(st.sampled_from((False, False, True))):
+        doc[draw(st.sampled_from(("d", "entries")))] = draw(_junk)
+    return doc
+
+
+_value = st.sampled_from(["0", "1", "3/2", "1/0", "x", "-1"])
+
+
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path, monkeypatch, capsys):
+    # Whatever the documents hold, ``solve`` (every objective and method)
+    # and ``check`` return a documented exit code and raise nothing.
+    monkeypatch.setenv("HMSCHED_STATE_LIMIT", "20000")
+    inst_path, out_path = tmp_path / "inst.json", tmp_path / "out.json"
+    sched_path = tmp_path / "sched.json"
+
+    @settings(max_examples=200, database=None)
+    # no job types: pmax is undefined, and the envy grid needs it
+    @example({"p": [], "n": [], "s": [1], "m": [6]},
+             {"d": 0, "entries": [[0, [], 6]]}, "0")
+    @given(_instance_doc(), _schedule_doc(), _value)
+    def run(inst_doc, sched_doc, value):
+        inst_path.write_text(json.dumps(inst_doc))
+        sched_path.write_text(json.dumps(sched_doc))
+        for objective in ("cmax", "cmin", "cenvy"):
+            for method in ("auto", "confilp", "oracle"):
+                code = main(["solve", str(inst_path), "--objective", objective,
+                             "--method", method, "--output", str(out_path)])
+                assert code in (0, 1, 2, 3, 4), (inst_doc, objective, method)
+            code = main(["check", str(inst_path), str(sched_path),
+                         "--objective", objective, "--value", value])
+            assert code in (0, 1, 2, 3, 4), (inst_doc, sched_doc, objective)
+        capsys.readouterr()
+
+    run()

@@ -56,12 +56,12 @@ def nested_loop_count(p, cap, lo, hi, allowed=None):
 
 
 def test_enumerate_examples():
-    out = enumerate_configs((2, 3), (3, 2), (0, 6))
+    out = enumerate_configs((2, 3), (3, 2), (0, 6), (True, True))
     assert set(out) == {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2)}
     assert len(out) == 7
     assert out == sorted(out)  # deterministic lexicographic order
 
-    assert enumerate_configs((2, 3), (3, 2), (0, 0)) == [(0, 0)]
+    assert enumerate_configs((2, 3), (3, 2), (0, 0), (True, True)) == [(0, 0)]
 
     restricted = enumerate_configs((2, 3), (3, 2), (0, 6), (True, False))
     assert restricted == [(0, 0), (1, 0), (2, 0), (3, 0)]
@@ -74,7 +74,7 @@ def test_enumerate_examples():
     ((3, 3), (5, 5), (6, 30)),
 ])
 def test_enumerate_count_matches_nested_loops(p, cap, window):
-    got = enumerate_configs(p, cap, window)
+    got = enumerate_configs(p, cap, window, (True,) * len(p))
     assert len(got) == nested_loop_count(p, cap, *window)
     assert len(set(got)) == len(got)
 
@@ -278,7 +278,7 @@ def hand_built_model(rnd, p=(1, 2)):
                 ("core", m, (0, 3)),
                 ("exact", m * epm, (lcm, lcm)),
                 ("slack", m * spm, (0, lcm))):
-            configs = tuple(enumerate_configs(p, (8, 8), window))
+            configs = tuple(enumerate_configs(p, (8, 8), window, (True, True)))
             groups.append(ModelGroup(t, role, count, window, configs))
             for _ in range(count):
                 pick = rnd.choice(configs)

@@ -70,9 +70,16 @@ def test_candidate_values_grids():
     assert opt.denominator == 1 or den % opt.denominator == 0
     assert opt <= Fraction(top, den)
 
+    # envy: one grid {k / L} per type with machines, L the lcm of their
+    # speeds, up to pmax
     envy = candidate_values(Instance(p=(1,), n=(1,), s=(2, 3), m=(1, 1)),
                             "cenvy")
-    assert {e[2] for e in envy.entries} == {4, 6, 9}
+    assert envy.entries == ((0, 6, 6), (1, 6, 6))
+    inst = Instance(p=(2, 3), n=(2, 1), s=(2, 3, 4), m=(1, 0, 1))
+    envy = candidate_values(inst, "cenvy")
+    assert envy.entries == ((0, 4, 12), (2, 4, 12))
+    opt = brute_force(inst, "cenvy")[0]
+    assert (opt * 4).denominator == 1 and opt <= Fraction(12, 4)
 
 
 def test_makespan_fig1():
@@ -623,6 +630,19 @@ def test_envy_verifies_the_returned_schedule_once(monkeypatch, inst, beaten):
         "<=", max(schedule_completions(inst, result.schedule)))).ok
 
 
+def _column_less_models_end_there(models) -> int:
+    """Check that every model with a group without a column ends at that
+    group and solves to None; return how many such models there are."""
+    ended = 0
+    for model in models:
+        empty = [i for i, g in enumerate(model.groups) if not g.configs]
+        if empty:
+            assert empty == [len(model.groups) - 1]
+            assert solve_model(model) is None
+            ended += 1
+    return ended
+
+
 def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     built = []
     models = []
@@ -638,8 +658,7 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     result = minimize_envy(Instance(p=(1,), n=(3,), s=(5, 6, 13), m=(1, 1, 1)))
     assert result.value == Fraction(8, 65)
     assert result.trace["solves"] == len(built) == len(set(built))
-    assert all(g.configs for model in models for g in model.groups
-               if g.role == "core" and g.count > 0)
+    _column_less_models_end_there(models)
 
     # Every load here is a multiple of 4: the scan rounds its windows to
     # multiples of 4 and builds fewer models than the same scan without
@@ -661,8 +680,9 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     assert result.trace["solves"] == len(built) == len(set(built))
     assert len(built) < unrounded_built
 
-    # this gcd-1 instance meets core windows without a configuration,
-    # skipped before a model is built, and repeats window tuples
+    # this gcd-1 instance meets a window that holds no load, skipped
+    # before a model is built, core windows without a configuration,
+    # whose models end at that group, and repeated window tuples
     built.clear()
     models.clear()
     inst = Instance(p=(3, 4), n=(4, 2), s=(1, 6, 7), m=(2, 1, 1))
@@ -671,8 +691,7 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     assert result.trace["solves"] == len(built) == len(set(built))
     assert result.trace["cache_hits"] > 0
     assert result.trace["empty_windows"] > 0
-    assert all(g.configs for model in models for g in model.groups
-               if g.role == "core" and g.count > 0)
+    assert _column_less_models_end_there(models) > 0
 
 
 def _spy_questions(monkeypatch):
@@ -861,6 +880,18 @@ def _optimum(inst: Instance, objective: str, method: str) -> Fraction:
     return result.value
 
 
+@pytest.mark.parametrize("method", ["auto", "confilp"])
+def test_per_job_check_refutes_before_the_dynamic_program(method):
+    # The one probe, T = 1, lets each of the 4000 speed-5 machines hold at
+    # most one job of size 3, short of the 5000 needed: the model's
+    # per-job check refutes it at once, where the dynamic program would
+    # exhaust a 20000-state budget.
+    inst = Instance(p=(2, 3), n=(2000, 5000), s=(5,), m=(4000,))
+    result = minimize_makespan(inst, method=method, state_limit=20_000)
+    assert result.value == Fraction(6, 5)
+    assert result.trace["probes"] == 1
+
+
 @pytest.mark.parametrize("inst, objective, method", PAST_CAPS)
 def test_envy_speed_scaling(inst, objective, method):
     base = _optimum(inst, objective, method)
@@ -897,6 +928,19 @@ def test_job_type_split(inst, objective, method):
     assert _optimum(split, objective, method) == base
 
 
+@pytest.mark.parametrize("inst, objective, method", PAST_CAPS)
+def test_replication_never_worsens_the_optimum(inst, objective, method):
+    # k copies of the jobs and machines can run k copies of any schedule,
+    # with the same completions, so the optimum is no worse: makespan and
+    # envy do not rise, minimum completion does not fall.
+    base = _optimum(inst, objective, method)
+    for k in (2, 3):
+        copies = Instance(inst.p, tuple(k * n for n in inst.n), inst.s,
+                          tuple(k * m for m in inst.m))
+        value = _optimum(copies, objective, method)
+        assert value >= base if objective == "cmin" else value <= base, k
+
+
 def _scaled_optimum(inst: Instance, objective: str, k: int) -> Fraction:
     """The optimum with every job size times k; ``r`` objectives forbid
     job type j on machine type t when j + t is 1 modulo 3."""
@@ -922,10 +966,11 @@ def test_job_size_scaling(inst, objective):
 
 
 def test_envy_matches_the_search_without_shortcuts(monkeypatch):
-    # The shared bracket and the column check skip only work whose answer
-    # is already known: value and schedule stay those of the search that
-    # restarts every entry from the bound, scans every probe and builds
-    # every window tuple, and no instance takes more probes than it.
+    # One grid per top type changes no answer, and its bracket skips only
+    # work whose answer is already known: value and schedule stay those
+    # of the search over type pairs that restarts every entry from the
+    # bound, scans every probe and builds every window tuple, and no
+    # instance takes more probes than it.
     probes, models = [], []
     search_grid, build_model = drivers._search_grid, drivers.build_model
 
@@ -961,9 +1006,9 @@ def test_envy_matches_the_search_without_shortcuts(monkeypatch):
                 refuted[t1] = E
         empty_windows += got.trace["empty_windows"]
     assert empty_windows
-    # no model is built whose core group has no configuration
-    assert all(g.configs for model in models for g in model.groups
-               if g.role == "core" and g.count > 0)
+    # a model whose window has a group without a column ends at that
+    # group and is refuted before the dynamic program
+    assert _column_less_models_end_there(models) > 0
 
 
 def test_envy_settles_each_top_type_with_one_probe(monkeypatch):
