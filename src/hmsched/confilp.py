@@ -103,9 +103,9 @@ class ConfILPModel:
 
 @lru_cache(maxsize=8192)
 def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
-               upper: int, allowed: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
+               upper: int) -> tuple[tuple[int, ...], ...]:
     d = len(p)
-    bounds = [min(cap[j], upper // p[j]) if allowed[j] else 0 for j in range(d)]
+    bounds = [min(cap[j], upper // p[j]) for j in range(d)]
     # Max load contributable by types j..d-1, for lower-bound pruning.
     suffix = [0] * (d + 1)
     for j in range(d - 1, -1, -1):
@@ -130,9 +130,8 @@ def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
 
 
 def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
-                      window: tuple[int, int],
-                      allowed: tuple[bool, ...]) -> list[tuple[int, ...]]:
-    """All c with 0 <= c <= cap, load within window, zero on disallowed types.
+                      window: tuple[int, int]) -> list[tuple[int, ...]]:
+    """All c with 0 <= c <= cap and load within window.
 
     Output is in ascending lexicographic order (first coordinate most
     significant), which every consumer relies on for determinism.
@@ -140,7 +139,7 @@ def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
     if any(x < 0 for x in cap):
         raise MalformedInputError("cap must be >= 0")
     lower, upper = window
-    return list(_enumerate(tuple(p), tuple(cap), lower, upper, tuple(allowed)))
+    return list(_enumerate(tuple(p), tuple(cap), lower, upper))
 
 
 def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionConstants | None:
@@ -157,8 +156,8 @@ def build_model(inst: Instance, windows, *,
     ``0 <= lower <= upper`` for every type, with machines or not
     (MalformedInputError otherwise).  The model asks for job usage
     exactly ``inst.n`` (``demand_relation`` ``=``) or at most ``inst.n``
-    (``<=``).  Columns live within the reduced window, restricted to the
-    type's allowed job set, and capped at ``inst.n``: under either
+    (``<=``).  Columns live within the reduced window, capped at ``inst.n``
+    and at 0 on the job types the machine type may not run: under either
     relation no machine takes more of a job type than the whole demand.
 
     Each machine type with machines contributes its column groups in one
@@ -188,6 +187,7 @@ def build_model(inst: Instance, windows, *,
         if inst.m[t] == 0:
             continue
         allowed = inst.allowed_row(t)
+        cap = tuple(nj if a else 0 for nj, a in zip(inst.n, allowed))
         parts = [("core", 1, (lower, upper))]
         consts = _type_constants(inst.p, allowed)
         if consts is not None:
@@ -200,7 +200,7 @@ def build_model(inst: Instance, windows, *,
             if per_machine:
                 groups.append(ModelGroup(
                     t, role, inst.m[t] * per_machine, part,
-                    tuple(enumerate_configs(inst.p, inst.n, part, allowed))))
+                    tuple(enumerate_configs(inst.p, cap, part))))
                 if not groups[-1].configs:
                     return ConfILPModel(inst.p, inst.n, demand_relation,
                                         tuple(groups), tuple(windows))

@@ -322,35 +322,46 @@ def balanced_feasibility(inst: Instance, rel: str,
     form of a minimum-completion question (speeds already raised by
     pmax - 1, see ``idle_cmax_speeds``) and answers: is there a
     schedule using at most n whose idle load is at most pmax - 1 on
-    every machine at threshold 1?
+    every machine at threshold 1?  Another relation, or no machine above
+    the large-machine cutoff, raises ``MalformedInputError``.
 
-    Machines faster than the large-machine cutoff (there must be one, or
-    ``MalformedInputError`` is raised) are handled by enumerating the
-    three integral vectors that determine the rounded fractional
-    schedule for the (unknown) jobs of the fast machines: the common
-    floor phase (entries in [0, pmax]), the spread phase floor, and the
-    floored proportional phase of the fastest machine.
+    The loop enumerates the three integral vectors that determine the
+    rounded fractional schedule for the (unknown) jobs of the fast
+    machines: the common floor phase g1a (load at most the cutoff), the
+    spread phase floor g1b (load at most what g1a leaves of it), and the
+    floored proportional phase g2 of the fastest machine (load at most
+    area2_max, its speed above the cutoff).  Caps keep the fractional
+    usage ``mL * (g1a + g1b) * area2_max + area_2 * g2`` within ``n *
+    area2_max``: g1a_j <= min(pmax, n_j // mL), g1b_j <= n_j // mL -
+    g1a_j and g2_j <= (n_j - mL * (g1a_j + g1b_j)) * area2_max // area_2,
+    the last two 0 unless g1a_j == pmax (type j saturated).
     ``balancing.guess_configs`` turns each guess into integer
     configurations, one per fast type: the floor or the ceiling of that
-    schedule's entries.  A guess with an empty spread phase (case 1,
-    ``<=`` only) gives each fast machine 2 + the ceiling and leaves the
-    rest to the slow machines (no model is solved when the rest exceeds
-    their summed speed); any other guess (case 2) preassigns
+    schedule's entries.  ``info["guesses"]`` counts the guesses the loop
+    visits, and it attempts every one.
+
+    A guess with an empty spread phase (case 1) gives each fast machine
+    2 + the ceiling and leaves the rest to the slow machines (no model
+    is solved when the rest exceeds their summed speed).  Case 1 is
+    argued only for makespan questions, so for ``>=`` g1b's load window
+    starts at 1.  Any other guess (case 2) preassigns
     ``balancing.reduced_schedule`` of the floor and solves the residual
     model.  Every residual asks ``_solve_at_one`` the question's
     relation, which fixes usage ``=`` for ``<=``, ``<=`` for ``>=``.
-    Case 1's fast machines may take more than
-    n, so ``_trim_to_demand`` drops the surplus.  Case 2 never does: the
-    guess filter ``mL * (g1a + g1b) * area2_max + area_2 * g2 <= n *
-    area2_max`` bounds the fractional usage by n, and flooring and
-    ``reduced_schedule`` only lower entries, so its residual demand is
-    n minus the preassignment exactly.  Guesses are pruned by the
-    structural bounds the construction guarantees; every surviving guess
-    yields either a schedule or a discarded guess, so enumeration order
-    cannot affect soundness.  The schedule is not certified here:
-    ``feasibility`` certifies it once, lifted, against the caller's
-    instance.
+    Case 1's fast machines may take more than n, so ``_trim_to_demand``
+    drops the surplus.  Case 2 never does: the caps bound the fractional
+    usage by n, and flooring and ``reduced_schedule`` only lower
+    entries, so its residual demand is n minus the preassignment
+    exactly.  Nor does it overload a fast machine: the floored row of
+    speed s has load at most dot(p, g1a + g1b) + (s - cutoff) /
+    area2_max * dot(p, g2) <= s, so no residual speed is negative.
+    Every guess yields either a schedule or a discarded guess, so
+    enumeration order cannot affect soundness.  The schedule is not
+    certified here: ``feasibility`` certifies it once, lifted, against
+    the caller's instance.
     """
+    if rel not in (LE, GE):
+        raise MalformedInputError(f"bad relation {rel!r}")
     d, p, n, pmax = inst.d, inst.p, inst.n, inst.pmax
     idle_cap = None if rel == LE else pmax - 1
     cutoff = large_machine_cutoff(d, pmax)
@@ -366,15 +377,9 @@ def balanced_feasibility(inst: Instance, rel: str,
     fast_s = tuple(inst.s[t] for t in large)
     fast_m = tuple(inst.m[t] for t in large)
     mL = sum(fast_m)
-    smax = max(fast_s)
-    area2_max = smax - cutoff
+    area2_max = max(fast_s) - cutoff
     area_2 = sum(m * (s - cutoff) for s, m in zip(fast_s, fast_m))
     sum_p = sum(p)
-    # Per-entry guess caps: besides the capacity bound ceil(smax / p_j),
-    # no guessed entry can exceed n_j (each is at most the fast machines'
-    # per-type job count divided by at least one machine).
-    guess_cap = tuple(min(-(-smax // pj), nj) for pj, nj in zip(p, n))
-    g1a_cap = tuple(min(pmax, nj) for nj in n)
     zeros = (0,) * d
 
     def solve_residual(types: list[int], speeds: list[int],
@@ -410,8 +415,6 @@ def balanced_feasibility(inst: Instance, rel: str,
         pre = reduced_schedule(guess_configs(fast_s, cutoff, g1a, g1b, g2),
                                idle_cap, inst.pmin, pmax)
         speeds = [s - dot(p, c) for c, s in zip(pre, fast_s)]
-        if min(speeds) < 0:
-            return None
         residual = tuple(v - u for u, v in zip(placed(pre), n))
         part = solve_residual(large + small,
                               speeds + [inst.s[t] for t in small], residual)
@@ -423,26 +426,22 @@ def balanced_feasibility(inst: Instance, rel: str,
                 else c, count) for t, c, count in part]
         return make_schedule(d, raw)
 
-    # Integer form of the rounded schedule using at most n:
-    #   mL*(g1a+g1b)[j]*area2_max + area_2*g2[j] <= n_j*area2_max
-    all_true = tuple(True for _ in range(d))
-    for g1a in enumerate_configs(p, g1a_cap, (0, cutoff), all_true):
-        saturated = tuple(g1a[j] == pmax for j in range(d))
-        room = cutoff - dot(p, g1a)
-        for g1b in enumerate_configs(p, guess_cap, (0, room), saturated):
+    g1a_cap = tuple(min(pmax, nj // mL) for nj in n)
+    g1b_lower = 0 if rel == LE else 1
+    for g1a in enumerate_configs(p, g1a_cap, (0, cutoff)):
+        g1b_cap = tuple(nj // mL - a if a == pmax else 0
+                        for a, nj in zip(g1a, n))
+        for g1b in enumerate_configs(p, g1b_cap,
+                                     (g1b_lower, cutoff - dot(p, g1a))):
             case1 = not any(g1b)
-            g2_lo = 0 if case1 else max(0, area2_max - sum_p + 1)
-            for g2 in enumerate_configs(p, guess_cap, (g2_lo, area2_max),
-                                        saturated):
-                if any(mL * (g1a[j] + g1b[j]) * area2_max + area_2 * g2[j]
-                       > n[j] * area2_max for j in range(d)):
-                    continue
+            g2_cap = tuple((nj - mL * (a + b)) * area2_max // area_2
+                           if a == pmax else 0
+                           for a, b, nj in zip(g1a, g1b, n))
+            g2_lower = 0 if case1 else max(0, area2_max - sum_p + 1)
+            for g2 in enumerate_configs(p, g2_cap, (g2_lower, area2_max)):
                 info["guesses"] += 1
-                if case1:
-                    # case 1 is only argued for makespan questions
-                    sched = attempt_case1(g1a, g2) if rel == LE else None
-                else:
-                    sched = attempt_case2(g1a, g1b, g2)
+                sched = (attempt_case1(g1a, g2) if case1
+                         else attempt_case2(g1a, g1b, g2))
                 if sched is not None:
                     info["case"] = 1 if case1 else 2
                     return sched, info

@@ -733,9 +733,58 @@ def unreduced_model(inst: Instance, windows, *,
     """``build_model`` with every type's raw window as its only group."""
     groups = tuple(
         ModelGroup(t, "core", inst.m[t], window, tuple(enumerate_configs(
-            inst.p, inst.n, window, inst.allowed_row(t))))
+            inst.p, tuple(nj if a else 0 for nj, a in
+                          zip(inst.n, inst.allowed_row(t))), window)))
         for t, window in enumerate(windows) if inst.m[t] > 0)
     return ConfILPModel(inst.p, inst.n, demand_relation, groups, tuple(windows))
+
+
+# ---------------------------------------------------------------------------
+# The guess loop as a filtered box
+# ---------------------------------------------------------------------------
+# ``drivers.balanced_feasibility`` enumerates its guesses within caps.
+# This is the loop it replaced: a box of (g1a, g1b, g2) with g1b and g2
+# masked to the types g1a saturates, a "uses at most n" filter on each
+# triple, and ``>=`` case-1 guesses visited but never attempted.  Its
+# own box enumeration shares no code with ``confilp.enumerate_configs``.
+
+def _box(p, cap, lower, upper):
+    """Vectors 0 <= c <= cap with load in [lower, upper], lexicographic."""
+    def rec(j, load):
+        if j == len(p):
+            if load >= lower:
+                yield ()
+            return
+        for c in range(cap[j] + 1):
+            if load + c * p[j] > upper:
+                break
+            for rest in rec(j + 1, load + c * p[j]):
+                yield (c, *rest)
+    return rec(0, 0)
+
+
+def reference_guesses(inst: Instance, rel: str):
+    """The guesses the filtered-box loop attempts, in order."""
+    p, n, pmax = inst.p, inst.n, inst.pmax
+    cutoff = large_machine_cutoff(inst.d, pmax)
+    fast = [(s, m) for s, m in zip(inst.s, inst.m) if m > 0 and s > cutoff]
+    mL = sum(m for _, m in fast)
+    smax = max(s for s, _ in fast)
+    area2_max = smax - cutoff
+    area_2 = sum(m * (s - cutoff) for s, m in fast)
+    guess_cap = [min(-(-smax // pj), nj) for pj, nj in zip(p, n)]
+    for g1a in _box(p, [min(pmax, nj) for nj in n], 0, cutoff):
+        masked = [c if a == pmax else 0 for c, a in zip(guess_cap, g1a)]
+        for g1b in _box(p, masked, 0, cutoff - dot(p, g1a)):
+            case1 = not any(g1b)
+            g2_lo = 0 if case1 else max(0, area2_max - sum(p) + 1)
+            for g2 in _box(p, masked, g2_lo, area2_max):
+                if any(mL * (a + b) * area2_max + area_2 * x > nj * area2_max
+                       for a, b, x, nj in zip(g1a, g1b, g2, n)):
+                    continue
+                if case1 and rel != "<=":
+                    continue
+                yield g1a, g1b, g2
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from helpers import (
     is_regular,
     large_instance_stream,
     load_multiple_subvector,
+    reference_guesses,
     relative_weights,
     round_schedule,
     rounded_schedule,
@@ -105,7 +106,7 @@ def test_reduced_schedule_margins():
 
 
 def test_filtered_guesses_place_at_most_n():
-    # The balanced pipeline keeps a guess only if
+    # The balanced pipeline caps its guesses so that
     #   mL * (g1a + g1b)_j * area2_max + area_2 * g2_j <= n_j * area2_max,
     # i.e. the fast machines' fractional usage is at most n.  Flooring
     # and the balancing margin only lower entries, so the preassignment
@@ -124,7 +125,7 @@ def test_filtered_guesses_place_at_most_n():
         area_2 = sum(k * (s - cutoff) for s, k in zip(speeds, m))
         g1a, g1b, g2 = (tuple(rnd.randint(0, 2 * pmax) for _ in p)
                         for _ in range(3))
-        # n at the filter's boundary or a little above it
+        # n at the caps' boundary or a little above it
         need = [-(-(mL * (a + b) * area2_max + area_2 * x) // area2_max)
                 for a, b, x in zip(g1a, g1b, g2)]
         n = tuple(v + rnd.choice((0, 0, 1, 2)) for v in need)
@@ -139,6 +140,30 @@ def test_filtered_guesses_place_at_most_n():
         tight += tuple(need) == n
         checked += 1
     assert tight > 0
+
+
+def test_guesses_within_the_caps_keep_floored_rows_within_speed():
+    # Every guess within the balanced pipeline's caps (``reference_guesses``
+    # lists the same guesses) has floored rows with dot(p, row) <= s on
+    # each fast speed s, because dot(p, g1a + g1b) <= cutoff and
+    # dot(p, g2) <= area2_max.  So case 2's residual speeds are never
+    # negative.
+    rnd = random.Random(2404)
+    guesses = 0
+    for _ in range(150):
+        d = rnd.randint(1, 2)
+        p = tuple(rnd.randint(1, 4) for _ in range(d))
+        cutoff = large_machine_cutoff(d, max(p))
+        speeds = tuple(sorted({cutoff + rnd.randint(1, 30)
+                               for _ in range(rnd.randint(1, 3))}))
+        m = tuple(rnd.randint(1, 4) for _ in speeds)
+        n = tuple(rnd.randint(0, 12 * sum(m)) for _ in p)
+        for g1a, g1b, g2 in reference_guesses(Instance(p, n, speeds, m), "<="):
+            floors = guess_configs(speeds, cutoff, g1a, g1b, g2)
+            assert all(dot(p, row) <= s for row, s in zip(floors, speeds)), (
+                p, speeds, g1a, g1b, g2)
+            guesses += 1
+    assert guesses > 1000
 
 
 def test_cmin_conversion_formula():

@@ -38,10 +38,8 @@ from hmsched.oracle import (
 from hmsched.reduction import normalize
 
 
-def nested_loop_count(p, cap, lo, hi, allowed=None):
+def nested_loop_count(p, cap, lo, hi):
     """Independent d-nested-loop enumeration used to cross-check counts."""
-    if allowed is None:
-        allowed = [True] * len(p)
     total = 0
     stack = [(0, 0)]
     while stack:
@@ -49,21 +47,21 @@ def nested_loop_count(p, cap, lo, hi, allowed=None):
         if j == len(p):
             total += lo <= load <= hi
             continue
-        top = cap[j] if allowed[j] else 0
-        for c in range(top + 1):
+        for c in range(cap[j] + 1):
             stack.append((j + 1, load + c * p[j]))
     return total
 
 
 def test_enumerate_examples():
-    out = enumerate_configs((2, 3), (3, 2), (0, 6), (True, True))
+    out = enumerate_configs((2, 3), (3, 2), (0, 6))
     assert set(out) == {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2)}
     assert len(out) == 7
     assert out == sorted(out)  # deterministic lexicographic order
 
-    assert enumerate_configs((2, 3), (3, 2), (0, 0), (True, True)) == [(0, 0)]
+    assert enumerate_configs((2, 3), (3, 2), (0, 0)) == [(0, 0)]
 
-    restricted = enumerate_configs((2, 3), (3, 2), (0, 6), (True, False))
+    # a job type the machine may not run gets cap 0
+    restricted = enumerate_configs((2, 3), (3, 0), (0, 6))
     assert restricted == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
@@ -74,7 +72,7 @@ def test_enumerate_examples():
     ((3, 3), (5, 5), (6, 30)),
 ])
 def test_enumerate_count_matches_nested_loops(p, cap, window):
-    got = enumerate_configs(p, cap, window, (True,) * len(p))
+    got = enumerate_configs(p, cap, window)
     assert len(got) == nested_loop_count(p, cap, *window)
     assert len(set(got)) == len(got)
 
@@ -278,7 +276,7 @@ def hand_built_model(rnd, p=(1, 2)):
                 ("core", m, (0, 3)),
                 ("exact", m * epm, (lcm, lcm)),
                 ("slack", m * spm, (0, lcm))):
-            configs = tuple(enumerate_configs(p, (8, 8), window, (True, True)))
+            configs = tuple(enumerate_configs(p, (8, 8), window))
             groups.append(ModelGroup(t, role, count, window, configs))
             for _ in range(count):
                 pick = rnd.choice(configs)

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +45,12 @@ from hmsched.oracle import (
 from hmsched.reduction import normalized_speeds
 
 from helpers import _search_grid as reference_search_grid
-from helpers import guessing_corpus, instance_stream, reference_minimize_envy
+from helpers import (
+    guessing_corpus,
+    instance_stream,
+    reference_guesses,
+    reference_minimize_envy,
+)
 
 DATA = Path(__file__).parent / "data"
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
@@ -411,6 +417,58 @@ def test_balanced_guess_count_on_several_fast_machines():
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is None
 
 
+@pytest.mark.parametrize("rel", ["<", "bogus", "="])
+def test_balanced_rejects_other_relations(rel):
+    inst = Instance(p=(1,), n=(10,), s=(6,), m=(2,))
+    with pytest.raises(MalformedInputError):
+        balanced_feasibility(inst, rel)
+
+
+def _fast_instances(count, seed):
+    """1-3 fast types of 1-4 machines, sometimes slow types, loads near
+    the total speed."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        d = rnd.randint(1, 2)
+        p = tuple(rnd.randint(1, 3) for _ in range(d))
+        cutoff = large_machine_cutoff(d, max(p))
+        fast = rnd.sample(range(cutoff + 1, cutoff + 25), rnd.randint(1, 3))
+        slow = rnd.sample(range(1, cutoff + 1), rnd.choice((0, 0, 1, 2)))
+        s = tuple(sorted(fast + slow))
+        m = tuple(rnd.randint(1, 4) if x > cutoff else rnd.randint(1, 2)
+                  for x in s)
+        load = rnd.uniform(0.6, 1.05) * dot(s, m)
+        w = [rnd.random() for _ in p]
+        n = tuple(int(load * wj / sum(w) / pj) for wj, pj in zip(w, p))
+        yield Instance(p, n, s, m)
+
+
+def test_guess_loop_attempts_the_filtered_box_guesses(monkeypatch):
+    # The caps visit exactly the guesses the filtered box attempted, in
+    # its order, and ``guesses`` counts them: each attempt, case 1 or 2,
+    # builds its configurations once.
+    attempted = []
+    plain = drivers.guess_configs
+
+    def spy(speeds, cutoff, g1a, g1b, g2, up=False):
+        attempted.append((g1a, g1b, g2))
+        return plain(speeds, cutoff, g1a, g1b, g2, up)
+
+    monkeypatch.setattr(drivers, "guess_configs", spy)
+    outcomes = set()
+    for inst in _fast_instances(60, 2424):
+        for rel in ("<=", ">="):
+            attempted.clear()
+            sched, info = balanced_feasibility(inst, rel)
+            want = list(reference_guesses(inst, rel))
+            if sched is not None:
+                want = want[:len(attempted)]
+            assert attempted == want, (inst, rel)
+            assert info["guesses"] == len(attempted), (inst, rel)
+            outcomes.add((rel, sched is None))
+    assert len(outcomes) == 4
+
+
 def test_capacity_bound_solves_fast_machines_within_3000_states():
     # The fast-machine family p=(2,5), n=(30k+1, 20k), s=(2,3,6) at k=4,
     # solved directly.  Its probes' dynamic programs need between 3 000
@@ -479,7 +537,6 @@ def test_balanced_matches_direct_on_fast_instances():
 def test_guessing_path_optima_match_direct():
     # shapes whose size lcm clears the fast-machine cutoff after
     # compression, so the guessing pipeline really runs end to end
-    import random
     exercised = 0
     for seed in range(18):
         rnd = random.Random(4400 + seed)
