@@ -134,11 +134,16 @@ def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
     """All c with 0 <= c <= cap and load within window.
 
     Output is in ascending lexicographic order (first coordinate most
-    significant), which every consumer relies on for determinism.
+    significant), which every consumer relies on for determinism.  A
+    window with ``lower > upper``, or a box whose heaviest column, ``cap``
+    itself, loads less than ``lower``, is empty: that costs O(d) integer
+    steps and leaves no entry in ``_enumerate``'s cache.
     """
     if any(x < 0 for x in cap):
         raise MalformedInputError("cap must be >= 0")
     lower, upper = window
+    if lower > upper or sum(map(mul, p, cap)) < lower:
+        return []
     return list(_enumerate(tuple(p), tuple(cap), lower, upper))
 
 

@@ -340,25 +340,30 @@ def balanced_feasibility(inst: Instance, rel: str,
     schedule's entries.  ``info["guesses"]`` counts the guesses the loop
     visits, and it attempts every one.
 
-    A guess with an empty spread phase (case 1) gives each fast machine
-    2 + the ceiling and leaves the rest to the slow machines (no model
-    is solved when the rest exceeds their summed speed).  Case 1 is
+    A guess with an empty spread phase (case 1) gives each fast machine 2 +
+    the ceiling and leaves the rest to the slow machines (no model is solved
+    when the rest exceeds their summed speed, small_capacity).  Case 1 is
     argued only for makespan questions, so for ``>=`` g1b's load window
-    starts at 1.  Any other guess (case 2) preassigns
-    ``balancing.reduced_schedule`` of the floor and solves the residual
-    model.  Every residual asks ``_solve_at_one`` the question's
-    relation, which fixes usage ``=`` for ``<=``, ``<=`` for ``>=``.
-    Case 1's fast machines may take more than n, so ``_trim_to_demand``
-    drops the surplus.  Case 2 never does: the caps bound the fractional
-    usage by n, and flooring and ``reduced_schedule`` only lower
-    entries, so its residual demand is n minus the preassignment
-    exactly.  Nor does it overload a fast machine: the floored row of
-    speed s has load at most dot(p, g1a + g1b) + (s - cutoff) /
-    area2_max * dot(p, g2) <= s, so no residual speed is negative.
-    Every guess yields either a schedule or a discarded guess, so
-    enumeration order cannot affect soundness.  The schedule is not
-    certified here: ``feasibility`` certifies it once, lifted, against
-    the caller's instance.
+    starts at 1.  For ``<=`` case 1's g2 load window starts at ceil((P -
+    small_capacity - mL * (3 * sum_p + dot(p, g1a))) * area2_max / area_2),
+    P the total load, because no lighter g2 leaves a rest that fits: a
+    case-1 row of speed s holds 2 + g1a_j + ceil((s - cutoff) * g2_j /
+    area2_max) jobs of type j, so its load is below 3 * sum_p + dot(p, g1a)
+    + (s - cutoff) * dot(p, g2) / area2_max; the rest loads at least P minus
+    the fast rows' loads, and the fast machines' s - cutoff sum to area_2.
+    Any other guess (case 2) preassigns ``balancing.reduced_schedule`` of
+    the floor and solves the residual model.  Every residual asks
+    ``_solve_at_one`` the question's relation, which fixes usage ``=`` for
+    ``<=``, ``<=`` for ``>=``.  Case 1's fast machines may take more than n,
+    so ``_trim_to_demand`` drops the surplus.  Case 2 never does: the caps
+    bound the fractional usage by n, and flooring and ``reduced_schedule``
+    only lower entries, so its residual demand is n minus the preassignment
+    exactly.  Nor does it overload a fast machine: the floored row of speed
+    s has load at most dot(p, g1a + g1b) + (s - cutoff) / area2_max * dot(p,
+    g2) <= s, so no residual speed is negative.  Every guess yields either a
+    schedule or a discarded guess, so enumeration order cannot affect
+    soundness.  The schedule is not certified here: ``feasibility``
+    certifies it once, lifted, against the caller's instance.
     """
     if rel not in (LE, GE):
         raise MalformedInputError(f"bad relation {rel!r}")
@@ -429,6 +434,9 @@ def balanced_feasibility(inst: Instance, rel: str,
     g1a_cap = tuple(min(pmax, nj // mL) for nj in n)
     g1b_lower = 0 if rel == LE else 1
     for g1a in enumerate_configs(p, g1a_cap, (0, cutoff)):
+        # a case-1 g2 loads at least need * area2_max / area_2 (see above)
+        need = (inst.total_load - small_capacity
+                - mL * (3 * sum_p + dot(p, g1a)))
         g1b_cap = tuple(nj // mL - a if a == pmax else 0
                         for a, nj in zip(g1a, n))
         for g1b in enumerate_configs(p, g1b_cap,
@@ -437,7 +445,8 @@ def balanced_feasibility(inst: Instance, rel: str,
             g2_cap = tuple((nj - mL * (a + b)) * area2_max // area_2
                            if a == pmax else 0
                            for a, b, nj in zip(g1a, g1b, n))
-            g2_lower = 0 if case1 else max(0, area2_max - sum_p + 1)
+            g2_lower = max(0, -(-need * area2_max // area_2) if case1
+                           else area2_max - sum_p + 1)
             for g2 in enumerate_configs(p, g2_cap, (g2_lower, area2_max)):
                 info["guesses"] += 1
                 sched = (attempt_case1(g1a, g2) if case1

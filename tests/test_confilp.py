@@ -77,6 +77,18 @@ def test_enumerate_count_matches_nested_loops(p, cap, window):
     assert len(set(got)) == len(got)
 
 
+@pytest.mark.parametrize("p,cap,window", [
+    ((2, 3), (3, 2), (13, 20)),  # the heaviest column loads 12
+    ((4, 5), (1, 1), (10, 30)),  # the heaviest column loads 9
+    ((2, 3), (3, 2), (7, 6)),  # lower end above the upper end
+])
+def test_empty_box_leaves_no_cache_entry(p, cap, window):
+    before = confilp._enumerate.cache_info()
+    assert enumerate_configs(p, cap, window) == []
+    assert confilp._enumerate.cache_info() == before
+    assert nested_loop_count(p, cap, *window) == 0
+
+
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))
 
 

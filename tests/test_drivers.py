@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 from hmsched import cli, drivers
-from hmsched.balancing import idle_cmax_speeds, large_machine_cutoff
+from hmsched.balancing import (
+    guess_configs,
+    idle_cmax_speeds,
+    large_machine_cutoff,
+)
 from hmsched.confilp import (
     ResourceLimitError,
     build_model,
@@ -376,12 +380,14 @@ def test_balanced_two_fast_machines():
 
 @pytest.mark.parametrize("n, s, guesses, remainder", [
     ((20, 11), (36, 45, 69, 72), 1, ((16, 7), (36, 45))),
-    ((28, 9), (8, 43, 73, 74), 24, ((10, 5), (8, 43))),
+    ((28, 9), (8, 43, 73, 74), 12, ((10, 5), (8, 43))),
 ])
 def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
     # Cutoff 64: two fast and two slow machines.  A guess with an empty
     # spread phase gives each fast machine 2 plus its ceiling, the slow
     # machines take the rest of n exactly, and the surplus is trimmed.
+    # The second instance attempts 12 guesses; 12 more, each leaving the
+    # slow machines more than they hold, fall below the case-1 bound.
     inst = Instance(p=(3, 4), n=n, s=s, m=(1, 1, 1, 1))
     assert large_machine_cutoff(inst.d, inst.pmax) == 64
     asked = []
@@ -405,16 +411,29 @@ def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
 def test_balanced_guess_count_on_several_fast_machines():
     # Three speed-73 machines (cutoff 64).  The load 218 fits in 219, but
     # no schedule exists at threshold 1, so the guess loop runs to its
-    # end.  With more than one machine on a fast type the "uses at most n"
-    # prune depends on the machine counts in area_2; 30 guesses survive
-    # it (31 if area_2 ignored the counts).
+    # end.  With more than one machine on a fast type the g2 caps and the
+    # case-1 bound depend on the machine counts in area_2; 23 guesses
+    # pass them (24 if area_2 ignored the counts, 30 without the bound).
     inst = Instance(p=(3, 4), n=(2, 53), s=(73,), m=(3,))
     assert inst.s[0] > large_machine_cutoff(inst.d, inst.pmax)
     assert inst.total_load <= inst.s[0] * inst.m[0]
     sched, info = balanced_feasibility(inst, "<=")
     assert sched is None
-    assert info == {"path": "balanced", "guesses": 30, "case": None}
+    assert info == {"path": "balanced", "guesses": 23, "case": None}
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is None
+
+
+def test_case_one_bound_leaves_one_guess_on_a_held_out_instance():
+    # guess-80006 of the held-out guessing corpus.  Every case-1 guess
+    # leaves the speed-1 machine more than it can hold, so the bound
+    # drops the 557 case-1 guesses the loop once attempted and the first
+    # case-2 guess succeeds, with the value and schedule it always had.
+    inst = Instance(p=(4, 5), n=(28, 24), s=(1, 6), m=(1, 1))
+    result = minimize_makespan(inst)
+    assert result.value == Fraction(199, 6)
+    assert result.schedule.entries == ((0, (2, 5), 1), (1, (26, 19), 1))
+    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1,
+                            "case": 2}
 
 
 @pytest.mark.parametrize("rel", ["<", "bogus", "="])
@@ -443,30 +462,72 @@ def _fast_instances(count, seed):
         yield Instance(p, n, s, m)
 
 
+def _fast_and_slow(inst):
+    cutoff = large_machine_cutoff(inst.d, inst.pmax)
+    fast = [(s, m) for s, m in zip(inst.s, inst.m) if m > 0 and s > cutoff]
+    slow_capacity = sum(s * m for s, m in zip(inst.s, inst.m)
+                        if m > 0 and s <= cutoff)
+    return cutoff, fast, slow_capacity
+
+
+def _below_case_one_bound(inst, g1a, g1b, g2):
+    """dot(p, g2) < ceil((P - slow capacity - mL * (3 * sum(p) + dot(p,
+    g1a))) * area2_max / area_2) on a case-1 guess."""
+    cutoff, fast, slow_capacity = _fast_and_slow(inst)
+    mL = sum(m for _, m in fast)
+    area2_max = max(s for s, _ in fast) - cutoff
+    area_2 = sum(m * (s - cutoff) for s, m in fast)
+    need = inst.total_load - slow_capacity - mL * (3 * sum(inst.p)
+                                                   + dot(inst.p, g1a))
+    return not any(g1b) and dot(inst.p, g2) * area_2 < need * area2_max
+
+
+def _case_one_remainder_fits(inst, g1a, g1b, g2):
+    """Whether the slow machines can hold what a case-1 guess leaves:
+    n minus 2 plus each fast row's rounded-up entries, floored at 0."""
+    cutoff, fast, slow_capacity = _fast_and_slow(inst)
+    rows = guess_configs(tuple(s for s, _ in fast), cutoff, g1a, g1b, g2,
+                         up=True)
+    remainder = [max(nj - sum(m * (2 + row[j]) for (_, m), row
+                              in zip(fast, rows)), 0)
+                 for j, nj in enumerate(inst.n)]
+    return dot(inst.p, remainder) <= slow_capacity
+
+
 def test_guess_loop_attempts_the_filtered_box_guesses(monkeypatch):
-    # The caps visit exactly the guesses the filtered box attempted, in
-    # its order, and ``guesses`` counts them: each attempt, case 1 or 2,
-    # builds its configurations once.
+    # The caps visit the guesses the filtered box attempted, in its order,
+    # minus exactly the case-1 guesses below the bound on dot(p, g2), and
+    # ``guesses`` counts them: each attempt, case 1 or 2, builds its
+    # configurations once.  Every guess the bound drops leaves the slow
+    # machines more load than they can hold.
     attempted = []
-    plain = drivers.guess_configs
 
     def spy(speeds, cutoff, g1a, g1b, g2, up=False):
         attempted.append((g1a, g1b, g2))
-        return plain(speeds, cutoff, g1a, g1b, g2, up)
+        return guess_configs(speeds, cutoff, g1a, g1b, g2, up)
 
     monkeypatch.setattr(drivers, "guess_configs", spy)
     outcomes = set()
+    dropped = 0
     for inst in _fast_instances(60, 2424):
         for rel in ("<=", ">="):
             attempted.clear()
             sched, info = balanced_feasibility(inst, rel)
-            want = list(reference_guesses(inst, rel))
+            want = []
+            for guess in reference_guesses(inst, rel):
+                if _below_case_one_bound(inst, *guess):
+                    assert not _case_one_remainder_fits(inst, *guess), (
+                        inst, guess)
+                    dropped += 1
+                else:
+                    want.append(guess)
             if sched is not None:
                 want = want[:len(attempted)]
             assert attempted == want, (inst, rel)
             assert info["guesses"] == len(attempted), (inst, rel)
             outcomes.add((rel, sched is None))
     assert len(outcomes) == 4
+    assert dropped > 0
 
 
 def test_capacity_bound_solves_fast_machines_within_3000_states():
