@@ -18,8 +18,8 @@ Exit codes:
   under every ``--method``;
 - 2: no feasible schedule exists (a restricted job type with no machine
   allowed to run it), for ``solve`` and ``check`` alike;
-- 3: resource limit exceeded: the solver's state budget, or the size
-  caps of ``--method oracle``;
+- 3: resource limit exceeded: the solver's state budget, the size caps
+  of ``--method oracle``, or memory;
 - 4: ``check`` found the certificate violated.
 
 The solver's state budget is read from the environment variable
@@ -368,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NO_SCHEDULE
     except (ResourceLimitError, oracle.OracleCapError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -165,6 +165,22 @@ def build_model(inst: Instance, windows, *,
     and at 0 on the job types the machine type may not run: under either
     relation no machine takes more of a job type than the whole demand.
 
+    Before any column is listed, each window with machines is narrowed
+    by what the other machines must carry.  Let ``whole = dot(p, n)``,
+    and ``most`` and ``least`` the sums of ``m_t * upper_t`` and ``m_t *
+    lower_t`` over the types with machines.  Then ``upper_t`` becomes
+    ``min(upper_t, whole - (least - lower_t))`` under both relations and
+    ``lower_t`` becomes ``max(lower_t, whole - (most - upper_t))`` under
+    ``=``, both from the caller's window.  Proof: the loads of all
+    machines sum to ``whole`` under ``=`` and to at most ``whole`` under
+    ``<=``, and every other machine's load lies in its window, between
+    ``least - lower_t`` and ``most - upper_t`` in sum; so one machine of
+    type t loads at most ``whole - (least - lower_t)``, and under ``=`` at
+    least ``whole - (most - upper_t)``.  Every schedule of the model
+    meets the narrowed windows, so no verdict changes; the model keeps
+    the caller's windows as ``raw_windows``.  A window the narrowing
+    empties becomes a core group without a column.
+
     Each machine type with machines contributes its column groups in one
     loop over (role, blocks per machine, window), roles in the order
     core, exact, slack.  The type's window goes through
@@ -187,15 +203,22 @@ def build_model(inst: Instance, windows, *,
         if not 0 <= lower <= upper:
             raise MalformedInputError(f"bad window [{lower}, {upper}]")
 
+    whole = dot(inst.p, inst.n)
+    most = sum(m * upper for m, (_, upper) in zip(inst.m, windows))
+    least = sum(m * lower for m, (lower, _) in zip(inst.m, windows))
     groups: list[ModelGroup] = []
     for t, (lower, upper) in enumerate(windows):
         if inst.m[t] == 0:
             continue
+        lower, upper = (
+            lower if demand_relation == JOB_LE
+            else max(lower, whole - (most - upper)),
+            min(upper, whole - (least - lower)))
         allowed = inst.allowed_row(t)
         cap = tuple(nj if a else 0 for nj, a in zip(inst.n, allowed))
         parts = [("core", 1, (lower, upper))]
         consts = _type_constants(inst.p, allowed)
-        if consts is not None:
+        if consts is not None and lower <= upper:
             red = reduce_window(lower, upper, consts)
             lcm = consts.lcm_load
             parts = [("core", 1, (red.core_lower, red.core_upper)),

@@ -352,7 +352,10 @@ def balanced_feasibility(inst: Instance, rel: str,
     + (s - cutoff) * dot(p, g2) / area2_max; the rest loads at least P minus
     the fast rows' loads, and the fast machines' s - cutoff sum to area_2.
     Any other guess (case 2) preassigns ``balancing.reduced_schedule`` of
-    the floor and solves the residual model.  Every residual asks
+    the floor and solves the residual model.  Its g2 load window starts at
+    area2_max - sum_p + 1 whatever g1b is, and g2's cap is largest at g1b =
+    0, so when that cap's load is below the start no case-2 g2 exists for
+    this g1a and g1b is enumerated only at 0.  Every residual asks
     ``_solve_at_one`` the question's relation, which fixes usage ``=`` for
     ``<=``, ``<=`` for ``>=``.  Case 1's fast machines may take more than n,
     so ``_trim_to_demand`` drops the surplus.  Case 2 never does: the caps
@@ -439,6 +442,11 @@ def balanced_feasibility(inst: Instance, rel: str,
                 - mL * (3 * sum_p + dot(p, g1a)))
         g1b_cap = tuple(nj // mL - a if a == pmax else 0
                         for a, nj in zip(g1a, n))
+        # every case-2 g2 box of this g1a is empty (see above)
+        if sum(pj * ((nj - mL * a) * area2_max // area_2)
+               for pj, a, nj in zip(p, g1a, n)
+               if a == pmax) < area2_max - sum_p + 1:
+            g1b_cap = zeros
         for g1b in enumerate_configs(p, g1b_cap,
                                      (g1b_lower, cutoff - dot(p, g1a))):
             case1 = not any(g1b)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hmsched import drivers
 from hmsched.cli import (
     instance_from_doc,
     instance_to_doc,
@@ -331,6 +332,20 @@ def test_oracle_above_caps_exit_code(tmp_path, capsys):
     assert main(["solve", str(path), "--objective", "cmax",
                  "--method", "oracle"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("objective, driver", [
+    ("cmax", "minimize_makespan"), ("cenvy", "minimize_envy")])
+def test_out_of_memory_exits_as_a_resource_limit(monkeypatch, capsys,
+                                                 objective, driver):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(drivers, driver, exhausted)
+    assert main(["solve", str(FIG1), "--objective", objective]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: out of memory\n"
 
 
 def test_oracle_method_maps_driver_rejections(tmp_path, capsys):

@@ -23,6 +23,7 @@ from hmsched.model import (
     CertificateError,
     FeasibilityQuery,
     Instance,
+    JOB_LE,
     MalformedInputError,
     aggregate_jobs,
     dot,
@@ -152,20 +153,61 @@ def test_solve_empty_demand():
 
 
 def test_reduced_windows_bookkeeping():
+    # Usage at most n leaves both windows as they are: the lone machine
+    # may carry less than the whole load of 100.
     inst = Instance(p=(2, 3), n=(20, 20), s=(100,), m=(1,))
-    groups = build_model(inst, [(40, 100)]).groups
+    groups = build_model(inst, [(40, 100)], demand_relation=JOB_LE).groups
     assert [(g.role, g.count) for g in groups] == [
         ("core", 1), ("exact", 1), ("slack", 4)]
     assert [g.window for g in groups] == [(34, 70), (6, 6), (0, 6)]
 
-    groups = build_model(inst, [(0, 5)]).groups
+    groups = build_model(inst, [(0, 5)], demand_relation=JOB_LE).groups
     assert [(g.role, g.count) for g in groups] == [("core", 1)]
     assert groups[0].window == (0, 5)
 
+    # Usage exactly n: the lone machine carries all 100, so [40, 100]
+    # narrows to [100, 100] and [0, 5] empties; the raw windows stay.
+    model = build_model(inst, [(40, 100)])
+    assert [(g.role, g.count, g.window) for g in model.groups] == [
+        ("core", 1, (34, 34)), ("exact", 11, (6, 6))]
+    assert model.raw_windows == ((40, 100),)
+    model = build_model(inst, [(0, 5)])
+    assert [(g.role, g.configs) for g in model.groups] == [("core", ())]
+    assert solve_model(model) is None
+
+
+def _effective_windows(inst, model):
+    """Each type's load window as its groups carry it: a core plus its
+    blocks per machine, so the sums of count * lower and count * upper
+    over the type's groups are m_t times the window ``build_model`` cut."""
+    out = {}
+    for g in model.groups:
+        lo, hi = out.get(g.machine_type, (0, 0))
+        out[g.machine_type] = (lo + g.count * g.window[0],
+                               hi + g.count * g.window[1])
+    return {t: (lo // inst.m[t], hi // inst.m[t])
+            for t, (lo, hi) in out.items()}
+
+
+def _narrowed(inst, windows, relation):
+    """The windows ``build_model`` is meant to cut, computed on its own."""
+    whole = dot(inst.p, inst.n)
+    machines = [(t, w) for t, w in enumerate(windows) if inst.m[t]]
+    most = sum(inst.m[t] * hi for t, (_, hi) in machines)
+    least = sum(inst.m[t] * lo for t, (lo, _) in machines)
+    out = {}
+    for t, (lo, hi) in machines:
+        # every other machine's load lies in its window, and all loads
+        # sum to the whole load (at most that for "<=")
+        new_hi = min(hi, whole - (least - lo))
+        new_lo = lo if relation == "<=" else max(lo, whole - (most - hi))
+        out[t] = (new_lo, new_hi)
+    return out
+
 
 def test_reduction_does_not_change_verdicts():
-    checked = 0
-    for seed in range(40):
+    checked = narrowed = emptied = 0
+    for seed in range(120):
         inst = generate(GenParams(seed=700 + seed, job_total_range=(0, 9),
                                   machine_count_range=(1, 3),
                                   speed_range=(1, 9),
@@ -177,6 +219,9 @@ def test_reduction_does_not_change_verdicts():
         # + pmax_t - 1] with usage at most n, which has the same verdict
         # whenever every demanded job type has a machine that may run it.
         assert assignable(inst), inst
+        rnd = random.Random(seed)
+        share = dot(inst.p, inst.n) // inst.machine_count
+        asked = []
         for rel in ("<=", ">="):
             if rel == "<=":
                 windows = [(0, (T * s).__floor__()) for s in inst.s]
@@ -189,18 +234,46 @@ def test_reduction_does_not_change_verdicts():
                                if a), default=1)
                     windows.append((lower, lower + top - 1))
                 relation = "<="
-            with_red = solve_model(build_model(inst, windows,
-                                               demand_relation=relation))
+            asked.append((rel, windows, relation))
+        # windows with positive lower ends around an even share, under
+        # both relations, with no oracle to ask
+        for _ in range(3):
+            windows = []
+            for _ in inst.s:
+                lower = rnd.randint(0, share + 2)
+                windows.append((lower, lower + rnd.randint(0, share + 4)))
+            asked += [(None, windows, "="), (None, windows, "<=")]
+        for rel, windows, relation in asked:
+            model = build_model(inst, windows, demand_relation=relation)
+            assert model.raw_windows == tuple(windows)
+            narrow = _narrowed(inst, windows, relation)
+            last = model.groups[-1]
+            if last.configs:
+                assert _effective_windows(inst, model) == narrow, (
+                    inst, windows, relation)
+                narrowed += narrow != {t: w for t, w in enumerate(windows)
+                                       if inst.m[t]}
+            else:
+                # a group without a column ends the model; the first type
+                # whose window empties ends it at its core at the latest
+                empty = [t for t, (lo, hi) in narrow.items() if lo > hi]
+                assert not empty or last.machine_type <= empty[0]
+                emptied += bool(empty)
+            with_red = solve_model(model)
             without = solve_model(unreduced_model(inst, windows,
                                                   demand_relation=relation))
-            assert (with_red is None) == (without is None), (inst, rel, T)
+            assert (with_red is None) == (without is None), (
+                inst, windows, relation)
+            if rel is None:
+                continue
             try:
                 want = brute_force_feasibility(inst, rel, T)
             except OracleCapError:
                 continue
             assert (with_red is not None) == want, (inst, rel, T)
             checked += 1
-    assert checked >= 40
+    assert checked >= 200
+    assert narrowed >= 250 and emptied >= 300
 
 
 def test_solved_schedules_respect_windows():

@@ -436,6 +436,27 @@ def test_case_one_bound_leaves_one_guess_on_a_held_out_instance():
                             "case": 2}
 
 
+def test_case_two_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
+    # One speed-1 type of two machines: no g1a with g1b = 0 leaves a g2
+    # box that reaches case 2's lower end, so g1b is enumerated only at 0
+    # for those g1a.  The loop asked 1 702 192 boxes, 1 698 094 of them
+    # empty, before it skipped them.
+    calls = []
+    enumerate_configs = drivers.enumerate_configs
+
+    def spy(p, cap, window):
+        calls.append(window)
+        return enumerate_configs(p, cap, window)
+
+    monkeypatch.setattr(drivers, "enumerate_configs", spy)
+    inst = Instance(p=(2, 3, 5, 7), n=(401, 300, 200, 100), s=(1,), m=(2,))
+    result = minimize_makespan(inst)
+    assert result.value == 1701
+    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1,
+                            "case": 2}
+    assert len(calls) == 8194
+
+
 @pytest.mark.parametrize("rel", ["<", "bogus", "="])
 def test_balanced_rejects_other_relations(rel):
     inst = Instance(p=(1,), n=(10,), s=(6,), m=(2,))
@@ -635,6 +656,25 @@ def test_balanced_path_matches_its_golden_record():
             "schedule": cli.schedule_to_doc(result.schedule),
         }
         assert got == {k: rec[k] for k in got}, (rec["objective"], inst)
+
+
+def test_guessing_corpus_models_hold_380_columns(monkeypatch):
+    # Each type's window is narrowed by what the other machines must
+    # carry before any column is listed; without that the same models
+    # held 5 441 columns.
+    columns = []
+    build_model = drivers.build_model
+
+    def spy(inst, windows, **kwargs):
+        model = build_model(inst, windows, **kwargs)
+        columns.append(sum(len(g.configs) for g in model.groups))
+        return model
+
+    monkeypatch.setattr(drivers, "build_model", spy)
+    solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
+    for kind, inst, want in guessing_corpus():
+        assert solver[kind](inst).value == want, (kind, inst)
+    assert (len(columns), sum(columns)) == (19, 380)
 
 
 @pytest.mark.parametrize("method", ["auto", "confilp"])
