@@ -12,8 +12,8 @@ Exit codes:
   choice, or a missing argument), a ``gen``/``bench`` range the
   generator rejects, a negative ``bench --count``, an unreadable or
   ill-typed instance, schedule or ``--value``, an unwritable
-  ``--output``, a non-integer HMSCHED_STATE_LIMIT, or an instance that
-  ``solve`` and ``check`` cannot take (``drivers.admit``): no job types,
+  ``--output``, a non-integer or negative HMSCHED_STATE_LIMIT, or an
+  instance that ``solve`` and ``check`` cannot take (``drivers.admit``): no job types,
   no machines, or a restricted instance with ``--objective cenvy``,
   under every ``--method``;
 - 2: no feasible schedule exists (a restricted job type with no machine

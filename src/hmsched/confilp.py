@@ -75,10 +75,14 @@ def state_limit_default() -> int:
     if not raw:
         return DEFAULT_STATE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise MalformedInputError(
             f"{STATE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
+    if limit < 0:
+        raise MalformedInputError(
+            f"{STATE_LIMIT_ENV} must be >= 0, got {raw!r}")
+    return limit
 
 
 @dataclass(frozen=True)

@@ -340,30 +340,37 @@ def balanced_feasibility(inst: Instance, rel: str,
     schedule's entries.  ``info["guesses"]`` counts the guesses the loop
     visits, and it attempts every one.
 
-    A guess with an empty spread phase (case 1) gives each fast machine 2 +
-    the ceiling and leaves the rest to the slow machines (no model is solved
-    when the rest exceeds their summed speed, small_capacity).  Case 1 is
-    argued only for makespan questions, so for ``>=`` g1b's load window
-    starts at 1.  For ``<=`` case 1's g2 load window starts at ceil((P -
-    small_capacity - mL * (3 * sum_p + dot(p, g1a))) * area2_max / area_2),
-    P the total load, because no lighter g2 leaves a rest that fits: a
-    case-1 row of speed s holds 2 + g1a_j + ceil((s - cutoff) * g2_j /
-    area2_max) jobs of type j, so its load is below 3 * sum_p + dot(p, g1a)
-    + (s - cutoff) * dot(p, g2) / area2_max; the rest loads at least P minus
-    the fast rows' loads, and the fast machines' s - cutoff sum to area_2.
+    Every attempted guess preassigns one row per fast type and asks
+    ``_solve_at_one`` once, with the question's relation (usage ``=`` for
+    ``<=``, ``<=`` for ``>=``), on a residual instance that lists every
+    machine type, the fast types first at the speeds their rows leave, and
+    demands n minus the rows, floored at 0; the rows are then folded back.
+    A guess with an empty spread phase (case 1) preassigns 2 + the ceiling
+    and closes the fast machines (speed 0): each takes its row and nothing
+    else, the slow machines take the rest of n exactly, and
+    ``_trim_to_demand`` drops what the rows hold beyond n.  A case-1 row of
+    speed s holds 2 + g1a_j + ceil((s - cutoff) * g2_j / area2_max) jobs of
+    type j, so its load is below 3 * sum_p + dot(p, g1a) + (s - cutoff) *
+    dot(p, g2) / area2_max <= (pmax + 3) * sum_p + s - cutoff < s (g1a_j <=
+    pmax, dot(p, g2) <= area2_max, sum_p <= d * pmax): it fits its machine.
+    Case 1 is argued only for makespan questions, so for ``>=`` g1b's load
+    window starts at 1.  For ``<=`` case 1's g2 load window starts at
+    ceil((P - small_capacity - mL * (3 * sum_p + dot(p, g1a))) * area2_max
+    / area_2), P the total load and small_capacity the slow machines'
+    summed speed, because no lighter g2 leaves a rest that fits: the rest
+    loads at least P minus the rows' loads, and the fast machines' s -
+    cutoff sum to area_2.
     Any other guess (case 2) preassigns ``balancing.reduced_schedule`` of
-    the floor and solves the residual model.  Its g2 load window starts at
-    area2_max - sum_p + 1 whatever g1b is, and g2's cap is largest at g1b =
-    0, so when that cap's load is below the start no case-2 g2 exists for
-    this g1a and g1b is enumerated only at 0.  Every residual asks
-    ``_solve_at_one`` the question's relation, which fixes usage ``=`` for
-    ``<=``, ``<=`` for ``>=``.  Case 1's fast machines may take more than n,
-    so ``_trim_to_demand`` drops the surplus.  Case 2 never does: the caps
-    bound the fractional usage by n, and flooring and ``reduced_schedule``
-    only lower entries, so its residual demand is n minus the preassignment
-    exactly.  Nor does it overload a fast machine: the floored row of speed
-    s has load at most dot(p, g1a + g1b) + (s - cutoff) / area2_max * dot(p,
-    g2) <= s, so no residual speed is negative.  Every guess yields either a
+    the floor and leaves each fast machine its speed minus its row's load.
+    Its g2 load window starts at area2_max - sum_p + 1 whatever g1b is, and
+    g2's cap is largest at g1b = 0, so when that cap's load is below the
+    start no case-2 g2 exists for this g1a and g1b is enumerated only at 0.
+    Case 2 never places more than n: the caps bound the fractional usage by
+    n, and flooring and ``reduced_schedule`` only lower entries, so its
+    residual demand is n minus the preassignment exactly.  Nor does it
+    overload a fast machine: the floored row of speed s has load at most
+    dot(p, g1a + g1b) + (s - cutoff) / area2_max * dot(p, g2) <= s, so no
+    residual speed is negative.  Every guess yields either a
     schedule or a discarded guess, so enumeration order cannot affect
     soundness.  The schedule is not certified here: ``feasibility``
     certifies it once, lifted, against the caller's instance.
@@ -380,8 +387,8 @@ def balanced_feasibility(inst: Instance, rel: str,
     small_capacity = sum(inst.s[t] * inst.m[t] for t in small)
     info: dict = {"path": "balanced", "guesses": 0, "case": None}
 
-    # Case 2's residual instance lists the fast types first, in the order
-    # of ``large``.
+    # Every residual instance lists the fast types first, in the order of
+    # ``large``.
     fast_s = tuple(inst.s[t] for t in large)
     fast_m = tuple(inst.m[t] for t in large)
     mL = sum(fast_m)
@@ -389,50 +396,28 @@ def balanced_feasibility(inst: Instance, rel: str,
     area_2 = sum(m * (s - cutoff) for s, m in zip(fast_s, fast_m))
     sum_p = sum(p)
     zeros = (0,) * d
+    types = large + small
+    slow_s = tuple(inst.s[t] for t in small)
+    sub_m = tuple(inst.m[t] for t in types)
+    closed = (0,) * len(large)
 
-    def solve_residual(types: list[int], speeds: list[int],
-                       demand: tuple[int, ...]
-                       ) -> list[tuple[int, tuple[int, ...], int]] | None:
-        sub = Instance(p, demand, tuple(speeds), tuple(inst.m[t] for t in types))
-        part = _solve_at_one(sub, rel, state_limit)
+    def attempt(rows, spare: tuple[int, ...]) -> HMSchedule | None:
+        # preassign ``rows``, one per fast type, whose machines keep speeds
+        # ``spare`` for the residual
+        placed = [sum(m * r[j] for m, r in zip(fast_m, rows))
+                  for j in range(d)]
+        demand = tuple(max(v - u, 0) for u, v in zip(placed, n))
+        part = _solve_at_one(Instance(p, demand, spare + slow_s, sub_m),
+                             rel, state_limit)
         if part is None:
             return None
-        return [(types[k], counts, count) for k, counts, count in part.entries]
-
-    def placed(configs: list[tuple[int, ...]]) -> list[int]:
-        return [sum(m * c[j] for m, c in zip(fast_m, configs)) for j in range(d)]
-
-    def attempt_case1(g1a, g2) -> HMSchedule | None:
-        configs = [tuple(2 + x for x in row) for row in
-                   guess_configs(fast_s, cutoff, g1a, zeros, g2, up=True)]
-        if any(dot(p, c) > s for c, s in zip(configs, fast_s)):
-            return None
-        remainder = tuple(max(v - u, 0) for u, v in zip(placed(configs), n))
-        # the slow machines take the remainder within their capacity
-        if dot(p, remainder) > small_capacity:
-            return None
-        raw = [(t, c, m) for t, c, m in zip(large, configs, fast_m)]
-        if small:
-            part = solve_residual(small, [inst.s[t] for t in small], remainder)
-            if part is None:
-                return None
-            raw += part
-        return _trim_to_demand(make_schedule(d, raw), n)
-
-    def attempt_case2(g1a, g1b, g2) -> HMSchedule | None:
-        pre = reduced_schedule(guess_configs(fast_s, cutoff, g1a, g1b, g2),
-                               idle_cap, inst.pmin, pmax)
-        speeds = [s - dot(p, c) for c, s in zip(pre, fast_s)]
-        residual = tuple(v - u for u, v in zip(placed(pre), n))
-        part = solve_residual(large + small,
-                              speeds + [inst.s[t] for t in small], residual)
-        if part is None:
-            return None
-        # Fold the preassignment back into the residual configurations.
-        base = dict(zip(large, pre))
-        raw = [(t, tuple(a + b for a, b in zip(c, base[t])) if t in base
-                else c, count) for t, c, count in part]
-        return make_schedule(d, raw)
+        sched = make_schedule(d, [
+            (types[k], c if k >= len(rows)
+             else tuple(a + b for a, b in zip(c, rows[k])), count)
+            for k, c, count in part.entries])
+        if any(u > v for u, v in zip(placed, n)):
+            sched = _trim_to_demand(sched, n)
+        return sched
 
     g1a_cap = tuple(min(pmax, nj // mL) for nj in n)
     g1b_lower = 0 if rel == LE else 1
@@ -457,8 +442,16 @@ def balanced_feasibility(inst: Instance, rel: str,
                            else area2_max - sum_p + 1)
             for g2 in enumerate_configs(p, g2_cap, (g2_lower, area2_max)):
                 info["guesses"] += 1
-                sched = (attempt_case1(g1a, g2) if case1
-                         else attempt_case2(g1a, g1b, g2))
+                if case1:
+                    sched = attempt([tuple(2 + x for x in row) for row in
+                                     guess_configs(fast_s, cutoff, g1a, zeros,
+                                                   g2, up=True)], closed)
+                else:
+                    rows = reduced_schedule(
+                        guess_configs(fast_s, cutoff, g1a, g1b, g2),
+                        idle_cap, inst.pmin, pmax)
+                    sched = attempt(rows, tuple(
+                        s - dot(p, r) for r, s in zip(rows, fast_s)))
                 if sched is not None:
                     info["case"] = 1 if case1 else 2
                     return sched, info

@@ -314,6 +314,21 @@ def test_non_integer_state_limit_is_malformed():
     assert b"Traceback" not in err
 
 
+def test_negative_state_limit_is_malformed(tmp_path):
+    # a budget of 0 stays valid: it fails only the solves that build states
+    path = tmp_path / "p23.json"
+    path.write_text(json.dumps({"p": [2, 3], "n": [47, 32], "s": [5, 7],
+                                "m": [16, 16]}))
+    code, out, err = run_cli("solve", str(path), "--objective", "cmin",
+                             env={"HMSCHED_STATE_LIMIT": "-5"})
+    assert code == 1, (out, err)
+    assert b"HMSCHED_STATE_LIMIT" in err
+    assert b"Traceback" not in err
+    code, out, err = run_cli("solve", str(FIG1), "--objective", "cmax",
+                             env={"HMSCHED_STATE_LIMIT": "0"})
+    assert code == 0, (out, err)
+
+
 def test_state_limit_is_read_before_solving(tmp_path, monkeypatch, capsys):
     # this instance's incumbent meets the area bound, so no solve builds
     # a model; the limit is still read, and rejected

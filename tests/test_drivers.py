@@ -379,12 +379,13 @@ def test_balanced_two_fast_machines():
 
 
 @pytest.mark.parametrize("n, s, guesses, remainder", [
-    ((20, 11), (36, 45, 69, 72), 1, ((16, 7), (36, 45))),
-    ((28, 9), (8, 43, 73, 74), 12, ((10, 5), (8, 43))),
+    ((20, 11), (36, 45, 69, 72), 1, ((16, 7), (0, 0, 36, 45))),
+    ((28, 9), (8, 43, 73, 74), 12, ((10, 5), (0, 0, 8, 43))),
 ])
 def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
     # Cutoff 64: two fast and two slow machines.  A guess with an empty
-    # spread phase gives each fast machine 2 plus its ceiling, the slow
+    # spread phase gives each fast machine 2 plus its ceiling and closes
+    # it: the residual lists the fast types first at speed 0, the slow
     # machines take the rest of n exactly, and the surplus is trimmed.
     # The second instance attempts 12 guesses; 12 more, each leaving the
     # slow machines more than they hold, fall below the case-1 bound.
@@ -406,6 +407,48 @@ def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
     assert report.ok, report.violations
     assert aggregate_jobs(sched) == inst.n
     assert brute_force_feasibility(inst, "<=", Fraction(1))
+
+
+def _certified_case_one(inst, sched, info, guesses):
+    assert info == {"path": "balanced", "guesses": guesses, "case": 1}
+    report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
+    assert report.ok, report.violations
+    assert aggregate_jobs(sched) == inst.n
+    assert feasibility(inst, "<=", Fraction(1), method="confilp") is not None
+
+
+def test_balanced_case_one_refutes_a_slow_residual_that_fits(monkeypatch):
+    # Cutoff 24: one speed-34 machine is fast, and the slow machines sum
+    # to speed 52.  A case-1 guess leaves them the demand (22, 4), whose
+    # load 52 fits their speed, but they hold at most 3 + 11 + 11 jobs of
+    # size 2, so that residual is refuted; the next guess succeeds.
+    inst = Instance(p=(2, 2), n=(24, 8), s=(6, 23, 34), m=(1, 2, 1))
+    refuted = []
+    solve_at_one = drivers._solve_at_one
+
+    def spy(sub, rel, state_limit):
+        part = solve_at_one(sub, rel, state_limit)
+        if part is None and dot(sub.p, sub.n) <= 52:
+            refuted.append(sub.n)
+        return part
+
+    monkeypatch.setattr(drivers, "_solve_at_one", spy)
+    sched, info = balanced_feasibility(inst, "<=")
+    assert refuted == [(22, 4)]
+    _certified_case_one(inst, sched, info, 4)
+
+
+def test_balanced_case_one_trim_splits_a_run():
+    # Cutoff 10: three speed-14 and two speed-24 machines are fast.  The
+    # succeeding case-1 guess closes them with the rows (4, 6) and (4, 13),
+    # 20 jobs of type 0 where n asks 18.  The trim passes over the slow
+    # machine's entry, which holds no type-0 job, and takes the surplus
+    # from one of the three speed-14 machines, splitting their run.
+    inst = Instance(p=(1, 1), n=(18, 46), s=(2, 14, 24), m=(1, 3, 2))
+    sched, info = balanced_feasibility(inst, "<=")
+    assert sched.entries == ((0, (0, 2), 1), (1, (2, 6), 1), (1, (4, 6), 2),
+                             (2, (4, 13), 2))
+    _certified_case_one(inst, sched, info, 16)
 
 
 def test_balanced_guess_count_on_several_fast_machines():
@@ -549,6 +592,25 @@ def test_guess_loop_attempts_the_filtered_box_guesses(monkeypatch):
             outcomes.add((rel, sched is None))
     assert len(outcomes) == 4
     assert dropped > 0
+
+
+def test_case_one_rows_fit_their_machines():
+    # A closed case-1 row, 2 plus its ceiling, loads below (pmax + 3) *
+    # sum(p) + s - cutoff < s, so case 1 needs no overload check.  The
+    # bound holds on every case-1 guess within the caps, attempted or not.
+    checked = 0
+    for inst in _fast_instances(60, 2424):
+        cutoff, fast, _ = _fast_and_slow(inst)
+        speeds = tuple(s for s, _ in fast)
+        for g1a, g1b, g2 in reference_guesses(inst, "<="):
+            if any(g1b):
+                continue
+            rows = guess_configs(speeds, cutoff, g1a, g1b, g2, up=True)
+            for row, s in zip(rows, speeds):
+                load = dot(inst.p, [2 + x for x in row])
+                assert load < (inst.pmax + 3) * sum(inst.p) + s - cutoff <= s
+                checked += 1
+    assert checked > 1000
 
 
 def test_capacity_bound_solves_fast_machines_within_3000_states():
