@@ -21,7 +21,7 @@ Rounding keeps three integral vectors: the floored phases 1a and 1b
 machine's phase 2 is its share of area 2 relative to the fastest
 machine's, (s - cutoff) / (smax - cutoff), times g2.  The balanced
 pipeline guesses (g1a, g1b, g2) and needs only each rounded entry's
-floor or ceiling, which ``guess_configs`` computes in integers.  The
+floor, which ``guess_configs`` computes in integers.  The
 fractional construction itself is the tests' reference
 (``tests/helpers.build_fractional_schedule``).
 """
@@ -35,19 +35,15 @@ def large_machine_cutoff(d: int, pmax: int) -> int:
 
 
 def guess_configs(speeds: tuple[int, ...], cutoff: int, g1a: tuple[int, ...],
-                  g1b: tuple[int, ...], g2: tuple[int, ...],
-                  up: bool = False) -> tuple[tuple[int, ...], ...]:
-    """The rounded schedule of one guess, per speed, rounded down or up.
+                  g1b: tuple[int, ...], g2: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """The floored rounded schedule of one guess, per speed.
 
-    Entry j for speed s is g1a_j + g1b_j + (s - cutoff) * g2_j /
-    (max(speeds) - cutoff); every speed exceeds the cutoff.  The result
-    holds its floor, or its ceiling with ``up``.
+    Entry j for speed s is the floor of g1a_j + g1b_j + (s - cutoff) *
+    g2_j / (max(speeds) - cutoff); every speed exceeds the cutoff.
     """
     top = max(speeds) - cutoff
     base = [a + b for a, b in zip(g1a, g1b)]
-    if up:
-        return tuple(tuple(b - (-(s - cutoff) * x // top) for b, x in zip(base, g2))
-                     for s in speeds)
     return tuple(tuple(b + (s - cutoff) * x // top for b, x in zip(base, g2))
                  for s in speeds)
 

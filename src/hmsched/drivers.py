@@ -34,10 +34,11 @@ the rounded fractional schedule on the fast machines, builds its
 integer configurations (``balancing.guess_configs``),
 preassigns their floor minus the balancing margin
 (``balancing.reduced_schedule``), solves the much smaller residual
-model, and lifts the schedule back (``reduction.lift_schedule``).
-Either way the answer is certified by verify_schedule before being
-returned; a wrong guess can only surface as a discarded guess, never as
-a wrong verdict.  Each schedule the
+model, and lifts the schedule back (``reduction.lift_schedule``).  A
+probe that no guess answers asks the direct model of the compressed
+instance, so guessing only ever finds schedules and every refutation
+comes from an exact model.  Either way the answer is certified by
+verify_schedule before being returned.  Each schedule the
 threshold driver returns is verified once against the caller's
 instance, by ``_incumbent`` or by the ``feasibility`` call that found
 it, at a threshold its own value meets.
@@ -231,36 +232,6 @@ def _certify(inst: Instance, sched: HMSchedule, q: FeasibilityQuery) -> None:
         raise CertificateError("; ".join(report.violations))
 
 
-def _trim_to_demand(sched: HMSchedule, n: tuple[int, ...]) -> HMSchedule:
-    """Remove excess jobs until usage equals n (loads only decrease)."""
-    usage = aggregate_jobs(sched)
-    if any(u < v for u, v in zip(usage, n)):
-        raise CertificateError(f"usage {usage} under-covers demand {n}")
-    work = list(sched.entries)
-    for j in range(sched.d):
-        excess = usage[j] - n[j]
-        i = 0
-        while excess > 0:
-            t, counts, count = work[i]
-            if counts[j] == 0:
-                i += 1
-                continue
-            total = min(excess, counts[j] * count)
-            full, partial = divmod(total, counts[j])
-            work[i] = (t, counts, count - full - (1 if partial else 0))
-            if full:
-                emptied = list(counts)
-                emptied[j] = 0
-                work.append((t, emptied, full))
-            if partial:
-                reduced = list(counts)
-                reduced[j] -= partial
-                work.append((t, reduced, 1))
-            excess -= total
-            i += 1
-    return make_schedule(sched.d, work)
-
-
 def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
     """Add leftover jobs until usage equals inst.n (loads only increase).
 
@@ -328,51 +299,39 @@ def balanced_feasibility(inst: Instance, rel: str,
     The loop enumerates the three integral vectors that determine the
     rounded fractional schedule for the (unknown) jobs of the fast
     machines: the common floor phase g1a (load at most the cutoff), the
-    spread phase floor g1b (load at most what g1a leaves of it), and the
-    floored proportional phase g2 of the fastest machine (load at most
-    area2_max, its speed above the cutoff).  Caps keep the fractional
-    usage ``mL * (g1a + g1b) * area2_max + area_2 * g2`` within ``n *
-    area2_max``: g1a_j <= min(pmax, n_j // mL), g1b_j <= n_j // mL -
-    g1a_j and g2_j <= (n_j - mL * (g1a_j + g1b_j)) * area2_max // area_2,
-    the last two 0 unless g1a_j == pmax (type j saturated).
-    ``balancing.guess_configs`` turns each guess into integer
-    configurations, one per fast type: the floor or the ceiling of that
-    schedule's entries.  ``info["guesses"]`` counts the guesses the loop
-    visits, and it attempts every one.
+    spread phase floor g1b (load from 1 to what g1a leaves of the
+    cutoff), and the floored proportional phase g2 of the fastest
+    machine (load from area2_max - sum_p + 1 to area2_max, its speed
+    above the cutoff).  Caps keep the fractional usage ``mL * (g1a +
+    g1b) * area2_max + area_2 * g2`` within ``n * area2_max``: g1a_j <=
+    min(pmax, n_j // mL), g1b_j <= n_j // mL - g1a_j and g2_j <= (n_j -
+    mL * (g1a_j + g1b_j)) * area2_max // area_2, the last two 0 unless
+    g1a_j == pmax (type j saturated).  g2's window starts at area2_max
+    - sum_p + 1: phase 1b holds jobs only once phase 2 fills area 2, so
+    with g1b non-empty the fastest machine's phase 2 loads area2_max,
+    and flooring it loses less than sum_p.  g2's cap is largest at g1b = 0,
+    so a g1a whose g2 box there loads less than g2's lower end has no
+    g2 at all and is skipped whole.  ``info["guesses"]`` counts the
+    guesses the loop visits, and it attempts every one.
 
-    Every attempted guess preassigns one row per fast type and asks
-    ``_solve_at_one`` once, with the question's relation (usage ``=`` for
-    ``<=``, ``<=`` for ``>=``), on a residual instance that lists every
-    machine type, the fast types first at the speeds their rows leave, and
-    demands n minus the rows, floored at 0; the rows are then folded back.
-    A guess with an empty spread phase (case 1) preassigns 2 + the ceiling
-    and closes the fast machines (speed 0): each takes its row and nothing
-    else, the slow machines take the rest of n exactly, and
-    ``_trim_to_demand`` drops what the rows hold beyond n.  A case-1 row of
-    speed s holds 2 + g1a_j + ceil((s - cutoff) * g2_j / area2_max) jobs of
-    type j, so its load is below 3 * sum_p + dot(p, g1a) + (s - cutoff) *
-    dot(p, g2) / area2_max <= (pmax + 3) * sum_p + s - cutoff < s (g1a_j <=
-    pmax, dot(p, g2) <= area2_max, sum_p <= d * pmax): it fits its machine.
-    Case 1 is argued only for makespan questions, so for ``>=`` g1b's load
-    window starts at 1.  For ``<=`` case 1's g2 load window starts at
-    ceil((P - small_capacity - mL * (3 * sum_p + dot(p, g1a))) * area2_max
-    / area_2), P the total load and small_capacity the slow machines'
-    summed speed, because no lighter g2 leaves a rest that fits: the rest
-    loads at least P minus the rows' loads, and the fast machines' s -
-    cutoff sum to area_2.
-    Any other guess (case 2) preassigns ``balancing.reduced_schedule`` of
-    the floor and leaves each fast machine its speed minus its row's load.
-    Its g2 load window starts at area2_max - sum_p + 1 whatever g1b is, and
-    g2's cap is largest at g1b = 0, so when that cap's load is below the
-    start no case-2 g2 exists for this g1a and g1b is enumerated only at 0.
-    Case 2 never places more than n: the caps bound the fractional usage by
-    n, and flooring and ``reduced_schedule`` only lower entries, so its
-    residual demand is n minus the preassignment exactly.  Nor does it
-    overload a fast machine: the floored row of speed s has load at most
-    dot(p, g1a + g1b) + (s - cutoff) / area2_max * dot(p, g2) <= s, so no
-    residual speed is negative.  Every guess yields either a
-    schedule or a discarded guess, so enumeration order cannot affect
-    soundness.  The schedule is not certified here: ``feasibility``
+    Every guess preassigns ``balancing.reduced_schedule`` of the floors
+    that ``balancing.guess_configs`` gives, one row per fast type, and
+    asks ``_solve_at_one`` once, with the question's relation (usage
+    ``=`` for ``<=``, ``<=`` for ``>=``), on a residual instance that
+    lists every machine type, the fast types first at their speed minus
+    their row's load, and demands n minus the rows; the rows are then
+    folded back.  The rows never place more than n: the caps bound the
+    fractional usage by n, and flooring and ``reduced_schedule`` only
+    lower entries.  Nor does a row overload its machine: the floored row
+    of speed s has load at most dot(p, g1a + g1b) + (s - cutoff) /
+    area2_max * dot(p, g2) <= s, so no residual speed is negative.  A
+    guess yields either a schedule or nothing, so enumeration order
+    cannot affect soundness.
+
+    When no guess yields a schedule, the question goes to the direct
+    model of ``inst`` itself (``info["path"] == "direct-confilp"``),
+    which is exact, so every None this returns is a refutation of that
+    model.  The schedule is not certified here: ``feasibility``
     certifies it once, lifted, against the caller's instance.
     """
     if rel not in (LE, GE):
@@ -384,8 +343,7 @@ def balanced_feasibility(inst: Instance, rel: str,
     if not large:
         raise MalformedInputError("the guessing pipeline needs a fast machine")
     small = [t for t in range(inst.tau) if inst.m[t] > 0 and t not in large]
-    small_capacity = sum(inst.s[t] * inst.m[t] for t in small)
-    info: dict = {"path": "balanced", "guesses": 0, "case": None}
+    info: dict = {"path": "balanced", "guesses": 0}
 
     # Every residual instance lists the fast types first, in the order of
     # ``large``.
@@ -394,68 +352,39 @@ def balanced_feasibility(inst: Instance, rel: str,
     mL = sum(fast_m)
     area2_max = max(fast_s) - cutoff
     area_2 = sum(m * (s - cutoff) for s, m in zip(fast_s, fast_m))
-    sum_p = sum(p)
-    zeros = (0,) * d
+    g2_lower = max(0, area2_max - sum(p) + 1)
     types = large + small
     slow_s = tuple(inst.s[t] for t in small)
     sub_m = tuple(inst.m[t] for t in types)
-    closed = (0,) * len(large)
-
-    def attempt(rows, spare: tuple[int, ...]) -> HMSchedule | None:
-        # preassign ``rows``, one per fast type, whose machines keep speeds
-        # ``spare`` for the residual
-        placed = [sum(m * r[j] for m, r in zip(fast_m, rows))
-                  for j in range(d)]
-        demand = tuple(max(v - u, 0) for u, v in zip(placed, n))
-        part = _solve_at_one(Instance(p, demand, spare + slow_s, sub_m),
-                             rel, state_limit)
-        if part is None:
-            return None
-        sched = make_schedule(d, [
-            (types[k], c if k >= len(rows)
-             else tuple(a + b for a, b in zip(c, rows[k])), count)
-            for k, c, count in part.entries])
-        if any(u > v for u, v in zip(placed, n)):
-            sched = _trim_to_demand(sched, n)
-        return sched
 
     g1a_cap = tuple(min(pmax, nj // mL) for nj in n)
-    g1b_lower = 0 if rel == LE else 1
     for g1a in enumerate_configs(p, g1a_cap, (0, cutoff)):
-        # a case-1 g2 loads at least need * area2_max / area_2 (see above)
-        need = (inst.total_load - small_capacity
-                - mL * (3 * sum_p + dot(p, g1a)))
+        if sum(pj * ((nj - mL * a) * area2_max // area_2)
+               for pj, a, nj in zip(p, g1a, n) if a == pmax) < g2_lower:
+            continue
         g1b_cap = tuple(nj // mL - a if a == pmax else 0
                         for a, nj in zip(g1a, n))
-        # every case-2 g2 box of this g1a is empty (see above)
-        if sum(pj * ((nj - mL * a) * area2_max // area_2)
-               for pj, a, nj in zip(p, g1a, n)
-               if a == pmax) < area2_max - sum_p + 1:
-            g1b_cap = zeros
-        for g1b in enumerate_configs(p, g1b_cap,
-                                     (g1b_lower, cutoff - dot(p, g1a))):
-            case1 = not any(g1b)
+        for g1b in enumerate_configs(p, g1b_cap, (1, cutoff - dot(p, g1a))):
             g2_cap = tuple((nj - mL * (a + b)) * area2_max // area_2
                            if a == pmax else 0
                            for a, b, nj in zip(g1a, g1b, n))
-            g2_lower = max(0, -(-need * area2_max // area_2) if case1
-                           else area2_max - sum_p + 1)
             for g2 in enumerate_configs(p, g2_cap, (g2_lower, area2_max)):
                 info["guesses"] += 1
-                if case1:
-                    sched = attempt([tuple(2 + x for x in row) for row in
-                                     guess_configs(fast_s, cutoff, g1a, zeros,
-                                                   g2, up=True)], closed)
-                else:
-                    rows = reduced_schedule(
-                        guess_configs(fast_s, cutoff, g1a, g1b, g2),
-                        idle_cap, inst.pmin, pmax)
-                    sched = attempt(rows, tuple(
-                        s - dot(p, r) for r, s in zip(rows, fast_s)))
-                if sched is not None:
-                    info["case"] = 1 if case1 else 2
-                    return sched, info
-    return None, info
+                rows = reduced_schedule(
+                    guess_configs(fast_s, cutoff, g1a, g1b, g2),
+                    idle_cap, inst.pmin, pmax)
+                demand = tuple(nj - sum(m * r[j] for m, r in zip(fast_m, rows))
+                               for j, nj in enumerate(n))
+                spare = tuple(s - dot(p, r) for r, s in zip(rows, fast_s))
+                part = _solve_at_one(Instance(p, demand, spare + slow_s, sub_m),
+                                     rel, state_limit)
+                if part is not None:
+                    return make_schedule(d, [
+                        (types[k], c if k >= len(rows)
+                         else tuple(a + b for a, b in zip(c, rows[k])), count)
+                        for k, c, count in part.entries]), info
+    info["path"] = "direct-confilp"
+    return _solve_at_one(inst, rel, state_limit), info
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +412,8 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     ``"confilp"``), the instance is unrestricted and compression leaves a
     machine above the large-machine cutoff, which the compressed speeds
     alone decide (``compress_machines``): it converts the compressed
-    instance, runs ``balanced_feasibility`` and lifts the schedule back.
+    instance, runs ``balanced_feasibility``, which asks that instance's
+    direct model when no guess answers, and lifts the schedule back.
     Every other probe asks one model on the normalized instance
     (``_solve_at_one``), whose load windows ``build_model`` cuts into the
     lcm blocks that compression would make.  Either way the probe builds

@@ -744,9 +744,9 @@ def unreduced_model(inst: Instance, windows, *,
 # ---------------------------------------------------------------------------
 # ``drivers.balanced_feasibility`` enumerates its guesses within caps.
 # This is the loop it replaced: a box of (g1a, g1b, g2) with g1b and g2
-# masked to the types g1a saturates, a "uses at most n" filter on each
-# triple, and ``>=`` case-1 guesses visited but never attempted.  Its
-# own box enumeration shares no code with ``confilp.enumerate_configs``.
+# masked to the types g1a saturates, g1b never empty, and a "uses at
+# most n" filter on each triple.  Its own box enumeration shares no code
+# with ``confilp.enumerate_configs``.
 
 def _box(p, cap, lower, upper):
     """Vectors 0 <= c <= cap with load in [lower, upper], lexicographic."""
@@ -763,8 +763,9 @@ def _box(p, cap, lower, upper):
     return rec(0, 0)
 
 
-def reference_guesses(inst: Instance, rel: str):
-    """The guesses the filtered-box loop attempts, in order."""
+def reference_guesses(inst: Instance):
+    """The guesses the filtered-box loop attempts, in order, for both
+    relations."""
     p, n, pmax = inst.p, inst.n, inst.pmax
     cutoff = large_machine_cutoff(inst.d, pmax)
     fast = [(s, m) for s, m in zip(inst.s, inst.m) if m > 0 and s > cutoff]
@@ -773,16 +774,13 @@ def reference_guesses(inst: Instance, rel: str):
     area2_max = smax - cutoff
     area_2 = sum(m * (s - cutoff) for s, m in fast)
     guess_cap = [min(-(-smax // pj), nj) for pj, nj in zip(p, n)]
+    g2_lo = max(0, area2_max - sum(p) + 1)
     for g1a in _box(p, [min(pmax, nj) for nj in n], 0, cutoff):
         masked = [c if a == pmax else 0 for c, a in zip(guess_cap, g1a)]
-        for g1b in _box(p, masked, 0, cutoff - dot(p, g1a)):
-            case1 = not any(g1b)
-            g2_lo = 0 if case1 else max(0, area2_max - sum(p) + 1)
+        for g1b in _box(p, masked, 1, cutoff - dot(p, g1a)):
             for g2 in _box(p, masked, g2_lo, area2_max):
                 if any(mL * (a + b) * area2_max + area_2 * x > nj * area2_max
                        for a, b, x, nj in zip(g1a, g1b, g2, n)):
-                    continue
-                if case1 and rel != "<=":
                     continue
                 yield g1a, g1b, g2
 

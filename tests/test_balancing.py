@@ -110,7 +110,7 @@ def test_filtered_guesses_place_at_most_n():
     #   mL * (g1a + g1b)_j * area2_max + area_2 * g2_j <= n_j * area2_max,
     # i.e. the fast machines' fractional usage is at most n.  Flooring
     # and the balancing margin only lower entries, so the preassignment
-    # never places more than n and case 2's residual demand is exact.
+    # never places more than n and the residual demand is exact.
     rnd = random.Random(920)
     checked = tight = 0
     while checked < 2000:
@@ -146,7 +146,7 @@ def test_guesses_within_the_caps_keep_floored_rows_within_speed():
     # Every guess within the balanced pipeline's caps (``reference_guesses``
     # lists the same guesses) has floored rows with dot(p, row) <= s on
     # each fast speed s, because dot(p, g1a + g1b) <= cutoff and
-    # dot(p, g2) <= area2_max.  So case 2's residual speeds are never
+    # dot(p, g2) <= area2_max.  So the residual speeds are never
     # negative.
     rnd = random.Random(2404)
     guesses = 0
@@ -158,7 +158,7 @@ def test_guesses_within_the_caps_keep_floored_rows_within_speed():
                                for _ in range(rnd.randint(1, 3))}))
         m = tuple(rnd.randint(1, 4) for _ in speeds)
         n = tuple(rnd.randint(0, 12 * sum(m)) for _ in p)
-        for g1a, g1b, g2 in reference_guesses(Instance(p, n, speeds, m), "<="):
+        for g1a, g1b, g2 in reference_guesses(Instance(p, n, speeds, m)):
             floors = guess_configs(speeds, cutoff, g1a, g1b, g2)
             assert all(dot(p, row) <= s for row, s in zip(floors, speeds)), (
                 p, speeds, g1a, g1b, g2)
@@ -228,10 +228,9 @@ def test_fractional_schedule_properties_sample():
 
 
 def test_guess_configs_round_the_reference_schedule():
-    # the balanced pipeline's integer configurations are the floor (and
-    # with up=True the ceiling) of the reference rounded schedule built
-    # over one zero-job shape, on each instance's own rounded data and on
-    # random guesses
+    # the balanced pipeline's integer configurations are the floor of
+    # the reference rounded schedule built over one zero-job shape, on
+    # each instance's own rounded data and on random guesses
     rnd = random.Random(910)
     checked = 0
     for inst in large_instance_stream(40, base_seed=910):
@@ -254,8 +253,6 @@ def test_guess_configs_round_the_reference_schedule():
                       for k in range(sub.tau)]
             assert guess_configs(sub.s, cutoff, g1a, g1b, g2) == tuple(
                 tuple(math.floor(x) for x in row) for row in totals), inst
-            assert guess_configs(sub.s, cutoff, g1a, g1b, g2, up=True) == tuple(
-                tuple(math.ceil(x) for x in row) for row in totals), inst
             checked += 1
     assert checked >= 400
 

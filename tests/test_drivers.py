@@ -370,25 +370,24 @@ def test_balanced_two_fast_machines():
     # cutoff is 5; two speed-6 machines are "fast"
     inst = Instance(p=(1,), n=(10,), s=(6,), m=(2,))
     sched, info = balanced_feasibility(inst, "<=")
-    assert sched is not None and info["case"] == 2
+    assert info == {"path": "balanced", "guesses": 1}
     report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
     assert report.ok
     over = Instance(p=(1,), n=(14,), s=(6,), m=(2,))
-    sched, _ = balanced_feasibility(over, "<=")
+    sched, info = balanced_feasibility(over, "<=")
     assert sched is None
+    assert info == {"path": "direct-confilp", "guesses": 4}
 
 
-@pytest.mark.parametrize("n, s, guesses, remainder", [
-    ((20, 11), (36, 45, 69, 72), 1, ((16, 7), (0, 0, 36, 45))),
-    ((28, 9), (8, 43, 73, 74), 12, ((10, 5), (0, 0, 8, 43))),
+@pytest.mark.parametrize("n, s, remainder", [
+    ((20, 11), (36, 45, 69, 72), ((17, 11), (66, 66, 36, 45))),
+    ((28, 9), (8, 43, 73, 74), ((23, 9), (67, 65, 8, 43))),
 ])
-def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
-    # Cutoff 64: two fast and two slow machines.  A guess with an empty
-    # spread phase gives each fast machine 2 plus its ceiling and closes
-    # it: the residual lists the fast types first at speed 0, the slow
-    # machines take the rest of n exactly, and the surplus is trimmed.
-    # The second instance attempts 12 guesses; 12 more, each leaving the
-    # slow machines more than they hold, fall below the case-1 bound.
+def test_balanced_case_one(monkeypatch, n, s, remainder):
+    # Cutoff 64: two fast and two slow machines.  The first guess
+    # preassigns its reduced floors, and its residual lists the fast
+    # types first at the speed their rows leave and asks the rest of n
+    # exactly.
     inst = Instance(p=(3, 4), n=n, s=s, m=(1, 1, 1, 1))
     assert large_machine_cutoff(inst.d, inst.pmax) == 64
     asked = []
@@ -400,90 +399,67 @@ def test_balanced_case_one(monkeypatch, n, s, guesses, remainder):
 
     monkeypatch.setattr(drivers, "_solve_at_one", spy)
     sched, info = balanced_feasibility(inst, "<=")
-    assert info == {"path": "balanced", "guesses": guesses, "case": 1}
-    # a "<=" question asks every residual for usage exactly its demand
-    assert asked[-1] == (*remainder, "<=")
-    report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
-    assert report.ok, report.violations
-    assert aggregate_jobs(sched) == inst.n
-    assert brute_force_feasibility(inst, "<=", Fraction(1))
+    assert asked == [(*remainder, "<=")]
+    _certified_first_guess(inst, sched, info)
 
 
-def _certified_case_one(inst, sched, info, guesses):
-    assert info == {"path": "balanced", "guesses": guesses, "case": 1}
+def _certified_first_guess(inst, sched, info):
+    assert info == {"path": "balanced", "guesses": 1}
     report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
     assert report.ok, report.violations
     assert aggregate_jobs(sched) == inst.n
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is not None
 
 
-def test_balanced_case_one_refutes_a_slow_residual_that_fits(monkeypatch):
+def test_balanced_case_one_refutes_a_slow_residual_that_fits():
     # Cutoff 24: one speed-34 machine is fast, and the slow machines sum
-    # to speed 52.  A case-1 guess leaves them the demand (22, 4), whose
-    # load 52 fits their speed, but they hold at most 3 + 11 + 11 jobs of
-    # size 2, so that residual is refuted; the next guess succeeds.
+    # to speed 52 but hold at most 3 + 11 + 11 jobs of size 2, so the
+    # fast machine must take most of n; the first guess does.
     inst = Instance(p=(2, 2), n=(24, 8), s=(6, 23, 34), m=(1, 2, 1))
-    refuted = []
-    solve_at_one = drivers._solve_at_one
-
-    def spy(sub, rel, state_limit):
-        part = solve_at_one(sub, rel, state_limit)
-        if part is None and dot(sub.p, sub.n) <= 52:
-            refuted.append(sub.n)
-        return part
-
-    monkeypatch.setattr(drivers, "_solve_at_one", spy)
     sched, info = balanced_feasibility(inst, "<=")
-    assert refuted == [(22, 4)]
-    _certified_case_one(inst, sched, info, 4)
+    _certified_first_guess(inst, sched, info)
 
 
 def test_balanced_case_one_trim_splits_a_run():
     # Cutoff 10: three speed-14 and two speed-24 machines are fast.  The
-    # succeeding case-1 guess closes them with the rows (4, 6) and (4, 13),
-    # 20 jobs of type 0 where n asks 18.  The trim passes over the slow
-    # machine's entry, which holds no type-0 job, and takes the surplus
-    # from one of the three speed-14 machines, splitting their run.
+    # first guess's floored rows place at most n, so its residual demand
+    # is the rest of n exactly.
     inst = Instance(p=(1, 1), n=(18, 46), s=(2, 14, 24), m=(1, 3, 2))
     sched, info = balanced_feasibility(inst, "<=")
-    assert sched.entries == ((0, (0, 2), 1), (1, (2, 6), 1), (1, (4, 6), 2),
-                             (2, (4, 13), 2))
-    _certified_case_one(inst, sched, info, 16)
+    _certified_first_guess(inst, sched, info)
 
 
 def test_balanced_guess_count_on_several_fast_machines():
     # Three speed-73 machines (cutoff 64).  The load 218 fits in 219, but
     # no schedule exists at threshold 1, so the guess loop runs to its
-    # end.  With more than one machine on a fast type the g2 caps and the
-    # case-1 bound depend on the machine counts in area_2; 23 guesses
-    # pass them (24 if area_2 ignored the counts, 30 without the bound).
+    # end and the direct model refutes the question.  With more than one
+    # machine on a fast type the g2 caps depend on the machine counts in
+    # area_2; 23 guesses pass them (24 if area_2 ignored the counts).
     inst = Instance(p=(3, 4), n=(2, 53), s=(73,), m=(3,))
     assert inst.s[0] > large_machine_cutoff(inst.d, inst.pmax)
     assert inst.total_load <= inst.s[0] * inst.m[0]
     sched, info = balanced_feasibility(inst, "<=")
     assert sched is None
-    assert info == {"path": "balanced", "guesses": 23, "case": None}
+    assert info == {"path": "direct-confilp", "guesses": 23}
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is None
 
 
 def test_case_one_bound_leaves_one_guess_on_a_held_out_instance():
-    # guess-80006 of the held-out guessing corpus.  Every case-1 guess
-    # leaves the speed-1 machine more than it can hold, so the bound
-    # drops the 557 case-1 guesses the loop once attempted and the first
-    # case-2 guess succeeds, with the value and schedule it always had.
+    # guess-80006 of the held-out guessing corpus: guesses whose spread
+    # phase is empty would leave the speed-1 machine more than it can
+    # hold, and the loop attempts none; its first guess succeeds.
     inst = Instance(p=(4, 5), n=(28, 24), s=(1, 6), m=(1, 1))
     result = minimize_makespan(inst)
     assert result.value == Fraction(199, 6)
     assert result.schedule.entries == ((0, (2, 5), 1), (1, (26, 19), 1))
-    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1,
-                            "case": 2}
+    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1}
 
 
 def test_case_two_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
-    # One speed-1 type of two machines: no g1a with g1b = 0 leaves a g2
-    # box that reaches case 2's lower end, so g1b is enumerated only at 0
-    # for those g1a.  The loop asked 1 702 192 boxes, 1 698 094 of them
-    # empty, before it skipped them.
+    # One speed-1 type of two machines: every g1a before the first whose
+    # g2 box at g1b = 0 reaches g2's lower end is skipped without
+    # enumerating its g1b, and that g1a's first guess succeeds.  Without
+    # the skip the loop asked 1 702 192 boxes, 1 698 094 of them empty.
     calls = []
     enumerate_configs = drivers.enumerate_configs
 
@@ -495,9 +471,8 @@ def test_case_two_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
     inst = Instance(p=(2, 3, 5, 7), n=(401, 300, 200, 100), s=(1,), m=(2,))
     result = minimize_makespan(inst)
     assert result.value == 1701
-    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1,
-                            "case": 2}
-    assert len(calls) == 8194
+    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1}
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("rel", ["<", "bogus", "="])
@@ -526,91 +501,61 @@ def _fast_instances(count, seed):
         yield Instance(p, n, s, m)
 
 
-def _fast_and_slow(inst):
-    cutoff = large_machine_cutoff(inst.d, inst.pmax)
-    fast = [(s, m) for s, m in zip(inst.s, inst.m) if m > 0 and s > cutoff]
-    slow_capacity = sum(s * m for s, m in zip(inst.s, inst.m)
-                        if m > 0 and s <= cutoff)
-    return cutoff, fast, slow_capacity
-
-
-def _below_case_one_bound(inst, g1a, g1b, g2):
-    """dot(p, g2) < ceil((P - slow capacity - mL * (3 * sum(p) + dot(p,
-    g1a))) * area2_max / area_2) on a case-1 guess."""
-    cutoff, fast, slow_capacity = _fast_and_slow(inst)
-    mL = sum(m for _, m in fast)
-    area2_max = max(s for s, _ in fast) - cutoff
-    area_2 = sum(m * (s - cutoff) for s, m in fast)
-    need = inst.total_load - slow_capacity - mL * (3 * sum(inst.p)
-                                                   + dot(inst.p, g1a))
-    return not any(g1b) and dot(inst.p, g2) * area_2 < need * area2_max
-
-
-def _case_one_remainder_fits(inst, g1a, g1b, g2):
-    """Whether the slow machines can hold what a case-1 guess leaves:
-    n minus 2 plus each fast row's rounded-up entries, floored at 0."""
-    cutoff, fast, slow_capacity = _fast_and_slow(inst)
-    rows = guess_configs(tuple(s for s, _ in fast), cutoff, g1a, g1b, g2,
-                         up=True)
-    remainder = [max(nj - sum(m * (2 + row[j]) for (_, m), row
-                              in zip(fast, rows)), 0)
-                 for j, nj in enumerate(inst.n)]
-    return dot(inst.p, remainder) <= slow_capacity
-
-
 def test_guess_loop_attempts_the_filtered_box_guesses(monkeypatch):
     # The caps visit the guesses the filtered box attempted, in its order,
-    # minus exactly the case-1 guesses below the bound on dot(p, g2), and
-    # ``guesses`` counts them: each attempt, case 1 or 2, builds its
-    # configurations once.  Every guess the bound drops leaves the slow
-    # machines more load than they can hold.
+    # and ``guesses`` counts them: each attempt builds its configurations
+    # once.
     attempted = []
 
-    def spy(speeds, cutoff, g1a, g1b, g2, up=False):
+    def spy(speeds, cutoff, g1a, g1b, g2):
         attempted.append((g1a, g1b, g2))
-        return guess_configs(speeds, cutoff, g1a, g1b, g2, up)
+        return guess_configs(speeds, cutoff, g1a, g1b, g2)
 
     monkeypatch.setattr(drivers, "guess_configs", spy)
     outcomes = set()
-    dropped = 0
     for inst in _fast_instances(60, 2424):
+        want = list(reference_guesses(inst))
         for rel in ("<=", ">="):
             attempted.clear()
-            sched, info = balanced_feasibility(inst, rel)
-            want = []
-            for guess in reference_guesses(inst, rel):
-                if _below_case_one_bound(inst, *guess):
-                    assert not _case_one_remainder_fits(inst, *guess), (
-                        inst, guess)
-                    dropped += 1
-                else:
-                    want.append(guess)
-            if sched is not None:
-                want = want[:len(attempted)]
-            assert attempted == want, (inst, rel)
+            _, info = balanced_feasibility(inst, rel)
+            found = info["path"] == "balanced"
+            assert attempted == (want[:len(attempted)] if found else want), (
+                inst, rel)
             assert info["guesses"] == len(attempted), (inst, rel)
-            outcomes.add((rel, sched is None))
+            outcomes.add((rel, found))
     assert len(outcomes) == 4
-    assert dropped > 0
 
 
-def test_case_one_rows_fit_their_machines():
-    # A closed case-1 row, 2 plus its ceiling, loads below (pmax + 3) *
-    # sum(p) + s - cutoff < s, so case 1 needs no overload check.  The
-    # bound holds on every case-1 guess within the caps, attempted or not.
-    checked = 0
-    for inst in _fast_instances(60, 2424):
-        cutoff, fast, _ = _fast_and_slow(inst)
-        speeds = tuple(s for s, _ in fast)
-        for g1a, g1b, g2 in reference_guesses(inst, "<="):
-            if any(g1b):
-                continue
-            rows = guess_configs(speeds, cutoff, g1a, g1b, g2, up=True)
-            for row, s in zip(rows, speeds):
-                load = dot(inst.p, [2 + x for x in row])
-                assert load < (inst.pmax + 3) * sum(inst.p) + s - cutoff <= s
-                checked += 1
-    assert checked > 1000
+def test_every_refutation_comes_from_the_direct_model():
+    # The guess loop only finds schedules: a question that no guess
+    # answers goes to the direct model of the same instance, so every
+    # verdict is the exact model's.  ``>=`` asks the converted question.
+    paths = set()
+    for inst in _fast_instances(120, 777):
+        for rel in ("<=", ">="):
+            question = inst if rel == "<=" else Instance(
+                inst.p, inst.n, idle_cmax_speeds(inst.s, inst.pmax), inst.m)
+            sched, info = balanced_feasibility(question, rel)
+            direct = feasibility(inst, rel, Fraction(1), method="confilp")
+            assert (sched is None) == (direct is None), (inst, rel)
+            if sched is None:
+                assert info["path"] == "direct-confilp", (inst, rel)
+            paths.add((rel, info["path"], sched is None))
+    assert paths >= {("<=", "balanced", False), ("<=", "direct-confilp", True),
+                     ("<=", "direct-confilp", False), (">=", "balanced", False),
+                     (">=", "direct-confilp", True)}
+
+
+def test_direct_model_answers_a_question_without_a_guess():
+    # Cutoff 21: both types are fast, but g2 must load at least 19 and no
+    # saturated g1a leaves it more than 15, so the loop attempts no guess
+    # and the direct model finds the schedule.
+    inst = Instance(p=(3,), n=(54,), s=(41, 42), m=(4, 2))
+    sched, info = balanced_feasibility(inst, "<=")
+    assert info == {"path": "direct-confilp", "guesses": 0}
+    report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
+    assert report.ok, report.violations
+    assert aggregate_jobs(sched) == inst.n
 
 
 def test_capacity_bound_solves_fast_machines_within_3000_states():
@@ -703,8 +648,8 @@ def test_guessing_path_optima_match_direct():
 
 def test_balanced_path_matches_its_golden_record():
     # auto solves of the benchmark's 12 default guessing instances:
-    # values, guess counts, cases, paths and schedules must stay exactly
-    # as recorded
+    # values, guess counts, paths and schedules must stay exactly as
+    # recorded
     records = json.loads((DATA / "balanced_golden.json").read_text())
     assert len(records) == 24
     solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
@@ -714,7 +659,7 @@ def test_balanced_path_matches_its_golden_record():
         got = {
             "value": format_rational(result.value),
             "trace": {k: result.trace.get(k)
-                      for k in ("guesses", "case", "path", "probes")},
+                      for k in ("guesses", "path", "probes")},
             "schedule": cli.schedule_to_doc(result.schedule),
         }
         assert got == {k: rec[k] for k in got}, (rec["objective"], inst)
