@@ -105,9 +105,8 @@ class ConfILPModel:
     raw_windows: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=8192)
-def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
-               upper: int) -> tuple[tuple[int, ...], ...]:
+def _configs(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
+             upper: int) -> tuple[tuple[int, ...], ...]:
     d = len(p)
     bounds = [min(cap[j], upper // p[j]) for j in range(d)]
     # Max load contributable by types j..d-1, for lower-bound pruning.
@@ -133,6 +132,19 @@ def _enumerate(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
     return tuple(out)
 
 
+# The model-column cache, process-wide; the benchmark empties it before
+# every solve and reads its hit ratio.
+_enumerate = lru_cache(maxsize=8192)(_configs)
+
+
+def _box_is_empty(p: tuple[int, ...], cap: tuple[int, ...],
+                  window: tuple[int, int]) -> bool:
+    if any(x < 0 for x in cap):
+        raise MalformedInputError("cap must be >= 0")
+    lower, upper = window
+    return lower > upper or sum(map(mul, p, cap)) < lower
+
+
 def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
                       window: tuple[int, int]) -> list[tuple[int, ...]]:
     """All c with 0 <= c <= cap and load within window.
@@ -143,12 +155,22 @@ def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
     itself, loads less than ``lower``, is empty: that costs O(d) integer
     steps and leaves no entry in ``_enumerate``'s cache.
     """
-    if any(x < 0 for x in cap):
-        raise MalformedInputError("cap must be >= 0")
-    lower, upper = window
-    if lower > upper or sum(map(mul, p, cap)) < lower:
+    if _box_is_empty(p, cap, window):
         return []
-    return list(_enumerate(tuple(p), tuple(cap), lower, upper))
+    return list(_enumerate(tuple(p), tuple(cap), *window))
+
+
+def enumerate_uncached(p: tuple[int, ...], cap: tuple[int, ...],
+                       window: tuple[int, int]) -> list[tuple[int, ...]]:
+    """``enumerate_configs`` without the column cache.
+
+    For boxes asked once, such as the guess loop's g1a, g1b and g2 boxes
+    (``drivers.balanced_feasibility``), whose entries would only evict
+    model columns.  The same order and the same O(d) empty-box check.
+    """
+    if _box_is_empty(p, cap, window):
+        return []
+    return list(_configs(tuple(p), tuple(cap), *window))
 
 
 def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionConstants | None:

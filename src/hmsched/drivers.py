@@ -8,13 +8,18 @@ every driver runs ``_search_grid`` over the exact grids listed by
 
 Each search keeps one certified bracket that every probe narrows.  One
 side is the best schedule so far at its own value, first an incumbent
-(``_incumbent``): the proportional assignment, rounded by run.  The
+(``_incumbent``): the proportional assignment, rounded by run.  Its
+leftover jobs go to the machines that complete earliest after taking
+one, except that a ``>=`` incumbent deals its last job type's by
+completion before taking one, the max-min greedy rule.  The
 other side is refuted, first at the area bound P / S, because
 sum_i s_i * C_i = P on every schedule.  So no solve asks a question
-twice.  Without restrictions every machine's rounded load is within
-sum(p) of its proportional share, so the incumbent lies within
-d * pmax / s_min of P / S and the number of probes does not grow with n
-or m; a solve whose incumbent meets the area bound probes nothing.
+twice.  Without restrictions every machine takes its floored share of
+each job type plus at most one leftover, whichever machines the
+leftovers go to, so its load is within sum(p) of its proportional
+share, the incumbent lies within d * pmax / s_min of P / S and the
+number of probes does not grow with n or m; a solve whose incumbent
+meets the area bound probes nothing.
 
 Every solve route, the drivers' and the command line's oracle alike,
 first asks ``admit`` whether the instance can be solved at all.
@@ -57,7 +62,7 @@ from .balancing import (
     large_machine_cutoff,
     reduced_schedule,
 )
-from .confilp import build_model, enumerate_configs, solve_model
+from .confilp import build_model, enumerate_uncached, solve_model
 from .model import (
     CertificateError,
     FeasibilityQuery,
@@ -312,7 +317,9 @@ def balanced_feasibility(inst: Instance, rel: str,
     and flooring it loses less than sum_p.  g2's cap is largest at g1b = 0,
     so a g1a whose g2 box there loads less than g2's lower end has no
     g2 at all and is skipped whole.  ``info["guesses"]`` counts the
-    guesses the loop visits, and it attempts every one.
+    guesses the loop visits, and it attempts every one.  Each box is
+    listed once, so it bypasses the model-column cache
+    (``confilp.enumerate_uncached``).
 
     Every guess preassigns ``balancing.reduced_schedule`` of the floors
     that ``balancing.guess_configs`` gives, one row per fast type, and
@@ -358,17 +365,17 @@ def balanced_feasibility(inst: Instance, rel: str,
     sub_m = tuple(inst.m[t] for t in types)
 
     g1a_cap = tuple(min(pmax, nj // mL) for nj in n)
-    for g1a in enumerate_configs(p, g1a_cap, (0, cutoff)):
+    for g1a in enumerate_uncached(p, g1a_cap, (0, cutoff)):
         if sum(pj * ((nj - mL * a) * area2_max // area_2)
                for pj, a, nj in zip(p, g1a, n) if a == pmax) < g2_lower:
             continue
         g1b_cap = tuple(nj // mL - a if a == pmax else 0
                         for a, nj in zip(g1a, n))
-        for g1b in enumerate_configs(p, g1b_cap, (1, cutoff - dot(p, g1a))):
+        for g1b in enumerate_uncached(p, g1b_cap, (1, cutoff - dot(p, g1a))):
             g2_cap = tuple((nj - mL * (a + b)) * area2_max // area_2
                            if a == pmax else 0
                            for a, b, nj in zip(g1a, g1b, n))
-            for g2 in enumerate_configs(p, g2_cap, (g2_lower, area2_max)):
+            for g2 in enumerate_uncached(p, g2_cap, (g2_lower, area2_max)):
                 info["guesses"] += 1
                 rows = reduced_schedule(
                     guess_configs(fast_s, cutoff, g1a, g1b, g2),
@@ -557,15 +564,24 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
     summed speed of all machines that may run j.  Fewer jobs than those
     machines are left over; they go one per machine to the machines
     that complete earliest after taking one, which splits at most one
-    run of identical machines per job type.  The work grows with d
-    times the number of runs, never with n or m.  The value is the
-    largest completion for ``<=`` and the smallest for ``>=``, and the
-    schedule is certified at it.
+    run of identical machines per job type.  For ``>=`` the last job
+    type's leftovers go instead to the machines that complete earliest
+    before taking one, the max-min greedy rule of Deuermeyer, Friesen
+    and Langston: on p=(3,), n=(12,), s=(2, 7, 9, 10, 12) the makespan
+    rule passes over the speed-2 machine, whose share floors to 0, and
+    the incumbent is 0 instead of the optimum 3/4.  The max-min rule on
+    every type lowered some incumbents of the benchmark's ``mixed``
+    corpus.  Either way a machine takes at most one leftover per job
+    type, which is all the distance bound (module docstring) needs.
+    The work grows with d times the number of runs, never with n or m.
+    The value is the largest completion for ``<=`` and the smallest for
+    ``>=``, and the schedule is certified at it.
     """
     d, p, s = inst.d, inst.p, inst.s
     # runs of identical machines: [type, counts, load, machines]
     runs = [[t, [0] * d, 0, m] for t, m in enumerate(inst.m) if m > 0]
-    for j in sorted(range(d), key=lambda j: -p[j]):
+    order = sorted(range(d), key=lambda j: -p[j])
+    for j in order:
         mine = [run for run in runs if inst.allowed(j, run[0])]
         capacity = sum(s[t] * k for t, _, _, k in mine)
         left = inst.n[j]
@@ -574,9 +590,11 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
             run[1][j] += share
             run[2] += share * p[j]
             left -= share * run[3]
-        # completion after one more job, (load + p_j) / s_t, scaled by L
+        # completion (load + after) / s_t, scaled by L: after one more
+        # job, or before it for the last type of a >= incumbent
+        after = 0 if rel == GE and j == order[-1] else p[j]
         L = math.lcm(*(s[run[0]] for run in mine))
-        mine.sort(key=lambda run: (run[2] + p[j]) * (L // s[run[0]]))
+        mine.sort(key=lambda run: (run[2] + after) * (L // s[run[0]]))
         for run in mine:
             if left == 0:
                 break

@@ -17,6 +17,7 @@ from hmsched.confilp import (
     ResourceLimitError,
     build_model,
     enumerate_configs,
+    enumerate_uncached,
     solve_model,
 )
 from hmsched.model import (
@@ -86,8 +87,21 @@ def test_enumerate_count_matches_nested_loops(p, cap, window):
 def test_empty_box_leaves_no_cache_entry(p, cap, window):
     before = confilp._enumerate.cache_info()
     assert enumerate_configs(p, cap, window) == []
+    assert enumerate_uncached(p, cap, window) == []
     assert confilp._enumerate.cache_info() == before
     assert nested_loop_count(p, cap, *window) == 0
+
+
+@pytest.mark.parametrize("p,cap,window", [
+    ((2, 3), (3, 2), (0, 6)),
+    ((1, 4, 5), (4, 2, 2), (3, 11)),
+    ((3, 3), (5, 5), (6, 30)),
+])
+def test_uncached_boxes_match_and_leave_the_column_cache_alone(p, cap, window):
+    before = confilp._enumerate.cache_info()
+    got = enumerate_uncached(p, cap, window)
+    assert confilp._enumerate.cache_info() == before
+    assert got == enumerate_configs(p, cap, window)
 
 
 FIG1 = Instance(p=(1,), n=(7,), s=(15, 13, 11), m=(1, 1, 1))

@@ -137,6 +137,41 @@ def test_min_completion_starved_machine():
     assert maximize_min_completion(inst).value == 0
 
 
+def test_min_completion_incumbent_fills_the_slowest_machine():
+    # The last job type's leftovers go to the machines that complete
+    # earliest before taking one, so the speed-2 machine, whose share
+    # floors to 0, takes one; the makespan rule (earliest after taking
+    # one) passed it over and left the incumbent at 0.
+    inst = Instance(p=(3,), n=(12,), s=(2, 7, 9, 10, 12), m=(1, 1, 1, 1, 1))
+    value, sched = drivers._incumbent(inst, ">=")
+    assert value == Fraction(3, 4)
+    assert sched.entries == ((0, (1,), 1), (1, (2,), 1), (2, (3,), 1),
+                             (3, (3,), 1), (4, (3,), 1))
+    result = maximize_min_completion(inst)
+    assert result.value == Fraction(3, 4)
+    assert result.trace["probes"] == 2
+
+
+def test_incumbents_lie_within_the_distance_bound():
+    # Each machine takes floor(n_j * s_i / S) jobs of type j plus at most
+    # one leftover, so its completion is within sum(p) / s_i of P / S
+    # whichever machines the leftovers go to, and so within the
+    # d * pmax / s_min that the probe-count claim rests on.
+    rnd = random.Random(29)
+    for _ in range(400):
+        d = rnd.randint(1, 4)
+        p = tuple(rnd.randint(1, 9) for _ in range(d))
+        n = tuple(rnd.randint(0, 200) for _ in range(d))
+        tau = rnd.randint(1, 4)
+        s = tuple(rnd.randint(1, 20) for _ in range(tau))
+        m = tuple(rnd.randint(1, 50) for _ in range(tau))
+        inst = Instance(p, n, s, m)
+        area = Fraction(inst.total_load, dot(s, m))
+        for rel in ("<=", ">="):
+            value, _ = drivers._incumbent(inst, rel)
+            assert abs(value - area) <= Fraction(sum(p), min(s)), (inst, rel)
+
+
 @pytest.mark.parametrize("inst", [
     Instance(p=(2, 3), n=(48, 32), s=(5, 7), m=(16, 16)),
     Instance(p=(2, 3), n=(96, 64), s=(5, 7), m=(32, 32)),
@@ -461,13 +496,13 @@ def test_case_two_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
     # enumerating its g1b, and that g1a's first guess succeeds.  Without
     # the skip the loop asked 1 702 192 boxes, 1 698 094 of them empty.
     calls = []
-    enumerate_configs = drivers.enumerate_configs
+    enumerate_uncached = drivers.enumerate_uncached
 
     def spy(p, cap, window):
         calls.append(window)
-        return enumerate_configs(p, cap, window)
+        return enumerate_uncached(p, cap, window)
 
-    monkeypatch.setattr(drivers, "enumerate_configs", spy)
+    monkeypatch.setattr(drivers, "enumerate_uncached", spy)
     inst = Instance(p=(2, 3, 5, 7), n=(401, 300, 200, 100), s=(1,), m=(2,))
     result = minimize_makespan(inst)
     assert result.value == 1701
