@@ -11,15 +11,21 @@ side is the best schedule so far at its own value, first an incumbent
 (``_incumbent``): the proportional assignment, rounded by run.  Its
 leftover jobs go to the machines that complete earliest after taking
 one, except that a ``>=`` incumbent deals its last job type's by
-completion before taking one, the max-min greedy rule.  The
-other side is refuted, first at the area bound P / S, because
-sum_i s_i * C_i = P on every schedule.  So no solve asks a question
-twice.  Without restrictions every machine takes its floored share of
-each job type plus at most one leftover, whichever machines the
-leftovers go to, so its load is within sum(p) of its proportional
-share, the incumbent lies within d * pmax / s_min of P / S and the
-number of probes does not grow with n or m; a solve whose incumbent
-meets the area bound probes nothing.
+completion before taking one, the max-min greedy rule.  Jump and swap
+moves on the critical machine, the one that completes last (first for
+``>=``), then improve the deal while a move leaves both machines it
+touches strictly better than the critical one was; no other machine
+changes, so the value never gets worse, and the moves take at most
+d times the number of runs steps of O(runs * d^2) integer operations
+each.  The other side is refuted, first at the area bound P / S,
+because sum_i s_i * C_i = P on every schedule.  So no solve asks a
+question twice.  Without restrictions every machine takes its floored
+share of each job type plus at most one leftover, whichever machines
+the leftovers go to, so its load is within sum(p) of its proportional
+share, the deal lies within d * pmax / s_min of P / S, the improved
+incumbent between the deal and P / S, and the number of probes does
+not grow with n or m; a solve whose incumbent meets the area bound
+probes nothing.
 
 Every solve route, the drivers' and the command line's oracle alike,
 first asks ``admit`` whether the instance can be solved at all.
@@ -512,9 +518,10 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
     is bisected as before.  The incumbent's envy is usually optimal, so
     this is the common case.  Makespan and minimum completion keep plain
     bisection: on the ``guessing`` benchmark their brackets hold 0-3
-    candidates, the incumbent is optimal in fewer than half of the
-    solves, and asking the top first made those solves 5-26 % slower
-    when it was tried.
+    candidates, and asking the top first made those solves 5-26 % slower
+    when it was tried, while the incumbent was optimal in fewer than
+    half of them.  Its local moves (``_improve``) make it optimal in 17
+    of the 24, and most of the probes left find a better schedule.
     """
     minimize = grid.objective != "cmin"
     envy = grid.objective == "cenvy"
@@ -556,29 +563,10 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
     return best
 
 
-def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
-    """A certified schedule dealt in proportion to speed, and its value.
-
-    Job types go in decreasing size.  Every machine of type t that may
-    run job type j takes floor(n_j * s_t / S_j) of its jobs, S_j the
-    summed speed of all machines that may run j.  Fewer jobs than those
-    machines are left over; they go one per machine to the machines
-    that complete earliest after taking one, which splits at most one
-    run of identical machines per job type.  For ``>=`` the last job
-    type's leftovers go instead to the machines that complete earliest
-    before taking one, the max-min greedy rule of Deuermeyer, Friesen
-    and Langston: on p=(3,), n=(12,), s=(2, 7, 9, 10, 12) the makespan
-    rule passes over the speed-2 machine, whose share floors to 0, and
-    the incumbent is 0 instead of the optimum 3/4.  The max-min rule on
-    every type lowered some incumbents of the benchmark's ``mixed``
-    corpus.  Either way a machine takes at most one leftover per job
-    type, which is all the distance bound (module docstring) needs.
-    The work grows with d times the number of runs, never with n or m.
-    The value is the largest completion for ``<=`` and the smallest for
-    ``>=``, and the schedule is certified at it.
-    """
+def _deal(inst: Instance, rel: str) -> list[list]:
+    """The proportional assignment rounded by run, as runs of identical
+    machines ``[type, counts, load, machines]`` (``_incumbent``)."""
     d, p, s = inst.d, inst.p, inst.s
-    # runs of identical machines: [type, counts, load, machines]
     runs = [[t, [0] * d, 0, m] for t, m in enumerate(inst.m) if m > 0]
     order = sorted(range(d), key=lambda j: -p[j])
     for j in order:
@@ -605,8 +593,117 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
             run[1][j] += 1
             run[2] += p[j]
             left -= take
-    sched = make_schedule(d, [(t, c, k) for t, c, _, k in runs])
-    value = objective_value(inst, sched, "cmax" if rel == LE else "cmin")
+    return runs
+
+
+def _critical(runs: list[list], s: tuple[int, ...], sign: int) -> list:
+    """The first run that completes last (sign 1) or first (sign -1)."""
+    crit = runs[0]
+    for run in runs:
+        if sign * (run[2] * s[crit[0]] - crit[2] * s[run[0]]) > 0:
+            crit = run
+    return crit
+
+
+def _improve(inst: Instance, rel: str, runs: list[list]) -> int:
+    """Improve ``_deal``'s runs in place; return the steps made.
+
+    Each step takes the critical run (``_critical``) and ends the loop
+    if it holds several machines: moving jobs on one of them leaves the
+    value where it is.  Otherwise it tries, against every other run o,
+    each move of the critical machine that gives o one job of type g,
+    takes one of type t from o, or both (g != t), each job allowed on
+    the machine that receives it.  Of the moves after which both
+    touched machines complete strictly better than the critical one
+    did, it makes the one whose worse touched completion is best, the
+    first in run, g, t order on a tie, splitting one machine off o if o
+    holds several.  The loop ends when no move qualifies, or after d
+    times the dealt runs steps.
+    """
+    d, p, s = inst.d, inst.p, inst.s
+    sign = 1 if rel == LE else -1
+    limit = d * len(runs)
+    for step in range(limit):
+        crit = _critical(runs, s, sign)
+        if crit[3] > 1:
+            return step
+        c, load = crit[0], crit[2]
+        held = [j for j in range(d) if crit[1][j]]
+        best = None
+        for o in runs:
+            # A move shifts load sign * shift from crit to o: crit gets
+            # strictly better iff shift > 0, and o stays strictly better
+            # than crit was iff shift * s_c < slack, so a run with slack
+            # <= s_c, crit's own included, admits no move.
+            u = o[0]
+            slack = sign * (load * s[u] - o[2] * s[c])
+            if slack <= s[c]:
+                continue
+            gives = [(j, p[j]) for j in held if inst.allowed(j, u)]
+            takes = [(j, p[j]) for j in range(d)
+                     if o[1][j] and inst.allowed(j, c)]
+            for g, pg in gives + [(None, 0)]:
+                for t, pt in takes + [(None, 0)]:
+                    shift = sign * (pg - pt)
+                    if shift <= 0 or shift * s[c] >= slack:
+                        continue
+                    mine, theirs = load + pt - pg, o[2] + pg - pt
+                    worse = sign * (mine * s[u] - theirs * s[c]) > 0
+                    a, b = (mine, s[c]) if worse else (theirs, s[u])
+                    if best is None or sign * (a * best[1] - best[0] * b) < 0:
+                        best = (a, b, o, g, t)
+        if best is None:
+            return step
+        _, _, o, g, t = best
+        if o[3] > 1:
+            runs.append([o[0], list(o[1]), o[2], o[3] - 1])
+            o[3] = 1
+        for j, k in ((g, 1), (t, -1)):
+            if j is not None:
+                o[1][j] += k
+                o[2] += k * p[j]
+                crit[1][j] -= k
+                crit[2] -= k * p[j]
+    return limit
+
+
+def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
+    """A certified schedule dealt in proportion to speed, and its value.
+
+    Job types go in decreasing size.  Every machine of type t that may
+    run job type j takes floor(n_j * s_t / S_j) of its jobs, S_j the
+    summed speed of all machines that may run j.  Fewer jobs than those
+    machines are left over; they go one per machine to the machines
+    that complete earliest after taking one, which splits at most one
+    run of identical machines per job type.  For ``>=`` the last job
+    type's leftovers go instead to the machines that complete earliest
+    before taking one, the max-min greedy rule of Deuermeyer, Friesen
+    and Langston: on p=(3,), n=(12,), s=(2, 7, 9, 10, 12) the makespan
+    rule passes over the speed-2 machine, whose share floors to 0, and
+    the deal is 0 instead of the optimum 3/4.  The max-min rule on
+    every type lowered some incumbents of the benchmark's ``mixed``
+    corpus.  Either way a machine takes at most one leftover per job
+    type, which is all the distance bound (module docstring) needs
+    (``_deal``).
+
+    The deal is then improved by the jump and swap moves of Schuurman
+    and Vredeveld on its critical machine, the one that completes last
+    for ``<=`` and first for ``>=`` (``_improve``).  A move changes two
+    machines, and both then complete strictly better than the critical
+    one did; every other machine is untouched and was no worse, so the
+    value never gets worse than the deal's: it lies between P / S and
+    the deal's value, so within the distance bound.  The moves make at
+    most d times the number of runs steps of O(runs * d^2) integer
+    operations each, so the work grows with d and the number of runs,
+    never with n or m.  The value is the critical run's completion, the
+    largest for ``<=`` and the smallest for ``>=``, and the schedule is
+    certified at it.
+    """
+    runs = _deal(inst, rel)
+    _improve(inst, rel, runs)
+    crit = _critical(runs, inst.s, 1 if rel == LE else -1)
+    value = Fraction(crit[2], inst.s[crit[0]])
+    sched = make_schedule(inst.d, [(t, c, k) for t, c, _, k in runs])
     _certify(inst, sched, FeasibilityQuery(rel, value))
     return value, sched
 

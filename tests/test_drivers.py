@@ -172,6 +172,65 @@ def test_incumbents_lie_within_the_distance_bound():
             assert abs(value - area) <= Fraction(sum(p), min(s)), (inst, rel)
 
 
+def _runs_value(inst, rel, runs):
+    """The critical run's completion: the value of the runs' schedule."""
+    crit = drivers._critical(runs, inst.s, 1 if rel == "<=" else -1)
+    return Fraction(crit[2], inst.s[crit[0]])
+
+
+def test_local_moves_never_worsen_the_deal():
+    # Seeded instances with runs of several machines, every other one
+    # restricted: the moves keep the incumbent certified, never worse
+    # than the plain deal, and within d times the dealt runs steps.
+    rnd = random.Random(32)
+    improved = 0
+    for i in range(300):
+        d = rnd.randint(1, 3)
+        p = tuple(rnd.randint(1, 9) for _ in range(d))
+        n = tuple(rnd.randint(0, 60) for _ in range(d))
+        tau = rnd.randint(1, 4)
+        s = tuple(rnd.randint(1, 12) for _ in range(tau))
+        m = tuple(rnd.randint(1, 4) for _ in range(tau))
+        restrict = None
+        if i % 2:
+            rows = [[rnd.random() < 0.6 for _ in range(tau)] for _ in range(d)]
+            for row in rows:
+                row[rnd.randrange(tau)] = True
+            restrict = tuple(map(tuple, rows))
+        inst = Instance(p, n, s, m, restrict)
+        for rel in ("<=", ">="):
+            runs = drivers._deal(inst, rel)
+            plain, cap = _runs_value(inst, rel, runs), d * len(runs)
+            assert 0 <= drivers._improve(inst, rel, runs) <= cap, (inst, rel)
+            value, sched = drivers._incumbent(inst, rel)
+            assert value == _runs_value(inst, rel, runs), (inst, rel)
+            assert (value <= plain if rel == "<=" else value >= plain), (inst, rel)
+            assert verify_schedule(inst, sched, FeasibilityQuery(rel, value)).ok
+            improved += value != plain
+    assert improved >= 100, improved
+
+
+@pytest.mark.parametrize("family", ["unit", "p23", "p23+1", "p23-1"])
+def test_local_moves_do_not_grow_with_multiplicity(family):
+    # The unit and p23 families, and p23 with one size-2 job more or
+    # less: the moves made and the incumbent stay the same up to
+    # k = 10^9.
+    def inst(k):
+        if family == "unit":
+            return Instance(p=(1,), n=(k,), s=(1,), m=(k,))
+        extra = {"p23": 0, "p23+1": 1, "p23-1": -1}[family]
+        return Instance(p=(2, 3), n=(3 * k + extra, 2 * k), s=(5, 7), m=(k, k))
+
+    for rel in ("<=", ">="):
+        seen = set()
+        for k in (10, 1000, 10**9):
+            runs = drivers._deal(inst(k), rel)
+            steps = drivers._improve(inst(k), rel, runs)
+            seen.add((steps, len(runs), drivers._incumbent(inst(k), rel)[0]))
+        assert len(seen) == 1, (family, rel, seen)
+        assert seen.pop()[0] <= 1
+
+
 @pytest.mark.parametrize("inst", [
     Instance(p=(2, 3), n=(48, 32), s=(5, 7), m=(16, 16)),
     Instance(p=(2, 3), n=(96, 64), s=(5, 7), m=(32, 32)),
@@ -241,7 +300,7 @@ def test_perturbed_p23_probes_stay_flat():
 
 def test_trace_keeps_only_the_last_probes_keys(monkeypatch):
     # an early probe takes the balanced path, the last one the direct path
-    inst = Instance(p=(4, 5), n=(32, 30), s=(2, 4, 7), m=(2, 1, 2))
+    inst = Instance(p=(3, 4), n=(23, 43), s=(2, 5), m=(2, 3))
     paths = []
     plain_balanced = drivers.balanced_feasibility
 
@@ -388,16 +447,20 @@ def test_only_a_probe_that_guesses_lifts(monkeypatch):
     # Compression splits every machine into speed-1 pieces plus speed-3
     # residuals, none above the cutoff 10, so auto asks one direct model
     # on the normalized instance, as confilp does, and nothing is lifted.
+    # The solves' incumbent is optimal, so the optimum is probed directly.
     inst = Instance(p=(1, 1), n=(15, 15), s=(4, 6, 7), m=(3, 1, 1))
     lifted = []
     plain_lift = drivers.lift_schedule
     monkeypatch.setattr(drivers, "lift_schedule",
                         lambda *args: lifted.append(args) or plain_lift(*args))
-    auto = minimize_makespan(inst)
-    direct = minimize_makespan(inst, method="confilp")
-    assert auto.value == direct.value == Fraction(5, 4)
-    assert auto.schedule == direct.schedule
-    assert auto.trace["path"] == direct.trace["path"] == "direct-confilp"
+    assert minimize_makespan(inst).value == Fraction(5, 4)
+    assert minimize_makespan(inst, method="confilp").value == Fraction(5, 4)
+    auto, direct = {}, {}
+    sched = feasibility(inst, "<=", Fraction(5, 4), trace=auto)
+    assert sched is not None
+    assert sched == feasibility(inst, "<=", Fraction(5, 4), method="confilp",
+                                trace=direct)
+    assert auto["path"] == direct["path"] == "direct-confilp"
     assert lifted == []
 
 
@@ -482,12 +545,16 @@ def test_balanced_guess_count_on_several_fast_machines():
 def test_case_one_bound_leaves_one_guess_on_a_held_out_instance():
     # guess-80006 of the held-out guessing corpus: guesses whose spread
     # phase is empty would leave the speed-1 machine more than it can
-    # hold, and the loop attempts none; its first guess succeeds.
+    # hold, and the loop attempts none; its first guess succeeds.  The
+    # solve's incumbent is optimal, so the optimum is probed directly.
     inst = Instance(p=(4, 5), n=(28, 24), s=(1, 6), m=(1, 1))
     result = minimize_makespan(inst)
     assert result.value == Fraction(199, 6)
-    assert result.schedule.entries == ((0, (2, 5), 1), (1, (26, 19), 1))
-    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1}
+    assert result.trace == {"probes": 0, "path": "incumbent"}
+    trace = {}
+    sched = feasibility(inst, "<=", Fraction(199, 6), trace=trace)
+    assert sched.entries == ((0, (2, 5), 1), (1, (26, 19), 1))
+    assert trace == {"path": "balanced", "guesses": 1}
 
 
 def test_case_two_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
@@ -504,9 +571,14 @@ def test_case_two_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
 
     monkeypatch.setattr(drivers, "enumerate_uncached", spy)
     inst = Instance(p=(2, 3, 5, 7), n=(401, 300, 200, 100), s=(1,), m=(2,))
+    # the incumbent meets the area bound 1701, so the solve probes nothing
     result = minimize_makespan(inst)
     assert result.value == 1701
-    assert result.trace == {"probes": 1, "path": "balanced", "guesses": 1}
+    assert result.trace == {"probes": 0, "path": "incumbent"}
+    assert calls == []
+    trace = {}
+    assert feasibility(inst, "<=", Fraction(1701), trace=trace) is not None
+    assert trace == {"path": "balanced", "guesses": 1}
     assert len(calls) == 3
 
 
@@ -700,10 +772,12 @@ def test_balanced_path_matches_its_golden_record():
         assert got == {k: rec[k] for k in got}, (rec["objective"], inst)
 
 
-def test_guessing_corpus_models_hold_380_columns(monkeypatch):
+def test_guessing_corpus_models_hold_108_columns(monkeypatch):
     # Each type's window is narrowed by what the other machines must
-    # carry before any column is listed; without that the same models
-    # held 5 441 columns.
+    # carry before any column is listed; without that the 19 models that
+    # a plain proportional incumbent leaves held 5 441 columns, and 380
+    # with it.  The local moves make most incumbents optimal, so only 7
+    # models are built.
     columns = []
     build_model = drivers.build_model
 
@@ -716,7 +790,7 @@ def test_guessing_corpus_models_hold_380_columns(monkeypatch):
     solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
     for kind, inst, want in guessing_corpus():
         assert solver[kind](inst).value == want, (kind, inst)
-    assert (len(columns), sum(columns)) == (19, 380)
+    assert (len(columns), sum(columns)) == (7, 108)
 
 
 @pytest.mark.parametrize("method", ["auto", "confilp"])
@@ -808,8 +882,8 @@ def test_envy_no_jobs():
 
 @pytest.mark.parametrize("inst, beaten", [
     (FIG1, False),  # the incumbent's envy 3/65 is optimal
-    # the incumbent's envy is 3/2, a probe finds envy 0
-    (Instance(p=(2, 3), n=(3, 2), s=(1, 2), m=(1, 1)), True),
+    # the incumbent's envy is 1, a probe finds envy 1/4
+    (Instance(p=(2, 3), n=(4, 2), s=(1, 4), m=(1, 1)), True),
 ])
 def test_envy_verifies_the_returned_schedule_once(monkeypatch, inst, beaten):
     checked = []
@@ -885,7 +959,7 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     # whose models end at that group, and repeated window tuples
     built.clear()
     models.clear()
-    inst = Instance(p=(3, 4), n=(4, 2), s=(1, 6, 7), m=(2, 1, 1))
+    inst = Instance(p=(3, 4), n=(2, 4), s=(2, 6, 7), m=(2, 1, 1))
     result = minimize_envy(inst)
     assert result.value == brute_force(inst, "cenvy")[0]
     assert result.trace["solves"] == len(built) == len(set(built))
