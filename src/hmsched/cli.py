@@ -151,9 +151,10 @@ def dump_doc(doc: dict, output: str | None) -> None:
 
 
 def load_json(path: str) -> dict:
+    # ValueError: not JSON or not UTF-8; RecursionError: nested too deep
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -37,18 +37,19 @@ without a model when no loads in multiples of each type's job size gcd
 fit (``capacity_refutes``), and turn a minimum-completion question into
 an idle-capped makespan question (``idle_cmax_speeds``: bounded load
 windows, job usage at most n, leftover jobs added back afterwards).
-Then solve one configuration model directly, unless the method is
-``"auto"``, the instance is unrestricted and compressing its fast
-machines (``reduction.compress_machines``) leaves one above the
-large-machine cutoff.  Only such a probe guesses the integral data of
-the rounded fractional schedule on the fast machines, builds its
-integer configurations (``balancing.guess_configs``),
+Then solve one configuration model of the normalized instance, the
+model ``method="confilp"`` asks.  Before it, an ``"auto"`` probe of an
+unrestricted instance whose fast machines, compressed
+(``reduction.compress_machines``) and converted, leave one above the
+large-machine cutoff looks for a schedule by guessing: it guesses the
+integral data of the rounded fractional schedule on the fast machines,
+builds its integer configurations (``balancing.guess_configs``),
 preassigns their floor minus the balancing margin
 (``balancing.reduced_schedule``), solves the much smaller residual
-model, and lifts the schedule back (``reduction.lift_schedule``).  A
-probe that no guess answers asks the direct model of the compressed
-instance, so guessing only ever finds schedules and every refutation
-comes from an exact model.  Either way the answer is certified by
+model, and lifts the schedule back (``reduction.lift_schedule``).  Like
+``_incumbent``, the guess loop only finds schedules: a probe that no
+guess answers asks the direct model, so both methods share every
+refutation.  Either way the answer is certified by
 verify_schedule before being returned.  Each schedule the
 threshold driver returns is verified once against the caller's
 instance, by ``_incumbent`` or by the ``feasibility`` call that found
@@ -248,7 +249,8 @@ def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
 
     Each job type's leftover goes onto one machine of the first entry
     whose machine type may run it; leftovers that pick the same entry
-    share that machine.
+    share that machine.  ``feasibility`` runs it on the caller's
+    instance, after lifting a guessed schedule.
     """
     usage = aggregate_jobs(sched)
     extra: dict[int, list[int]] = {}
@@ -328,11 +330,11 @@ def balanced_feasibility(inst: Instance, rel: str,
     (``confilp.enumerate_uncached``).
 
     Every guess preassigns ``balancing.reduced_schedule`` of the floors
-    that ``balancing.guess_configs`` gives, one row per fast type, and
-    asks ``_solve_at_one`` once, with the question's relation (usage
-    ``=`` for ``<=``, ``<=`` for ``>=``), on a residual instance that
-    lists every machine type, the fast types first at their speed minus
-    their row's load, and demands n minus the rows; the rows are then
+    that ``balancing.guess_configs`` gives, one row per fast type (zero
+    elsewhere), and asks ``_solve_at_one`` once, with the question's
+    relation (usage ``=`` for ``<=``, ``<=`` for ``>=``), on a residual
+    instance that keeps inst's types in order, each at its speed minus
+    its row's load, and demands n minus the rows; the rows are then
     folded back.  The rows never place more than n: the caps bound the
     fractional usage by n, and flooring and ``reduced_schedule`` only
     lower entries.  Nor does a row overload its machine: the floored row
@@ -341,10 +343,10 @@ def balanced_feasibility(inst: Instance, rel: str,
     guess yields either a schedule or nothing, so enumeration order
     cannot affect soundness.
 
-    When no guess yields a schedule, the question goes to the direct
-    model of ``inst`` itself (``info["path"] == "direct-confilp"``),
-    which is exact, so every None this returns is a refutation of that
-    model.  The schedule is not certified here: ``feasibility``
+    When no guess yields a schedule this returns None: the loop only
+    finds schedules, and a None refutes nothing.  ``feasibility`` then
+    asks the direct model of the normalized question, as ``--method
+    confilp`` does.  A schedule is not certified here: ``feasibility``
     certifies it once, lifted, against the caller's instance.
     """
     if rel not in (LE, GE):
@@ -355,20 +357,14 @@ def balanced_feasibility(inst: Instance, rel: str,
     large = [t for t in range(inst.tau) if inst.m[t] > 0 and inst.s[t] > cutoff]
     if not large:
         raise MalformedInputError("the guessing pipeline needs a fast machine")
-    small = [t for t in range(inst.tau) if inst.m[t] > 0 and t not in large]
     info: dict = {"path": "balanced", "guesses": 0}
 
-    # Every residual instance lists the fast types first, in the order of
-    # ``large``.
     fast_s = tuple(inst.s[t] for t in large)
     fast_m = tuple(inst.m[t] for t in large)
     mL = sum(fast_m)
     area2_max = max(fast_s) - cutoff
     area_2 = sum(m * (s - cutoff) for s, m in zip(fast_s, fast_m))
     g2_lower = max(0, area2_max - sum(p) + 1)
-    types = large + small
-    slow_s = tuple(inst.s[t] for t in small)
-    sub_m = tuple(inst.m[t] for t in types)
 
     g1a_cap = tuple(min(pmax, nj // mL) for nj in n)
     for g1a in enumerate_uncached(p, g1a_cap, (0, cutoff)):
@@ -383,21 +379,22 @@ def balanced_feasibility(inst: Instance, rel: str,
                            for a, b, nj in zip(g1a, g1b, n))
             for g2 in enumerate_uncached(p, g2_cap, (g2_lower, area2_max)):
                 info["guesses"] += 1
-                rows = reduced_schedule(
+                # a fast type's row is its reduced floor, every other's 0
+                reduced = iter(reduced_schedule(
                     guess_configs(fast_s, cutoff, g1a, g1b, g2),
-                    idle_cap, inst.pmin, pmax)
-                demand = tuple(nj - sum(m * r[j] for m, r in zip(fast_m, rows))
+                    idle_cap, inst.pmin, pmax))
+                rows = [next(reduced) if t in large else (0,) * d
+                        for t in range(inst.tau)]
+                demand = tuple(nj - sum(m * r[j] for m, r in zip(inst.m, rows))
                                for j, nj in enumerate(n))
-                spare = tuple(s - dot(p, r) for r, s in zip(rows, fast_s))
-                part = _solve_at_one(Instance(p, demand, spare + slow_s, sub_m),
+                spare = tuple(s - dot(p, r) for s, r in zip(inst.s, rows))
+                part = _solve_at_one(Instance(p, demand, spare, inst.m),
                                      rel, state_limit)
                 if part is not None:
                     return make_schedule(d, [
-                        (types[k], c if k >= len(rows)
-                         else tuple(a + b for a, b in zip(c, rows[k])), count)
-                        for k, c, count in part.entries]), info
-    info["path"] = "direct-confilp"
-    return _solve_at_one(inst, rel, state_limit), info
+                        (t, tuple(a + b for a, b in zip(c, rows[t])), count)
+                        for t, c, count in part.entries]), info
+    return None, info
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +420,14 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 
     A probe guesses only when ``method`` is ``"auto"`` (not
     ``"confilp"``), the instance is unrestricted and compression leaves a
-    machine above the large-machine cutoff, which the compressed speeds
-    alone decide (``compress_machines``): it converts the compressed
-    instance, runs ``balanced_feasibility``, which asks that instance's
-    direct model when no guess answers, and lifts the schedule back.
-    Every other probe asks one model on the normalized instance
-    (``_solve_at_one``), whose load windows ``build_model`` cuts into the
-    lcm blocks that compression would make.  Either way the probe builds
-    one derived ``Instance``, its speeds normalized, compressed if it
-    guesses and converted if it asks ``>=``.
+    machine above the large-machine cutoff once converted, as
+    ``balanced_feasibility`` reads the speeds (``compress_machines``); a
+    schedule the guess loop finds is lifted back.  A probe that does not
+    guess, or that no guess answers, asks one model (``_solve_at_one``)
+    of the normalized instance, converted for ``>=``: the ``Instance``
+    that ``"confilp"`` asks, whose load windows ``build_model`` cuts into
+    the lcm blocks that compression would make, so both methods share
+    every refutation.  A ``>=`` schedule is completed to n on ``inst``.
 
     Restricted instances never compress (merged speed types have no
     sound restriction row).  Each type's load window is reduced over the
@@ -448,39 +444,37 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 
     if _unrunnable_job_type(inst) is not None:
         return None
-    speeds, machines = normalized_speeds(inst, rel, threshold), inst.m
+    speeds = normalized_speeds(inst, rel, threshold)
     windows = [(m, g, cap, 0, s) if rel == LE else (m, g, cap, s, None)
                for (m, g, cap), s in zip(type_loads(inst), speeds) if m > 0]
     if capacity_refutes(inst.total_load, windows):
         trace["path"] = "capacity"
         return None
-    cmap = None
+    sched = None
     if inst.restrict is None and method == "auto":
-        counts, comp = compress_machines(inst.p, speeds, inst.m)
+        counts, cmap = compress_machines(inst.p, speeds, inst.m)
+        comp = cmap.compressed_speeds
+        if rel == GE:
+            comp = idle_cmax_speeds(comp, inst.pmax)
         cutoff = large_machine_cutoff(inst.d, inst.pmax)
-        if any(s > cutoff and k > 0
-               for s, k in zip(comp.compressed_speeds, counts)):
-            speeds, machines, cmap = comp.compressed_speeds, counts, comp
-    if rel == GE:
-        speeds = idle_cmax_speeds(speeds, inst.pmax)
-    question = Instance(inst.p, inst.n, speeds, machines, inst.restrict,
-                        inst.name)
-
-    if cmap is not None:
-        sched, info = balanced_feasibility(question, rel,
-                                           state_limit=state_limit)
-        trace.update(info)
-    else:
-        sched = _solve_at_one(question, rel, state_limit)
-        trace["path"] = "direct-confilp"
-
+        if any(s > cutoff and k > 0 for s, k in zip(comp, counts)):
+            sched, info = balanced_feasibility(
+                Instance(inst.p, inst.n, comp, counts, None, inst.name), rel,
+                state_limit=state_limit)
+            trace.update(info)
+            if sched is not None:
+                sched = lift_schedule(sched, cmap)
     if sched is None:
-        return None
+        if rel == GE:
+            speeds = idle_cmax_speeds(speeds, inst.pmax)
+        sched = _solve_at_one(Instance(inst.p, inst.n, speeds, inst.m,
+                                       inst.restrict, inst.name),
+                              rel, state_limit)
+        trace["path"] = "direct-confilp"
+        if sched is None:
+            return None
     if rel == GE:
-        # the conversion keeps p, n and restrict, all that this reads
-        sched = _complete_to_demand(question, sched)
-    if cmap is not None:
-        sched = lift_schedule(sched, cmap)
+        sched = _complete_to_demand(inst, sched)
     _certify(inst, sched, FeasibilityQuery(rel, threshold))
     return sched
 

@@ -292,16 +292,23 @@ def instance_stream(count: int, base_seed: int = 0, **overrides):
     return out
 
 
+def perfbench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded from its file
+    (``perfbench`` is not a package) and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def guessing_corpus() -> list[tuple[str, Instance, Fraction]]:
     """The benchmark's default ``guessing`` solves and their committed optima.
 
-    Each entry is (objective, instance, optimum).  The corpus module
-    ``perfbench/corpus.py`` is loaded from its file and only read.
+    Each entry is (objective, instance, optimum), read from
+    ``perfbench/corpus.py``.
     """
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
+    corpus = perfbench_module("corpus")
     solves = corpus.build(hmsched, "guessing", "default")
     expected = corpus.load_expected("guessing", "default", solves)
     return [(kind, inst, want) for (kind, inst), want in zip(solves, expected)]

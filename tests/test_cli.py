@@ -167,6 +167,12 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     zero_speed = tmp_path / "zs.json"
     zero_speed.write_text(json.dumps({"p": [1], "n": [1], "s": [0], "m": [1]}))
     assert main(["solve", str(zero_speed), "--objective", "cmax"]) == 1
+    # a file that is not UTF-8, and arrays nested past the parser's
+    # recursion limit
+    bad.write_bytes(b'\xff\xfe{"p":[1]}')
+    assert main(["solve", str(bad), "--objective", "cmax"]) == 1
+    bad.write_text("[" * 200_000)
+    assert main(["solve", str(bad), "--objective", "cmax"]) == 1
     capsys.readouterr()
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import hmsched
 from hmsched import cli, drivers
 from hmsched.balancing import (
     guess_configs,
@@ -52,6 +53,7 @@ from helpers import _search_grid as reference_search_grid
 from helpers import (
     guessing_corpus,
     instance_stream,
+    perfbench_module,
     reference_guesses,
     reference_minimize_envy,
 )
@@ -471,21 +473,25 @@ def test_balanced_two_fast_machines():
     assert info == {"path": "balanced", "guesses": 1}
     report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
     assert report.ok
+    # No guess answers the overfull question, and the loop refutes
+    # nothing; ``feasibility`` refutes it without a model.
     over = Instance(p=(1,), n=(14,), s=(6,), m=(2,))
-    sched, info = balanced_feasibility(over, "<=")
-    assert sched is None
-    assert info == {"path": "direct-confilp", "guesses": 4}
+    assert balanced_feasibility(over, "<=") == (
+        None, {"path": "balanced", "guesses": 4})
+    trace = {}
+    assert feasibility(over, "<=", Fraction(1), trace=trace) is None
+    assert trace == {"path": "capacity"}
 
 
 @pytest.mark.parametrize("n, s, remainder", [
-    ((20, 11), (36, 45, 69, 72), ((17, 11), (66, 66, 36, 45))),
-    ((28, 9), (8, 43, 73, 74), ((23, 9), (67, 65, 8, 43))),
+    ((20, 11), (36, 45, 69, 72), ((17, 11), (36, 45, 66, 66))),
+    ((28, 9), (8, 43, 73, 74), ((23, 9), (8, 43, 67, 65))),
 ])
 def test_balanced_case_one(monkeypatch, n, s, remainder):
     # Cutoff 64: two fast and two slow machines.  The first guess
-    # preassigns its reduced floors, and its residual lists the fast
-    # types first at the speed their rows leave and asks the rest of n
-    # exactly.
+    # preassigns its reduced floors, and its residual keeps the types in
+    # their order, each fast one at the speed its row leaves, and asks
+    # the rest of n exactly.
     inst = Instance(p=(3, 4), n=n, s=s, m=(1, 1, 1, 1))
     assert large_machine_cutoff(inst.d, inst.pmax) == 64
     asked = []
@@ -528,17 +534,20 @@ def test_balanced_case_one_trim_splits_a_run():
 
 
 def test_balanced_guess_count_on_several_fast_machines():
-    # Three speed-73 machines (cutoff 64).  The load 218 fits in 219, but
-    # no schedule exists at threshold 1, so the guess loop runs to its
-    # end and the direct model refutes the question.  With more than one
-    # machine on a fast type the g2 caps depend on the machine counts in
-    # area_2; 23 guesses pass them (24 if area_2 ignored the counts).
+    # Three speed-73 machines (cutoff 64), below the compression limit
+    # 108.  The load 218 fits in 219, but no schedule exists at threshold
+    # 1, so the guess loop runs to its end and the direct model refutes
+    # the question.  With more than one machine on a fast type the g2
+    # caps depend on the machine counts in area_2; 23 guesses pass them
+    # (24 if area_2 ignored the counts).
     inst = Instance(p=(3, 4), n=(2, 53), s=(73,), m=(3,))
     assert inst.s[0] > large_machine_cutoff(inst.d, inst.pmax)
     assert inst.total_load <= inst.s[0] * inst.m[0]
-    sched, info = balanced_feasibility(inst, "<=")
-    assert sched is None
-    assert info == {"path": "direct-confilp", "guesses": 23}
+    assert balanced_feasibility(inst, "<=") == (
+        None, {"path": "balanced", "guesses": 23})
+    trace = {}
+    assert feasibility(inst, "<=", Fraction(1), trace=trace) is None
+    assert trace == {"path": "direct-confilp", "guesses": 23}
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is None
 
 
@@ -553,7 +562,7 @@ def test_case_one_bound_leaves_one_guess_on_a_held_out_instance():
     assert result.trace == {"probes": 0, "path": "incumbent"}
     trace = {}
     sched = feasibility(inst, "<=", Fraction(199, 6), trace=trace)
-    assert sched.entries == ((0, (2, 5), 1), (1, (26, 19), 1))
+    assert sched.entries == ((0, (7, 1), 1), (1, (21, 23), 1))
     assert trace == {"path": "balanced", "guesses": 1}
 
 
@@ -589,13 +598,13 @@ def test_balanced_rejects_other_relations(rel):
         balanced_feasibility(inst, rel)
 
 
-def _fast_instances(count, seed):
+def _fast_instances(count, seed, sizes=range(1, 4)):
     """1-3 fast types of 1-4 machines, sometimes slow types, loads near
     the total speed."""
     rnd = random.Random(seed)
     for _ in range(count):
         d = rnd.randint(1, 2)
-        p = tuple(rnd.randint(1, 3) for _ in range(d))
+        p = tuple(rnd.choice(sizes) for _ in range(d))
         cutoff = large_machine_cutoff(d, max(p))
         fast = rnd.sample(range(cutoff + 1, cutoff + 25), rnd.randint(1, 3))
         slow = rnd.sample(range(1, cutoff + 1), rnd.choice((0, 0, 1, 2)))
@@ -624,45 +633,103 @@ def test_guess_loop_attempts_the_filtered_box_guesses(monkeypatch):
         want = list(reference_guesses(inst))
         for rel in ("<=", ">="):
             attempted.clear()
-            _, info = balanced_feasibility(inst, rel)
-            found = info["path"] == "balanced"
+            sched, info = balanced_feasibility(inst, rel)
+            found = sched is not None
             assert attempted == (want[:len(attempted)] if found else want), (
                 inst, rel)
-            assert info["guesses"] == len(attempted), (inst, rel)
+            assert info == {"path": "balanced", "guesses": len(attempted)}, (
+                inst, rel)
             outcomes.add((rel, found))
     assert len(outcomes) == 4
 
 
-def test_every_refutation_comes_from_the_direct_model():
-    # The guess loop only finds schedules: a question that no guess
-    # answers goes to the direct model of the same instance, so every
-    # verdict is the exact model's.  ``>=`` asks the converted question.
-    paths = set()
-    for inst in _fast_instances(120, 777):
+def test_every_refutation_comes_from_the_direct_model(monkeypatch):
+    # The guess loop only finds schedules: a probe that no guess answers
+    # asks the direct model of the normalized question, converted for
+    # ``>=``, which is the one model confilp asks, so both methods share
+    # every verdict and every refutation.  Sizes 1-3 never leave a fast
+    # machine after compression at threshold 1; sizes 4-7 do.  The named
+    # instances end the loop without a schedule: refuted (both
+    # relations; the speed-121 machines compress into speed-97 and
+    # speed-12 ones, so the direct model is not the loop's instance) and
+    # found by the direct model after no guess.
+    asked = []
+    solve_at_one = drivers._solve_at_one
+    plain_balanced = drivers.balanced_feasibility
+
+    def spy_solve(sub, rel, state_limit):
+        asked.append((sub, rel))
+        return solve_at_one(sub, rel, state_limit)
+
+    def spy_balanced(*args, **kwargs):
+        # forget the guess loop's residual models
+        start = len(asked)
+        out = plain_balanced(*args, **kwargs)
+        del asked[start:]
+        return out
+
+    monkeypatch.setattr(drivers, "_solve_at_one", spy_solve)
+    monkeypatch.setattr(drivers, "balanced_feasibility", spy_balanced)
+    named = [Instance(p=(3, 4), n=(2, 53), s=(73,), m=(3,)),
+             Instance(p=(3, 4), n=(2, 89), s=(121,), m=(3,)),
+             Instance(p=(3, 5), n=(235, 2), s=(67, 106, 110), m=(1, 3, 3)),
+             Instance(p=(5, 6), n=(16, 15), s=(134, 144), m=(1, 1))]
+    seen = set()
+    for inst in [*_fast_instances(120, 777),
+                 *_fast_instances(40, 777, sizes=range(4, 8)), *named]:
         for rel in ("<=", ">="):
-            question = inst if rel == "<=" else Instance(
-                inst.p, inst.n, idle_cmax_speeds(inst.s, inst.pmax), inst.m)
-            sched, info = balanced_feasibility(question, rel)
+            asked.clear()
+            trace = {}
+            sched = feasibility(inst, rel, Fraction(1), trace=trace)
+            auto = list(asked)
+            asked.clear()
             direct = feasibility(inst, rel, Fraction(1), method="confilp")
             assert (sched is None) == (direct is None), (inst, rel)
-            if sched is None:
-                assert info["path"] == "direct-confilp", (inst, rel)
-            paths.add((rel, info["path"], sched is None))
-    assert paths >= {("<=", "balanced", False), ("<=", "direct-confilp", True),
-                     ("<=", "direct-confilp", False), (">=", "balanced", False),
-                     (">=", "direct-confilp", True)}
+            assert auto == ([] if trace["path"] == "balanced" else asked), (
+                inst, rel)
+            seen.add((rel, "guesses" in trace, trace["path"], sched is None))
+    assert seen >= {("<=", True, "balanced", False),
+                    ("<=", True, "direct-confilp", True),
+                    ("<=", True, "direct-confilp", False),
+                    (">=", True, "balanced", False),
+                    (">=", True, "direct-confilp", True)}
 
 
 def test_direct_model_answers_a_question_without_a_guess():
     # Cutoff 21: both types are fast, but g2 must load at least 19 and no
-    # saturated g1a leaves it more than 15, so the loop attempts no guess
-    # and the direct model finds the schedule.
+    # saturated g1a leaves it more than 15, so the loop attempts no guess.
     inst = Instance(p=(3,), n=(54,), s=(41, 42), m=(4, 2))
-    sched, info = balanced_feasibility(inst, "<=")
-    assert info == {"path": "direct-confilp", "guesses": 0}
+    assert balanced_feasibility(inst, "<=") == (
+        None, {"path": "balanced", "guesses": 0})
+    # Cutoff 120 and no compression at threshold 1: g2 must load at least
+    # 14, and every spread phase leaves it at most 11, so the probe
+    # attempts no guess and the direct model finds the schedule that
+    # confilp finds.
+    inst = Instance(p=(5, 6), n=(16, 15), s=(134, 144), m=(1, 1))
+    trace = {}
+    sched = feasibility(inst, "<=", Fraction(1), trace=trace)
+    assert trace == {"path": "direct-confilp", "guesses": 0}
+    assert sched == feasibility(inst, "<=", Fraction(1), method="confilp")
     report = verify_schedule(inst, sched, FeasibilityQuery("<=", Fraction(1)))
     assert report.ok, report.violations
     assert aggregate_jobs(sched) == inst.n
+
+
+def test_tracer_counts_only_the_guesses_that_answer():
+    # The benchmark's tracer divides the schedules balanced_feasibility
+    # returns by the guesses it attempts.  A loop that attempts no guess
+    # returns no schedule, so the ratio stays at most 1: here 1 of 1.
+    tracer = perfbench_module("tracer").Tracer(hmsched)
+    tracer.install()
+    try:
+        for inst in (Instance(p=(3,), n=(54,), s=(41, 42), m=(4, 2)),
+                     Instance(p=(1,), n=(10,), s=(6,), m=(2,))):
+            drivers.balanced_feasibility(inst, "<=")
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["drivers.balanced_feasibility.guesses"][0] == 1
+    assert metrics["drivers.balanced_feasibility.guess_success_ratio"][0] == 1
 
 
 def test_capacity_bound_solves_fast_machines_within_3000_states():
