@@ -302,15 +302,18 @@ def perfbench_module(name: str):
     return module
 
 
-def guessing_corpus() -> list[tuple[str, Instance, Fraction]]:
-    """The benchmark's default ``guessing`` solves and their committed optima.
+def corpus_solves(workload: str, name: str = "default"
+                  ) -> list[tuple[str, Instance, Fraction]]:
+    """A benchmark corpus's solves and their committed optima.
 
-    Each entry is (objective, instance, optimum), read from
-    ``perfbench/corpus.py``.
+    Each entry is (kind, instance, optimum), read from
+    ``perfbench/corpus.py``; kind is cmax, cmin or cenvy, or rcmax or
+    rcmin for a restricted solve.  Every ``mixed`` optimum comes from the
+    brute-force oracle.
     """
     corpus = perfbench_module("corpus")
-    solves = corpus.build(hmsched, "guessing", "default")
-    expected = corpus.load_expected("guessing", "default", solves)
+    solves = corpus.build(hmsched, workload, name)
+    expected = corpus.load_expected(workload, name, solves)
     return [(kind, inst, want) for (kind, inst), want in zip(solves, expected)]
 
 

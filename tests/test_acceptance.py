@@ -20,8 +20,8 @@ import pytest
 from helpers import (
     build_fractional_schedule,
     check_fractional_schedule_properties,
+    corpus_solves,
     cut_block,
-    guessing_corpus,
     instance_stream,
     large_instance_stream,
     load_multiple_subvector,
@@ -126,7 +126,7 @@ def test_criterion_7_path_equivalence(mixed_results):
                            Fraction(math.ceil(cmax_opt * s) - 1, s)))
     # the benchmark's guessing instances, at each committed optimum and
     # one grid step of the fastest type past it
-    for objective, inst, opt in guessing_corpus():
+    for objective, inst, opt in corpus_solves("guessing"):
         s = max(inst.s)
         if objective == "cmax":
             past = Fraction(math.ceil(opt * s) - 1, s)

@@ -1,6 +1,8 @@
 import json
+import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +53,7 @@ from hmsched.reduction import normalized_speeds
 
 from helpers import _search_grid as reference_search_grid
 from helpers import (
-    guessing_corpus,
+    corpus_solves,
     instance_stream,
     perfbench_module,
     reference_guesses,
@@ -149,9 +151,11 @@ def test_min_completion_incumbent_fills_the_slowest_machine():
     assert value == Fraction(3, 4)
     assert sched.entries == ((0, (1,), 1), (1, (2,), 1), (2, (3,), 1),
                              (3, (3,), 1), (4, (3,), 1))
+    # The incumbent is optimal, so the one probe, at the grid value next
+    # to it, refutes every entry.
     result = maximize_min_completion(inst)
     assert result.value == Fraction(3, 4)
-    assert result.trace["probes"] == 2
+    assert result.trace["probes"] == 1
 
 
 def test_incumbents_lie_within_the_distance_bound():
@@ -487,7 +491,8 @@ def test_balanced_two_fast_machines():
     ((20, 11), (36, 45, 69, 72), ((17, 11), (36, 45, 66, 66))),
     ((28, 9), (8, 43, 73, 74), ((23, 9), (8, 43, 67, 65))),
 ])
-def test_balanced_case_one(monkeypatch, n, s, remainder):
+def test_balanced_residual_keeps_type_order_and_asks_the_rest_of_n(
+        monkeypatch, n, s, remainder):
     # Cutoff 64: two fast and two slow machines.  The first guess
     # preassigns its reduced floors, and its residual keeps the types in
     # their order, each fast one at the speed its row leaves, and asks
@@ -515,7 +520,7 @@ def _certified_first_guess(inst, sched, info):
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is not None
 
 
-def test_balanced_case_one_refutes_a_slow_residual_that_fits():
+def test_balanced_first_guess_gives_the_fast_machine_most_of_n():
     # Cutoff 24: one speed-34 machine is fast, and the slow machines sum
     # to speed 52 but hold at most 3 + 11 + 11 jobs of size 2, so the
     # fast machine must take most of n; the first guess does.
@@ -524,7 +529,7 @@ def test_balanced_case_one_refutes_a_slow_residual_that_fits():
     _certified_first_guess(inst, sched, info)
 
 
-def test_balanced_case_one_trim_splits_a_run():
+def test_balanced_first_guess_on_several_fast_machines_places_at_most_n():
     # Cutoff 10: three speed-14 and two speed-24 machines are fast.  The
     # first guess's floored rows place at most n, so its residual demand
     # is the rest of n exactly.
@@ -551,7 +556,7 @@ def test_balanced_guess_count_on_several_fast_machines():
     assert feasibility(inst, "<=", Fraction(1), method="confilp") is None
 
 
-def test_case_one_bound_leaves_one_guess_on_a_held_out_instance():
+def test_guess_loop_answers_a_held_out_optimum_at_its_first_guess():
     # guess-80006 of the held-out guessing corpus: guesses whose spread
     # phase is empty would leave the speed-1 machine more than it can
     # hold, and the loop attempts none; its first guess succeeds.  The
@@ -566,7 +571,7 @@ def test_case_one_bound_leaves_one_guess_on_a_held_out_instance():
     assert trace == {"path": "balanced", "guesses": 1}
 
 
-def test_case_two_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
+def test_guess_loop_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
     # One speed-1 type of two machines: every g1a before the first whose
     # g2 box at g1b = 0 reaches g2's lower end is skipped without
     # enumerating its g1b, and that g1a's first guess succeeds.  Without
@@ -855,14 +860,14 @@ def test_guessing_corpus_models_hold_108_columns(monkeypatch):
 
     monkeypatch.setattr(drivers, "build_model", spy)
     solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
-    for kind, inst, want in guessing_corpus():
+    for kind, inst, want in corpus_solves("guessing"):
         assert solver[kind](inst).value == want, (kind, inst)
     assert (len(columns), sum(columns)) == (7, 108)
 
 
 @pytest.mark.parametrize("method", ["auto", "confilp"])
 def test_methods_reach_guessing_corpus_optima(method):
-    solves = guessing_corpus()
+    solves = corpus_solves("guessing")
     solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion}
     assert len(solves) == 24
     for kind, inst, want in solves:
@@ -1384,6 +1389,44 @@ def test_envy_settles_each_top_type_with_one_probe(monkeypatch):
         probed += bool(probes)
     # 64 of the 78 instances have an optimal incumbent, 47 of them probe
     assert probed >= 40, probed
+
+
+@pytest.mark.parametrize("corpus", ["default", "heldout"])
+def test_an_optimal_incumbent_costs_at_most_one_probe(corpus):
+    # A threshold solve asks one question over all its grid entries, first
+    # at the grid value next to the incumbent.  When the incumbent is
+    # optimal that probe is refuted and empties every entry, so the solve
+    # makes exactly one probe if the bracket between the area bound and
+    # the incumbent holds a grid value, and none otherwise.  The ``mixed``
+    # corpora are seeded unrestricted and restricted streams whose optima
+    # the oracle computed.
+    solver = {"cmax": minimize_makespan, "cmin": maximize_min_completion,
+              "rcmax": lambda inst: solve_restricted(inst, "cmax"),
+              "rcmin": lambda inst: solve_restricted(inst, "cmin")}
+    checked = Counter()
+    for kind, inst, want in corpus_solves("mixed", corpus):
+        if kind == "cenvy":
+            continue
+        objective = kind.removeprefix("r")
+        minimize = objective == "cmax"
+        incumbent, _ = drivers._incumbent(inst, "<=" if minimize else ">=")
+        if incumbent != want:
+            continue
+        grid = candidate_values(inst, objective)
+        low, high = sorted((grid.bound, incumbent))
+        # some grid value k / den in [bound, incumbent) for cmax, in
+        # (incumbent, bound] for cmin
+        inside = any(
+            min(top, math.ceil(high * den) - 1) >= math.ceil(low * den)
+            if minimize else
+            min(top, math.floor(high * den)) >= math.floor(low * den) + 1
+            for _, den, top in grid.entries)
+        result = solver[kind](inst)
+        assert result.value == want, (kind, inst)
+        assert result.trace["probes"] == int(inside), (kind, inst)
+        checked[kind, inside] += 1
+    # every kind has optimal incumbents both with and without a probe
+    assert len(checked) == 8 and min(checked.values()) >= 10, checked
 
 
 @pytest.mark.parametrize("solve,optimum", [
