@@ -50,11 +50,13 @@ preassigns their floor minus the balancing margin
 model, and lifts the schedule back (``reduction.lift_schedule``).  Like
 ``_incumbent``, the guess loop only finds schedules: a probe that no
 guess answers asks the direct model, so both methods share every
-refutation.  Either way the answer is certified by
-verify_schedule before being returned.  Each schedule the
-threshold driver returns is verified once against the caller's
-instance, by ``_incumbent`` or by the ``feasibility`` call that found
-it, at a threshold its own value meets.
+refutation.
+
+One certification rule holds for every objective: a schedule is
+verified against the caller's instance, at a threshold its own makespan
+(minimum completion for ``>=``) meets, before the search moves to it,
+by ``_incumbent`` or by the probe that returns it (``feasibility`` or
+envy's scan), so every probe returns a certified schedule or None.
 """
 
 from __future__ import annotations
@@ -484,25 +486,26 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
 # Objective drivers
 # ---------------------------------------------------------------------------
 
-def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
-                 best: tuple[Fraction, HMSchedule]
-                 ) -> tuple[Fraction, HMSchedule]:
-    """Best feasible value on the grid, with the schedule that attains it.
+def _search_grid(inst: Instance, objective: str, probe,
+                 trace: dict) -> SolveResult:
+    """Solve ``objective``: the best feasible value on its exact grid.
 
-    Each entry ``(type, den, top)`` stands for the values {k / den :
-    0 <= k <= top}.  The bracket's best side ``best`` is a schedule and
-    its own value (``objective_value``), first a certified incumbent;
-    its refuted side is first ``grid.bound``.  Each probe,
-    ``probe(entry, value)`` at a value strictly inside the bracket,
-    returns a schedule or None; the schedule is certified by the probe
-    (``feasibility``) or, for envy, once the search returns it
-    (``minimize_envy``).  A schedule moves the best side to its own
-    value.  A refutation moves the refuted side for every entry of its
-    question, the entries that ask the same monotone question (every
-    value above a feasible one is feasible when minimizing, every value
-    below when maximizing): all entries of a cmax or cmin grid, and the
-    one entry of an envy top type.  An empty bracket costs no probe, and
-    the bracket ends are floor divisions, not Fraction products.
+    The one solve frame of every driver.  It lists ``candidate_values``,
+    whose entries ``(type, den, top)`` stand for the values {k / den :
+    0 <= k <= top}, and keeps one bracket.  Its best side is a schedule
+    and its own value (``objective_value``), first the incumbent
+    (``_incumbent``; envy reads its gap); its refuted side is first the
+    grid's bound.  Each probe, ``probe(entry, value)`` at a value
+    strictly inside the bracket, returns a certified schedule or None:
+    like the incumbent, each schedule is verified against ``inst``, at a
+    threshold its own makespan (minimum completion for cmin) meets,
+    before the search moves the best side to its own value.  A refutation moves the
+    refuted side for every entry of its question, the entries that ask
+    the same monotone question (every value above a feasible one is
+    feasible when minimizing, every value below when maximizing): all
+    entries of a cmax or cmin grid, and the one entry of an envy top
+    type.  An empty bracket costs no probe, and the bracket ends are
+    floor divisions, not Fraction products.
 
     Every question is asked first at the grid value next to its best
     side, over all of its entries, and then its entries are bisected
@@ -510,8 +513,13 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
     so an optimal best side costs one probe: the incumbent is nearly
     always optimal, and the ``mixed`` threshold solves make 317 probes.
     """
-    minimize = grid.objective != "cmin"
+    grid = candidate_values(inst, objective)
+    minimize = objective != "cmin"
     bound = grid.bound
+    value, sched = _incumbent(inst, LE if minimize else GE)
+    if objective == "cenvy":
+        value = objective_value(inst, sched, objective)
+    best = (value, sched)
 
     def bracket(entry: tuple[int, int, int]) -> tuple[int, int]:
         """The numerators lo..hi strictly inside the bracket."""
@@ -531,11 +539,11 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
         sched = probe(entry, value)
         if sched is None:
             return True
-        best = (objective_value(inst, sched, grid.objective), sched)
+        best = (objective_value(inst, sched, objective), sched)
         return False
 
     questions = ([(entry,) for entry in grid.entries]
-                 if grid.objective == "cenvy" else [grid.entries])
+                 if objective == "cenvy" else [grid.entries])
     for entries in questions:
         refuted = None
         near = [(Fraction(hi if minimize else lo, entry[1]), entry)
@@ -552,7 +560,7 @@ def _search_grid(inst: Instance, grid: CandidateGrid, probe, trace: dict,
                 value = Fraction((lo + hi) // 2, entry[1])
                 if refutes(entry, value):
                     refuted = value
-    return best
+    return SolveResult(objective, *best, trace)
 
 
 def _deal(inst: Instance, rel: str) -> list[list]:
@@ -707,7 +715,6 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
         raise ValueError(f"unknown method {method!r}")
     admit(inst, objective)
     rel = LE if objective == "cmax" else GE
-    trace: dict = {"probes": 0}
     # a solve that runs no probe is answered by the incumbent
     last: dict = {"path": "incumbent"}
 
@@ -717,12 +724,10 @@ def _optimize_threshold(inst: Instance, objective: str, method: str,
         return feasibility(inst, rel, T, method=method,
                            state_limit=state_limit, trace=last)
 
-    value, sched = _search_grid(inst, candidate_values(inst, objective), probe,
-                                trace, _incumbent(inst, rel))
-    # the probe count plus the last probe's keys; _incumbent or the probe
-    # that found the schedule certified it at a threshold its value meets
-    trace.update(last)
-    return SolveResult(objective, value, sched, trace)
+    result = _search_grid(inst, objective, probe, {"probes": 0})
+    # the probe count plus the last probe's keys
+    result.trace.update(last)
+    return result
 
 
 def minimize_makespan(inst: Instance, method: str = "auto",
@@ -784,7 +789,8 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     smaller windows lies inside the larger ones.  So ``_search_grid``
     keeps one refuted side per top type: no probe asks an E that an
     earlier refutation of its t1 settled.  A schedule found at E has
-    envy at most E, and the search moves to that envy.  Each t1 is
+    envy at most E; the scan certifies it at its own makespan, and the
+    search moves to that envy.  Each t1 is
     asked first just below the best envy so far; once the best envy is
     optimal, that one refuted probe settles t1, and the incumbent's envy
     is often optimal already.
@@ -838,19 +844,12 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                 model = build_model(inst, windows, demand_relation=JOB_EQ)
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
+                _certify(inst, sched, FeasibilityQuery(
+                    LE, objective_value(inst, sched, "cmax")))
                 return sched
         return None
 
-    grid = candidate_values(inst, "cenvy")
-    _, start = _incumbent(inst, LE)
-    value, sched = _search_grid(inst, grid, check, trace,
-                                (objective_value(inst, start, "cenvy"), start))
-    # value is the schedule's own envy; certify a probe's schedule, whose
-    # machines and jobs nothing has checked (_incumbent certified start)
-    if sched is not start:
-        _certify(inst, sched,
-                 FeasibilityQuery(LE, objective_value(inst, sched, "cmax")))
-    return SolveResult("cenvy", value, sched, trace)
+    return _search_grid(inst, "cenvy", check, trace)
 
 
 def solve_restricted(inst: Instance, objective: str,

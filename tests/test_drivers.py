@@ -909,7 +909,7 @@ def test_restricted_all_true_equals_unrestricted():
             maximize_min_completion(base).value, base
 
 
-def test_restricted_completion_respects_restrictions():
+def test_restricted_completion_respects_restrictions(monkeypatch):
     # type 1's jobs may only run on machine type 1, so its leftover jobs
     # must not be completed onto the first entry (machine type 0)
     inst = Instance(p=(1, 1, 1), n=(4, 3, 2), s=(1, 7), m=(1, 1),
@@ -918,6 +918,31 @@ def test_restricted_completion_respects_restrictions():
     assert result.value == Fraction(5, 7) == brute_force(inst, "cmin")[0]
     assert verify_schedule(inst, result.schedule,
                            FeasibilityQuery(">=", result.value)).ok
+    # The incumbent is optimal, so the solve's one probe is refuted by the
+    # capacity check and completes nothing; ask ``feasibility`` directly.
+    added = []
+    plain_complete = drivers._complete_to_demand
+
+    def jobs(sched):
+        """Jobs per (machine type, job type)."""
+        return Counter({(t, j): c * k for t, counts, k in sched.entries
+                        for j, c in enumerate(counts) if c})
+
+    def spy(inst, sched):
+        done = plain_complete(inst, sched)
+        added.append(jobs(done) - jobs(sched))
+        return done
+
+    monkeypatch.setattr(drivers, "_complete_to_demand", spy)
+    # at 0 the model leaves both machines empty, and completion adds
+    # (4, 0, 2) to machine type 0 and (0, 3, 0) to machine type 1; at 5/7
+    # it adds three type-0 jobs to machine type 0
+    for T in (Fraction(0), Fraction(5, 7)):
+        sched = feasibility(inst, ">=", T)
+        assert verify_schedule(inst, sched, FeasibilityQuery(">=", T)).ok
+    assert added == [Counter({(0, 0): 4, (0, 2): 2, (1, 1): 3}),
+                     Counter({(0, 0): 3})]
+    assert all(inst.allowed(j, t) for done in added for t, j in done)
 
 
 def test_restricted_impossible_job():
@@ -957,7 +982,7 @@ def test_envy_no_jobs():
     # the incumbent's envy is 1, a probe finds envy 1/4
     (Instance(p=(2, 3), n=(4, 2), s=(1, 4), m=(1, 1)), True),
 ])
-def test_envy_verifies_the_returned_schedule_once(monkeypatch, inst, beaten):
+def test_envy_verifies_each_probe_schedule_once(monkeypatch, inst, beaten):
     checked = []
     plain_verify = drivers.verify_schedule
 
@@ -968,12 +993,41 @@ def test_envy_verifies_the_returned_schedule_once(monkeypatch, inst, beaten):
     monkeypatch.setattr(drivers, "verify_schedule", spy)
     result = minimize_envy(inst)
     assert result.trace["probes"] > 0
-    # _incumbent certifies the incumbent; a probe's schedule is certified
-    # once the search returns it
+    # _incumbent certifies the incumbent, and the probe that finds a
+    # schedule certifies it; one probe here finds one
     assert len(checked) == 1 + beaten
     assert checked[-1] == result.schedule
     assert verify_schedule(inst, result.schedule, FeasibilityQuery(
         "<=", max(schedule_completions(inst, result.schedule)))).ok
+
+
+def test_envy_probes_certify_each_schedule_they_return(monkeypatch):
+    # Two probes of this solve return schedules.  Each is verified before
+    # the search moves to it, not only the one the solve returns.
+    checked, found = [], []
+    plain_verify, search_grid = drivers.verify_schedule, drivers._search_grid
+
+    def spy(*args, **kwargs):
+        checked.append(args[1])
+        return plain_verify(*args, **kwargs)
+
+    def logged_search(inst, objective, probe, *args):
+        def logged(entry, E):
+            start = len(checked)
+            sched = probe(entry, E)
+            if sched is not None:
+                assert sched in checked[start:]
+                found.append(sched)
+            return sched
+        return search_grid(inst, objective, logged, *args)
+
+    monkeypatch.setattr(drivers, "verify_schedule", spy)
+    monkeypatch.setattr(drivers, "_search_grid", logged_search)
+    result = minimize_envy(Instance(p=(4, 5), n=(2, 4), s=(1, 4, 5),
+                                    m=(1, 1, 1)))
+    assert result.value == Fraction(3, 2)
+    assert result.trace["probes"] == 6
+    assert len(found) == 2 and len(checked) == 3
 
 
 def _column_less_models_end_there(models) -> int:
@@ -1320,12 +1374,12 @@ def test_envy_matches_the_search_without_shortcuts(monkeypatch):
     probes, models = [], []
     search_grid, build_model = drivers._search_grid, drivers.build_model
 
-    def logged_search(inst, grid, probe, *args):
+    def logged_search(inst, objective, probe, *args):
         def logged(entry, E):
             sched = probe(entry, E)
             probes.append((entry[0], E, sched is None))
             return sched
-        return search_grid(inst, grid, logged, *args)
+        return search_grid(inst, objective, logged, *args)
 
     def spy(inst, windows, **kwargs):
         models.append(build_model(inst, windows, **kwargs))
@@ -1364,12 +1418,12 @@ def test_envy_settles_each_top_type_with_one_probe(monkeypatch):
     probes = []
     search_grid = drivers._search_grid
 
-    def logged_search(inst, grid, probe, *args):
+    def logged_search(inst, objective, probe, *args):
         def logged(entry, E):
             sched = probe(entry, E)
             probes.append((entry[0], sched is None))
             return sched
-        return search_grid(inst, grid, logged, *args)
+        return search_grid(inst, objective, logged, *args)
 
     monkeypatch.setattr(drivers, "_search_grid", logged_search)
     instances = [inst for inst in instance_stream(72, base_seed=4_000)
