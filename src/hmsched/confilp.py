@@ -132,17 +132,9 @@ def _configs(p: tuple[int, ...], cap: tuple[int, ...], lower: int,
     return tuple(out)
 
 
-# The model-column cache, process-wide; the benchmark empties it before
-# every solve and reads its hit ratio.
+# The column cache of ``enumerate_configs``, process-wide; the benchmark
+# empties it before every solve and reads its hit ratio.
 _enumerate = lru_cache(maxsize=8192)(_configs)
-
-
-def _box_is_empty(p: tuple[int, ...], cap: tuple[int, ...],
-                  window: tuple[int, int]) -> bool:
-    if any(x < 0 for x in cap):
-        raise MalformedInputError("cap must be >= 0")
-    lower, upper = window
-    return lower > upper or sum(map(mul, p, cap)) < lower
 
 
 def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
@@ -153,24 +145,16 @@ def enumerate_configs(p: tuple[int, ...], cap: tuple[int, ...],
     significant), which every consumer relies on for determinism.  A
     window with ``lower > upper``, or a box whose heaviest column, ``cap``
     itself, loads less than ``lower``, is empty: that costs O(d) integer
-    steps and leaves no entry in ``_enumerate``'s cache.
+    steps and leaves no entry in ``_enumerate``'s cache.  Model columns
+    (``build_model``) and the guess loop's boxes
+    (``drivers.balanced_feasibility``) are both listed here.
     """
-    if _box_is_empty(p, cap, window):
+    if any(x < 0 for x in cap):
+        raise MalformedInputError("cap must be >= 0")
+    lower, upper = window
+    if lower > upper or sum(map(mul, p, cap)) < lower:
         return []
-    return list(_enumerate(tuple(p), tuple(cap), *window))
-
-
-def enumerate_uncached(p: tuple[int, ...], cap: tuple[int, ...],
-                       window: tuple[int, int]) -> list[tuple[int, ...]]:
-    """``enumerate_configs`` without the column cache.
-
-    For boxes asked once, such as the guess loop's g1a, g1b and g2 boxes
-    (``drivers.balanced_feasibility``), whose entries would only evict
-    model columns.  The same order and the same O(d) empty-box check.
-    """
-    if _box_is_empty(p, cap, window):
-        return []
-    return list(_configs(tuple(p), tuple(cap), *window))
+    return list(_enumerate(tuple(p), tuple(cap), lower, upper))
 
 
 def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionConstants | None:

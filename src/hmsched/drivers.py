@@ -29,25 +29,30 @@ not grow with n or m.  A solve whose incumbent meets the area bound
 probes nothing, and one whose incumbent is optimal at most once.
 
 Every solve route, the drivers' and the command line's oracle alike,
-first asks ``admit`` whether the instance can be solved at all.
+first asks ``admit`` whether the instance can be solved at all.  Before
+that, every driver, and ``feasibility``, reads a ``state_limit`` of None
+from the environment (``confilp.state_limit_default``) once, so a
+malformed budget is rejected whether or not a model gets built.
 
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
-(``feasibility``): normalize speeds to threshold 1, refute the probe
-without a model when no loads in multiples of each type's job size gcd
-fit (``capacity_refutes``), and turn a minimum-completion question into
-an idle-capped makespan question (``idle_cmax_speeds``: bounded load
+(``feasibility``): normalize the instance to threshold 1
+(``reduction.normalize``), refute the probe without a model when no
+loads in multiples of each type's job size gcd fit its normalized speeds
+(``capacity_refutes``), and turn a minimum-completion question into an
+idle-capped makespan question (``idle_cmax_speeds``: bounded load
 windows, job usage at most n, leftover jobs added back afterwards).
 Then solve one configuration model of the normalized instance, the
 model ``method="confilp"`` asks.  Before it, an ``"auto"`` probe of an
-unrestricted instance whose fast machines, compressed
-(``reduction.compress_machines``) and converted, leave one above the
-large-machine cutoff looks for a schedule by guessing: it guesses the
-integral data of the rounded fractional schedule on the fast machines,
-builds its integer configurations (``balancing.guess_configs``),
-preassigns their floor minus the balancing margin
-(``balancing.reduced_schedule``), solves the much smaller residual
-model, and lifts the schedule back (``reduction.lift_schedule``).  Like
+unrestricted instance compresses the normalized instance
+(``reduction.compress``), and if that, converted, leaves a machine
+above the large-machine cutoff, it looks for a schedule by guessing:
+it guesses the integral data of the rounded fractional schedule on the
+fast machines, builds its integer configurations
+(``balancing.guess_configs``), preassigns their floor minus the
+balancing margin (``balancing.reduced_schedule``), solves the much
+smaller residual model, and lifts the schedule back
+(``reduction.lift_schedule``).  Like
 ``_incumbent``, the guess loop only finds schedules: a probe that no
 guess answers asks the direct model, so both methods share every
 refutation.
@@ -63,7 +68,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .balancing import (
@@ -72,7 +77,12 @@ from .balancing import (
     large_machine_cutoff,
     reduced_schedule,
 )
-from .confilp import build_model, enumerate_uncached, solve_model
+from .confilp import (
+    build_model,
+    enumerate_configs,
+    solve_model,
+    state_limit_default,
+)
 from .model import (
     CertificateError,
     FeasibilityQuery,
@@ -91,10 +101,7 @@ from .model import (
     objective_value,
     verify_schedule,
 )
-from .reduction import compress_machines, lift_schedule, normalized_speeds
-# Probes no longer call these; the benchmark's tracer rebinds them by
-# name in this module.
-from .reduction import compress, normalize  # noqa: F401
+from .reduction import compress, lift_schedule, normalize
 
 
 # the solving methods ``feasibility`` and the threshold drivers accept
@@ -328,9 +335,8 @@ def balanced_feasibility(inst: Instance, rel: str,
     and flooring it loses less than sum_p.  g2's cap is largest at g1b = 0,
     so a g1a whose g2 box there loads less than g2's lower end has no
     g2 at all and is skipped whole.  ``info["guesses"]`` counts the
-    guesses the loop visits, and it attempts every one.  Each box is
-    listed once, so it bypasses the model-column cache
-    (``confilp.enumerate_uncached``).
+    guesses the loop visits, and it attempts every one.  The boxes are
+    listed by ``confilp.enumerate_configs``, as model columns are.
 
     Every guess preassigns ``balancing.reduced_schedule`` of the floors
     that ``balancing.guess_configs`` gives, one row per fast type (zero
@@ -370,17 +376,17 @@ def balanced_feasibility(inst: Instance, rel: str,
     g2_lower = max(0, area2_max - sum(p) + 1)
 
     g1a_cap = tuple(min(pmax, nj // mL) for nj in n)
-    for g1a in enumerate_uncached(p, g1a_cap, (0, cutoff)):
+    for g1a in enumerate_configs(p, g1a_cap, (0, cutoff)):
         if sum(pj * ((nj - mL * a) * area2_max // area_2)
                for pj, a, nj in zip(p, g1a, n) if a == pmax) < g2_lower:
             continue
         g1b_cap = tuple(nj // mL - a if a == pmax else 0
                         for a, nj in zip(g1a, n))
-        for g1b in enumerate_uncached(p, g1b_cap, (1, cutoff - dot(p, g1a))):
+        for g1b in enumerate_configs(p, g1b_cap, (1, cutoff - dot(p, g1a))):
             g2_cap = tuple((nj - mL * (a + b)) * area2_max // area_2
                            if a == pmax else 0
                            for a, b, nj in zip(g1a, g1b, n))
-            for g2 in enumerate_uncached(p, g2_cap, (g2_lower, area2_max)):
+            for g2 in enumerate_configs(p, g2_cap, (g2_lower, area2_max)):
                 info["guesses"] += 1
                 # a fast type's row is its reduced floor, every other's 0
                 reduced = iter(reduced_schedule(
@@ -409,22 +415,23 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
                 trace: dict | None = None) -> HMSchedule | None:
     """Decide rel-threshold feasibility and return a certified schedule.
 
-    Every query, with job usage exactly n, is normalized to threshold 1;
-    a ``>=`` question becomes an idle-capped ``<=`` one that asks for
-    usage at most n (``idle_cmax_speeds``), and its leftover jobs are
-    added back afterwards, which only raises loads.
+    Every query, with job usage exactly n, is normalized to threshold 1
+    (``reduction.normalize``); a ``>=`` question becomes an idle-capped
+    ``<=`` one that asks for usage at most n (``idle_cmax_speeds``), and
+    its leftover jobs are added back afterwards, which only raises loads.
 
-    Before any of that, ``capacity_refutes`` asks the normalized question
-    itself, with usage exactly n: every machine's load lies in [0, s_t]
-    for ``<=`` and in [s_t, oo) for ``>=``, s_t the normalized speed.
-    If no multiples of each type's job size gcd fit there, the probe is
-    refuted (``trace["path"] == "capacity"``) before any instance or
-    model is built, whether it would guess or not, restricted or not.
+    First ``capacity_refutes`` asks the normalized question itself, with
+    usage exactly n: every machine's load lies in [0, s_t] for ``<=``
+    and in [s_t, oo) for ``>=``, s_t the normalized speed.  If no
+    multiples of each type's job size gcd fit there, the probe is
+    refuted (``trace["path"] == "capacity"``) before any model is built
+    or any instance compressed, whether it would guess or not,
+    restricted or not.
 
-    A probe guesses only when ``method`` is ``"auto"`` (not
-    ``"confilp"``), the instance is unrestricted and compression leaves a
-    machine above the large-machine cutoff once converted, as
-    ``balanced_feasibility`` reads the speeds (``compress_machines``); a
+    When ``method`` is ``"auto"`` (not ``"confilp"``) and the instance
+    is unrestricted, the probe compresses the normalized instance
+    (``reduction.compress``) and converts it for ``>=``; it guesses only
+    if that leaves a machine above the large-machine cutoff, and a
     schedule the guess loop finds is lifted back.  A probe that does not
     guess, or that no guess answers, asks one model (``_solve_at_one``)
     of the normalized instance, converted for ``>=``: the ``Instance``
@@ -437,42 +444,41 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     sizes it may run, and leftover jobs go only to machines that may run
     them.
     """
-    threshold = Fraction(threshold)
-    if threshold < 0:
-        raise MalformedInputError("threshold must be >= 0")
+    if state_limit is None:
+        state_limit = state_limit_default()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if trace is None:
         trace = {}
 
+    threshold = Fraction(threshold)
+    norm = normalize(inst, rel, threshold)
     if _unrunnable_job_type(inst) is not None:
         return None
-    speeds = normalized_speeds(inst, rel, threshold)
     windows = [(m, g, cap, 0, s) if rel == LE else (m, g, cap, s, None)
-               for (m, g, cap), s in zip(type_loads(inst), speeds) if m > 0]
+               for (m, g, cap), s in zip(type_loads(inst), norm.s) if m > 0]
     if capacity_refutes(inst.total_load, windows):
         trace["path"] = "capacity"
         return None
+
+    def converted(question: Instance) -> Instance:
+        if rel == LE:
+            return question
+        return replace(question, s=idle_cmax_speeds(question.s, inst.pmax))
+
     sched = None
     if inst.restrict is None and method == "auto":
-        counts, cmap = compress_machines(inst.p, speeds, inst.m)
-        comp = cmap.compressed_speeds
-        if rel == GE:
-            comp = idle_cmax_speeds(comp, inst.pmax)
+        comp, cmap = compress(norm)
+        comp = converted(comp)
         cutoff = large_machine_cutoff(inst.d, inst.pmax)
-        if any(s > cutoff and k > 0 for s, k in zip(comp, counts)):
-            sched, info = balanced_feasibility(
-                Instance(inst.p, inst.n, comp, counts, None, inst.name), rel,
-                state_limit=state_limit)
+        if any(s > cutoff and k > 0 for s, k in zip(comp.s, comp.m)):
+            sched, info = balanced_feasibility(comp, rel,
+                                               state_limit=state_limit)
             trace.update(info)
             if sched is not None:
                 sched = lift_schedule(sched, cmap)
     if sched is None:
-        if rel == GE:
-            speeds = idle_cmax_speeds(speeds, inst.pmax)
-        sched = _solve_at_one(Instance(inst.p, inst.n, speeds, inst.m,
-                                       inst.restrict, inst.name),
-                              rel, state_limit)
+        sched = _solve_at_one(converted(norm), rel, state_limit)
         trace["path"] = "direct-confilp"
         if sched is None:
             return None
@@ -710,7 +716,8 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
 
 def _optimize_threshold(inst: Instance, objective: str, method: str,
                         state_limit: int | None) -> SolveResult:
-    # a solve whose incumbent meets the area bound asks ``feasibility`` nothing
+    if state_limit is None:
+        state_limit = state_limit_default()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     admit(inst, objective)
@@ -799,6 +806,8 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     every machine empty, with envy 0, which the grid's bound meets, so
     no probe is asked.
     """
+    if state_limit is None:
+        state_limit = state_limit_default()
     admit(inst, "cenvy")
     P = inst.total_load
     trace: dict = {"probes": 0, "solves": 0, "cache_hits": 0,

@@ -8,12 +8,16 @@ is set up:
   on the cutting lemma: any job vector with load >= cut_threshold has a
   sub-vector whose load is exactly the lcm of the job sizes (the tests'
   witness is ``tests/helpers.cut_block``).
-* ``normalize``: rescale speeds (``normalized_speeds``) so a rel-T
-  feasibility question becomes a rel-1 question with integer speeds
-  bounded by 1 + total load.
+* ``normalize``: rescale speeds so a rel-T feasibility question becomes
+  a rel-1 question with integer speeds bounded by 1 + total load.
 * ``compress``: replace each very fast machine by several slow ones plus
   a residual, preserving both <=1- and >=1-feasibility; ``lift_schedule``
   undoes the replacement on certificates.
+
+Every feasibility probe (``drivers.feasibility``) builds its threshold-1
+instance with ``normalize``; an ``"auto"`` probe of an unrestricted
+instance that the capacity check leaves open compresses that instance
+with ``compress``.
 """
 
 from __future__ import annotations
@@ -99,9 +103,8 @@ def reduce_window(lower: int, upper: int | None,
     return ReducedWindow(exact, slack, lower, upper - slack * delta)
 
 
-def normalized_speeds(inst: Instance, rel: str,
-                      threshold: Fraction) -> tuple[int, ...]:
-    """Integer speeds that turn rel-threshold feasibility into rel-1.
+def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
+    """``inst`` with the integer speeds that make a rel-T question rel-1.
 
     For ``<=``: a load L fits iff L <= T*s iff L <= floor(T*s), and no
     machine can ever receive more than the total load, so the new speed
@@ -117,13 +120,8 @@ def normalized_speeds(inst: Instance, rel: str,
         raise MalformedInputError(f"bad relation {rel!r}")
     cap = 1 + inst.total_load
     rounded = floor_times if rel == LE else ceil_times
-    return tuple(min(rounded(T, s), cap) for s in inst.s)
-
-
-def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
-    """``inst`` with its speeds replaced by ``normalized_speeds``."""
-    return Instance(inst.p, inst.n, normalized_speeds(inst, rel, threshold),
-                    inst.m, inst.restrict, inst.name)
+    speeds = tuple(min(rounded(T, s), cap) for s in inst.s)
+    return Instance(inst.p, inst.n, speeds, inst.m, inst.restrict, inst.name)
 
 
 @dataclass(frozen=True)
@@ -146,37 +144,6 @@ class CompressionMap:
     lcm_load: int
 
 
-def compress_machines(p: tuple[int, ...], s: tuple[int, ...], m: tuple[int, ...]
-                      ) -> tuple[tuple[int, ...], CompressionMap]:
-    """``compress``'s machine count per compressed speed, and its map.
-
-    Computed from the sizes, speeds and machine counts alone, so a caller
-    can look at the compressed speeds before it builds an instance.
-    """
-    k = reduction_constants(p)
-    delta = k.lcm_load
-    limit = k.cut_threshold + delta
-    residual_speed: list[int] = []
-    pieces: list[int] = []
-    by_speed: dict[int, int] = {}  # insertion order = first occurrence
-    for speed, count in zip(s, m):
-        if speed >= limit:
-            num = -((speed - limit) // -delta)  # ceil((speed - limit) / delta)
-            residual = speed - num * delta
-        else:
-            num = 0
-            residual = speed
-        residual_speed.append(residual)
-        pieces.append(num)
-        by_speed[residual] = by_speed.get(residual, 0) + count
-        if num:
-            by_speed[delta] = by_speed.get(delta, 0) + num * count
-    speeds = tuple(by_speed)
-    cmap = CompressionMap(tuple(m), tuple(residual_speed), tuple(pieces),
-                          speeds, delta)
-    return tuple(by_speed[x] for x in speeds), cmap
-
-
 def compress(inst: Instance) -> tuple[Instance, CompressionMap]:
     """Replace every machine of speed >= cut_threshold + lcm_load.
 
@@ -192,8 +159,29 @@ def compress(inst: Instance) -> tuple[Instance, CompressionMap]:
     """
     if inst.restrict is not None:
         raise MalformedInputError("compress does not support restricted instances")
-    counts, cmap = compress_machines(inst.p, inst.s, inst.m)
-    out = Instance(inst.p, inst.n, cmap.compressed_speeds, counts, None, inst.name)
+    k = reduction_constants(inst.p)
+    delta = k.lcm_load
+    limit = k.cut_threshold + delta
+    residual_speed: list[int] = []
+    pieces: list[int] = []
+    by_speed: dict[int, int] = {}  # insertion order = first occurrence
+    for speed, count in zip(inst.s, inst.m):
+        if speed >= limit:
+            num = -((speed - limit) // -delta)  # ceil((speed - limit) / delta)
+            residual = speed - num * delta
+        else:
+            num = 0
+            residual = speed
+        residual_speed.append(residual)
+        pieces.append(num)
+        by_speed[residual] = by_speed.get(residual, 0) + count
+        if num:
+            by_speed[delta] = by_speed.get(delta, 0) + num * count
+    speeds = tuple(by_speed)
+    cmap = CompressionMap(inst.m, tuple(residual_speed), tuple(pieces),
+                          speeds, delta)
+    out = Instance(inst.p, inst.n, speeds, tuple(by_speed.values()), None,
+                   inst.name)
     return out, cmap
 
 

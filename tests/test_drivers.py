@@ -49,7 +49,7 @@ from hmsched.oracle import (
     brute_force_feasibility,
     generate,
 )
-from hmsched.reduction import normalized_speeds
+from hmsched.reduction import normalize
 
 from helpers import _search_grid as reference_search_grid
 from helpers import (
@@ -577,13 +577,13 @@ def test_guess_loop_skips_every_g1b_of_a_g1a_without_a_g2(monkeypatch):
     # enumerating its g1b, and that g1a's first guess succeeds.  Without
     # the skip the loop asked 1 702 192 boxes, 1 698 094 of them empty.
     calls = []
-    enumerate_uncached = drivers.enumerate_uncached
+    enumerate_configs = drivers.enumerate_configs
 
     def spy(p, cap, window):
         calls.append(window)
-        return enumerate_uncached(p, cap, window)
+        return enumerate_configs(p, cap, window)
 
-    monkeypatch.setattr(drivers, "enumerate_uncached", spy)
+    monkeypatch.setattr(drivers, "enumerate_configs", spy)
     inst = Instance(p=(2, 3, 5, 7), n=(401, 300, 200, 100), s=(1,), m=(2,))
     # the incumbent meets the area bound 1701, so the solve probes nothing
     result = minimize_makespan(inst)
@@ -735,6 +735,41 @@ def test_tracer_counts_only_the_guesses_that_answer():
     metrics = tracer.metrics()
     assert metrics["drivers.balanced_feasibility.guesses"][0] == 1
     assert metrics["drivers.balanced_feasibility.guess_success_ratio"][0] == 1
+
+
+def test_tracer_sees_every_probe_normalize_and_compress():
+    # The tracer rebinds drivers.normalize and drivers.compress, so the
+    # probes must call the reductions by those names: every probe
+    # normalizes once, an auto probe that the capacity check leaves open
+    # compresses, and no two probes of a solve normalize alike.
+    solvers = {"cmax": "minimize_makespan", "cmin": "maximize_min_completion"}
+    tracer = perfbench_module("tracer").Tracer(hmsched)
+    tracer.install()
+    try:
+        for kind, inst, want in corpus_solves("guessing"):
+            assert getattr(drivers, solvers[kind])(inst).value == want
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    probes = metrics["drivers.feasibility.calls"][0]
+    assert probes > 0
+    assert metrics["reduction.normalize.calls"][0] == probes
+    assert metrics["reduction.compress.calls"][0] > 0
+    assert metrics["drivers.probe_repeat_ratio"][0] == 0
+
+
+def test_library_solves_read_the_state_budget_before_solving(monkeypatch):
+    # The incumbent answers every objective of this instance and the
+    # capacity check refutes the probe at 0, so no model is built: the
+    # budget was once read, and a malformed one rejected, only by the
+    # solves that built a model.
+    monkeypatch.setenv("HMSCHED_STATE_LIMIT", "abc")
+    inst = Instance((1,), (4,), (1,), (4,))
+    for solve in (minimize_makespan, maximize_min_completion, minimize_envy,
+                  lambda inst: solve_restricted(inst, "cmax"),
+                  lambda inst: feasibility(inst, "<=", Fraction(0))):
+        with pytest.raises(MalformedInputError, match="HMSCHED_STATE_LIMIT"):
+            solve(inst)
 
 
 def test_capacity_bound_solves_fast_machines_within_3000_states():
@@ -1101,7 +1136,7 @@ def _spy_questions(monkeypatch):
     plain_feasibility, plain_build = drivers.feasibility, drivers.build_model
 
     def spy_feasibility(inst, rel, T, **kwargs):
-        asked.append(normalized_speeds(inst, rel, T))
+        asked.append(normalize(inst, rel, T).s)
         return plain_feasibility(inst, rel, T, **kwargs)
 
     def spy_build(inst, windows, **kwargs):
@@ -1229,7 +1264,7 @@ def test_capacity_check_refutes_only_infeasible_models():
         for rel in ("<=", ">="):
             for t, den, top in candidate_values(inst, "cmax").entries:
                 for k in range(top + 1):
-                    speeds = normalized_speeds(inst, rel, Fraction(k, den))
+                    speeds = normalize(inst, rel, Fraction(k, den)).s
                     if (rel, speeds) in seen:
                         continue
                     seen.add((rel, speeds))
