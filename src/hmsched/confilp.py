@@ -6,14 +6,14 @@ most n (``<=``)" becomes a configuration ILP: per machine type, choose a
 multiset of load-window-respecting configurations, one per machine, so
 that demands and machine counts match.
 
-Window reduction rewrites each type's window as a small core window plus
-a number of exact / slack blocks (see reduction.reduce_window); the
-model then carries one column group per (type, part), which keeps both
-the number of columns and the coefficients small.  A solved reduced
-model recombines into configurations of the original model by giving
-every machine its core part plus its share of block parts; the block
-loads telescope so any deterministic pairing lands inside the raw
-window.
+After the load-window rule (``narrow_windows``) narrows each type's
+window, window reduction rewrites it as a small core window plus a
+number of exact / slack blocks (see reduction.reduce_window); the model
+then carries one column group per (type, part), which keeps both the
+number of columns and the coefficients small.  A solved reduced model
+recombines into configurations of the original model by giving every
+machine its core part plus its share of block parts; the block loads
+telescope so any deterministic pairing lands inside the raw window.
 
 The solver is an exact dynamic program over remaining demand vectors.
 It is deliberately simple: each state is a demand vector packed into one
@@ -41,6 +41,7 @@ the same schedule as the unbounded one, with fewer states created.
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -163,6 +164,55 @@ def _type_constants(p: tuple[int, ...], allowed: tuple[bool, ...]) -> ReductionC
     return reduction_constants(sizes) if sizes else None
 
 
+def type_loads(inst: Instance) -> list[tuple[int, int, int]]:
+    """(m_t, g_t, P_t) per machine type t, for ``narrow_windows``: g_t the
+    gcd of the sizes with demand that t may run (1 if none), P_t their load."""
+    out = []
+    for t, m in enumerate(inst.m):
+        g = cap = 0
+        for j, (pj, nj) in enumerate(zip(inst.p, inst.n)):
+            if nj and inst.allowed(j, t):
+                g, cap = math.gcd(g, pj), cap + pj * nj
+        out.append((m, g or 1, cap))
+    return out
+
+
+def _rounded(g: int, top: int, lo: int, hi: int | None):
+    """[lo, hi] shrunk to its multiples of g, capped at top (hi None: top)."""
+    return -(-lo // g) * g, top if hi is None else min(hi // g * g, top)
+
+
+def narrow_windows(loads, total: int, windows,
+                   demand_relation: str) -> tuple[int, int] | None:
+    """The load-window rule: None if no schedule keeps its loads in
+    ``windows``, else the sums (least, most) that narrow each window.
+
+    ``loads`` is ``type_loads(inst)``, ``total`` the total load P and
+    ``windows`` one (lower, upper) per type (upper None: unbounded).  A
+    type-t machine runs only sizes with demand that t may run, so its
+    load is a multiple of their gcd g_t, at most their total P_t, and in
+    [lo_t, hi_t] = [ceil(lower / g_t) * g_t, min(floor(upper / g_t) *
+    g_t, P_t)].  All loads sum to P, at most P under ``demand_relation``
+    ``<=``.  With least and most the sums of m_t * lo_t and m_t * hi_t
+    over the types with machines, no schedule exists if some lo_t >
+    hi_t, if least > P, or, under ``=`` only, if most < P.  Otherwise the
+    other machines load from least - lo_t to most - hi_t, so a type-t
+    machine loads at most P - (least - lo_t), and under ``=`` at least P
+    - (most - hi_t): ``build_model`` narrows [lo_t, hi_t] to these ends.
+    """
+    least = most = 0
+    for (m, g, top), (lower, upper) in zip(loads, windows):
+        if m:
+            lo, hi = _rounded(g, top, lower, upper)
+            if lo > hi:
+                return None
+            least += m * lo
+            most += m * hi
+    if least > total or (demand_relation == JOB_EQ and most < total):
+        return None
+    return least, most
+
+
 def build_model(inst: Instance, windows, *,
                 demand_relation: str = JOB_EQ) -> ConfILPModel:
     """Assemble the configuration model for the given load windows.
@@ -175,21 +225,10 @@ def build_model(inst: Instance, windows, *,
     and at 0 on the job types the machine type may not run: under either
     relation no machine takes more of a job type than the whole demand.
 
-    Before any column is listed, each window with machines is narrowed
-    by what the other machines must carry.  Let ``whole = dot(p, n)``,
-    and ``most`` and ``least`` the sums of ``m_t * upper_t`` and ``m_t *
-    lower_t`` over the types with machines.  Then ``upper_t`` becomes
-    ``min(upper_t, whole - (least - lower_t))`` under both relations and
-    ``lower_t`` becomes ``max(lower_t, whole - (most - upper_t))`` under
-    ``=``, both from the caller's window.  Proof: the loads of all
-    machines sum to ``whole`` under ``=`` and to at most ``whole`` under
-    ``<=``, and every other machine's load lies in its window, between
-    ``least - lower_t`` and ``most - upper_t`` in sum; so one machine of
-    type t loads at most ``whole - (least - lower_t)``, and under ``=`` at
-    least ``whole - (most - upper_t)``.  Every schedule of the model
-    meets the narrowed windows, so no verdict changes; the model keeps
-    the caller's windows as ``raw_windows``.  A window the narrowing
-    empties becomes a core group without a column.
+    Before any column is listed, ``narrow_windows`` rounds and narrows
+    each window with machines, so no verdict changes; ``raw_windows``
+    keeps the caller's windows.  A refuted question is one core group
+    without a column, and no other narrowed window is empty.
 
     Each machine type with machines contributes its column groups in one
     loop over (role, blocks per machine, window), roles in the order
@@ -198,8 +237,8 @@ def build_model(inst: Instance, windows, *,
     restricted instances reduce soundly type by type.  The core group
     has one machine per machine of the type, and each block role
     blocks-per-machine times as many (a role with no blocks gets no
-    group).  When the type may run no job, the raw window is the core
-    and there are no blocks.  The first group without a column ends the
+    group).  When the type may run no job, the narrowed window is the
+    core and there are no blocks.  The first group without a column ends the
     model: none of its machines can take a column, so ``solve_model``
     rejects the model before its dynamic program, and later groups would
     enumerate columns for nothing.
@@ -214,21 +253,25 @@ def build_model(inst: Instance, windows, *,
             raise MalformedInputError(f"bad window [{lower}, {upper}]")
 
     whole = dot(inst.p, inst.n)
-    most = sum(m * upper for m, (_, upper) in zip(inst.m, windows))
-    least = sum(m * lower for m, (lower, _) in zip(inst.m, windows))
+    loads = type_loads(inst)
+    sums = narrow_windows(loads, whole, windows, demand_relation)
     groups: list[ModelGroup] = []
-    for t, (lower, upper) in enumerate(windows):
-        if inst.m[t] == 0:
+    for t, ((m, g, top), window) in enumerate(zip(loads, windows)):
+        if m == 0:
             continue
+        if sums is None:  # one group without a column ends a refuted model
+            groups.append(ModelGroup(t, "core", m, window, ()))
+            break
+        lower, upper = _rounded(g, top, *window)
         lower, upper = (
             lower if demand_relation == JOB_LE
-            else max(lower, whole - (most - upper)),
-            min(upper, whole - (least - lower)))
+            else max(lower, whole - (sums[1] - upper)),
+            min(upper, whole - (sums[0] - lower)))
         allowed = inst.allowed_row(t)
         cap = tuple(nj if a else 0 for nj, a in zip(inst.n, allowed))
         parts = [("core", 1, (lower, upper))]
         consts = _type_constants(inst.p, allowed)
-        if consts is not None and lower <= upper:
+        if consts is not None:
             red = reduce_window(lower, upper, consts)
             lcm = consts.lcm_load
             parts = [("core", 1, (red.core_lower, red.core_upper)),
@@ -237,7 +280,7 @@ def build_model(inst: Instance, windows, *,
         for role, per_machine, part in parts:
             if per_machine:
                 groups.append(ModelGroup(
-                    t, role, inst.m[t] * per_machine, part,
+                    t, role, m * per_machine, part,
                     tuple(enumerate_configs(inst.p, cap, part))))
                 if not groups[-1].configs:
                     return ConfILPModel(inst.p, inst.n, demand_relation,

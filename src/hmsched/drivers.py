@@ -37,25 +37,15 @@ malformed budget is rejected whether or not a model gets built.
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
 (``feasibility``): normalize the instance to threshold 1
-(``reduction.normalize``), refute the probe without a model when no
-loads in multiples of each type's job size gcd fit its normalized speeds
-(``capacity_refutes``), and turn a minimum-completion question into an
-idle-capped makespan question (``idle_cmax_speeds``: bounded load
-windows, job usage at most n, leftover jobs added back afterwards).
-Then solve one configuration model of the normalized instance, the
-model ``method="confilp"`` asks.  Before it, an ``"auto"`` probe of an
-unrestricted instance compresses the normalized instance
-(``reduction.compress``), and if that, converted, leaves a machine
-above the large-machine cutoff, it looks for a schedule by guessing:
-it guesses the integral data of the rounded fractional schedule on the
-fast machines, builds its integer configurations
-(``balancing.guess_configs``), preassigns their floor minus the
-balancing margin (``balancing.reduced_schedule``), solves the much
-smaller residual model, and lifts the schedule back
-(``reduction.lift_schedule``).  Like
-``_incumbent``, the guess loop only finds schedules: a probe that no
-guess answers asks the direct model, so both methods share every
-refutation.
+(``reduction.normalize``), refute the probe without a model when the
+load-window rule (``confilp.narrow_windows``) refutes its model's
+windows, turn a minimum-completion question into an idle-capped
+makespan question (``idle_cmax_speeds``), and solve the one model that
+``method="confilp"`` asks.  Before it, an ``"auto"`` probe of an
+unrestricted instance with a machine above the large-machine cutoff
+after compression looks for a schedule by guessing
+(``balanced_feasibility``), which, like ``_incumbent``, only finds
+schedules, so both methods share every refutation.
 
 One certification rule holds for every objective: a schedule is
 verified against the caller's instance, at a threshold its own makespan
@@ -80,8 +70,10 @@ from .balancing import (
 from .confilp import (
     build_model,
     enumerate_configs,
+    narrow_windows,
     solve_model,
     state_limit_default,
+    type_loads,
 )
 from .model import (
     CertificateError,
@@ -172,47 +164,6 @@ def candidate_values(inst: Instance, objective: str) -> CandidateGrid:
         return CandidateGrid(objective, tuple(
             (t1, L, inst.pmax * L) for t1 in present), Fraction(0))
     raise ValueError(f"unknown objective {objective!r}")
-
-
-def type_loads(inst: Instance) -> list[tuple[int, int, int]]:
-    """(m_t, g_t, P_t) per machine type t, for ``capacity_refutes``: g_t
-    is the gcd of the job sizes with demand that t may run (1 if there
-    are none) and P_t their total load."""
-    out = []
-    for t, m in enumerate(inst.m):
-        g = cap = 0
-        for j, (pj, nj) in enumerate(zip(inst.p, inst.n)):
-            if nj and inst.allowed(j, t):
-                g, cap = math.gcd(g, pj), cap + pj * nj
-        out.append((m, g or 1, cap))
-    return out
-
-
-def capacity_refutes(total: int, windows) -> bool:
-    """True if no schedule of load ``total`` keeps its loads in ``windows``.
-
-    ``windows`` holds one (m_t, g_t, P_t, lo_t, hi_t) per machine type
-    with machines, as ``type_loads`` gives them plus the load window
-    [lo_t, hi_t] (hi_t None: unbounded) of each of its m_t machines.
-    It refutes only questions without a schedule, because a machine of
-    type t runs only job sizes with demand that t may run: its load is a
-    sum of such sizes, so a multiple of their gcd g_t and at most their
-    total load P_t.  Inside its window it lies between
-    ceil(lo_t / g_t) * g_t and min(floor(hi_t / g_t) * g_t, P_t); if the
-    first exceeds the second no load fits.  The loads of all machines
-    sum to ``total``, which must therefore lie between the sums of these
-    ends over all machines.  It costs O(tau) integer steps and builds no
-    model.
-    """
-    least = most = 0
-    for m, g, cap, lo, hi in windows:
-        lo = -(-lo // g) * g
-        hi = cap if hi is None else min(hi // g * g, cap)
-        if lo > hi:
-            return True
-        least += m * lo
-        most += m * hi
-    return not least <= total <= most
 
 
 def _unrunnable_job_type(inst: Instance) -> int | None:
@@ -415,34 +366,35 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
                 trace: dict | None = None) -> HMSchedule | None:
     """Decide rel-threshold feasibility and return a certified schedule.
 
+    The threshold must be an int or a Fraction (``normalize`` checks).
     Every query, with job usage exactly n, is normalized to threshold 1
     (``reduction.normalize``); a ``>=`` question becomes an idle-capped
-    ``<=`` one that asks for usage at most n (``idle_cmax_speeds``), and
-    its leftover jobs are added back afterwards, which only raises loads.
+    ``<=`` one with usage at most n (``idle_cmax_speeds``), whose leftover
+    jobs are added back afterwards, which only raises loads.
 
-    First ``capacity_refutes`` asks the normalized question itself, with
-    usage exactly n: every machine's load lies in [0, s_t] for ``<=``
-    and in [s_t, oo) for ``>=``, s_t the normalized speed.  If no
-    multiples of each type's job size gcd fit there, the probe is
-    refuted (``trace["path"] == "capacity"``) before any model is built
-    or any instance compressed, whether it would guess or not,
-    restricted or not.
+    First the load-window rule (``confilp.narrow_windows``) asks the
+    direct model's windows, from the normalized speeds s_t: [0, s_t] with
+    usage exactly n for ``<=``, [s_t, s_t + pmax - 1] with usage at most
+    n for ``>=``.  A refutation answers the probe (``trace["path"] ==
+    "capacity"``) before any model or compressed instance is built.  For
+    ``>=`` it is the verdict on [s_t, oo) with usage exactly n: the least
+    multiple of g_t from s_t on is at most s_t + g_t - 1 <= s_t + pmax -
+    1, so the same windows hold a load, from the same lower ends, and
+    the sum test only ``=`` makes, sum m_t * P_t >= P, holds once no
+    demanded job type is unrunnable, which is checked just before.
 
-    When ``method`` is ``"auto"`` (not ``"confilp"``) and the instance
-    is unrestricted, the probe compresses the normalized instance
-    (``reduction.compress``) and converts it for ``>=``; it guesses only
-    if that leaves a machine above the large-machine cutoff, and a
-    schedule the guess loop finds is lifted back.  A probe that does not
-    guess, or that no guess answers, asks one model (``_solve_at_one``)
-    of the normalized instance, converted for ``>=``: the ``Instance``
-    that ``"confilp"`` asks, whose load windows ``build_model`` cuts into
-    the lcm blocks that compression would make, so both methods share
-    every refutation.  A ``>=`` schedule is completed to n on ``inst``.
-
-    Restricted instances never compress (merged speed types have no
-    sound restriction row).  Each type's load window is reduced over the
-    sizes it may run, and leftover jobs go only to machines that may run
-    them.
+    An ``"auto"`` probe of an unrestricted instance compresses the
+    normalized instance (``reduction.compress``), converted for ``>=``,
+    and guesses only if that leaves a machine above the large-machine
+    cutoff, lifting back a schedule the guess loop finds.  A probe that
+    does not guess, or that no guess answers, asks the one model that
+    ``"confilp"`` asks (``_solve_at_one``): the normalized instance,
+    converted for ``>=``, whose windows ``build_model`` cuts into the
+    lcm blocks that compression would make, so both methods share every
+    refutation.  Restricted instances never compress (a merged speed
+    type has no sound restriction row); each type's window is reduced
+    over the sizes it may run, and leftover jobs go only to machines
+    that may run them.  A ``>=`` schedule is completed to n on ``inst``.
     """
     if state_limit is None:
         state_limit = state_limit_default()
@@ -451,13 +403,14 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     if trace is None:
         trace = {}
 
-    threshold = Fraction(threshold)
     norm = normalize(inst, rel, threshold)
+    threshold = Fraction(threshold)
     if _unrunnable_job_type(inst) is not None:
         return None
-    windows = [(m, g, cap, 0, s) if rel == LE else (m, g, cap, s, None)
-               for (m, g, cap), s in zip(type_loads(inst), norm.s) if m > 0]
-    if capacity_refutes(inst.total_load, windows):
+    windows = ([(0, s) for s in norm.s] if rel == LE
+               else [(s, s + inst.pmax - 1) for s in norm.s])
+    if narrow_windows(type_loads(inst), inst.total_load, windows,
+                      JOB_EQ if rel == LE else JOB_LE) is None:
         trace["path"] = "capacity"
         return None
 
@@ -772,24 +725,21 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     the grid stops at pmax * L, and since C_min <= P / S <= C_max on
     every schedule, an optimal one has C1 <= P / S + pmax.
 
-    The scan over a runs in integers: C1 = a * (L / s_t1) / L, so hi_t
-    = a*s_t // s_t1 and lo_t = max(0, ceil((a * (L / s_t1) - k) * s_t
-    / L)).  Every machine's load is a multiple of g, the gcd of the
-    sizes with demand, and at most P (``capacity_refutes``), so the
-    upper room sums each hi_t rounded down to a multiple of g and capped
-    at P, and the lower need each lo_t rounded up to one.  Both are
-    nondecreasing in a, so two binary searches bound the candidates to
-    the interval where room >= P and need <= P; inside it only a window
-    that holds no multiple of g rejects an a, counted in
-    ``trace["empty_windows"]``.  The rounding drops only values of a
-    whose model is infeasible, so the first a that admits a schedule,
-    and its schedule, are those of the unrounded scan.  A model is
-    built and solved once per distinct window tuple in a solve;
-    ``trace["solves"]`` counts those solves and ``trace["cache_hits"]``
-    the window tuples answered from that memo.  A window whose reduced
-    core admits no configuration ends its model at that empty group
-    (``build_model``), which ``solve_model`` rejects before its dynamic
-    program.
+    The scan over a runs in integers: C1 = a * (L / s_t1) / L, so hi_t =
+    a*s_t // s_t1 and lo_t = max(0, ceil((a * (L / s_t1) - k) * s_t /
+    L)).  The load-window rule (``confilp.narrow_windows``) on [0, hi_t],
+    and on [lo_t, oo), turns from refuting to passing, and from passing
+    to refuting, as a grows, so two binary searches on it bound the
+    candidates, the first once per top type as it does not depend on E.
+    Inside that interval it rejects an a only for a window without a
+    load (``trace["empty_windows"]``), and only values of a whose model
+    is infeasible, so the first a that admits a schedule, and its
+    schedule, are those of the unrounded scan.  A model is built and
+    solved once per distinct window tuple in a solve; ``trace["solves"]``
+    counts those solves and ``trace["cache_hits"]`` the window tuples
+    answered from that memo.  A window whose reduced core admits no
+    configuration ends its model at that empty group (``build_model``),
+    which ``solve_model`` rejects before its dynamic program.
 
     The check is monotone in E: a larger E lowers every lo_t and so can
     only move the end of the a interval up, and a schedule inside the
@@ -797,10 +747,9 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     keeps one refuted side per top type: no probe asks an E that an
     earlier refutation of its t1 settled.  A schedule found at E has
     envy at most E; the scan certifies it at its own makespan, and the
-    search moves to that envy.  Each t1 is
-    asked first just below the best envy so far; once the best envy is
-    optimal, that one refuted probe settles t1, and the incumbent's envy
-    is often optimal already.
+    search moves to that envy.  Each t1 is asked first just below the
+    best envy so far; once the best envy is optimal, that one refuted
+    probe settles t1, and the incumbent's envy is often optimal already.
 
     A zero-load instance takes the same search: its incumbent leaves
     every machine empty, with envy 0, which the grid's bound meets, so
@@ -812,11 +761,12 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     P = inst.total_load
     trace: dict = {"probes": 0, "solves": 0, "cache_hits": 0,
                    "empty_windows": 0}
-    types = [(s, m, g) for s, (m, g, _) in zip(inst.s, type_loads(inst)) if m > 0]
-    total_cap = sum(s * m for s, m, _ in types)
+    loads = type_loads(inst)
+    total_cap = sum(s * m for s, m in zip(inst.s, inst.m))
     # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
     a_num = P + inst.pmax * total_cap
     memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
+    firsts: dict[int, int] = {}
 
     def check(entry: tuple[int, int, int], E: Fraction) -> HMSchedule | None:
         t1, den, _ = entry
@@ -826,25 +776,24 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
         def lower(a: int, s: int) -> int:
             return max(0, -((k - a * (den // s1)) * s // den))
 
-        def fits(a: int) -> bool:
-            return not capacity_refutes(P, [(m, g, P, 0, a * s // s1)
-                                            for s, m, g in types])
-
         def overfull(a: int) -> bool:
-            return capacity_refutes(P, [(m, g, P, lower(a, s), None)
-                                        for s, m, g in types])
+            return narrow_windows(loads, P, [(lower(a, s), None)
+                                             for s in inst.s], JOB_EQ) is None
 
         a_hi = a_num * s1 // total_cap
-        first = bisect_left(range(a_hi + 1), True, key=fits)
+        if t1 not in firsts:
+            firsts[t1] = bisect_left(range(a_hi + 1), True, key=lambda a: (
+                narrow_windows(loads, P, [(0, a * s // s1) for s in inst.s],
+                               JOB_EQ) is not None))
+        first = firsts[t1]
         stop = first + bisect_left(range(first, a_hi + 1), True, key=overfull)
         for a in range(first, stop):
-            if capacity_refutes(P, [(m, g, P, lower(a, s), a * s // s1)
-                                    for s, m, g in types]):
-                trace["empty_windows"] += 1
-                continue
             # a type without machines gets (0, 0), which build_model skips
             windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
                             for s, m in zip(inst.s, inst.m))
+            if narrow_windows(loads, P, windows, JOB_EQ) is None:
+                trace["empty_windows"] += 1
+                continue
             if windows in memo:
                 trace["cache_hits"] += 1
                 sched = memo[windows]

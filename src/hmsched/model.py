@@ -59,6 +59,13 @@ def _require_int(x, what: str) -> None:
         raise MalformedInputError(f"{what} must be integers, got {x!r}")
 
 
+def exact_threshold(x) -> Fraction:
+    """x as a Fraction, if it is an int (not a bool) or a Fraction."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise MalformedInputError(f"thresholds must be exact, got {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def dot(p: tuple[int, ...], c: tuple[int, ...]) -> int:
     """Integer dot product of two same-length vectors."""
     if len(p) != len(c):
@@ -254,7 +261,7 @@ class FeasibilityQuery:
     def __post_init__(self):
         if self.relation not in (LE, GE):
             raise MalformedInputError(f"bad relation {self.relation!r}")
-        object.__setattr__(self, "threshold", Fraction(self.threshold))
+        object.__setattr__(self, "threshold", exact_threshold(self.threshold))
 
 
 @dataclass(frozen=True)

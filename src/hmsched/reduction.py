@@ -16,8 +16,8 @@ is set up:
 
 Every feasibility probe (``drivers.feasibility``) builds its threshold-1
 instance with ``normalize``; an ``"auto"`` probe of an unrestricted
-instance that the capacity check leaves open compresses that instance
-with ``compress``.
+instance that the load-window rule (``confilp.narrow_windows``) leaves
+open compresses that instance with ``compress``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .model import (
     Runs,
     ceil_times,
     deal,
+    exact_threshold,
     floor_times,
     make_schedule,
     merge_slices,
@@ -113,7 +114,7 @@ def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
     exact value, so it is clamped to the equally-unsatisfiable 1 + p.n.
     Either way every new speed is an integer at most 1 + p.n.
     """
-    T = Fraction(threshold)
+    T = exact_threshold(threshold)
     if T < 0:
         raise MalformedInputError("threshold must be >= 0")
     if rel not in (LE, GE):

@@ -750,6 +750,35 @@ def unreduced_model(inst: Instance, windows, *,
 
 
 # ---------------------------------------------------------------------------
+# The capacity check the load-window rule replaced
+# ---------------------------------------------------------------------------
+# ``confilp.narrow_windows`` asks a ``>=`` probe on the converted windows
+# [s, s + pmax - 1] with usage at most n.  This is the check it replaced,
+# kept verbatim, which asked the normalized question itself: windows
+# [s, oo) with usage exactly n.
+
+def capacity_refutes(total: int, windows) -> bool:
+    """True if no schedule of load ``total`` keeps its loads in ``windows``.
+
+    ``windows`` holds one (m_t, g_t, P_t, lo_t, hi_t) per machine type
+    with machines, as ``confilp.type_loads`` gives them plus the load
+    window [lo_t, hi_t] (hi_t None: unbounded) of each of its m_t
+    machines.  A machine's load lies between ceil(lo_t / g_t) * g_t and
+    min(floor(hi_t / g_t) * g_t, P_t), and the loads of all machines sum
+    to ``total``.
+    """
+    least = most = 0
+    for m, g, cap, lo, hi in windows:
+        lo = -(-lo // g) * g
+        hi = cap if hi is None else min(hi // g * g, cap)
+        if lo > hi:
+            return True
+        least += m * lo
+        most += m * hi
+    return not least <= total <= most
+
+
+# ---------------------------------------------------------------------------
 # The guess loop as a filtered box
 # ---------------------------------------------------------------------------
 # ``drivers.balanced_feasibility`` enumerates its guesses within caps.

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    capacity_refutes,
     random_runs,
     reference_recombine,
     reference_solve_model,
@@ -17,7 +19,9 @@ from hmsched.confilp import (
     ResourceLimitError,
     build_model,
     enumerate_configs,
+    narrow_windows,
     solve_model,
+    type_loads,
 )
 from hmsched.model import (
     CertificateError,
@@ -26,7 +30,9 @@ from hmsched.model import (
     JOB_LE,
     MalformedInputError,
     aggregate_jobs,
+    ceil_times,
     dot,
+    floor_times,
     verify_schedule,
 )
 from hmsched.oracle import (
@@ -34,6 +40,7 @@ from hmsched.oracle import (
     OracleCapError,
     assignable,
     brute_force_feasibility,
+    feasible_schedule,
     generate,
 )
 from hmsched.reduction import normalize
@@ -175,6 +182,12 @@ def test_reduced_windows_bookkeeping():
     assert [(g.role, g.configs) for g in model.groups] == [("core", ())]
     assert solve_model(model) is None
 
+    # Every load is a multiple of the gcd 2: [4, 5] rounds to [4, 4] and
+    # [9, 10] to [10, 10], whose loads 4 and 10 fit the total 18.
+    inst = Instance(p=(2,), n=(9,), s=(4, 9), m=(1, 1))
+    model = build_model(inst, [(4, 5), (9, 10)], demand_relation=JOB_LE)
+    assert _effective_windows(inst, model) == {0: (4, 4), 1: (10, 10)}
+
 
 def _effective_windows(inst, model):
     """Each type's load window as its groups carry it: a core plus its
@@ -190,13 +203,30 @@ def _effective_windows(inst, model):
 
 
 def _narrowed(inst, windows, relation):
-    """The windows ``build_model`` is meant to cut, computed on its own."""
+    """The windows ``build_model`` is meant to cut, computed on its own,
+    or None when no schedule can keep its loads in them (an upper end
+    of None: unbounded)."""
     whole = dot(inst.p, inst.n)
-    machines = [(t, w) for t, w in enumerate(windows) if inst.m[t]]
-    most = sum(inst.m[t] * hi for t, (_, hi) in machines)
-    least = sum(inst.m[t] * lo for t, (lo, _) in machines)
+    rounded = {}
+    for t, (lo, hi) in enumerate(windows):
+        if not inst.m[t]:
+            continue
+        # a machine runs only sizes with demand that it may run, so its
+        # load is a multiple of their gcd and at most their total load
+        sizes = [(pj, nj) for j, (pj, nj) in enumerate(zip(inst.p, inst.n))
+                 if nj and inst.allowed(j, t)]
+        g = math.gcd(*(pj for pj, _ in sizes)) or 1
+        top = sum(pj * nj for pj, nj in sizes)
+        lo, hi = -(-lo // g) * g, top if hi is None else min(hi // g * g, top)
+        if lo > hi:
+            return None
+        rounded[t] = (lo, hi)
+    most = sum(inst.m[t] * hi for t, (_, hi) in rounded.items())
+    least = sum(inst.m[t] * lo for t, (lo, _) in rounded.items())
+    if least > whole or (relation == "=" and most < whole):
+        return None
     out = {}
-    for t, (lo, hi) in machines:
+    for t, (lo, hi) in rounded.items():
         # every other machine's load lies in its window, and all loads
         # sum to the whole load (at most that for "<=")
         new_hi = min(hi, whole - (least - lo))
@@ -248,17 +278,18 @@ def test_reduction_does_not_change_verdicts():
             assert model.raw_windows == tuple(windows)
             narrow = _narrowed(inst, windows, relation)
             last = model.groups[-1]
-            if last.configs:
+            if narrow is None:
+                # a refuted question is one core group without a column,
+                # of the first type with machines
+                first = next(t for t in range(inst.tau) if inst.m[t])
+                assert [(g.machine_type, g.role, g.configs)
+                        for g in model.groups] == [(first, "core", ())]
+                emptied += 1
+            elif last.configs:
                 assert _effective_windows(inst, model) == narrow, (
                     inst, windows, relation)
                 narrowed += narrow != {t: w for t, w in enumerate(windows)
                                        if inst.m[t]}
-            else:
-                # a group without a column ends the model; the first type
-                # whose window empties ends it at its core at the latest
-                empty = [t for t, (lo, hi) in narrow.items() if lo > hi]
-                assert not empty or last.machine_type <= empty[0]
-                emptied += bool(empty)
             with_red = solve_model(model)
             without = solve_model(unreduced_model(inst, windows,
                                                   demand_relation=relation))
@@ -274,6 +305,107 @@ def test_reduction_does_not_change_verdicts():
             checked += 1
     assert checked >= 200
     assert narrowed >= 250 and emptied >= 300
+
+
+def _random_question(rnd, inst):
+    """A question the oracle can ask, as (rel, T, idle cap, windows):
+    ``<=`` windows [max(0, ceil(T * s) - idle), floor(T * s)], lower end
+    0 without an idle cap, and ``>=`` windows [ceil(T * s), oo)."""
+    rel = rnd.choice(("<=", ">="))
+    T = Fraction(rnd.randint(0, 12), rnd.randint(1, 4))
+    if rel == ">=":
+        return rel, T, None, [(ceil_times(T, s), None) for s in inst.s]
+    idle = rnd.choice((None, 0, 1, 2, 4))
+    return rel, T, idle, [
+        (0 if idle is None else max(0, ceil_times(T, s) - idle),
+         floor_times(T, s)) for s in inst.s]
+
+
+def test_window_rule_refutes_only_questions_without_an_oracle_schedule():
+    # Seeded questions on instances with at most six machines, restricted
+    # or not, with zero speeds and types without machines, under both
+    # demand relations: a question the rule refutes has no oracle
+    # schedule, and every machine of an oracle schedule loads inside its
+    # narrowed window, which build_model cuts.
+    rnd = random.Random(38)
+    refuted = witnessed = 0
+    for seed in range(300):
+        inst = generate(GenParams(seed=3_800 + seed, job_total_range=(0, 9),
+                                  machine_count_range=(1, 6),
+                                  speed_range=(1, 9),
+                                  restricted=bool(seed % 2)))
+        inst = Instance(inst.p, inst.n,
+                        tuple(0 if rnd.random() < 0.2 else s for s in inst.s),
+                        tuple(0 if rnd.random() < 0.2 else m for m in inst.m),
+                        inst.restrict)
+        loads = type_loads(inst)
+        for _ in range(6):
+            rel, T, idle, windows = _random_question(rnd, inst)
+            relation = rnd.choice(("=", "<="))
+            narrow = _narrowed(inst, windows, relation)
+            sums = narrow_windows(loads, inst.total_load, windows, relation)
+            assert (sums is None) == (narrow is None), (inst, windows)
+            # an unbounded end is the total load, which no machine exceeds
+            bounded = [(lo, inst.total_load if hi is None else hi)
+                       for lo, hi in windows]
+            if all(lo <= hi for lo, hi in bounded):
+                assert (narrow_windows(loads, inst.total_load, bounded,
+                                       relation) is None) == (sums is None)
+                model = build_model(inst, bounded, demand_relation=relation)
+                if (sums is not None and model.groups
+                        and model.groups[-1].configs):
+                    assert _effective_windows(inst, model) == narrow
+            sched = feasible_schedule(inst, rel, T, idle_cap=idle,
+                                      job_relation=relation)
+            if narrow is None:
+                assert sched is None, (inst, windows, relation)
+                refuted += 1
+            elif sched is not None:
+                for t, counts, _ in sched.entries:
+                    lo, hi = narrow[t]
+                    assert lo <= dot(inst.p, counts) <= hi, (inst, windows)
+                witnessed += 1
+    assert refuted >= 1_000 and witnessed >= 500, (refuted, witnessed)
+
+
+def test_window_rule_keeps_the_verdicts_of_the_capacity_check():
+    # The rule asks a ">=" probe on the windows of its converted model,
+    # [s, s + pmax - 1] with usage at most n; the check it replaced
+    # (helpers.capacity_refutes) asked [s, oo) with usage exactly n.  The
+    # verdicts agree whenever every demanded job type has a machine that
+    # may run it, which feasibility checks first; "<=" probes ask both
+    # rules on [0, s] with usage exactly n.  Random normalized speeds,
+    # zero included, on instances restricted or not, with types without
+    # machines.
+    rnd = random.Random(3_801)
+    asked = refuted = 0
+    for _ in range(600):
+        d, tau = rnd.randint(1, 3), rnd.randint(1, 4)
+        p = tuple(rnd.randint(1, 6) for _ in range(d))
+        n = tuple(rnd.randint(0, 5) for _ in range(d))
+        m = tuple(rnd.choice((0, 1, 1, 2, 3, 40)) for _ in range(tau))
+        restrict = None if rnd.random() < 0.5 else tuple(
+            tuple(rnd.random() < 0.6 for _ in range(tau)) for _ in range(d))
+        inst = Instance(p, n, (1,) * tau, m, restrict)
+        if not assignable(inst):
+            continue
+        loads, P = type_loads(inst), inst.total_load
+        for _ in range(12):
+            speeds = [rnd.choice((0, rnd.randint(0, P + 1),
+                                  rnd.randint(0, 2 * max(p))))
+                      for _ in range(tau)]
+            for rel in ("<=", ">="):
+                old = capacity_refutes(P, [
+                    (mt, g, cap, 0, s) if rel == "<=" else (mt, g, cap, s, None)
+                    for (mt, g, cap), s in zip(loads, speeds) if mt])
+                windows = [(0, s) if rel == "<=" else (s, s + inst.pmax - 1)
+                           for s in speeds]
+                new = narrow_windows(loads, P, windows,
+                                     "=" if rel == "<=" else "<=") is None
+                assert new == old, (inst, rel, speeds)
+                asked += 1
+                refuted += new
+    assert asked >= 10_000 and asked // 4 < refuted < asked, (asked, refuted)
 
 
 def test_solved_schedules_respect_windows():

@@ -12,13 +12,13 @@ import hmsched
 from hmsched import cli, drivers
 from hmsched.balancing import (
     guess_configs,
-    idle_cmax_speeds,
     large_machine_cutoff,
 )
 from hmsched.confilp import (
     ResourceLimitError,
     build_model,
     solve_model,
+    type_loads,
 )
 from hmsched.drivers import (
     InfeasibleRestrictionError,
@@ -332,6 +332,21 @@ def test_feasibility_capacity_bound():
     T = Fraction(19, 10)  # total capacity 9.5 < load 20
     assert T * sum(inst.s) < inst.total_load
     assert feasibility(inst, "<=", T) is None
+
+
+@pytest.mark.parametrize("threshold", [0.2, True, "1/5"])
+def test_thresholds_must_be_exact(threshold):
+    # a float was taken as its binary value: FIG1 at 0.2 returned a
+    # schedule certified at 3602879701896397/18014398509481984, and True
+    # passed as 1; every entry point now refuses the threshold
+    for ask in (lambda: feasibility(FIG1, "<=", threshold),
+                lambda: normalize(FIG1, "<=", threshold),
+                lambda: FeasibilityQuery("<=", threshold)):
+        with pytest.raises(MalformedInputError, match="threshold"):
+            ask()
+    assert feasibility(FIG1, "<=", Fraction(1, 5)) is not None
+    assert FeasibilityQuery(">=", 1).threshold == Fraction(1)
+    assert normalize(FIG1, "<=", 1).s == (8, 8, 8)
 
 
 def test_feasibility_requires_machines():
@@ -1099,14 +1114,15 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     # multiples of 4 and builds fewer models than the same scan without
     # the rounding, with the same value and schedule.
     inst = Instance(p=(4,), n=(29,), s=(1, 3, 11), m=(2, 1, 1))
-    plain_refutes = drivers.capacity_refutes
-    monkeypatch.setattr(drivers, "capacity_refutes", lambda total, windows:
-                        plain_refutes(total, [(m, 1, cap, lo, hi) for
-                                              m, _, cap, lo, hi in windows]))
+    plain_narrow = drivers.narrow_windows
+    monkeypatch.setattr(drivers, "narrow_windows",
+                        lambda loads, total, windows, relation: plain_narrow(
+                            [(m, 1, cap) for m, _, cap in loads], total,
+                            windows, relation))
     built.clear()
     unrounded = minimize_envy(inst)
     unrounded_built = len(built)
-    monkeypatch.setattr(drivers, "capacity_refutes", plain_refutes)
+    monkeypatch.setattr(drivers, "narrow_windows", plain_narrow)
     built.clear()
     models.clear()
     result = minimize_envy(inst)
@@ -1208,13 +1224,14 @@ def test_restricted_memo_builds_each_window_tuple_once(monkeypatch, inst,
                                                        objective):
     asked, built = _spy_questions(monkeypatch)
     refuted = []
-    plain_refutes = drivers.capacity_refutes
+    plain_narrow = drivers.narrow_windows
 
-    def spy(total, windows):
-        refuted.append(plain_refutes(total, windows))
-        return refuted[-1]
+    def spy(loads, total, windows, relation):
+        sums = plain_narrow(loads, total, windows, relation)
+        refuted.append(sums is None)
+        return sums
 
-    monkeypatch.setattr(drivers, "capacity_refutes", spy)
+    monkeypatch.setattr(drivers, "narrow_windows", spy)
     result = _solve_asking_each_question_once(asked, built, inst, objective)
     # every probe builds one model, unless the capacity check refutes it
     assert result.trace["probes"] == len(built) + sum(refuted)
@@ -1252,14 +1269,15 @@ def test_searches_never_repeat_a_question(monkeypatch):
 
 def test_capacity_check_refutes_only_infeasible_models():
     # At every grid threshold of the oracle and restricted streams where
-    # the capacity check refutes the normalized question, the model that
-    # feasibility would otherwise ask has no schedule either.
+    # the load-window rule refutes the windows of the model feasibility
+    # would ask, the oracle finds no schedule either, and feasibility
+    # answers without a model.
     refuted = asked = 0
     for inst in (instance_stream(35, base_seed=8_000)
                  + _restricted_stream(35, base_seed=9_000)):
         if inst.machine_count == 0:
             continue
-        loads = drivers.type_loads(inst)
+        loads = type_loads(inst)
         seen = set()
         for rel in ("<=", ">="):
             for t, den, top in candidate_values(inst, "cmax").entries:
@@ -1269,18 +1287,19 @@ def test_capacity_check_refutes_only_infeasible_models():
                         continue
                     seen.add((rel, speeds))
                     asked += 1
-                    windows = [(m, g, cap, 0, s) if rel == "<=" else
-                               (m, g, cap, s, None)
-                               for (m, g, cap), s in zip(loads, speeds) if m]
-                    if not drivers.capacity_refutes(inst.total_load, windows):
+                    windows = [(0, s) if rel == "<=" else
+                               (s, s + inst.pmax - 1) for s in speeds]
+                    if drivers.narrow_windows(
+                            loads, inst.total_load, windows,
+                            "=" if rel == "<=" else "<=") is not None:
                         continue
                     refuted += 1
-                    if rel == ">=":
-                        speeds = idle_cmax_speeds(speeds, inst.pmax)
-                    question = Instance(inst.p, inst.n, speeds, inst.m,
-                                        inst.restrict)
-                    assert drivers._solve_at_one(question, rel, None) is None, (
-                        inst, rel, k, den)
+                    trace = {}
+                    assert feasibility(inst, rel, Fraction(k, den),
+                                       trace=trace) is None
+                    assert trace == {"path": "capacity"}
+                    assert not brute_force_feasibility(
+                        inst, rel, Fraction(k, den)), (inst, rel, k, den)
     assert refuted > asked // 4, (refuted, asked)
 
 
