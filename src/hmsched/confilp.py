@@ -177,9 +177,9 @@ def type_loads(inst: Instance) -> list[tuple[int, int, int]]:
     return out
 
 
-def _rounded(g: int, top: int, lo: int, hi: int | None):
-    """[lo, hi] shrunk to its multiples of g, capped at top (hi None: top)."""
-    return -(-lo // g) * g, top if hi is None else min(hi // g * g, top)
+def _rounded(g: int, top: int, lo: int, hi: int):
+    """[lo, hi] shrunk to its multiples of g, capped at top."""
+    return -(-lo // g) * g, min(hi // g * g, top)
 
 
 def narrow_windows(loads, total: int, windows,
@@ -188,9 +188,9 @@ def narrow_windows(loads, total: int, windows,
     ``windows``, else the sums (least, most) that narrow each window.
 
     ``loads`` is ``type_loads(inst)``, ``total`` the total load P and
-    ``windows`` one (lower, upper) per type (upper None: unbounded).  A
-    type-t machine runs only sizes with demand that t may run, so its
-    load is a multiple of their gcd g_t, at most their total P_t, and in
+    ``windows`` one (lower, upper) per type.  A type-t machine runs only
+    sizes with demand that t may run, so its load is a multiple of their
+    gcd g_t, at most their total P_t, and in
     [lo_t, hi_t] = [ceil(lower / g_t) * g_t, min(floor(upper / g_t) *
     g_t, P_t)].  All loads sum to P, at most P under ``demand_relation``
     ``<=``.  With least and most the sums of m_t * lo_t and m_t * hi_t

@@ -37,15 +37,17 @@ malformed budget is rejected whether or not a model gets built.
 Makespan and minimum-completion solves, restricted or not, share one
 threshold driver (``_optimize_threshold``) and one feasibility route
 (``feasibility``): normalize the instance to threshold 1
-(``reduction.normalize``), refute the probe without a model when the
-load-window rule (``confilp.narrow_windows``) refutes its model's
-windows, turn a minimum-completion question into an idle-capped
-makespan question (``idle_cmax_speeds``), and solve the one model that
-``method="confilp"`` asks.  Before it, an ``"auto"`` probe of an
-unrestricted instance with a machine above the large-machine cutoff
-after compression looks for a schedule by guessing
-(``balanced_feasibility``), which, like ``_incumbent``, only finds
-schedules, so both methods share every refutation.
+(``reduction.normalize``), compute its model's load windows once, those
+of an idle-capped makespan question (``idle_cmax_speeds``) for a
+minimum-completion one, refute the probe without a model when the
+load-window rule (``confilp.narrow_windows``) refutes them, and
+otherwise solve the one model on them that ``method="confilp"`` asks.
+Before the model, an ``"auto"`` probe of an unrestricted instance with
+a machine above the large-machine cutoff after compression looks for a
+schedule by guessing (``balanced_feasibility``), which, like
+``_incumbent``, only finds schedules, so both methods share every
+refutation.  Envy's scan (``minimize_envy``) takes the range of its top
+completions from the area bound and asks the rule inside it.
 
 One certification rule holds for every objective: a schedule is
 verified against the caller's instance, at a threshold its own makespan
@@ -57,7 +59,6 @@ envy's scan), so every probe returns a certified schedule or None.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -240,23 +241,6 @@ def _complete_to_demand(inst: Instance, sched: HMSchedule) -> HMSchedule:
 # Balanced pipeline
 # ---------------------------------------------------------------------------
 
-def _solve_at_one(inst: Instance, rel: str,
-                  state_limit: int | None) -> HMSchedule | None:
-    """Solve inst's configuration model of a ``rel`` question at threshold 1.
-
-    Each machine type gets the load window [0, s] for ``<=`` and
-    [s - pmax + 1, s] for ``>=`` (inst's speeds already raised by
-    ``idle_cmax_speeds``), and job usage is exactly inst.n for ``<=`` and at
-    most inst.n for ``>=``.  Every threshold-1 model of the direct and
-    the balanced path is asked through here.
-    """
-    windows = [(0 if rel == LE else max(0, s - inst.pmax + 1), s)
-               for s in inst.s]
-    model = build_model(inst, windows,
-                        demand_relation=JOB_EQ if rel == LE else JOB_LE)
-    return solve_model(model, state_limit)
-
-
 def balanced_feasibility(inst: Instance, rel: str,
                          state_limit: int | None = None
                          ) -> tuple[HMSchedule | None, dict]:
@@ -291,17 +275,19 @@ def balanced_feasibility(inst: Instance, rel: str,
 
     Every guess preassigns ``balancing.reduced_schedule`` of the floors
     that ``balancing.guess_configs`` gives, one row per fast type (zero
-    elsewhere), and asks ``_solve_at_one`` once, with the question's
-    relation (usage ``=`` for ``<=``, ``<=`` for ``>=``), on a residual
-    instance that keeps inst's types in order, each at its speed minus
-    its row's load, and demands n minus the rows; the rows are then
-    folded back.  The rows never place more than n: the caps bound the
-    fractional usage by n, and flooring and ``reduced_schedule`` only
-    lower entries.  Nor does a row overload its machine: the floored row
-    of speed s has load at most dot(p, g1a + g1b) + (s - cutoff) /
-    area2_max * dot(p, g2) <= s, so no residual speed is negative.  A
-    guess yields either a schedule or nothing, so enumeration order
-    cannot affect soundness.
+    elsewhere), and solves one configuration model of a residual
+    instance that keeps inst's types in order, each at the speed r its
+    row leaves, and demands n minus the rows; the rows are then folded
+    back.  Each type's load window is [0, r] with usage exactly the
+    residual demand for ``<=``, and [max(0, r - pmax + 1), r] with usage
+    at most it for ``>=`` (inst's speeds already raised by
+    ``idle_cmax_speeds``).  The rows never place more than n: the caps
+    bound the fractional usage by n, and flooring and
+    ``reduced_schedule`` only lower entries.  Nor does a row overload
+    its machine: the floored row of speed s has load at most dot(p, g1a
+    + g1b) + (s - cutoff) / area2_max * dot(p, g2) <= s, so no residual
+    speed is negative.  A guess yields either a schedule or nothing, so
+    enumeration order cannot affect soundness.
 
     When no guess yields a schedule this returns None: the loop only
     finds schedules, and a None refutes nothing.  ``feasibility`` then
@@ -313,6 +299,7 @@ def balanced_feasibility(inst: Instance, rel: str,
         raise MalformedInputError(f"bad relation {rel!r}")
     d, p, n, pmax = inst.d, inst.p, inst.n, inst.pmax
     idle_cap = None if rel == LE else pmax - 1
+    usage = JOB_EQ if rel == LE else JOB_LE
     cutoff = large_machine_cutoff(d, pmax)
     large = [t for t in range(inst.tau) if inst.m[t] > 0 and inst.s[t] > cutoff]
     if not large:
@@ -348,8 +335,10 @@ def balanced_feasibility(inst: Instance, rel: str,
                 demand = tuple(nj - sum(m * r[j] for m, r in zip(inst.m, rows))
                                for j, nj in enumerate(n))
                 spare = tuple(s - dot(p, r) for s, r in zip(inst.s, rows))
-                part = _solve_at_one(Instance(p, demand, spare, inst.m),
-                                     rel, state_limit)
+                part = solve_model(build_model(
+                    Instance(p, demand, spare, inst.m),
+                    [(0 if rel == LE else max(0, s - idle_cap), s)
+                     for s in spare], demand_relation=usage), state_limit)
                 if part is not None:
                     return make_schedule(d, [
                         (t, tuple(a + b for a, b in zip(c, rows[t])), count)
@@ -366,16 +355,18 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
                 trace: dict | None = None) -> HMSchedule | None:
     """Decide rel-threshold feasibility and return a certified schedule.
 
-    The threshold must be an int or a Fraction (``normalize`` checks).
+    The threshold must be an int or a Fraction (``normalize`` checks),
+    and an instance without job types is malformed, as ``admit`` says.
     Every query, with job usage exactly n, is normalized to threshold 1
     (``reduction.normalize``); a ``>=`` question becomes an idle-capped
     ``<=`` one with usage at most n (``idle_cmax_speeds``), whose leftover
     jobs are added back afterwards, which only raises loads.
 
-    First the load-window rule (``confilp.narrow_windows``) asks the
-    direct model's windows, from the normalized speeds s_t: [0, s_t] with
-    usage exactly n for ``<=``, [s_t, s_t + pmax - 1] with usage at most
-    n for ``>=``.  A refutation answers the probe (``trace["path"] ==
+    The direct model's windows are computed once, from the normalized
+    speeds s_t: [0, s_t] with usage exactly n for ``<=``, and the
+    converted speeds' windows [s_t, s_t + pmax - 1] with usage at most n
+    for ``>=``.  First the load-window rule (``confilp.narrow_windows``)
+    asks them.  A refutation answers the probe (``trace["path"] ==
     "capacity"``) before any model or compressed instance is built.  For
     ``>=`` it is the verdict on [s_t, oo) with usage exactly n: the least
     multiple of g_t from s_t on is at most s_t + g_t - 1 <= s_t + pmax -
@@ -388,9 +379,10 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     and guesses only if that leaves a machine above the large-machine
     cutoff, lifting back a schedule the guess loop finds.  A probe that
     does not guess, or that no guess answers, asks the one model that
-    ``"confilp"`` asks (``_solve_at_one``): the normalized instance,
-    converted for ``>=``, whose windows ``build_model`` cuts into the
-    lcm blocks that compression would make, so both methods share every
+    ``"confilp"`` asks: ``build_model`` of the normalized instance on the
+    same windows, which never reads speeds, so the model is the
+    converted instance's for ``>=``.  It cuts the windows into the lcm
+    blocks that compression would make, so both methods share every
     refutation.  Restricted instances never compress (a merged speed
     type has no sound restriction row); each type's window is reduced
     over the sizes it may run, and leftover jobs go only to machines
@@ -402,27 +394,26 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
         raise ValueError(f"unknown method {method!r}")
     if trace is None:
         trace = {}
+    if inst.d < 1:
+        raise MalformedInputError("need at least one job type")
 
     norm = normalize(inst, rel, threshold)
     threshold = Fraction(threshold)
     if _unrunnable_job_type(inst) is not None:
         return None
+    usage = JOB_EQ if rel == LE else JOB_LE
     windows = ([(0, s) for s in norm.s] if rel == LE
                else [(s, s + inst.pmax - 1) for s in norm.s])
     if narrow_windows(type_loads(inst), inst.total_load, windows,
-                      JOB_EQ if rel == LE else JOB_LE) is None:
+                      usage) is None:
         trace["path"] = "capacity"
         return None
-
-    def converted(question: Instance) -> Instance:
-        if rel == LE:
-            return question
-        return replace(question, s=idle_cmax_speeds(question.s, inst.pmax))
 
     sched = None
     if inst.restrict is None and method == "auto":
         comp, cmap = compress(norm)
-        comp = converted(comp)
+        if rel == GE:
+            comp = replace(comp, s=idle_cmax_speeds(comp.s, inst.pmax))
         cutoff = large_machine_cutoff(inst.d, inst.pmax)
         if any(s > cutoff and k > 0 for s, k in zip(comp.s, comp.m)):
             sched, info = balanced_feasibility(comp, rel,
@@ -431,7 +422,8 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
             if sched is not None:
                 sched = lift_schedule(sched, cmap)
     if sched is None:
-        sched = _solve_at_one(converted(norm), rel, state_limit)
+        sched = solve_model(build_model(norm, windows, demand_relation=usage),
+                            state_limit)
         trace["path"] = "direct-confilp"
         if sched is None:
             return None
@@ -722,18 +714,20 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     and no other completion changes, so the completions sorted in
     decreasing order drop lexicographically; there are finitely many
     schedules, so the moves stop at one with envy at most pmax.  Hence
-    the grid stops at pmax * L, and since C_min <= P / S <= C_max on
-    every schedule, an optimal one has C1 <= P / S + pmax.
+    the grid stops at pmax * L.
 
     The scan over a runs in integers: C1 = a * (L / s_t1) / L, so hi_t =
     a*s_t // s_t1 and lo_t = max(0, ceil((a * (L / s_t1) - k) * s_t /
-    L)).  The load-window rule (``confilp.narrow_windows``) on [0, hi_t],
-    and on [lo_t, oo), turns from refuting to passing, and from passing
-    to refuting, as a grows, so two binary searches on it bound the
-    candidates, the first once per top type as it does not depend on E.
-    Inside that interval it rejects an a only for a window without a
-    load (``trace["empty_windows"]``), and only values of a whose model
-    is infeasible, so the first a that admits a schedule, and its
+    L)).  The area bound fixes its range: since sum_i s_i * C_i = P on
+    every schedule, C_max >= P / S >= C_min, so an envy of at most E
+    needs P / S <= C1 <= P / S + E, and a runs from ceil(P * s_t1 / S)
+    to floor((P / S + E) * s_t1).  No a outside that range has a
+    schedule: below it every load is at most C1 * s_t < P * s_t / S, so
+    the loads sum to less than P; above it every load is at least (C1 -
+    E) * s_t > P * s_t / S, so they sum to more than P.  Inside it the
+    load-window rule (``confilp.narrow_windows``) rejects an a before
+    any model (``trace["empty_windows"]``), and only values of a whose
+    model is infeasible, so the first a that admits a schedule, and its
     schedule, are those of the unrounded scan.  A model is built and
     solved once per distinct window tuple in a solve; ``trace["solves"]``
     counts those solves and ``trace["cache_hits"]`` the window tuples
@@ -741,11 +735,11 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     configuration ends its model at that empty group (``build_model``),
     which ``solve_model`` rejects before its dynamic program.
 
-    The check is monotone in E: a larger E lowers every lo_t and so can
-    only move the end of the a interval up, and a schedule inside the
-    smaller windows lies inside the larger ones.  So ``_search_grid``
-    keeps one refuted side per top type: no probe asks an E that an
-    earlier refutation of its t1 settled.  A schedule found at E has
+    The check is monotone in E: a larger E lowers every lo_t and moves
+    the end of the a range up, and a schedule inside the smaller windows
+    lies inside the larger ones.  So ``_search_grid`` keeps one refuted
+    side per top type: no probe asks an E that an earlier refutation of
+    its t1 settled.  A schedule found at E has
     envy at most E; the scan certifies it at its own makespan, and the
     search moves to that envy.  Each t1 is asked first just below the
     best envy so far; once the best envy is optimal, that one refuted
@@ -762,11 +756,8 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     trace: dict = {"probes": 0, "solves": 0, "cache_hits": 0,
                    "empty_windows": 0}
     loads = type_loads(inst)
-    total_cap = sum(s * m for s, m in zip(inst.s, inst.m))
-    # C1 <= P / total_cap + pmax, i.e. a <= a_num * s1 // total_cap
-    a_num = P + inst.pmax * total_cap
+    S = sum(s * m for s, m in zip(inst.s, inst.m))
     memo: dict[tuple[tuple[int, int], ...], HMSchedule | None] = {}
-    firsts: dict[int, int] = {}
 
     def check(entry: tuple[int, int, int], E: Fraction) -> HMSchedule | None:
         t1, den, _ = entry
@@ -776,18 +767,10 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
         def lower(a: int, s: int) -> int:
             return max(0, -((k - a * (den // s1)) * s // den))
 
-        def overfull(a: int) -> bool:
-            return narrow_windows(loads, P, [(lower(a, s), None)
-                                             for s in inst.s], JOB_EQ) is None
-
-        a_hi = a_num * s1 // total_cap
-        if t1 not in firsts:
-            firsts[t1] = bisect_left(range(a_hi + 1), True, key=lambda a: (
-                narrow_windows(loads, P, [(0, a * s // s1) for s in inst.s],
-                               JOB_EQ) is not None))
-        first = firsts[t1]
-        stop = first + bisect_left(range(first, a_hi + 1), True, key=overfull)
-        for a in range(first, stop):
+        # the area bound: P / S <= a / s1 <= P / S + k / den
+        first = -(-P * s1 // S)
+        last = (P * den + k * S) * s1 // (S * den)
+        for a in range(first, last + 1):
             # a type without machines gets (0, 0), which build_model skips
             windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
                             for s, m in zip(inst.s, inst.m))

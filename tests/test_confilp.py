@@ -204,8 +204,7 @@ def _effective_windows(inst, model):
 
 def _narrowed(inst, windows, relation):
     """The windows ``build_model`` is meant to cut, computed on its own,
-    or None when no schedule can keep its loads in them (an upper end
-    of None: unbounded)."""
+    or None when no schedule can keep its loads in them."""
     whole = dot(inst.p, inst.n)
     rounded = {}
     for t, (lo, hi) in enumerate(windows):
@@ -217,7 +216,7 @@ def _narrowed(inst, windows, relation):
                  if nj and inst.allowed(j, t)]
         g = math.gcd(*(pj for pj, _ in sizes)) or 1
         top = sum(pj * nj for pj, nj in sizes)
-        lo, hi = -(-lo // g) * g, top if hi is None else min(hi // g * g, top)
+        lo, hi = -(-lo // g) * g, min(hi // g * g, top)
         if lo > hi:
             return None
         rounded[t] = (lo, hi)
@@ -310,11 +309,13 @@ def test_reduction_does_not_change_verdicts():
 def _random_question(rnd, inst):
     """A question the oracle can ask, as (rel, T, idle cap, windows):
     ``<=`` windows [max(0, ceil(T * s) - idle), floor(T * s)], lower end
-    0 without an idle cap, and ``>=`` windows [ceil(T * s), oo)."""
+    0 without an idle cap, and ``>=`` windows [ceil(T * s), P], P the
+    total load, which no machine exceeds."""
     rel = rnd.choice(("<=", ">="))
     T = Fraction(rnd.randint(0, 12), rnd.randint(1, 4))
     if rel == ">=":
-        return rel, T, None, [(ceil_times(T, s), None) for s in inst.s]
+        return rel, T, None, [(ceil_times(T, s), inst.total_load)
+                              for s in inst.s]
     idle = rnd.choice((None, 0, 1, 2, 4))
     return rel, T, idle, [
         (0 if idle is None else max(0, ceil_times(T, s) - idle),
@@ -345,13 +346,8 @@ def test_window_rule_refutes_only_questions_without_an_oracle_schedule():
             narrow = _narrowed(inst, windows, relation)
             sums = narrow_windows(loads, inst.total_load, windows, relation)
             assert (sums is None) == (narrow is None), (inst, windows)
-            # an unbounded end is the total load, which no machine exceeds
-            bounded = [(lo, inst.total_load if hi is None else hi)
-                       for lo, hi in windows]
-            if all(lo <= hi for lo, hi in bounded):
-                assert (narrow_windows(loads, inst.total_load, bounded,
-                                       relation) is None) == (sums is None)
-                model = build_model(inst, bounded, demand_relation=relation)
+            if all(lo <= hi for lo, hi in windows):
+                model = build_model(inst, windows, demand_relation=relation)
                 if (sums is not None and model.groups
                         and model.groups[-1].configs):
                     assert _effective_windows(inst, model) == narrow

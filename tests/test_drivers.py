@@ -304,6 +304,27 @@ def test_perturbed_p23_probes_stay_flat():
     assert len(probes) == 1 and probes.pop() > 0
 
 
+@pytest.mark.parametrize("extra, optimum", [
+    ((1, 0), Fraction(1, 7)),
+    ((0, 0), Fraction(0)),
+    ((-1, -1), Fraction(1, 7)),
+], ids=["p23+1", "p23", "p23-1-1"])
+def test_envy_work_does_not_grow_with_k(extra, optimum):
+    # The p23 family and two perturbations of it: the envy, the probes,
+    # the models solved and answered from the memo, and the scanned
+    # values of a that the load-window rule refutes are the same at
+    # every k.
+    seen = set()
+    for k in (64, 512, 4096):
+        inst = Instance(p=(2, 3), n=(3 * k + extra[0], 2 * k + extra[1]),
+                        s=(5, 7), m=(k, k))
+        result = minimize_envy(inst)
+        assert result.value == optimum, k
+        seen.add(tuple(result.trace[key] for key in (
+            "probes", "solves", "cache_hits", "empty_windows")))
+    assert len(seen) == 1, seen
+
+
 def test_trace_keeps_only_the_last_probes_keys(monkeypatch):
     # an early probe takes the balanced path, the last one the direct path
     inst = Instance(p=(3, 4), n=(23, 43), s=(2, 5), m=(2, 3))
@@ -354,6 +375,17 @@ def test_feasibility_requires_machines():
     assert feasibility(none, "<=", Fraction(1)) is not None
     some = Instance(p=(1,), n=(3,), s=(2,), m=(0,))
     assert feasibility(some, "<=", Fraction(1)) is None
+
+
+@pytest.mark.parametrize("method", ["auto", "confilp"])
+@pytest.mark.parametrize("rel", ["<=", ">="])
+def test_feasibility_rejects_an_instance_without_job_types(rel, method):
+    # An instance without job types is malformed, as admit says: before,
+    # three of these questions raised a ValueError (pmax of no sizes)
+    # and confilp answered "<=" with a schedule.
+    with pytest.raises(MalformedInputError, match="at least one job type"):
+        feasibility(Instance((), (), (1,), (1,)), rel, Fraction(1),
+                    method=method)
 
 
 def test_feasibility_answers_restricted_questions():
@@ -511,19 +543,19 @@ def test_balanced_residual_keeps_type_order_and_asks_the_rest_of_n(
     # Cutoff 64: two fast and two slow machines.  The first guess
     # preassigns its reduced floors, and its residual keeps the types in
     # their order, each fast one at the speed its row leaves, and asks
-    # the rest of n exactly.
+    # the rest of n exactly, in the windows [0, s].
     inst = Instance(p=(3, 4), n=n, s=s, m=(1, 1, 1, 1))
     assert large_machine_cutoff(inst.d, inst.pmax) == 64
     asked = []
-    solve_at_one = drivers._solve_at_one
+    plain_build = drivers.build_model
 
-    def spy(sub, rel, state_limit):
-        asked.append((sub.n, sub.s, rel))
-        return solve_at_one(sub, rel, state_limit)
+    def spy(sub, windows, *, demand_relation):
+        asked.append((sub.n, sub.s, list(windows), demand_relation))
+        return plain_build(sub, windows, demand_relation=demand_relation)
 
-    monkeypatch.setattr(drivers, "_solve_at_one", spy)
+    monkeypatch.setattr(drivers, "build_model", spy)
     sched, info = balanced_feasibility(inst, "<=")
-    assert asked == [(*remainder, "<=")]
+    assert asked == [(*remainder, [(0, x) for x in remainder[1]], "=")]
     _certified_first_guess(inst, sched, info)
 
 
@@ -665,21 +697,22 @@ def test_guess_loop_attempts_the_filtered_box_guesses(monkeypatch):
 
 def test_every_refutation_comes_from_the_direct_model(monkeypatch):
     # The guess loop only finds schedules: a probe that no guess answers
-    # asks the direct model of the normalized question, converted for
-    # ``>=``, which is the one model confilp asks, so both methods share
-    # every verdict and every refutation.  Sizes 1-3 never leave a fast
+    # asks the direct model of the normalized question, on the converted
+    # windows for ``>=``, which is the one model confilp asks, so both
+    # methods share every verdict and every refutation; a direct probe
+    # builds a model on both sides.  Sizes 1-3 never leave a fast
     # machine after compression at threshold 1; sizes 4-7 do.  The named
     # instances end the loop without a schedule: refuted (both
     # relations; the speed-121 machines compress into speed-97 and
     # speed-12 ones, so the direct model is not the loop's instance) and
     # found by the direct model after no guess.
     asked = []
-    solve_at_one = drivers._solve_at_one
+    plain_build = drivers.build_model
     plain_balanced = drivers.balanced_feasibility
 
-    def spy_solve(sub, rel, state_limit):
-        asked.append((sub, rel))
-        return solve_at_one(sub, rel, state_limit)
+    def spy_build(sub, windows, *, demand_relation):
+        asked.append((sub, list(windows), demand_relation))
+        return plain_build(sub, windows, demand_relation=demand_relation)
 
     def spy_balanced(*args, **kwargs):
         # forget the guess loop's residual models
@@ -688,7 +721,7 @@ def test_every_refutation_comes_from_the_direct_model(monkeypatch):
         del asked[start:]
         return out
 
-    monkeypatch.setattr(drivers, "_solve_at_one", spy_solve)
+    monkeypatch.setattr(drivers, "build_model", spy_build)
     monkeypatch.setattr(drivers, "balanced_feasibility", spy_balanced)
     named = [Instance(p=(3, 4), n=(2, 53), s=(73,), m=(3,)),
              Instance(p=(3, 4), n=(2, 89), s=(121,), m=(3,)),
@@ -707,6 +740,7 @@ def test_every_refutation_comes_from_the_direct_model(monkeypatch):
             assert (sched is None) == (direct is None), (inst, rel)
             assert auto == ([] if trace["path"] == "balanced" else asked), (
                 inst, rel)
+            assert asked or trace["path"] != "direct-confilp", (inst, rel)
             seen.add((rel, "guesses" in trace, trace["path"], sched is None))
     assert seen >= {("<=", True, "balanced", False),
                     ("<=", True, "direct-confilp", True),
