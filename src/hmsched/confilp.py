@@ -214,7 +214,9 @@ def narrow_windows(loads, total: int, windows,
 
 
 def build_model(inst: Instance, windows, *,
-                demand_relation: str = JOB_EQ) -> ConfILPModel:
+                demand_relation: str = JOB_EQ,
+                loads: list[tuple[int, int, int]] | None = None
+                ) -> ConfILPModel:
     """Assemble the configuration model for the given load windows.
 
     ``windows`` holds one (lower, upper) pair per machine type, with
@@ -227,8 +229,10 @@ def build_model(inst: Instance, windows, *,
 
     Before any column is listed, ``narrow_windows`` rounds and narrows
     each window with machines, so no verdict changes; ``raw_windows``
-    keeps the caller's windows.  A refuted question is one core group
-    without a column, and no other narrowed window is empty.
+    keeps the caller's windows.  ``loads`` is ``type_loads(inst)``; a
+    caller that already asked the rule passes the one it asked with.  A
+    refuted question is one core group without a column, and no other
+    narrowed window is empty.
 
     Each machine type with machines contributes its column groups in one
     loop over (role, blocks per machine, window), roles in the order
@@ -253,7 +257,8 @@ def build_model(inst: Instance, windows, *,
             raise MalformedInputError(f"bad window [{lower}, {upper}]")
 
     whole = dot(inst.p, inst.n)
-    loads = type_loads(inst)
+    if loads is None:
+        loads = type_loads(inst)
     sums = narrow_windows(loads, whole, windows, demand_relation)
     groups: list[ModelGroup] = []
     for t, ((m, g, top), window) in enumerate(zip(loads, windows)):

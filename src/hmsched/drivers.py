@@ -12,21 +12,24 @@ side is the best schedule so far at its own value, first an incumbent
 (``_incumbent``): the proportional assignment, rounded by run.  Its
 leftover jobs go to the machines that complete earliest after taking
 one, except that a ``>=`` incumbent deals its last job type's by
-completion before taking one, the max-min greedy rule.  Jump and swap
-moves on the critical machine, the one that completes last (first for
-``>=``), then improve the deal while a move leaves both machines it
-touches strictly better than the critical one was; no other machine
-changes, so the value never gets worse, and the moves take at most
-d times the number of runs steps of O(runs * d^2) integer operations
-each.  The other side is refuted, first at the area bound P / S,
-because sum_i s_i * C_i = P on every schedule.  So no solve asks a
-question twice.  Without restrictions every machine takes its floored
-share of each job type plus at most one leftover, whichever machines
-the leftovers go to, so its load is within sum(p) of its proportional
-share, the deal lies within d * pmax / s_min of P / S, the improved
-incumbent between the deal and P / S, and the number of probes does
-not grow with n or m.  A solve whose incumbent meets the area bound
-probes nothing, and one whose incumbent is optimal at most once.
+completion before taking one, the max-min greedy rule.  Moves on the
+critical machine, the one that completes last (first for ``>=``),
+then improve the deal while a move leaves both machines it touches
+strictly better than the critical one was: jump and swap moves, which
+move at most one job each way, and only when none qualifies, pair
+moves, which move up to two.  No other machine changes, so the value
+never gets worse, and the moves take at most d times the number of
+runs steps of O(runs * B^2) integer operations each, B = 1 + d + d(d +
+1) / 2 the bundles of at most two jobs.  The other side is refuted,
+first at the area bound P / S, because sum_i s_i * C_i = P on every
+schedule.  So no solve asks a question twice.  Without restrictions
+every machine takes its floored share of each job type plus at most
+one leftover, whichever machines the leftovers go to, so its load is
+within sum(p) of its proportional share, the deal lies within d * pmax
+/ s_min of P / S, the improved incumbent between the deal and P / S,
+and the number of probes does not grow with n or m.  A solve whose
+incumbent meets the area bound probes nothing, and one whose incumbent
+is optimal at most once.
 
 Every solve route, the drivers' and the command line's oracle alike,
 first asks ``admit`` whether the instance can be solved at all.  Before
@@ -404,8 +407,8 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     usage = JOB_EQ if rel == LE else JOB_LE
     windows = ([(0, s) for s in norm.s] if rel == LE
                else [(s, s + inst.pmax - 1) for s in norm.s])
-    if narrow_windows(type_loads(inst), inst.total_load, windows,
-                      usage) is None:
+    loads = type_loads(inst)
+    if narrow_windows(loads, inst.total_load, windows, usage) is None:
         trace["path"] = "capacity"
         return None
 
@@ -422,8 +425,8 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
             if sched is not None:
                 sched = lift_schedule(sched, cmap)
     if sched is None:
-        sched = solve_model(build_model(norm, windows, demand_relation=usage),
-                            state_limit)
+        sched = solve_model(build_model(norm, windows, demand_relation=usage,
+                                        loads=loads), state_limit)
         trace["path"] = "direct-confilp"
         if sched is None:
             return None
@@ -462,7 +465,7 @@ def _search_grid(inst: Instance, objective: str, probe,
     side, over all of its entries, and then its entries are bisected
     over k in order.  Refuting that first value empties the question,
     so an optimal best side costs one probe: the incumbent is nearly
-    always optimal, and the ``mixed`` threshold solves make 317 probes.
+    always optimal, and the ``mixed`` threshold solves make 312 probes.
     """
     grid = candidate_values(inst, objective)
     minimize = objective != "cmin"
@@ -556,20 +559,35 @@ def _critical(runs: list[list], s: tuple[int, ...], sign: int) -> list:
     return crit
 
 
+def _bundles(p: tuple[int, ...], counts: list[int], jobs: list[int],
+             most: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each bundle of at most ``most`` (1 or 2) of ``jobs``, a machine's
+    job types, with its load: none, one job, then two jobs, two of one
+    type only if the machine holds two."""
+    out = [((), 0)] + [((j,), p[j]) for j in jobs]
+    if most == 2:
+        out += [((j, k), p[j] + p[k]) for i, j in enumerate(jobs)
+                for k in jobs[i:] if k != j or counts[j] > 1]
+    return out
+
+
 def _improve(inst: Instance, rel: str, runs: list[list]) -> int:
     """Improve ``_deal``'s runs in place; return the steps made.
 
     Each step takes the critical run (``_critical``) and ends the loop
     if it holds several machines: moving jobs on one of them leaves the
     value where it is.  Otherwise it tries, against every other run o,
-    each move of the critical machine that gives o one job of type g,
-    takes one of type t from o, or both (g != t), each job allowed on
-    the machine that receives it.  Of the moves after which both
-    touched machines complete strictly better than the critical one
-    did, it makes the one whose worse touched completion is best, the
-    first in run, g, t order on a tie, splitting one machine off o if o
-    holds several.  The loop ends when no move qualifies, or after d
-    times the dealt runs steps.
+    each move of the critical machine that gives o a bundle of at most
+    one job and takes one from o (jump and swap), each job allowed on
+    the machine that receives it.  Only if none of them qualifies does
+    it try the moves that give or take a pair of jobs, so up to two
+    jobs go each way.  Of the moves after which both touched machines
+    complete strictly better than the critical one did, it makes the
+    one whose worse touched completion is best, the first in run, given
+    bundle, taken bundle order on a tie, splitting one machine off o if
+    o holds several.  With B = 1 + d + d(d + 1) / 2 bundles per machine,
+    a step costs O(runs * B^2) integer operations.  The loop ends when
+    no move qualifies, or after d times the dealt runs steps.
     """
     d, p, s = inst.d, inst.p, inst.s
     sign = 1 if rel == LE else -1
@@ -581,36 +599,45 @@ def _improve(inst: Instance, rel: str, runs: list[list]) -> int:
         c, load = crit[0], crit[2]
         held = [j for j in range(d) if crit[1][j]]
         best = None
-        for o in runs:
-            # A move shifts load sign * shift from crit to o: crit gets
-            # strictly better iff shift > 0, and o stays strictly better
-            # than crit was iff shift * s_c < slack, so a run with slack
-            # <= s_c, crit's own included, admits no move.
-            u = o[0]
-            slack = sign * (load * s[u] - o[2] * s[c])
-            if slack <= s[c]:
-                continue
-            gives = [(j, p[j]) for j in held if inst.allowed(j, u)]
-            takes = [(j, p[j]) for j in range(d)
-                     if o[1][j] and inst.allowed(j, c)]
-            for g, pg in gives + [(None, 0)]:
-                for t, pt in takes + [(None, 0)]:
-                    shift = sign * (pg - pt)
-                    if shift <= 0 or shift * s[c] >= slack:
-                        continue
-                    mine, theirs = load + pt - pg, o[2] + pg - pt
-                    worse = sign * (mine * s[u] - theirs * s[c]) > 0
-                    a, b = (mine, s[c]) if worse else (theirs, s[u])
-                    if best is None or sign * (a * best[1] - best[0] * b) < 0:
-                        best = (a, b, o, g, t)
+        for most in (1, 2):
+            for o in runs:
+                # A move shifts load sign * shift from crit to o: crit
+                # gets strictly better iff shift > 0, and o stays
+                # strictly better than crit was iff shift * s_c < slack,
+                # so a run with slack <= s_c, crit's own included, admits
+                # no move.
+                u = o[0]
+                slack = sign * (load * s[u] - o[2] * s[c])
+                if slack <= s[c]:
+                    continue
+                gives = _bundles(p, crit[1], [
+                    j for j in held if inst.allowed(j, u)], most)
+                takes = _bundles(p, o[1], [
+                    j for j in range(d) if o[1][j] and inst.allowed(j, c)], most)
+                # the takes that, with a smaller give, make a move this
+                # pass has not tried: the pair pass skips the others
+                new = takes[sum(len(t) < most for t, _ in takes):]
+                for g, pg in gives:
+                    for t, pt in takes if len(g) == most else new:
+                        shift = sign * (pg - pt)
+                        if shift <= 0 or shift * s[c] >= slack:
+                            continue
+                        mine, theirs = load + pt - pg, o[2] + pg - pt
+                        worse = sign * (mine * s[u] - theirs * s[c]) > 0
+                        a, b = (mine, s[c]) if worse else (theirs, s[u])
+                        if (best is None
+                                or sign * (a * best[1] - best[0] * b) < 0):
+                            best = (a, b, o, g, t)
+            if best is not None:
+                break
         if best is None:
             return step
         _, _, o, g, t = best
         if o[3] > 1:
             runs.append([o[0], list(o[1]), o[2], o[3] - 1])
             o[3] = 1
-        for j, k in ((g, 1), (t, -1)):
-            if j is not None:
+        for jobs, k in ((g, 1), (t, -1)):
+            for j in jobs:
                 o[1][j] += k
                 o[2] += k * p[j]
                 crit[1][j] -= k
@@ -637,18 +664,26 @@ def _incumbent(inst: Instance, rel: str) -> tuple[Fraction, HMSchedule]:
     type, which is all the distance bound (module docstring) needs
     (``_deal``).
 
-    The deal is then improved by the jump and swap moves of Schuurman
-    and Vredeveld on its critical machine, the one that completes last
-    for ``<=`` and first for ``>=`` (``_improve``).  A move changes two
-    machines, and both then complete strictly better than the critical
-    one did; every other machine is untouched and was no worse, so the
-    value never gets worse than the deal's: it lies between P / S and
-    the deal's value, so within the distance bound.  The moves make at
-    most d times the number of runs steps of O(runs * d^2) integer
-    operations each, so the work grows with d and the number of runs,
-    never with n or m.  The value is the critical run's completion, the
-    largest for ``<=`` and the smallest for ``>=``, and the schedule is
-    certified at it.
+    The deal is then improved by moves on its critical machine, the one
+    that completes last for ``<=`` and first for ``>=`` (``_improve``):
+    the jump and swap moves of Schuurman and Vredeveld, which move at
+    most one job each way, and, only once none of them qualifies, pair
+    moves, which give and take up to two jobs each.  Some optima need
+    one: on p=(2,3), n=(3k+1, 2k), s=(5,7), m=(k,k) jump and swap stop
+    at 6/5, and two size-2 jobs out and one size-3 job in reach the
+    optimum 8/7.  As a fallback the pair moves leave every step that a
+    jump or swap makes as it was, and they cost little: tried at every
+    step they made the incumbent about five times slower at d = 10.  A
+    move changes two machines, and both then complete strictly better
+    than the critical one did; every other machine is untouched and was
+    no worse, so the value never gets worse than the deal's: it lies
+    between P / S and the deal's value, so within the distance bound.
+    The moves make at most d times the number of runs steps of O(runs *
+    B^2) integer operations each, B = 1 + d + d(d + 1) / 2 the bundles
+    of at most two jobs, so the work grows with d and the number of
+    runs, never with n or m.  The value is the critical run's
+    completion, the largest for ``<=`` and the smallest for ``>=``, and
+    the schedule is certified at it.
     """
     runs = _deal(inst, rel)
     _improve(inst, rel, runs)
@@ -782,7 +817,8 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                 sched = memo[windows]
             else:
                 trace["solves"] += 1
-                model = build_model(inst, windows, demand_relation=JOB_EQ)
+                model = build_model(inst, windows, demand_relation=JOB_EQ,
+                                    loads=loads)
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 _certify(inst, sched, FeasibilityQuery(

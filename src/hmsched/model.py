@@ -107,7 +107,8 @@ class Instance:
         for name in ("p", "n", "s", "m"):
             values = tuple(getattr(self, name))
             for x in values:
-                _require_int(x, f"{name} entries")
+                if type(x) is not int:  # the common case skips the call
+                    _require_int(x, f"{name} entries")
             object.__setattr__(self, name, values)
         if len(self.p) != len(self.n):
             raise MalformedInputError("p and n must have the same length")
@@ -125,7 +126,7 @@ class Instance:
             rows = tuple(tuple(row) for row in self.restrict)
             for row in rows:
                 for v in row:
-                    if not isinstance(v, bool):
+                    if type(v) is not bool:
                         raise MalformedInputError(
                             f"restrict cells must be booleans, got {v!r}")
             if len(rows) != self.d or any(len(row) != self.tau for row in rows):

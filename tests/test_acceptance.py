@@ -181,19 +181,21 @@ def test_criterion_2_cmin_incumbent_meets_the_optimum(mixed_results):
     # The last job type's leftovers go to the machines that complete
     # earliest before taking one; dealing them by completion after one
     # more job, as ``<=`` does, met the optimum on 344 of the 510, the
-    # plain deal on 429, and the deal improved by local moves on 504.
+    # plain deal on 429, the deal improved by jump and swap moves on
+    # 504, and with pair moves as well on 506.
     optimal = sum(_incumbent(inst, ">=")[0] == values["cmin"][1]
                   for inst, values in mixed_results)
-    assert optimal >= 504
+    assert optimal >= 506
     report(2, f"the >= incumbent meets the cmin optimum on {optimal} of "
               f"{len(mixed_results)} instances")
 
 
 def test_criterion_2_cmax_incumbent_meets_the_optimum(mixed_results):
-    # the plain deal met the optimum on 463 of the 510
+    # the plain deal met the optimum on 463 of the 510, jump and swap
+    # moves on 507, and with pair moves as well on 509
     optimal = sum(_incumbent(inst, "<=")[0] == values["cmax"][1]
                   for inst, values in mixed_results)
-    assert optimal >= 507
+    assert optimal >= 509
     report(2, f"the <= incumbent meets the cmax optimum on {optimal} of "
               f"{len(mixed_results)} instances")
 

@@ -227,11 +227,12 @@ def test_help_exits_0(args):
 
 
 def test_resource_limit_exit_code(tmp_path):
-    # fig1's bracket leaves one probe of at most two states; this
-    # instance needs more
+    # p23(2,0) at k=8: its incumbent's critical run holds several
+    # machines, so its probes build models, which need more than two
+    # states
     inst_path = tmp_path / "limit.json"
     inst_path.write_text(json.dumps(
-        {"p": [2, 5], "n": [31, 49], "s": [1, 4, 5], "m": [1, 1, 1]}))
+        {"p": [2, 3], "n": [26, 16], "s": [5, 7], "m": [8, 8]}))
     code, out, err = run_cli("solve", str(inst_path), "--objective", "cmax",
                              env={"HMSCHED_STATE_LIMIT": "2"})
     assert code == 3, (out, err)
