@@ -6,14 +6,15 @@ most n (``<=``)" becomes a configuration ILP: per machine type, choose a
 multiset of load-window-respecting configurations, one per machine, so
 that demands and machine counts match.
 
-After the load-window rule (``narrow_windows``) narrows each type's
-window, window reduction rewrites it as a small core window plus a
-number of exact / slack blocks (see reduction.reduce_window); the model
-then carries one column group per (type, part), which keeps both the
-number of columns and the coefficients small.  A solved reduced model
-recombines into configurations of the original model by giving every
-machine its core part plus its share of block parts; the block loads
-telescope so any deterministic pairing lands inside the raw window.
+The load-window rule (``narrow_windows``) refutes a question before
+any model, or narrows the windows the model is built on.  Window
+reduction rewrites each as a small core window plus a number of exact /
+slack blocks (see reduction.reduce_window); the model then carries one
+column group per (type, part), which keeps both the number of columns
+and the coefficients small.  A solved reduced model recombines into
+configurations of the original model by giving every machine its core
+part plus its share of block parts; the block loads telescope so any
+deterministic pairing lands inside the model's window.
 
 The solver is an exact dynamic program over remaining demand vectors.
 It is deliberately simple: each state is a demand vector packed into one
@@ -182,10 +183,12 @@ def _rounded(g: int, top: int, lo: int, hi: int):
     return -(-lo // g) * g, min(hi // g * g, top)
 
 
-def narrow_windows(loads, total: int, windows,
-                   demand_relation: str) -> tuple[int, int] | None:
+def narrow_windows(loads, total: int, windows, demand_relation: str
+                   ) -> tuple[tuple[int, int], ...] | None:
     """The load-window rule: None if no schedule keeps its loads in
-    ``windows``, else the sums (least, most) that narrow each window.
+    ``windows``, else one window per type, narrowed so that every
+    schedule within ``windows`` stays within it: the windows every solve
+    route builds its model on.
 
     ``loads`` is ``type_loads(inst)``, ``total`` the total load P and
     ``windows`` one (lower, upper) per type.  A type-t machine runs only
@@ -198,7 +201,9 @@ def narrow_windows(loads, total: int, windows,
     hi_t, if least > P, or, under ``=`` only, if most < P.  Otherwise the
     other machines load from least - lo_t to most - hi_t, so a type-t
     machine loads at most P - (least - lo_t), and under ``=`` at least P
-    - (most - hi_t): ``build_model`` narrows [lo_t, hi_t] to these ends.
+    - (most - hi_t): [lo_t, hi_t] narrows to these ends, and a type
+    without machines gets (0, 0).  No verdict changes.  Most calls are
+    refuted, so the windows are listed only once the sums pass.
     """
     least = most = 0
     for (m, g, top), (lower, upper) in zip(loads, windows):
@@ -210,13 +215,19 @@ def narrow_windows(loads, total: int, windows,
             most += m * hi
     if least > total or (demand_relation == JOB_EQ and most < total):
         return None
-    return least, most
+    out = []
+    for (m, g, top), window in zip(loads, windows):
+        if not m:
+            out.append((0, 0))
+            continue
+        lo, hi = _rounded(g, top, *window)
+        out.append((max(lo, total - (most - hi)) if demand_relation == JOB_EQ
+                    else lo, min(hi, total - (least - lo))))
+    return tuple(out)
 
 
 def build_model(inst: Instance, windows, *,
-                demand_relation: str = JOB_EQ,
-                loads: list[tuple[int, int, int]] | None = None
-                ) -> ConfILPModel:
+                demand_relation: str = JOB_EQ) -> ConfILPModel:
     """Assemble the configuration model for the given load windows.
 
     ``windows`` holds one (lower, upper) pair per machine type, with
@@ -226,13 +237,7 @@ def build_model(inst: Instance, windows, *,
     (``<=``).  Columns live within the reduced window, capped at ``inst.n``
     and at 0 on the job types the machine type may not run: under either
     relation no machine takes more of a job type than the whole demand.
-
-    Before any column is listed, ``narrow_windows`` rounds and narrows
-    each window with machines, so no verdict changes; ``raw_windows``
-    keeps the caller's windows.  ``loads`` is ``type_loads(inst)``; a
-    caller that already asked the rule passes the one it asked with.  A
-    refuted question is one core group without a column, and no other
-    narrowed window is empty.
+    Every solve route takes its windows from ``narrow_windows``.
 
     Each machine type with machines contributes its column groups in one
     loop over (role, blocks per machine, window), roles in the order
@@ -241,8 +246,8 @@ def build_model(inst: Instance, windows, *,
     restricted instances reduce soundly type by type.  The core group
     has one machine per machine of the type, and each block role
     blocks-per-machine times as many (a role with no blocks gets no
-    group).  When the type may run no job, the narrowed window is the
-    core and there are no blocks.  The first group without a column ends the
+    group).  When the type may run no job, the window is the core and
+    there are no blocks.  The first group without a column ends the
     model: none of its machines can take a column, so ``solve_model``
     rejects the model before its dynamic program, and later groups would
     enumerate columns for nothing.
@@ -256,22 +261,10 @@ def build_model(inst: Instance, windows, *,
         if not 0 <= lower <= upper:
             raise MalformedInputError(f"bad window [{lower}, {upper}]")
 
-    whole = dot(inst.p, inst.n)
-    if loads is None:
-        loads = type_loads(inst)
-    sums = narrow_windows(loads, whole, windows, demand_relation)
     groups: list[ModelGroup] = []
-    for t, ((m, g, top), window) in enumerate(zip(loads, windows)):
+    for t, (m, (lower, upper)) in enumerate(zip(inst.m, windows)):
         if m == 0:
             continue
-        if sums is None:  # one group without a column ends a refuted model
-            groups.append(ModelGroup(t, "core", m, window, ()))
-            break
-        lower, upper = _rounded(g, top, *window)
-        lower, upper = (
-            lower if demand_relation == JOB_LE
-            else max(lower, whole - (sums[1] - upper)),
-            min(upper, whole - (sums[0] - lower)))
         allowed = inst.allowed_row(t)
         cap = tuple(nj if a else 0 for nj, a in zip(inst.n, allowed))
         parts = [("core", 1, (lower, upper))]

@@ -44,7 +44,7 @@ threshold driver (``_optimize_threshold``) and one feasibility route
 of an idle-capped makespan question (``idle_cmax_speeds``) for a
 minimum-completion one, refute the probe without a model when the
 load-window rule (``confilp.narrow_windows``) refutes them, and
-otherwise solve the one model on them that ``method="confilp"`` asks.
+otherwise solve the one model on the windows it narrowed.
 Before the model, an ``"auto"`` probe of an unrestricted instance with
 a machine above the large-machine cutoff after compression looks for a
 schedule by guessing (``balanced_feasibility``), which, like
@@ -284,7 +284,9 @@ def balanced_feasibility(inst: Instance, rel: str,
     back.  Each type's load window is [0, r] with usage exactly the
     residual demand for ``<=``, and [max(0, r - pmax + 1), r] with usage
     at most it for ``>=`` (inst's speeds already raised by
-    ``idle_cmax_speeds``).  The rows never place more than n: the caps
+    ``idle_cmax_speeds``), which the load-window rule narrows before
+    the model, or refutes, and then the guess builds none.  The rows
+    never place more than n: the caps
     bound the fractional usage by n, and flooring and
     ``reduced_schedule`` only lower entries.  Nor does a row overload
     its machine: the floored row of speed s has load at most dot(p, g1a
@@ -338,10 +340,15 @@ def balanced_feasibility(inst: Instance, rel: str,
                 demand = tuple(nj - sum(m * r[j] for m, r in zip(inst.m, rows))
                                for j, nj in enumerate(n))
                 spare = tuple(s - dot(p, r) for s, r in zip(inst.s, rows))
-                part = solve_model(build_model(
-                    Instance(p, demand, spare, inst.m),
+                residual = Instance(p, demand, spare, inst.m)
+                windows = narrow_windows(
+                    type_loads(residual), dot(p, demand),
                     [(0 if rel == LE else max(0, s - idle_cap), s)
-                     for s in spare], demand_relation=usage), state_limit)
+                     for s in spare], usage)
+                if windows is None:
+                    continue
+                part = solve_model(build_model(
+                    residual, windows, demand_relation=usage), state_limit)
                 if part is not None:
                     return make_schedule(d, [
                         (t, tuple(a + b for a, b in zip(c, rows[t])), count)
@@ -369,13 +376,14 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     speeds s_t: [0, s_t] with usage exactly n for ``<=``, and the
     converted speeds' windows [s_t, s_t + pmax - 1] with usage at most n
     for ``>=``.  First the load-window rule (``confilp.narrow_windows``)
-    asks them.  A refutation answers the probe (``trace["path"] ==
-    "capacity"``) before any model or compressed instance is built.  For
-    ``>=`` it is the verdict on [s_t, oo) with usage exactly n: the least
-    multiple of g_t from s_t on is at most s_t + g_t - 1 <= s_t + pmax -
-    1, so the same windows hold a load, from the same lower ends, and
-    the sum test only ``=`` makes, sum m_t * P_t >= P, holds once no
-    demanded job type is unrunnable, which is checked just before.
+    narrows them, or refutes them, which answers the probe
+    (``trace["path"] == "capacity"``) before any model or compressed
+    instance is built.  For ``>=`` this is the verdict on [s_t, oo) with
+    usage exactly n: the least multiple of g_t from s_t on is at most
+    s_t + g_t - 1 <= s_t + pmax - 1, so the same windows hold a load,
+    from the same lower ends, and the sum test only ``=`` makes, sum
+    m_t * P_t >= P, holds once no demanded job type is unrunnable,
+    which is checked just before.
 
     An ``"auto"`` probe of an unrestricted instance compresses the
     normalized instance (``reduction.compress``), converted for ``>=``,
@@ -383,7 +391,7 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     cutoff, lifting back a schedule the guess loop finds.  A probe that
     does not guess, or that no guess answers, asks the one model that
     ``"confilp"`` asks: ``build_model`` of the normalized instance on the
-    same windows, which never reads speeds, so the model is the
+    narrowed windows, which never reads speeds, so the model is the
     converted instance's for ``>=``.  It cuts the windows into the lcm
     blocks that compression would make, so both methods share every
     refutation.  Restricted instances never compress (a merged speed
@@ -405,10 +413,11 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     if _unrunnable_job_type(inst) is not None:
         return None
     usage = JOB_EQ if rel == LE else JOB_LE
-    windows = ([(0, s) for s in norm.s] if rel == LE
-               else [(s, s + inst.pmax - 1) for s in norm.s])
-    loads = type_loads(inst)
-    if narrow_windows(loads, inst.total_load, windows, usage) is None:
+    windows = narrow_windows(
+        type_loads(inst), inst.total_load,
+        [(0, s) if rel == LE else (s, s + inst.pmax - 1) for s in norm.s],
+        usage)
+    if windows is None:
         trace["path"] = "capacity"
         return None
 
@@ -425,8 +434,8 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
             if sched is not None:
                 sched = lift_schedule(sched, cmap)
     if sched is None:
-        sched = solve_model(build_model(norm, windows, demand_relation=usage,
-                                        loads=loads), state_limit)
+        sched = solve_model(build_model(norm, windows, demand_relation=usage),
+                            state_limit)
         trace["path"] = "direct-confilp"
         if sched is None:
             return None
@@ -763,12 +772,12 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
     load-window rule (``confilp.narrow_windows``) rejects an a before
     any model (``trace["empty_windows"]``), and only values of a whose
     model is infeasible, so the first a that admits a schedule, and its
-    schedule, are those of the unrounded scan.  A model is built and
-    solved once per distinct window tuple in a solve; ``trace["solves"]``
-    counts those solves and ``trace["cache_hits"]`` the window tuples
-    answered from that memo.  A window whose reduced core admits no
-    configuration ends its model at that empty group (``build_model``),
-    which ``solve_model`` rejects before its dynamic program.
+    schedule, are those of the unrounded scan.  A model is built on the
+    windows the rule narrowed, once per distinct narrowed tuple in a
+    solve; ``trace["solves"]`` counts those solves and
+    ``trace["cache_hits"]`` the tuples answered from that memo.  A
+    window whose reduced core admits no configuration ends its model
+    (``build_model``), which ``solve_model`` rejects before its DP.
 
     The check is monotone in E: a larger E lowers every lo_t and moves
     the end of the a range up, and a schedule inside the smaller windows
@@ -806,10 +815,9 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
         first = -(-P * s1 // S)
         last = (P * den + k * S) * s1 // (S * den)
         for a in range(first, last + 1):
-            # a type without machines gets (0, 0), which build_model skips
-            windows = tuple((lower(a, s), a * s // s1) if m else (0, 0)
-                            for s, m in zip(inst.s, inst.m))
-            if narrow_windows(loads, P, windows, JOB_EQ) is None:
+            windows = narrow_windows(loads, P, [
+                (lower(a, s), a * s // s1) for s in inst.s], JOB_EQ)
+            if windows is None:
                 trace["empty_windows"] += 1
                 continue
             if windows in memo:
@@ -817,8 +825,7 @@ def minimize_envy(inst: Instance, state_limit: int | None = None) -> SolveResult
                 sched = memo[windows]
             else:
                 trace["solves"] += 1
-                model = build_model(inst, windows, demand_relation=JOB_EQ,
-                                    loads=loads)
+                model = build_model(inst, windows, demand_relation=JOB_EQ)
                 sched = memo[windows] = solve_model(model, state_limit)
             if sched is not None:
                 _certify(inst, sched, FeasibilityQuery(

@@ -163,48 +163,53 @@ def test_reduced_windows_bookkeeping():
     # Usage at most n leaves both windows as they are: the lone machine
     # may carry less than the whole load of 100.
     inst = Instance(p=(2, 3), n=(20, 20), s=(100,), m=(1,))
+    loads = type_loads(inst)
+    assert narrow_windows(loads, 100, [(40, 100)], JOB_LE) == ((40, 100),)
     groups = build_model(inst, [(40, 100)], demand_relation=JOB_LE).groups
     assert [(g.role, g.count) for g in groups] == [
         ("core", 1), ("exact", 1), ("slack", 4)]
     assert [g.window for g in groups] == [(34, 70), (6, 6), (0, 6)]
 
+    assert narrow_windows(loads, 100, [(0, 5)], JOB_LE) == ((0, 5),)
     groups = build_model(inst, [(0, 5)], demand_relation=JOB_LE).groups
     assert [(g.role, g.count) for g in groups] == [("core", 1)]
     assert groups[0].window == (0, 5)
 
     # Usage exactly n: the lone machine carries all 100, so [40, 100]
-    # narrows to [100, 100] and [0, 5] empties; the raw windows stay.
-    model = build_model(inst, [(40, 100)])
+    # narrows to [100, 100], which the model keeps as it is given, and
+    # [0, 5] is refuted before any model.
+    narrowed = narrow_windows(loads, 100, [(40, 100)], "=")
+    assert narrowed == ((100, 100),)
+    model = build_model(inst, narrowed)
     assert [(g.role, g.count, g.window) for g in model.groups] == [
         ("core", 1, (34, 34)), ("exact", 11, (6, 6))]
-    assert model.raw_windows == ((40, 100),)
-    model = build_model(inst, [(0, 5)])
-    assert [(g.role, g.configs) for g in model.groups] == [("core", ())]
-    assert solve_model(model) is None
+    assert model.raw_windows == narrowed
+    assert narrow_windows(loads, 100, [(0, 5)], "=") is None
 
     # Every load is a multiple of the gcd 2: [4, 5] rounds to [4, 4] and
     # [9, 10] to [10, 10], whose loads 4 and 10 fit the total 18.
     inst = Instance(p=(2,), n=(9,), s=(4, 9), m=(1, 1))
-    model = build_model(inst, [(4, 5), (9, 10)], demand_relation=JOB_LE)
-    assert _effective_windows(inst, model) == {0: (4, 4), 1: (10, 10)}
+    assert narrow_windows(type_loads(inst), 18, [(4, 5), (9, 10)],
+                          JOB_LE) == ((4, 4), (10, 10))
 
 
 def _effective_windows(inst, model):
     """Each type's load window as its groups carry it: a core plus its
     blocks per machine, so the sums of count * lower and count * upper
-    over the type's groups are m_t times the window ``build_model`` cut."""
-    out = {}
+    over the type's groups are m_t times the window ``build_model`` cut,
+    and (0, 0) for a type without machines."""
+    out = [(0, 0)] * inst.tau
     for g in model.groups:
-        lo, hi = out.get(g.machine_type, (0, 0))
+        lo, hi = out[g.machine_type]
         out[g.machine_type] = (lo + g.count * g.window[0],
                                hi + g.count * g.window[1])
-    return {t: (lo // inst.m[t], hi // inst.m[t])
-            for t, (lo, hi) in out.items()}
+    return tuple((lo // m, hi // m) if m else (0, 0)
+                 for m, (lo, hi) in zip(inst.m, out))
 
 
 def _narrowed(inst, windows, relation):
-    """The windows ``build_model`` is meant to cut, computed on its own,
-    or None when no schedule can keep its loads in them."""
+    """The windows ``narrow_windows`` is meant to return, computed on its
+    own, or None when no schedule can keep its loads in them."""
     whole = dot(inst.p, inst.n)
     rounded = {}
     for t, (lo, hi) in enumerate(windows):
@@ -224,14 +229,14 @@ def _narrowed(inst, windows, relation):
     least = sum(inst.m[t] * lo for t, (lo, _) in rounded.items())
     if least > whole or (relation == "=" and most < whole):
         return None
-    out = {}
+    out = [(0, 0)] * inst.tau  # a type without machines
     for t, (lo, hi) in rounded.items():
         # every other machine's load lies in its window, and all loads
         # sum to the whole load (at most that for "<=")
         new_hi = min(hi, whole - (least - lo))
         new_lo = lo if relation == "<=" else max(lo, whole - (most - hi))
         out[t] = (new_lo, new_hi)
-    return out
+    return tuple(out)
 
 
 def test_reduction_does_not_change_verdicts():
@@ -273,23 +278,21 @@ def test_reduction_does_not_change_verdicts():
                 windows.append((lower, lower + rnd.randint(0, share + 4)))
             asked += [(None, windows, "="), (None, windows, "<=")]
         for rel, windows, relation in asked:
-            model = build_model(inst, windows, demand_relation=relation)
-            assert model.raw_windows == tuple(windows)
             narrow = _narrowed(inst, windows, relation)
-            last = model.groups[-1]
+            assert narrow_windows(type_loads(inst), inst.total_load, windows,
+                                  relation) == narrow, (inst, windows)
+            with_red = None  # a refuted question builds no model
             if narrow is None:
-                # a refuted question is one core group without a column,
-                # of the first type with machines
-                first = next(t for t in range(inst.tau) if inst.m[t])
-                assert [(g.machine_type, g.role, g.configs)
-                        for g in model.groups] == [(first, "core", ())]
                 emptied += 1
-            elif last.configs:
-                assert _effective_windows(inst, model) == narrow, (
-                    inst, windows, relation)
-                narrowed += narrow != {t: w for t, w in enumerate(windows)
-                                       if inst.m[t]}
-            with_red = solve_model(model)
+            else:
+                # the model cuts the narrowed windows as they are given
+                model = build_model(inst, narrow, demand_relation=relation)
+                if model.groups[-1].configs:
+                    assert _effective_windows(inst, model) == narrow, (
+                        inst, windows, relation)
+                narrowed += narrow != tuple(
+                    w if m else (0, 0) for w, m in zip(windows, inst.m))
+                with_red = solve_model(model)
             without = solve_model(unreduced_model(inst, windows,
                                                   demand_relation=relation))
             assert (with_red is None) == (without is None), (
@@ -326,8 +329,8 @@ def test_window_rule_refutes_only_questions_without_an_oracle_schedule():
     # Seeded questions on instances with at most six machines, restricted
     # or not, with zero speeds and types without machines, under both
     # demand relations: a question the rule refutes has no oracle
-    # schedule, and every machine of an oracle schedule loads inside its
-    # narrowed window, which build_model cuts.
+    # schedule, and every machine of an oracle schedule loads inside the
+    # narrowed window the rule returns.
     rnd = random.Random(38)
     refuted = witnessed = 0
     for seed in range(300):
@@ -344,13 +347,8 @@ def test_window_rule_refutes_only_questions_without_an_oracle_schedule():
             rel, T, idle, windows = _random_question(rnd, inst)
             relation = rnd.choice(("=", "<="))
             narrow = _narrowed(inst, windows, relation)
-            sums = narrow_windows(loads, inst.total_load, windows, relation)
-            assert (sums is None) == (narrow is None), (inst, windows)
-            if all(lo <= hi for lo, hi in windows):
-                model = build_model(inst, windows, demand_relation=relation)
-                if (sums is not None and model.groups
-                        and model.groups[-1].configs):
-                    assert _effective_windows(inst, model) == narrow
+            assert narrow_windows(loads, inst.total_load, windows,
+                                  relation) == narrow, (inst, windows)
             sched = feasible_schedule(inst, rel, T, idle_cap=idle,
                                       job_relation=relation)
             if narrow is None:

@@ -989,6 +989,18 @@ def test_methods_reach_guessing_corpus_optima(method):
     assert len(solves) == 24
     for kind, inst, want in solves:
         assert solver[kind](inst, method=method).value == want, (kind, inst)
+    # Every corpus incumbent is optimal, so no corpus solve reaches either
+    # route's model.  This instance's incumbent misses the optimum: its
+    # one probe takes the guess loop under auto and the direct model
+    # under confilp, and both reach the same optimum.
+    inst = Instance(p=(2, 5), n=(21, 47), s=(1, 5, 6), m=(1, 1, 1))
+    result = minimize_makespan(inst, method=method)
+    assert result.value == Fraction(139, 6)
+    if method == "auto":
+        assert result.trace["path"] == "balanced"
+        assert result.trace["guesses"] >= 1
+    else:
+        assert result.trace["path"] == "direct-confilp"
 
 
 def test_makespan_optimum_is_grid_tight():
@@ -1211,6 +1223,21 @@ def test_envy_memo_builds_each_window_tuple_once(monkeypatch):
     assert result.trace["empty_windows"] > 0
     assert _column_less_models_end_there(models) > 0
 
+    # The scan meets the raw windows ((3, 4), (5, 7)) and ((4, 5), (7,
+    # 9)), which both narrow to ((4, 4), (7, 7)); the memo keys on the
+    # narrowed windows, so they share one model (a memo on raw windows
+    # builds 3), with the oracle's value and the same schedule.
+    built.clear()
+    inst = Instance(p=(1, 5), n=(1, 2), s=(5, 9), m=(1, 1))
+    for raw in [(3, 4), (5, 7)], [(4, 5), (7, 9)]:
+        assert drivers.narrow_windows(type_loads(inst), 11, raw, "=") == (
+            (4, 4), (7, 7))
+    result = minimize_envy(inst)
+    assert result.value == Fraction(1, 3) == brute_force(inst, "cenvy")[0]
+    assert result.schedule.entries == ((0, (0, 1), 1), (1, (1, 1), 1))
+    assert result.trace["solves"] == len(built) == 2
+    assert ((4, 4), (7, 7)) in built
+
 
 def _spy_questions(monkeypatch):
     """Lists that collect every feasibility call's normalized speeds and
@@ -1294,9 +1321,9 @@ def test_restricted_memo_builds_each_window_tuple_once(monkeypatch, inst,
     plain_narrow = drivers.narrow_windows
 
     def spy(loads, total, windows, relation):
-        sums = plain_narrow(loads, total, windows, relation)
-        refuted.append(sums is None)
-        return sums
+        narrowed = plain_narrow(loads, total, windows, relation)
+        refuted.append(narrowed is None)
+        return narrowed
 
     monkeypatch.setattr(drivers, "narrow_windows", spy)
     result = _solve_asking_each_question_once(asked, built, inst, objective)
