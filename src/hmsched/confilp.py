@@ -45,9 +45,9 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .model import (
     CertificateError,
@@ -87,8 +87,7 @@ def state_limit_default() -> int:
     return limit
 
 
-@dataclass(frozen=True)
-class ModelGroup:
+class ModelGroup(NamedTuple):
     """One column group: ``count`` identical machines sharing a column set."""
 
     machine_type: int
@@ -98,8 +97,7 @@ class ModelGroup:
     configs: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ConfILPModel:
+class ConfILPModel(NamedTuple):
     p: tuple[int, ...]
     demand: tuple[int, ...]
     demand_relation: str

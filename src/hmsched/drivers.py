@@ -62,8 +62,9 @@ envy's scan), so every probe returns a certified schedule or None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .balancing import (
     guess_configs,
@@ -108,16 +109,14 @@ class InfeasibleRestrictionError(RuntimeError):
     """A demanded job type has no machine type that may run it."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     objective: str
     value: Fraction
     schedule: HMSchedule
     trace: dict
 
 
-@dataclass(frozen=True)
-class CandidateGrid:
+class CandidateGrid(NamedTuple):
     """Description of the exact search set for one objective.
 
     Each entry is (type, denominator, max_numerator): the values
@@ -415,8 +414,8 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     usage = JOB_EQ if rel == LE else JOB_LE
     windows = narrow_windows(
         type_loads(inst), inst.total_load,
-        [(0, s) if rel == LE else (s, s + inst.pmax - 1) for s in norm.s],
-        usage)
+        [(0, s) for s in norm.s] if rel == LE
+        else list(zip(norm.s, idle_cmax_speeds(norm.s, inst.pmax))), usage)
     if windows is None:
         trace["path"] = "capacity"
         return None

@@ -12,8 +12,9 @@ exact rationals -- nothing in this package ever rounds through floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class MalformedInputError(ValueError):
@@ -265,8 +266,7 @@ class FeasibilityQuery:
         object.__setattr__(self, "threshold", exact_threshold(self.threshold))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of verify_schedule; fields are filled even when ok=False."""
 
     ok: bool
@@ -274,7 +274,7 @@ class VerificationReport:
     min_completion: Fraction
     max_idle_load: Fraction
     job_usage: tuple[int, ...]
-    violations: tuple[str, ...] = field(default=())
+    violations: tuple[str, ...] = ()
 
 
 def _completion_range(pairs) -> tuple[Fraction, Fraction]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     GE,
@@ -42,8 +43,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ReductionConstants:
+class ReductionConstants(NamedTuple):
     """lcm_load = lcm of all job sizes; cut_threshold = d * pmax * lcm_load."""
 
     lcm_load: int
@@ -125,8 +125,7 @@ def normalize(inst: Instance, rel: str, threshold: Fraction) -> Instance:
     return Instance(inst.p, inst.n, speeds, inst.m, inst.restrict, inst.name)
 
 
-@dataclass(frozen=True)
-class CompressionMap:
+class CompressionMap(NamedTuple):
     """How compress() rewrote machine types, enough to lift schedules back.
 
     Original type t keeps one residual machine of ``residual_speed[t]``

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import expand_runs, reference_verify_schedule
+from hmsched.confilp import ConfILPModel, ModelGroup
+from hmsched.drivers import CandidateGrid, SolveResult
 from hmsched.model import (
     FeasibilityQuery,
     HMSchedule,
     Instance,
     MalformedInputError,
     Runs,
+    VerificationReport,
     aggregate_jobs,
     deal,
     format_rational,
@@ -19,6 +22,7 @@ from hmsched.model import (
     parse_rational,
     verify_schedule,
 )
+from hmsched.reduction import CompressionMap, ReductionConstants
 
 
 @pytest.fixture
@@ -271,3 +275,43 @@ def test_aggregate_matches_manual_sum(counts):
     counts = tuple(counts)
     sched = make_schedule(len(counts), [(0, counts, 2), (0, counts, 1)])
     assert aggregate_jobs(sched) == tuple(3 * c for c in counts)
+
+
+_GROUP_FIELDS = dict(machine_type=0, role="core", count=2, window=(0, 5),
+                     configs=((1, 1),))
+
+# each record type without a constructor check, with one value per field
+# in declaration order
+RECORDS = [
+    (SolveResult, dict(objective="cmax", value=Fraction(1, 5),
+                       schedule=make_schedule(1, [(0, (3,), 1)]),
+                       trace={"path": "capacity"})),
+    (CandidateGrid, dict(objective="cmax", entries=((0, 15, 7),),
+                         bound=Fraction(7, 39))),
+    (VerificationReport, dict(ok=True, max_completion=Fraction(1, 5),
+                              min_completion=Fraction(1, 11),
+                              max_idle_load=Fraction(0), job_usage=(7,),
+                              violations=("none",))),
+    (ModelGroup, _GROUP_FIELDS),
+    (ConfILPModel, dict(p=(2, 3), demand=(1, 1), demand_relation="=",
+                        groups=(ModelGroup(**_GROUP_FIELDS),),
+                        raw_windows=((0, 5),))),
+    (ReductionConstants, dict(lcm_load=6, cut_threshold=36)),
+    (CompressionMap, dict(original_m=(1,), residual_speed=(5,),
+                          pieces_per_machine=(0,), compressed_speeds=(5,),
+                          lcm_load=6)),
+]
+
+
+@pytest.mark.parametrize("cls,values", RECORDS,
+                         ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_and_construct_alike(cls, values):
+    record = cls(**values)
+    assert record == cls(*values.values())
+    text = repr(record)
+    assert all(f"{name}=" in text for name in values)
+    first = next(iter(values))
+    with pytest.raises(AttributeError):
+        setattr(record, first, values[first])
+    with pytest.raises(AttributeError):
+        record.extra = 1

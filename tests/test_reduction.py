@@ -31,6 +31,8 @@ from hmsched.oracle import (
 from hmsched.reduction import (
     compress,
     CompressionMap,
+    ReducedWindow,
+    ReductionConstants,
     lift_schedule,
     normalize,
     reduce_window,
@@ -114,6 +116,14 @@ def test_reduce_window_golden():
     red = reduce_window(72, None, k)
     assert (red.exact_blocks, red.slack_blocks) == (7, 0)
     assert (red.core_lower, red.core_upper) == (30, None)
+
+
+def test_reduced_window_rejects_negative_core():
+    with pytest.raises(MalformedInputError, match="core_lower must be >= 0"):
+        ReducedWindow(0, 0, -1, None)
+    # a cut threshold below the lcm peels a block larger than the window
+    with pytest.raises(MalformedInputError, match="core_lower must be >= 0"):
+        reduce_window(3, 10, ReductionConstants(6, 2))
 
 
 @settings(max_examples=150)
