@@ -62,7 +62,6 @@ envy's scan), so every probe returns a certified schedule or None.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -424,7 +423,8 @@ def feasibility(inst: Instance, rel: str, threshold: Fraction,
     if inst.restrict is None and method == "auto":
         comp, cmap = compress(norm)
         if rel == GE:
-            comp = replace(comp, s=idle_cmax_speeds(comp.s, inst.pmax))
+            comp = Instance(comp.p, comp.n, idle_cmax_speeds(comp.s, inst.pmax),
+                            comp.m, comp.restrict, comp.name)
         cutoff = large_machine_cutoff(inst.d, inst.pmax)
         if any(s > cutoff and k > 0 for s, k in zip(comp.s, comp.m)):
             sched, info = balanced_feasibility(comp, rel,

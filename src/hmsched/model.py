@@ -8,11 +8,12 @@ pairs, and ``Runs``/``deal`` hand multisets of configurations out to
 machines by run, so building a schedule never lists its machines one
 by one.  All thresholds, completion times and objective values are
 exact rationals -- nothing in this package ever rounds through floats.
+Records that check their fields when built are immutable slotted
+``Record``s; the others are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -75,11 +76,44 @@ def dot(p: tuple[int, ...], c: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Instances
+# Records and instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instance:
+class Record:
+    """An immutable record whose fields are its ``__slots__``, in order;
+    ``__init__`` checks them and stores them with ``_set``, and pickling
+    and copying rebuild the record through ``__init__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: records are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Instance(Record):
     """A high-multiplicity scheduling instance.
 
     ``p``/``n`` give the job sizes and their multiplicities, ``s``/``m``
@@ -97,20 +131,17 @@ class Instance:
     only fit empty loads.
     """
 
-    p: tuple[int, ...]
-    n: tuple[int, ...]
-    s: tuple[int, ...]
-    m: tuple[int, ...]
-    restrict: tuple[tuple[bool, ...], ...] | None = None
-    name: str | None = None
+    __slots__ = ("p", "n", "s", "m", "restrict", "name")
 
-    def __post_init__(self):
-        for name in ("p", "n", "s", "m"):
-            values = tuple(getattr(self, name))
+    def __init__(self, p: tuple[int, ...], n: tuple[int, ...], s: tuple[int, ...],
+                 m: tuple[int, ...], restrict=None, name: str | None = None):
+        self._set(p, n, s, m, restrict, name)
+        for field in ("p", "n", "s", "m"):
+            values = tuple(getattr(self, field))
             for x in values:
                 if type(x) is not int:  # the common case skips the call
-                    _require_int(x, f"{name} entries")
-            object.__setattr__(self, name, values)
+                    _require_int(x, f"{field} entries")
+            object.__setattr__(self, field, values)
         if len(self.p) != len(self.n):
             raise MalformedInputError("p and n must have the same length")
         if len(self.s) != len(self.m):
@@ -173,8 +204,7 @@ class Instance:
 # Schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HMSchedule:
+class HMSchedule(Record):
     """High-multiplicity schedule: counts of (machine type, configuration).
 
     Each entry is ``(t, counts, count)``: ``count`` machines of type
@@ -187,24 +217,25 @@ class HMSchedule:
     ``d`` (MalformedInputError otherwise).
     """
 
-    d: int
-    entries: tuple[tuple[int, tuple[int, ...], int], ...]
+    __slots__ = ("d", "entries")
 
-    def __post_init__(self):
+    def __init__(self, d: int, entries):
         entries = tuple((t, tuple(counts), count)
-                        for t, counts, count in self.entries)
+                        for t, counts, count in entries)
         for t, counts, count in entries:
-            _require_int(t, "entry machine types")
-            _require_int(count, "entry counts")
+            if type(t) is not int or type(count) is not int:
+                _require_int(t, "entry machine types")
+                _require_int(count, "entry counts")
             for x in counts:
-                _require_int(x, "configuration counts")
+                if type(x) is not int:
+                    _require_int(x, "configuration counts")
                 if x < 0:
                     raise MalformedInputError("configuration counts must be >= 0")
-            if len(counts) != self.d:
+            if len(counts) != d:
                 raise MalformedInputError("configuration dimension != d")
             if count < 0:
                 raise MalformedInputError("entry count must be >= 0")
-        object.__setattr__(self, "entries", entries)
+        self._set(d, entries)
 
     def machines_of_type(self, t: int) -> int:
         return sum(count for tt, _, count in self.entries if tt == t)
@@ -248,8 +279,7 @@ JOB_LE = "<="
 JOB_GE = ">="
 
 
-@dataclass(frozen=True)
-class FeasibilityQuery:
+class FeasibilityQuery(Record):
     """What to check a schedule against.
 
     ``relation`` bounds every machine's completion time by ``threshold``
@@ -257,13 +287,12 @@ class FeasibilityQuery:
     also use exactly the instance's n jobs.
     """
 
-    relation: str
-    threshold: Fraction
+    __slots__ = ("relation", "threshold")
 
-    def __post_init__(self):
-        if self.relation not in (LE, GE):
-            raise MalformedInputError(f"bad relation {self.relation!r}")
-        object.__setattr__(self, "threshold", exact_threshold(self.threshold))
+    def __init__(self, relation: str, threshold: Fraction):
+        if relation not in (LE, GE):
+            raise MalformedInputError(f"bad relation {relation!r}")
+        self._set(relation, exact_threshold(threshold))
 
 
 class VerificationReport(NamedTuple):
@@ -311,9 +340,11 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
     """
     if sched.d != inst.d:
         raise MalformedInputError(f"schedule has d={sched.d}, instance d={inst.d}")
-    for t, _, _ in sched.entries:
+    have = [0] * inst.tau  # machines the schedule covers, per type
+    for t, _, count in sched.entries:
         if not 0 <= t < inst.tau:
             raise MalformedInputError(f"machine type {t} out of range")
+        have[t] += count
 
     violations: list[str] = []
     T = q.threshold
@@ -322,10 +353,9 @@ def verify_schedule(inst: Instance, sched: HMSchedule,
     idle = 0  # the largest idle load T * speed - load, times den
 
     for t in range(inst.tau):
-        have = sched.machines_of_type(t)
-        if have != inst.m[t]:
+        if have[t] != inst.m[t]:
             violations.append(
-                f"type {t}: schedule covers {have} machines, instance has {inst.m[t]}")
+                f"type {t}: schedule covers {have[t]} machines, instance has {inst.m[t]}")
 
     for t, counts, count in sched.entries:
         if count == 0:

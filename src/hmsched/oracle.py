@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +29,7 @@ from .model import (
     JOB_GE,
     JOB_LE,
     MalformedInputError,
+    Record,
     make_schedule,
 )
 
@@ -361,30 +361,27 @@ def brute_force(inst: Instance, objective: str,
 # Instance generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(Record):
     """Knobs for the seeded instance generator; identical seed, identical
-    instance."""
+    instance.  The five ranges are inclusive (lo, hi) pairs."""
 
-    d_range: tuple[int, int] = (1, 3)
-    pmax_range: tuple[int, int] = (1, 6)
-    machine_count_range: tuple[int, int] = (1, 5)
-    speed_range: tuple[int, int] = (1, 12)
-    job_total_range: tuple[int, int] = (0, 14)
-    restricted: bool = False
-    large_machines: bool = False
-    seed: int = 0
+    __slots__ = ("d_range", "pmax_range", "machine_count_range", "speed_range",
+                 "job_total_range", "restricted", "large_machines", "seed")
 
-    def __post_init__(self):
-        for name in ("d_range", "pmax_range", "machine_count_range",
-                     "speed_range", "job_total_range"):
+    def __init__(self, d_range=(1, 3), pmax_range=(1, 6),
+                 machine_count_range=(1, 5), speed_range=(1, 12),
+                 job_total_range=(0, 14), restricted: bool = False,
+                 large_machines: bool = False, seed: int = 0):
+        self._set(d_range, pmax_range, machine_count_range, speed_range,
+                  job_total_range, restricted, large_machines, seed)
+        for name in self.__slots__[:5]:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise MalformedInputError(f"{name} is empty")
-        if self.d_range[0] < 1 or self.pmax_range[0] < 1:
+        if d_range[0] < 1 or pmax_range[0] < 1:
             raise MalformedInputError("need d >= 1 and pmax >= 1")
-        if (self.machine_count_range[0] < 0 or self.speed_range[0] < 1
-                or self.job_total_range[0] < 0):
+        if (machine_count_range[0] < 0 or speed_range[0] < 1
+                or job_total_range[0] < 0):
             raise MalformedInputError("need machines >= 0, speeds >= 1, jobs >= 0")
 
 

@@ -23,7 +23,6 @@ open compresses that instance with ``compress``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,6 +32,7 @@ from .model import (
     Instance,
     LE,
     MalformedInputError,
+    Record,
     Runs,
     ceil_times,
     deal,
@@ -58,8 +58,7 @@ def reduction_constants(p: tuple[int, ...]) -> ReductionConstants:
     return ReductionConstants(lcm_load, len(p) * max(p) * lcm_load)
 
 
-@dataclass(frozen=True)
-class ReducedWindow:
+class ReducedWindow(Record):
     """Decomposition of a load window into blocks plus a small core.
 
     A load-window constraint [lower, upper] on one machine is equivalent
@@ -69,14 +68,13 @@ class ReducedWindow:
     core sub-configuration with load in [core_lower, core_upper].
     """
 
-    exact_blocks: int
-    slack_blocks: int
-    core_lower: int
-    core_upper: int | None  # None = unbounded
+    __slots__ = ("exact_blocks", "slack_blocks", "core_lower", "core_upper")
 
-    def __post_init__(self):
-        if self.core_lower < 0:
+    def __init__(self, exact_blocks: int, slack_blocks: int, core_lower: int,
+                 core_upper: int | None):  # None = unbounded
+        if core_lower < 0:
             raise MalformedInputError("core_lower must be >= 0")
+        self._set(exact_blocks, slack_blocks, core_lower, core_upper)
 
 
 def reduce_window(lower: int, upper: int | None,

@@ -11,7 +11,6 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -417,7 +416,8 @@ def test_criterion_6_balancing_equivalence():
                                   speed_range=(1, 9)))
         if inst.machine_count == 0:
             continue
-        conv = replace(inst, s=idle_cmax_speeds(inst.s, inst.pmax))
+        conv = Instance(inst.p, inst.n, idle_cmax_speeds(inst.s, inst.pmax),
+                        inst.m, inst.restrict, inst.name)
         cap = inst.pmax - 1
         try:
             direct = brute_force_feasibility(inst, ">=", Fraction(1))

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -181,7 +180,8 @@ def test_cmin_conversion_round_trip():
                                   speed_range=(1, 9)))
         if inst.machine_count == 0:
             continue
-        conv = replace(inst, s=idle_cmax_speeds(inst.s, inst.pmax))
+        conv = Instance(inst.p, inst.n, idle_cmax_speeds(inst.s, inst.pmax),
+                        inst.m, inst.restrict, inst.name)
         cap = inst.pmax - 1
         try:
             direct = brute_force_feasibility(inst, ">=", Fraction(1))

@@ -32,6 +32,20 @@ def run_cli(*args: str, env: dict | None = None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_import_loads_no_dataclasses():
+    """A fresh ``import hmsched, hmsched.cli`` generates no record code: the
+    modules the import adds to ``sys.modules`` do not include dataclasses."""
+    import os
+    code = ("import sys; before = set(sys.modules); import hmsched, hmsched.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(drivers.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    added = proc.stdout.split()
+    assert "hmsched.cli" in added
+    assert "dataclasses" not in added, added
+
+
 def test_instance_doc_round_trip():
     for seed in range(10):
         inst = generate(GenParams(seed=seed, restricted=bool(seed % 2)))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hmsched.model import (
     HMSchedule,
     Instance,
     MalformedInputError,
+    Record,
     Runs,
     VerificationReport,
     aggregate_jobs,
@@ -22,7 +25,8 @@ from hmsched.model import (
     parse_rational,
     verify_schedule,
 )
-from hmsched.reduction import CompressionMap, ReductionConstants
+from hmsched.oracle import GenParams
+from hmsched.reduction import CompressionMap, ReducedWindow, ReductionConstants
 
 
 @pytest.fixture
@@ -315,3 +319,77 @@ def test_records_are_immutable_and_construct_alike(cls, values):
         setattr(record, first, values[first])
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+# each record type that checks its fields when built, with one value per
+# field in declaration order (already in the form the record stores)
+CHECKED_RECORDS = [
+    (Instance, dict(p=(1, 2), n=(7, 0), s=(15, 13), m=(1, 2),
+                    restrict=((True, False), (True, True)), name="fig")),
+    (HMSchedule, dict(d=1, entries=((0, (3,), 1), (1, (2,), 2)))),
+    (FeasibilityQuery, dict(relation=">=", threshold=Fraction(3, 13))),
+    (GenParams, dict(d_range=(1, 2), pmax_range=(2, 4),
+                     machine_count_range=(0, 3), speed_range=(1, 5),
+                     job_total_range=(0, 6), restricted=True,
+                     large_machines=False, seed=9)),
+    (ReducedWindow, dict(exact_blocks=2, slack_blocks=1, core_lower=3,
+                         core_upper=None)),
+]
+
+
+@pytest.mark.parametrize("cls,values", CHECKED_RECORDS,
+                         ids=[cls.__name__ for cls, _ in CHECKED_RECORDS])
+def test_checked_records_are_immutable_values(cls, values):
+    record = cls(**values)
+    assert isinstance(record, Record)
+    same = cls(*values.values())
+    assert record == same and hash(record) == hash(same)
+    # a record of another class is never equal, not even one of a
+    # subclass with the same fields and values
+    twin = type("Twin", (cls,), {})(**values)
+    assert record != twin and twin != record
+    assert record != tuple(values.values())
+    assert all(record != other(**v) for other, v in CHECKED_RECORDS
+               if other is not cls)
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{name}={value!r}" in text for name, value in values.items())
+    for name, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert type(clone) is cls and clone == record
+
+
+@pytest.mark.parametrize("cls,fields,message", [
+    (Instance, dict(p=(1,), n=(1,), s=(1, 2), m=(1,)), "s and m"),
+    (Instance, dict(p=(1,), n=(-1,), s=(1,), m=(1,)), "job multiplicities"),
+    (Instance, dict(p=(1,), n=(1,), s=(-1,), m=(1,)), "speeds"),
+    (Instance, dict(p=(1,), n=(1,), s=(1,), m=(-1,)), "machine multiplicities"),
+    (Instance, dict(p=(1, 2), n=(1, 1), s=(1,), m=(1,), restrict=((True,),)),
+     "d x tau"),
+    (HMSchedule, dict(d=1, entries=((0, (1,), -1),)), "entry count"),
+    (FeasibilityQuery, dict(relation="<=", threshold=0.5), "exact"),
+    (FeasibilityQuery, dict(relation=">=", threshold=True), "exact"),
+    (GenParams, dict(d_range=(2, 1)), "d_range is empty"),
+    (GenParams, dict(pmax_range=(3, 2)), "pmax_range is empty"),
+    (GenParams, dict(machine_count_range=(3, 2)), "machine_count_range is empty"),
+    (GenParams, dict(speed_range=(3, 2)), "speed_range is empty"),
+    (GenParams, dict(job_total_range=(3, 2)), "job_total_range is empty"),
+    (GenParams, dict(d_range=(0, 2)), "d >= 1"),
+    (GenParams, dict(pmax_range=(0, 2)), "pmax >= 1"),
+    (GenParams, dict(machine_count_range=(-1, 2)), "machines >= 0"),
+    (GenParams, dict(speed_range=(0, 2)), "speeds >= 1"),
+    (GenParams, dict(job_total_range=(-1, 2)), "jobs >= 0"),
+    (ReducedWindow, dict(exact_blocks=0, slack_blocks=0, core_lower=-1,
+                         core_upper=None), "core_lower"),
+])
+def test_checked_records_reject_bad_fields(cls, fields, message):
+    with pytest.raises(MalformedInputError, match=message):
+        cls(**fields)
